@@ -23,7 +23,7 @@ from .functionals import (CylindricalFunctional, Function1D, Polynomial,
                           malliavin_derivative_cylindrical, mc_difference_quotient,
                           pairing_with_h)
 from .quadrature import (Integrand, IntegralVerdict, Verdict, bertrand_integrand,
-                         gaussian_expectation, integrate_adaptive,
+                         gaussian_expectation, integrate_adaptive, integrate_piece,
                          integrate_semi_infinite, integrate_singular_origin)
 from .wiener import (BrownianPath, CameronMartinDirection, TimeGrid, cm_inner, cm_norm,
                      girsanov_log_weight, girsanov_weight, merged_grid, sample_increments,

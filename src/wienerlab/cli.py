@@ -149,18 +149,21 @@ def build_parser() -> _Parser:
     p31 = sub.add_parser("reproduce-thm31", help="gaussian-tail growth counterexample")
     p31.add_argument("--a", type=float, default=None)
     p31.add_argument("--p", type=float, default=None)
-    p31.add_argument("--q", default=None, help="extra L^q residual exponents, comma list")
-    p31.add_argument("--delta", default=None, help="exponent bumps for the sampled union")
-    p31.add_argument("--h", default=None, help="direction endpoints, comma list")
+    p31.add_argument("--q", type=_parse_float_list, default=None,
+                     help="extra L^q residual exponents, comma list")
+    p31.add_argument("--delta", type=_parse_float_list, default=None,
+                     help="exponent bumps for the sampled union")
+    p31.add_argument("--h", type=_parse_float_list, default=None,
+                     help="direction endpoints, comma list")
     _add_common(p31)
 
     p33 = sub.add_parser("reproduce-thm33", help="origin-cusp counterexample")
     p33.add_argument("--eta", type=float, default=None)
     p33.add_argument("--mu", type=float, default=None)
     p33.add_argument("--p", type=float, default=None)
-    p33.add_argument("--q", default=None)
-    p33.add_argument("--delta", default=None)
-    p33.add_argument("--h", default=None)
+    p33.add_argument("--q", type=_parse_float_list, default=None)
+    p33.add_argument("--delta", type=_parse_float_list, default=None)
+    p33.add_argument("--h", type=_parse_float_list, default=None)
     _add_common(p33)
 
     pd = sub.add_parser("diagnose", help="membership report for a catalog functional")
@@ -169,9 +172,9 @@ def build_parser() -> _Parser:
     pd.add_argument("--eta", type=float, default=None)
     pd.add_argument("--mu", type=float, default=None)
     pd.add_argument("--p", type=float, default=None)
-    pd.add_argument("--q", default=None)
-    pd.add_argument("--delta", default=None)
-    pd.add_argument("--h", default=None)
+    pd.add_argument("--q", type=_parse_float_list, default=None)
+    pd.add_argument("--delta", type=_parse_float_list, default=None)
+    pd.add_argument("--h", type=_parse_float_list, default=None)
     _add_common(pd)
 
     pc = sub.add_parser("cm-check", help="shift-versus-reweighting Monte Carlo check")
@@ -233,16 +236,10 @@ def _report_exit(report: MembershipReport, expected: dict) -> int:
 def _run_report(args, name: str, params: dict, expected: dict, stem: str) -> int:
     p = _merge(args, "p", 2.0, float)
     deltas = _merge(args, "delta", (0.1, 0.5), _parse_float_list)
-    if isinstance(deltas, str):
-        deltas = _parse_float_list(deltas)
     h_list = _merge(args, "h", (1.0, -1.0), _parse_float_list)
-    if isinstance(h_list, str):
-        h_list = _parse_float_list(h_list)
     eps_spec = _merge(args, "eps_grid", None, str)
     grid = _parse_eps_grid(eps_spec) if eps_spec else EpsilonGrid.default()
     extra_qs = _merge(args, "q", (), _parse_float_list)
-    if isinstance(extra_qs, str):
-        extra_qs = _parse_float_list(extra_qs)
 
     try:
         f = catalog_build(name, **params)

@@ -32,7 +32,7 @@ import numpy as np
 from . import quadrature as quad
 from .functionals import (CylindricalFunctional, ScalarFunctional,
                           difference_quotient_slog)
-from .quadrature import Integrand, IntegralVerdict, Verdict, gauss_log_pdf
+from .quadrature import Integrand, IntegralVerdict, Verdict
 from .slog import slog_abs_pow, slog_sub
 from .wiener import CameronMartinDirection, TimeGrid, cm_inner, sample_increments
 
@@ -312,22 +312,19 @@ def _dvp_piece_integrand(f: ScalarFunctional, eps: float, c: float) -> Integrand
     def log_eval(x):
         x = np.asarray(x, dtype=float)
         _, l = difference_quotient_slog(f, x, eps, c)
-        logpsi = _psi_log(2.0 * l)
-        return np.ones_like(x), logpsi + gauss_log_pdf(x)
+        return np.ones_like(x), _psi_log(2.0 * l)
 
     neglog = None
     if f.has_logx_forms():
         def neglog(u):
             u = np.asarray(u, dtype=float)
             _, l = _residual_slog_neglog(f, u, eps, c, centered=False)
-            logpsi = _psi_log(2.0 * l)
-            with np.errstate(under="ignore"):
-                w = -0.5 * np.exp(-2.0 * u) - quad.LOG_SQRT_2PI
-            return np.ones_like(u), logpsi + w
+            return np.ones_like(u), _psi_log(2.0 * l)
 
-    return Integrand(log_eval=log_eval, breakpoints=_scalar_cuts(f, shifts=(eps * c,)),
-                     singular_points=tuple(f.singular_points), neglog_eval=neglog,
-                     name=f"psi(|X_eps|^2) eps={eps:g}")
+    return quad.weighted(Integrand(log_eval=log_eval,
+                                   breakpoints=_scalar_cuts(f, shifts=(eps * c,)),
+                                   singular_points=tuple(f.singular_points), neglog_eval=neglog,
+                                   name=f"psi(|X_eps|^2) eps={eps:g}"))
 
 
 def _dvp_pieces(f: ScalarFunctional, eps: float, h_T: float):
@@ -343,32 +340,6 @@ def _dvp_pieces(f: ScalarFunctional, eps: float, h_T: float):
     return [("below", -math.inf, lo_core + gap),
             ("inside", lo_core + gap, hi_core + gap),
             ("above", hi_core + gap, math.inf)]
-
-
-def _integrate_weighted_piece(g: Integrand, lo: float, hi: float, f: ScalarFunctional,
-                              atol: float, rtol: float, budget: int) -> IntegralVerdict:
-    if lo == -math.inf:
-        return quad.integrate_semi_infinite(quad._reflected(g), -hi,
-                                            atol=atol, rtol=rtol, budget=budget)
-    if hi == math.inf:
-        return quad.integrate_semi_infinite(g, lo, atol=atol, rtol=rtol, budget=budget)
-    if lo == 0.0 and 0.0 in f.singular_points and hi < 1.0:
-        half = 0.5 * hi
-        near = quad.integrate_singular_origin(g, half, atol=0.5 * atol, rtol=rtol,
-                                              budget=budget // 2)
-        far = quad.integrate_adaptive(g, half, hi, atol=0.5 * atol, rtol=rtol,
-                                      budget=budget // 2)
-        if near.diverged:
-            return near
-        if far.diverged:
-            return far
-        if near.converged and far.converged:
-            return IntegralVerdict(Verdict.CONVERGED, value=near.value + far.value,
-                                   abs_error=near.abs_error + far.abs_error,
-                                   n_evals=near.n_evals + far.n_evals)
-        bad = near if not near.converged else far
-        return bad
-    return quad.integrate_adaptive(g, lo, hi, atol=atol, rtol=rtol, budget=budget)
 
 
 @dataclass(frozen=True)
@@ -401,24 +372,16 @@ def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: Epsilo
     any_unknown = False
     for eps in grid.values:
         g = _dvp_piece_integrand(f, eps, h_T)
-        total = 0.0
-        total_ok = True
-        for label, lo, hi in _dvp_pieces(f, eps, h_T):
-            if lo >= hi:
-                continue
-            v = _integrate_weighted_piece(g, lo, hi, f, atol, rtol, budget)
-            rows.append(LqRow(f"dvp_{label}", 2.0, eps, v))
-            if v.diverged:
-                any_diverged = True
-                total_ok = False
-            elif not v.converged:
-                any_unknown = True
-                total_ok = False
-            else:
-                total += v.value
-        if total_ok:
-            rows.append(LqRow("dvp_total", 2.0, eps,
-                              IntegralVerdict(Verdict.CONVERGED, value=total, abs_error=0.0)))
+        pieces = {label: quad.integrate_piece(g, lo, hi, atol, rtol, budget)
+                  for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi}
+        rows += [LqRow(f"dvp_{label}", 2.0, eps, v) for label, v in pieces.items()]
+        verdicts = pieces.values()
+        any_diverged |= any(v.diverged for v in verdicts)
+        any_unknown |= not all(v.converged or v.diverged for v in verdicts)
+        if all(v.converged for v in verdicts):
+            total = sum(v.value for v in verdicts)
+            rows.append(LqRow("dvp_total", 2.0, eps, IntegralVerdict(
+                Verdict.CONVERGED, value=total, abs_error=sum(v.abs_error for v in verdicts))))
             sup_total = max(sup_total, total)
 
     # Bertrand majorants behind the inside-piece estimate

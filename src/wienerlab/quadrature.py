@@ -15,6 +15,7 @@ infinite" is rendered as certified unbounded growth at desk scale.
 Semi-infinite domains are exhausted along R_k = a + 2^k; integrals singular
 at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
+integrate_piece picks the route for one piece of the line from its ends.
 """
 
 from __future__ import annotations
@@ -94,8 +95,6 @@ class Integrand:
 
     neglog_eval, when present, evaluates u -> (sign, log|g(e^-u)|) and lets
     the origin-singular route probe x far below the smallest positive double.
-    gaussian_envelope = (C, d) asserts |g(x)| <= C (1 + |x|^d) and allows a
-    certified truncation of Gaussian-weighted tails.
     """
 
     log_eval: Callable
@@ -103,7 +102,6 @@ class Integrand:
     breakpoints: tuple = ()
     singular_points: tuple = ()
     neglog_eval: Optional[Callable] = None
-    gaussian_envelope: Optional[tuple] = None
     name: str = "integrand"
 
     @classmethod
@@ -334,25 +332,6 @@ def integrate_adaptive(g: Integrand, a: float, b: float,
                          f"refinement budget exhausted (error {res.error:.3e})")
 
 
-def _gaussian_poly_tail(R: float, degree: int) -> float:
-    """Certified bound for int_R^inf (1 + x^d) phi(x) dx, valid when R^2 > d."""
-    if R <= 0.0 or R * R <= degree + 1:
-        return math.inf
-    phi_R = math.exp(-0.5 * R * R) / math.sqrt(2.0 * math.pi)
-    mass = phi_R / R / (1.0 - 1.0 / (R * R)) if R > 1.0 else math.inf
-    if degree <= 0:
-        return 2.0 * mass
-    moment = R ** (degree - 1) * phi_R / (1.0 - (degree - 1) / (R * R))
-    return mass + moment
-
-
-def _tail_envelope_bound(g: Integrand, R: float) -> float:
-    if g.gaussian_envelope is None:
-        return math.inf
-    scale, degree = g.gaussian_envelope
-    return scale * _gaussian_poly_tail(R, degree)
-
-
 FIT_MISMATCH = 1e-5  # held-out relative error below which a power tail is trusted
 PROBE_LADDER = 12    # revival probes at start + (R - start) 4^j, j = 1..PROBE_LADDER
 
@@ -403,7 +382,7 @@ def _revival_blocked(g: Integrand, start: float, edge: float, tol: float,
     return bool(np.any(mass > allowed))
 
 
-def _exhaust(segment_integral, boundaries, g: Integrand, atol: float, rtol: float,
+def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
              bud: _Budget, what: str) -> IntegralVerdict:
     """Shared verdict engine: integrate successive segments, watch increments.
 
@@ -473,7 +452,6 @@ def _exhaust(segment_integral, boundaries, g: Integrand, atol: float, rtol: floa
             ratio = abs(inc) / prev if prev > 0.0 else 0.0
             if ratio < 0.95:
                 tail = abs(inc) * ratio / (1.0 - ratio)
-                tail = min(tail, _tail_envelope_bound(g, edge))
                 if tail <= tol and quad_err + tail <= tol:
                     sign = math.copysign(1.0, inc) if inc != 0.0 else 1.0
                     return _converged(partial + sign * tail, quad_err + tail, bud.used)
@@ -489,11 +467,7 @@ def integrate_semi_infinite(g: Integrand, a: float,
     """Integrate g over [a, inf) by doubling the exhaustion point."""
     if not math.isfinite(a):
         raise ValueError("need a finite left endpoint")
-    return _semi_infinite_inner(g, a, atol, rtol, _Budget(budget))
-
-
-def _semi_infinite_inner(g: Integrand, a: float, atol: float, rtol: float,
-                         bud: _Budget) -> IntegralVerdict:
+    bud = _Budget(budget)
     boundaries = [a] + [a + 2.0 ** k for k in range(MAX_DOUBLINGS)]
 
     def segment(lo, hi, k, tol_hint):
@@ -501,11 +475,14 @@ def _semi_infinite_inner(g: Integrand, a: float, atol: float, rtol: float,
         return _adaptive(g.log_eval, lo, hi, seg_atol, 0.25 * rtol,
                          bud, _inner_cuts(g, lo, hi))
 
-    return _exhaust(segment, boundaries, g, atol, rtol, bud, f"[{a:g}, inf)")
+    return _exhaust(segment, boundaries, atol, rtol, bud, f"[{a:g}, inf)")
 
 
 def _substituted_integrand(g: Integrand) -> Integrand:
-    """u = -log x: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-u) e^-u du."""
+    """u = -log x: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-u) e^-u du.
+
+    Breakpoints b in (0, 1) move along as u = -log b.
+    """
     if g.neglog_eval is not None:
         base = g.neglog_eval
     else:
@@ -520,7 +497,8 @@ def _substituted_integrand(g: Integrand) -> Integrand:
         sign, logabs = base(u)
         return sign, np.asarray(logabs, dtype=float) - u
 
-    return Integrand(log_eval=log_eval, name=f"{g.name} under u=-log x")
+    cuts = tuple(-math.log(b) for b in g.breakpoints if 0.0 < b < 1.0)
+    return Integrand(log_eval=log_eval, breakpoints=cuts, name=f"{g.name} under u=-log x")
 
 
 def integrate_singular_origin(g: Integrand, mu: float,
@@ -532,31 +510,34 @@ def integrate_singular_origin(g: Integrand, mu: float,
     The default route substitutes u = -log x and exhausts the resulting
     semi-infinite domain, which turns Bertrand behavior x^-1 |log x|^-i into
     the transparent power scale u^-i.  The "shrink" route integrates over
-    [mu 2^-(k+1), mu 2^-k] directly; since its lower limits advance only
+    [mu 2^-k, mu 2^-(k-1)] directly; since its lower limits advance only
     linearly in u, it extrapolates the fitted power-law tail in u instead of
-    waiting for the raw increments to die out.
+    waiting for the raw increments to die out.  For mu >= 1 the part above
+    1/2 is a finite piece of its own.
     """
     if not 0.0 < mu:
         raise ValueError("need mu > 0")
     if mu >= 1.0:
-        bud = _Budget(budget)
-        upper = _adaptive(g.log_eval, 0.5, mu, 0.5 * atol, 0.5 * rtol, bud,
-                          _inner_cuts(g, 0.5, mu))
-        if upper.hot or not upper.ok:
-            return _inconclusive([upper.value], bud.used, "finite part did not certify")
-        lower = integrate_singular_origin(g, 0.5, 0.5 * atol, rtol,
-                                          budget - bud.used, method)
-        if not lower.converged:
-            return lower
-        return _converged(lower.value + upper.value, lower.abs_error + upper.error,
-                          bud.used + lower.n_evals)
+        pieces = [integrate_singular_origin(g, 0.5, 0.5 * atol, rtol, budget // 2, method),
+                  integrate_adaptive(g, 0.5, mu, 0.5 * atol, 0.5 * rtol, budget // 2)]
+        return _combine(pieces, ["(0, 0.5]", f"[0.5, {mu:g}]"],
+                        sum(v.n_evals for v in pieces))
 
     if method == "substitution":
-        return _semi_infinite_inner(_substituted_integrand(g), -math.log(mu),
-                                    atol, rtol, _Budget(budget))
-    if method == "shrink":
-        return _shrink_origin(g, mu, atol, rtol, _Budget(budget))
-    raise ValueError(f"unknown method {method!r}")
+        return integrate_semi_infinite(_substituted_integrand(g), -math.log(mu),
+                                       atol, rtol, budget)
+    if method != "shrink":
+        raise ValueError(f"unknown method {method!r}")
+    bud = _Budget(budget)
+    boundaries = [-math.log(mu * 2.0 ** -k) for k in range(MAX_SHRINKS + 1)]
+
+    def segment(u_lo, u_hi, k, tol_hint):
+        lo, hi = mu * 2.0 ** -k, mu * 2.0 ** -(k - 1)
+        seg_atol = max(atol, tol_hint) / (16.0 * k * k)
+        return _adaptive(g.log_eval, lo, hi, seg_atol, 0.25 * rtol,
+                         bud, _inner_cuts(g, lo, hi))
+
+    return _exhaust(segment, boundaries, atol, rtol, bud, "shrink")
 
 
 def _fit_power_tail(u_edges, increments):
@@ -608,72 +589,12 @@ def _fit_power_tail(u_edges, increments):
     return tail, mismatch
 
 
-def _shrink_origin(g: Integrand, mu: float, atol: float, rtol: float,
-                   bud: _Budget) -> IntegralVerdict:
-    partial = 0.0
-    quad_err = 0.0
-    records = []
-    increments = []
-    u_edges = [-math.log(mu)]
-    growth_run = 0
-    calm_run = 0
-    hi = mu
-    for k in range(MAX_SHRINKS):
-        lo = mu * 2.0 ** (-(k + 1))
-        seg_atol = max(atol, rtol * abs(partial)) / (16.0 * (k + 1) ** 2)
-        seg = _adaptive(g.log_eval, lo, hi, seg_atol, 0.25 * rtol,
-                        bud, _inner_cuts(g, lo, hi))
-        hi = lo
-        u_edges.append(-math.log(lo))
-        if seg.hot:
-            records.append((lo, math.inf, math.inf))
-            return _diverged(records, "magnitude_threshold", bud.used,
-                             "shrink: magnitudes beyond double range")
-        inc = seg.value
-        partial += inc
-        quad_err += seg.error
-        increments.append(inc)
-        records.append((lo, partial, inc))
-        tol = max(atol, rtol * abs(partial))
-
-        if not math.isfinite(partial) or abs(partial) > MAGNITUDE_LIMIT:
-            return _diverged(records, "magnitude_threshold", bud.used,
-                             f"shrink: partial integral beyond {MAGNITUDE_LIMIT:g}")
-        if len(increments) >= 2 and inc > increments[-2] and inc > tol and inc > 0:
-            growth_run += 1
-        else:
-            growth_run = 0
-        if growth_run >= GROWTH_RUN:
-            return _diverged(records, "increment_growth", bud.used,
-                             f"shrink: increments grew for {GROWTH_RUN} consecutive steps")
-
-        tail, mismatch = _fit_power_tail(u_edges, increments)
-        if math.isfinite(tail) and seg.ok and mismatch < FIT_MISMATCH:
-            tail_unc = tail * max(10.0 * mismatch, 1e-12)
-            if quad_err + tail_unc <= tol:
-                return _converged(partial + tail, quad_err + tail_unc, bud.used,
-                                  "power-law tail extrapolated")
-
-        calm_run = calm_run + 1 if abs(inc) < tol else 0
-        if calm_run >= CALM_RUN and seg.ok:
-            prev = abs(increments[-2]) if len(increments) >= 2 else 0.0
-            ratio = abs(inc) / prev if prev > 0.0 else 0.0
-            if ratio < 0.95:
-                tail = abs(inc) * ratio / (1.0 - ratio)
-                if tail <= tol and quad_err + tail <= tol:
-                    sign = math.copysign(1.0, inc) if inc != 0.0 else 1.0
-                    return _converged(partial + sign * tail, quad_err + tail, bud.used)
-        if bud.exhausted:
-            break
-    return _inconclusive([r[1] for r in records], bud.used,
-                         "shrink: exhaustion budget ran out without a certificate")
-
-
 # ---------------------------------------------------------------------------
-# Gaussian expectations
+# Pieces of the line and Gaussian expectations
 # ---------------------------------------------------------------------------
 
-def _weighted(g: Integrand) -> Integrand:
+def weighted(g: Integrand) -> Integrand:
+    """g(x) phi(x), in both the x form and the neglog form of g."""
     def log_eval(x):
         x = np.asarray(x, dtype=float)
         sign, logabs = g.log_eval(x)
@@ -690,14 +611,13 @@ def _weighted(g: Integrand) -> Integrand:
 
     return Integrand(log_eval=log_eval, domain=g.domain, breakpoints=g.breakpoints,
                      singular_points=g.singular_points, neglog_eval=neglog,
-                     gaussian_envelope=g.gaussian_envelope, name=f"{g.name} * phi")
+                     name=f"{g.name} * phi")
 
 
 def _reflected(g: Integrand) -> Integrand:
     def log_eval(x):
         return g.log_eval(-np.asarray(x, dtype=float))
-    return Integrand(log_eval=log_eval, gaussian_envelope=g.gaussian_envelope,
-                     name=f"{g.name} reflected")
+    return Integrand(log_eval=log_eval, name=f"{g.name} reflected")
 
 
 def _combine(pieces, labels, n_evals) -> IntegralVerdict:
@@ -714,65 +634,39 @@ def _combine(pieces, labels, n_evals) -> IntegralVerdict:
     raise AssertionError("unreachable")
 
 
+def integrate_piece(g: Integrand, lo: float, hi: float,
+                    atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
+                    budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
+    """Integrate g over one piece (lo, hi) of the line, routed by its ends.
+
+    An infinite end goes to semi-infinite exhaustion (the left end
+    reflected), (0, hi) with hi < 1 and a declared singularity at 0 to the
+    u = -log x route, and anything else to the finite adaptive rule.
+    """
+    if lo == -math.inf:
+        return integrate_semi_infinite(_reflected(g), -hi, atol, rtol, budget)
+    if hi == math.inf:
+        return integrate_semi_infinite(g, lo, atol, rtol, budget)
+    if lo == 0.0 and 0.0 in g.singular_points and hi < 1.0:
+        return integrate_singular_origin(g, hi, atol, rtol, budget)
+    return integrate_adaptive(g, lo, hi, atol, rtol, budget)
+
+
 def gaussian_expectation(g: Integrand,
                          atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                          budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """E[g(W_1)] = int g(x) phi(x) dx with verdict combination across pieces.
 
-    The line is split at g's declared breakpoints (plus 0); finite pieces go
-    to the adaptive rule, the two tails to semi-infinite exhaustion, and a
-    piece with a declared singularity at the origin to the u = -log x route.
-    Any Diverged piece makes the expectation Diverged; all pieces Converged
-    sum their values and errors; anything else is Inconclusive.
+    The line is split at g's declared breakpoints (plus 0) and each piece goes
+    to integrate_piece.  Any Diverged piece makes the expectation Diverged;
+    all pieces Converged sum their values and errors; anything else is
+    Inconclusive.
     """
-    w = _weighted(g)
+    w = weighted(g)
     lo, hi = g.domain
     cuts = sorted({float(b) for b in list(g.breakpoints) + [0.0] if lo < b < hi})
-    edges = [lo] + cuts + [hi]
-    singular = {float(s) for s in g.singular_points}
-
-    pieces = []
-    labels = []
-    used = 0
-    n = max(len(edges) - 1, 1)
-    share = max(budget // (n + 1), 2000)
-    for a, b in zip(edges[:-1], edges[1:]):
-        piece_atol = atol / n
-        if a == -math.inf and b == math.inf:
-            right = _semi_infinite_inner(w, 0.0, 0.5 * piece_atol, 0.5 * rtol, _Budget(share))
-            left = _semi_infinite_inner(_reflected(w), 0.0, 0.5 * piece_atol, 0.5 * rtol,
-                                        _Budget(share))
-            used += right.n_evals + left.n_evals
-            pieces += [right, left]
-            labels += ["[0, inf)", "(-inf, 0]"]
-        elif b == math.inf:
-            v = _semi_infinite_inner(w, a, piece_atol, rtol, _Budget(share))
-            used += v.n_evals
-            pieces.append(v)
-            labels.append(f"[{a:g}, inf)")
-        elif a == -math.inf:
-            v = _semi_infinite_inner(_reflected(w), -b, piece_atol, rtol, _Budget(share))
-            used += v.n_evals
-            pieces.append(v)
-            labels.append(f"(-inf, {b:g}]")
-        elif a == 0.0 and a in singular and b < 1.0:
-            v = integrate_singular_origin(w, b, piece_atol, rtol, share)
-            used += v.n_evals
-            pieces.append(v)
-            labels.append(f"(0, {b:g}] singular")
-        else:
-            bud = _Budget(share)
-            res = _adaptive(w.log_eval, a, b, piece_atol, rtol, bud, _inner_cuts(w, a, b))
-            used += bud.used
-            if res.hot:
-                pieces.append(IntegralVerdict(
-                    Verdict.DIVERGED, n_evals=bud.used,
-                    evidence=GrowthEvidence(((b, math.inf, math.inf),), "magnitude_threshold"),
-                    message="magnitudes beyond double range"))
-            elif res.ok:
-                pieces.append(_converged(res.value, res.error, bud.used))
-            else:
-                pieces.append(_inconclusive([h[1] for h in res.history], bud.used,
-                                            f"finite piece error {res.error:.3e}"))
-            labels.append(f"[{a:g}, {b:g}]")
-    return _combine(pieces, labels, used)
+    edges = list(zip([lo] + cuts, cuts + [hi]))
+    share = max(budget // (len(edges) + 1), 2000)
+    pieces = [integrate_piece(w, a, b, atol / len(edges), rtol, share) for a, b in edges]
+    return _combine(pieces, [f"({a:g}, {b:g})" for a, b in edges],
+                    sum(v.n_evals for v in pieces))

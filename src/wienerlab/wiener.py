@@ -149,10 +149,6 @@ def merged_grid(directions) -> TimeGrid:
     return TimeGrid(nodes)
 
 
-def _merged_nodes(g1: TimeGrid, g2: TimeGrid) -> np.ndarray:
-    return np.union1d(g1.nodes, g2.nodes)
-
-
 def _density_on(nodes: np.ndarray, h: CameronMartinDirection) -> np.ndarray:
     """Density of h on each cell of a refinement of h's grid."""
     mids = 0.5 * (nodes[:-1] + nodes[1:])
@@ -162,8 +158,7 @@ def _density_on(nodes: np.ndarray, h: CameronMartinDirection) -> np.ndarray:
 
 def cm_inner(h1: CameronMartinDirection, h2: CameronMartinDirection) -> float:
     """<h1, h2>_H = int_0^T hdot1(t) hdot2(t) dt, exact for piecewise densities."""
-    _check_same_horizon(h1.grid, h2.grid)
-    nodes = _merged_nodes(h1.grid, h2.grid)
+    nodes = merged_grid([h1, h2]).nodes
     widths = np.diff(nodes)
     return float(np.sum(_density_on(nodes, h1) * _density_on(nodes, h2) * widths))
 

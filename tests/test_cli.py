@@ -98,6 +98,14 @@ class TestConfigPrecedence:
         code = run(["reproduce-thm31", "--config", str(cfg), "--a", "2.0"], tmp_path)
         assert code == EXIT_OK
 
+    def test_config_file_supplies_lists(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("functional = linear\nh=1,-1\ndelta = 0.1\nformat = csv\n",
+                       encoding="utf-8")
+        assert run(["diagnose", "--config", str(cfg)], tmp_path) == EXIT_OK
+        text = (tmp_path / "linear-diagnose.csv").read_text(encoding="utf-8")
+        assert "dvp_total[h=1]" in text and "dvp_total[h=-1]" in text
+
     def test_env_var_sets_output_dir(self, tmp_path):
         code = run(["diagnose", "--functional", "linear", "--delta", "0.1",
                     "--h", "1.0", "--format", "csv"], tmp_path)

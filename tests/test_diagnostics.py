@@ -157,6 +157,11 @@ class TestDvp:
         assert len(totals) == len(grid.values)
         for t in totals:
             assert t == pytest.approx(expected, rel=1e-7)
+        for eps in grid.values:
+            rows = [r for r in res.table.rows if r.epsilon == eps]
+            total = next(r for r in rows if r.quantity == "dvp_total")
+            pieces = [r.verdict.abs_error for r in rows if r.quantity != "dvp_total"]
+            assert total.verdict.abs_error == sum(pieces) > 0.0
         assert res.sup_value == pytest.approx(expected, rel=1e-7)
 
     def test_zero_direction_trivial(self, flin, grid):

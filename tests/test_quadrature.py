@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from wienerlab import (Integrand, bertrand_integrand, gaussian_expectation,
-                       integrate_adaptive, integrate_semi_infinite,
+                       integrate_adaptive, integrate_piece, integrate_semi_infinite,
                        integrate_singular_origin)
 from wienerlab.diagnostics import abs_value_pow_integrand, diffquot_pow_integrand
 from wienerlab.quadrature import EvaluationError, gauss_log_pdf
@@ -139,6 +139,38 @@ class TestSingularOrigin:
             assert abs(va.value - vb.value) <= 1e-8 * exact
             assert va.value == pytest.approx(exact, rel=1e-9)
 
+    @pytest.mark.parametrize("c", [1e-4, 1.9e-4, 1.999e-4])
+    def test_substitution_keeps_breakpoints(self, c):
+        # a kink at c must be a panel edge in u = -log x as well, or the
+        # error can pass the stated bound (by 10^7 at c = 1.999e-4)
+        mu = 2e-4
+        g = Integrand.from_function(lambda x: np.abs(x - c), breakpoints=(c,),
+                                    singular_points=(0.0,))
+        v = integrate_singular_origin(g, mu, atol=1e-18, rtol=1e-10)
+        exact = 0.5 * (c * c + (mu - c) ** 2)
+        assert v.converged
+        assert abs(v.value - exact) <= v.abs_error
+
+    def test_mu_above_one(self):
+        g = Integrand.from_function(lambda x: x ** -0.5, singular_points=(0.0,))
+        v = integrate_singular_origin(g, 4.0)
+        assert v.converged
+        assert abs(v.value - 4.0) <= v.abs_error
+
+
+class TestIntegratePiece:
+    def test_routes_by_ends(self):
+        phi = Integrand(log_eval=lambda x: (np.ones_like(x), gauss_log_pdf(x)))
+        left = integrate_piece(phi, -math.inf, 0.0, atol=1e-12, rtol=1e-10)
+        right = integrate_piece(phi, 0.0, math.inf, atol=1e-12, rtol=1e-10)
+        finite = integrate_piece(phi, -1.0, 1.0, atol=1e-12, rtol=1e-10)
+        for v in (left, right):
+            assert v.converged and abs(v.value - 0.5) <= v.abs_error + 1e-12
+        assert finite.value == pytest.approx(gauss_mass(1.0), abs=1e-12)
+        b = bertrand_integrand(6.0)
+        mu = math.exp(-10.0)
+        assert repr(integrate_piece(b, 0.0, mu)) == repr(integrate_singular_origin(b, mu))
+
 
 class TestGaussianExpectation:
     def test_second_moment(self):
@@ -160,6 +192,11 @@ class TestGaussianExpectation:
         exact = v0 * v0 * 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0))) + 1.0 / 24.0
         assert v.converged
         assert v.value == pytest.approx(exact, rel=1e-8)
+
+    def test_overflow_on_finite_piece_is_inconclusive(self):
+        # magnitudes beyond double range on a bounded piece certify nothing
+        g = Integrand(log_eval=lambda x: (np.ones_like(x), 1000.0 + 0 * x), domain=(-1.0, 1.0))
+        assert gaussian_expectation(g).status == "inconclusive"
 
     def test_odd_moment_is_zero(self):
         v = gaussian_expectation(Integrand.from_function(lambda x: x ** 3),
