@@ -33,6 +33,7 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 DEFAULT_BUDGET = 100_000
 GROWTH_RUN = 6          # consecutive growing increments certify divergence
+MAX_ROUND = 64          # panels split per round of _adaptive (bounds peak memory)
 CALM_RUN = 3            # consecutive sub-tolerance increments allow convergence
 MAGNITUDE_LIMIT = 1e12  # partials beyond this certify divergence
 MAX_DOUBLINGS = 60
@@ -79,6 +80,7 @@ GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 W7 = np.concatenate([_HALF_WG, [_WG_CENTER], _HALF_WG[::-1]])
 
 _EPS = float(np.finfo(float).eps)
+_MIN_DOUBLE = float(np.finfo(float).min)
 
 
 class EvaluationError(ValueError):
@@ -199,41 +201,56 @@ class _Budget:
         self.used += n
 
     @property
+    def left(self) -> int:
+        return self.total - self.used
+
+    @property
     def exhausted(self) -> bool:
-        return self.used >= self.total
+        """Too little left to pay for one panel."""
+        return self.left < 15
 
 
-def _gk_panel(log_eval, a: float, b: float):
-    """One 15-point panel on [a, b], rescaled by the largest log-magnitude.
+def _gk_panels(log_eval, a, b):
+    """k 15-point panels [a_i, b_i] in one log_eval call on a (k, 15) grid.
 
-    Returns (value, error, hot); hot flags magnitudes beyond double range,
-    which the exhaustion drivers treat as divergence evidence.
+    Each panel is rescaled by its own largest log-magnitude before the
+    Kronrod and Gauss sums are formed.  Returns arrays (value, error, hot);
+    hot flags magnitudes beyond double range, which the exhaustion drivers
+    treat as divergence evidence.  The row sums are reductions along the
+    last axis, so a panel's result does not depend on the other panels of
+    the call.
     """
     hw = 0.5 * (b - a)
-    x = 0.5 * (a + b) + hw * X15
-    sign, logabs = log_eval(x)
-    sign = np.asarray(sign, dtype=float)
-    logabs = np.asarray(logabs, dtype=float)
-    if np.any(np.isnan(sign)) or np.any(np.isnan(logabs)):
-        bad = x[np.isnan(sign) | np.isnan(logabs)][0]
-        raise EvaluationError(f"integrand returned NaN at x={bad!r}")
-    m = float(np.max(logabs))
-    if m == -math.inf:
-        return 0.0, 0.0, False
-    y = sign * np.exp(logabs - m)
-    resk = float(y @ W15)
-    resg = float(y[GAUSS_IDX] @ W7)
-    resabs = float(np.abs(y) @ W15)
-    asc = float(np.abs(y - 0.5 * resk) @ W15)
-    err = abs(resk - resg)
-    if asc > 0.0 and err > 0.0:
-        err = asc * min(1.0, (200.0 * err / asc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs)
-
-    if m + math.log(max(hw * resabs, 1e-300)) > 705.0:
-        return math.copysign(math.inf, resk if resk != 0.0 else 1.0), math.inf, True
-    scale = math.exp(m) * hw
-    return scale * resk, scale * err, False
+    x = np.multiply.outer(hw, X15)
+    x += (0.5 * (a + b))[:, None]
+    sign, logabs = log_eval(x.ravel())
+    logabs = np.asarray(logabs, dtype=float).reshape(x.shape)
+    m = logabs.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # rows of zeros (m = -inf) shift by the most negative double instead
+        y = np.exp(logabs - np.maximum(m, _MIN_DOUBLE)[:, None])
+        y = (sign * y.ravel()).reshape(x.shape)
+        yw = y * W15
+        resk = yw.sum(axis=1)
+        resabs = np.abs(yw, out=yw).sum(axis=1)
+        resg = (y[:, GAUSS_IDX] * W7).sum(axis=1)
+        if np.isnan(resk).any():
+            nan = np.isnan(sign) | np.isnan(logabs.ravel())
+            if nan.any():
+                raise EvaluationError(f"integrand returned NaN at x={x.ravel()[nan][0]!r}")
+        y -= 0.5 * resk[:, None]
+        asc = (np.abs(y, out=y) * W15).sum(axis=1)
+        # QUADPACK's error scaling; asc = 0 leaves only the roundoff floor
+        err = np.maximum(asc * np.fmin(1.0, (200.0 * np.abs(resk - resg) / asc) ** 1.5),
+                         50.0 * _EPS * resabs)
+        hot = m + np.log(np.maximum(hw * resabs, 1e-300)) > 705.0
+        scale = np.exp(m) * hw
+    value = scale * resk
+    error = scale * err
+    if hot.any():
+        value[hot] = np.copysign(math.inf, resk[hot])
+        error[hot] = math.inf
+    return value, error, hot
 
 
 @dataclass
@@ -245,28 +262,40 @@ class _PanelSum:
     history: tuple
 
 
+_UNPAID = _PanelSum(0.0, math.inf, False, False, ())  # first panels beyond the budget
+
+
 def _adaptive(log_eval, a: float, b: float, atol: float, rtol: float,
               budget: _Budget, cuts=()) -> _PanelSum:
-    """Globally adaptive bisection driven by a worst-panel heap.
+    """Globally adaptive bisection that splits the worst panels in rounds.
 
-    The refinement order is a deterministic function of panel errors and
-    insertion order, so results do not depend on scheduling.
+    The first panels, one per piece between the cuts, are evaluated in one
+    call.  Each round then pops the worst panels from an error heap until
+    their errors cover the excess of the total error over the tolerance (at
+    least one panel, at most MAX_ROUND, and no more than the budget left
+    pays for) and evaluates all their halves in one call.  Panels too
+    narrow to split keep their error as stuck error.  The order of
+    refinement is a deterministic function of panel errors and insertion
+    order, so results do not depend on scheduling.  No panel is evaluated
+    that the budget cannot pay for.
     """
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
+    if 15 * (len(edges) - 1) > budget.left:
+        return _UNPAID
+    values, errors, hot = _gk_panels(log_eval, np.array(edges[:-1]), np.array(edges[1:]))
+    budget.consume(15 * (len(edges) - 1))
+    if hot.any():
+        return _PanelSum(math.inf, math.inf, False, True, ())
     heap = []
-    seq = 0
     total_v = 0.0
     total_e = 0.0
-    history = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e, hot = _gk_panel(log_eval, lo, hi)
-        budget.consume(15)
-        if hot:
-            return _PanelSum(math.inf, math.inf, False, True, tuple(history))
+    for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values.tolist(),
+                                             errors.tolist())):
         total_v += v
         total_e += e
         heapq.heappush(heap, (-e, seq, lo, hi, v, e))
-        seq += 1
+    seq = len(heap)
+    history = []
 
     stuck_error = 0.0  # error trapped in panels too narrow to split
     stagnation = 0
@@ -281,26 +310,37 @@ def _adaptive(log_eval, a: float, b: float, atol: float, rtol: float,
         last_e = total_e
         if stagnation >= 24:
             return _PanelSum(total_v, total_e, False, False, tuple(history))
-        if budget.exhausted or not heap:
+        room = min(MAX_ROUND, budget.left // 30)
+        picked = []
+        cover = 0.0
+        while heap and len(picked) < room and (not picked or cover < total_e - tol):
+            _, _, lo, hi, v, e = heapq.heappop(heap)
+            if (hi - lo) <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
+                stuck_error += e
+                if stuck_error > tol:
+                    return _PanelSum(total_v, total_e, False, False, tuple(history))
+                continue
+            picked.append((lo, hi, v, e))
+            cover += e
+        if not picked:
             return _PanelSum(total_v, total_e, False, False, tuple(history))
-        _, _, lo, hi, v, e = heapq.heappop(heap)
-        if (hi - lo) <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
-            stuck_error += e
-            if stuck_error > tol:
-                return _PanelSum(total_v, total_e, False, False, tuple(history))
-            continue
-        mid = 0.5 * (lo + hi)
-        budget.consume(30)
-        v1, e1, hot1 = _gk_panel(log_eval, lo, mid)
-        v2, e2, hot2 = _gk_panel(log_eval, mid, hi)
-        if hot1 or hot2:
+        lo_ends, hi_ends = [], []
+        for lo, hi, _, _ in picked:
+            mid = 0.5 * (lo + hi)
+            lo_ends += (lo, mid)
+            hi_ends += (mid, hi)
+        budget.consume(30 * len(picked))
+        values, errors, hot = _gk_panels(log_eval, np.array(lo_ends), np.array(hi_ends))
+        if hot.any():
             return _PanelSum(math.inf, math.inf, False, True, tuple(history))
-        total_v += (v1 + v2) - v
-        total_e += (e1 + e2) - e
-        heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, mid, hi, v2, e2))
-        seq += 1
+        vs, es = values.tolist(), errors.tolist()
+        halves = zip(picked, lo_ends[1::2], vs[::2], vs[1::2], es[::2], es[1::2])
+        for (lo, hi, v, e), mid, v1, v2, e1, e2 in halves:
+            total_v += (v1 + v2) - v
+            total_e += (e1 + e2) - e
+            heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+            heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+            seq += 2
         history.append((budget.used, total_v))
         if len(history) > 64:
             del history[:32]
@@ -323,6 +363,8 @@ def integrate_adaptive(g: Integrand, a: float, b: float,
         raise ValueError("need finite a < b")
     bud = _Budget(budget)
     res = _adaptive(g.log_eval, a, b, atol, rtol, bud, _inner_cuts(g, a, b))
+    if res is _UNPAID:
+        return _inconclusive((), bud.used, "budget below the first panels")
     if res.hot:
         return _inconclusive([h[1] for h in res.history], bud.used,
                              "magnitudes beyond double range on a finite interval")
@@ -413,6 +455,8 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
         except _NeglogRangeError:
             return _inconclusive([r[1] for r in records], bud.used,
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
+        if seg is _UNPAID:
+            break
         prev_edge = edge
         edges_seen.append(edge)
         if seg.hot:
@@ -457,6 +501,10 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
                     return _converged(partial + sign * tail, quad_err + tail, bud.used)
         if bud.exhausted:
             break
+    else:
+        return _inconclusive([r[1] for r in records], bud.used,
+                             f"{what}: boundary list ran out after {len(records)} segments "
+                             "without a certificate")
     return _inconclusive([r[1] for r in records], bud.used,
                          f"{what}: exhaustion budget ran out without a certificate")
 
@@ -615,9 +663,12 @@ def weighted(g: Integrand) -> Integrand:
 
 
 def _reflected(g: Integrand) -> Integrand:
+    """x -> g(-x), with g's breakpoints and singular points reflected along."""
     def log_eval(x):
         return g.log_eval(-np.asarray(x, dtype=float))
-    return Integrand(log_eval=log_eval, name=f"{g.name} reflected")
+    return Integrand(log_eval=log_eval, breakpoints=tuple(-b for b in g.breakpoints),
+                     singular_points=tuple(-s for s in g.singular_points),
+                     name=f"{g.name} reflected")
 
 
 def _combine(pieces, labels, n_evals) -> IntegralVerdict:
@@ -666,7 +717,7 @@ def gaussian_expectation(g: Integrand,
     lo, hi = g.domain
     cuts = sorted({float(b) for b in list(g.breakpoints) + [0.0] if lo < b < hi})
     edges = list(zip([lo] + cuts, cuts + [hi]))
-    share = max(budget // (len(edges) + 1), 2000)
+    share = budget // (len(edges) + 1)
     pieces = [integrate_piece(w, a, b, atol / len(edges), rtol, share) for a, b in edges]
     return _combine(pieces, [f"({a:g}, {b:g})" for a, b in edges],
                     sum(v.n_evals for v in pieces))

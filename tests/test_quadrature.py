@@ -1,13 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from wienerlab import (Integrand, bertrand_integrand, gaussian_expectation,
                        integrate_adaptive, integrate_piece, integrate_semi_infinite,
                        integrate_singular_origin)
-from wienerlab.diagnostics import abs_value_pow_integrand, diffquot_pow_integrand
-from wienerlab.quadrature import EvaluationError, gauss_log_pdf
+from wienerlab.diagnostics import (EpsilonGrid, _dvp_piece_integrand, abs_value_pow_integrand,
+                                   diffquot_pow_integrand, dvp_uniform_integrability_test)
+from wienerlab.quadrature import EvaluationError, _gk_panels, gauss_log_pdf
+from wienerlab.slog import slog_of
 
 
 def gauss_mass(r):
@@ -55,12 +58,48 @@ class TestAdaptive:
         with pytest.raises(EvaluationError):
             integrate_adaptive(g, 0.0, 1.0)
 
+    def test_panels_batched_per_call(self):
+        # halves of the worst panels are evaluated together: one call per
+        # round instead of one per panel (255 calls before batching)
+        calls = []
+
+        def log_eval(x):
+            calls.append(x.size)
+            return slog_of(np.sin(50.0 * x))
+
+        v = integrate_adaptive(Integrand(log_eval=log_eval), 0.0, 10.0, atol=1e-12, rtol=1e-12)
+        assert v.converged
+        assert abs(v.value - (1.0 - math.cos(500.0)) / 50.0) <= v.abs_error
+        assert len(calls) <= 16
+        assert sum(calls) == v.n_evals
+
     def test_bad_interval_rejected(self):
         g = Integrand.from_function(lambda x: x)
         with pytest.raises(ValueError):
             integrate_adaptive(g, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate_adaptive(g, 0.0, math.inf)
+
+
+class TestPanels:
+    def test_batch_matches_single_panels(self):
+        # a panel's (value, error, hot) must not depend on the other panels
+        # of the call: magnitudes from zero (x < 0) to beyond double range
+        # (x > 26.5) with sign changes, and a bounded oscillation
+        def growing(x):
+            with np.errstate(invalid="ignore"):
+                logabs = np.where(x < 0.0, -np.inf, 0.5 * x * x - 2.0 * np.log1p(np.abs(x)))
+            return np.where(np.cos(3.0 * x) < 0.0, -1.0, 1.0), logabs
+
+        rng = np.random.default_rng(7)
+        lo = np.concatenate([[-5.0, 1e3, 0.0], rng.uniform(-3.0, 30.0, 60)])
+        hi = lo + np.concatenate([[1.0, 1e3, 1e-3], rng.uniform(1e-6, 5.0, 60)])
+        for log_eval, any_hot in ((growing, True), (lambda x: slog_of(np.sin(50.0 * x)), False)):
+            values, errors, hot = _gk_panels(log_eval, lo, hi)
+            assert hot.any() == any_hot and not hot.all()
+            for i in range(lo.size):
+                v1, e1, h1 = _gk_panels(log_eval, lo[i:i + 1], hi[i:i + 1])
+                assert (v1[0], e1[0], h1[0]) == (values[i], errors[i], hot[i])
 
 
 class TestSemiInfinite:
@@ -151,6 +190,14 @@ class TestSingularOrigin:
         assert v.converged
         assert abs(v.value - exact) <= v.abs_error
 
+    def test_shrink_says_boundaries_ran_out(self):
+        # 1/(x |log x|) diverges too slowly for MAX_SHRINKS halvings of x to
+        # show it; the verdict names the boundary list, not the budget
+        v = integrate_singular_origin(bertrand_integrand(1.0), 0.1, method="shrink")
+        assert v.status == "inconclusive"
+        assert "boundary list ran out after 400 segments" in v.message
+        assert v.n_evals < 100_000
+
     def test_mu_above_one(self):
         g = Integrand.from_function(lambda x: x ** -0.5, singular_points=(0.0,))
         v = integrate_singular_origin(g, 4.0)
@@ -170,6 +217,42 @@ class TestIntegratePiece:
         b = bertrand_integrand(6.0)
         mu = math.exp(-10.0)
         assert repr(integrate_piece(b, 0.0, mu)) == repr(integrate_singular_origin(b, mu))
+
+    def test_left_piece_keeps_breakpoints(self, f33):
+        # psi(|X_eps|^2) phi is nonzero only on the gap (-eps, 0) of the piece
+        # (-inf, 0); the reflected piece must cut there or its first panel
+        # sees nothing and certifies 0
+        eps = 5e-5
+        table = dvp_uniform_integrability_test(f33, 1.0, EpsilonGrid((eps,))).table
+        (below,) = [row.verdict for row in table if row.quantity == "dvp_below"]
+        assert below.converged
+        log_eval = _dvp_piece_integrand(f33, eps, 1.0).log_eval
+
+        def value(x):
+            sign, logabs = log_eval(np.array([float(x)]))
+            return float(sign[0] * math.exp(logabs[0]))
+
+        with mp.workdps(20):
+            exact = float(mp.quad(value, [-40.0, -eps, 0.0]))
+        assert exact > 1e-7
+        assert abs(below.value - exact) <= below.abs_error
+
+
+class TestBudgetCap:
+    @pytest.mark.parametrize("budget", [30, 300, 1000])
+    def test_evaluations_within_budget(self, budget):
+        # no route evaluates a panel it cannot pay for
+        fast = Integrand.from_function(lambda x: np.sin(1e3 * x) / (1.0 + x * x))
+        runs = [
+            integrate_adaptive(fast, 0.0, 1.0, atol=1e-14, rtol=1e-14, budget=budget),
+            integrate_semi_infinite(fast, 2.0, atol=1e-14, rtol=1e-14, budget=budget),
+            integrate_singular_origin(Integrand.from_function(lambda x: np.sin(1.0 / x)), 0.5,
+                                      atol=1e-14, rtol=1e-14, budget=budget),
+            gaussian_expectation(fast, atol=1e-14, rtol=1e-14, budget=budget),
+        ]
+        for v in runs:
+            assert v.status == "inconclusive"
+            assert v.n_evals <= budget
 
 
 class TestGaussianExpectation:
