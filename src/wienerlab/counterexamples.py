@@ -138,26 +138,19 @@ def _thm31_right_piece(a: float) -> Function1D:
             return (np.exp(0.25 * x * x) * (0.5 * x ** (1.0 - a) - a * x ** (-a - 1.0))
                     * (2.0 * math.pi) ** 0.25)
 
-    def log_abs(x):
+    def slog(x):
         x = np.asarray(x, dtype=float)
-        return 0.25 * x * x - a * np.log(x) + QUARTER_LOG_2PI
+        return np.ones_like(x), 0.25 * x * x - a * np.log(x) + QUARTER_LOG_2PI
 
-    def sign(x):
-        return np.ones_like(np.asarray(x, dtype=float))
-
-    def log_abs_deriv(x):
+    def slog_deriv(x):
         # f'(x) = exp(x^2/4) x^(-a-1) (x^2/2 - a) (2 pi)^(1/4)
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
-            return (0.25 * x * x - (a + 1.0) * np.log(x)
+            return (np.sign(0.5 * x * x - a),
+                    0.25 * x * x - (a + 1.0) * np.log(x)
                     + np.log(np.abs(0.5 * x * x - a)) + QUARTER_LOG_2PI)
 
-    def deriv_sign(x):
-        x = np.asarray(x, dtype=float)
-        return np.sign(0.5 * x * x - a)
-
-    return Function1D(value=value, deriv=deriv, log_abs=log_abs, sign=sign,
-                      log_abs_deriv=log_abs_deriv, deriv_sign=deriv_sign)
+    return Function1D(value=value, deriv=deriv, slog=slog, slog_deriv=slog_deriv)
 
 
 def build_thm31(params: Thm31Params) -> ScalarFunctional:
@@ -281,45 +274,28 @@ def _thm33_core_piece() -> Function1D:
             lx = np.log(x)
             return (lx - 6.0) / (2.0 * np.sqrt(x) * lx ** 4)
 
-    def log_abs(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return 0.5 * np.log(x) - 3.0 * np.log(np.abs(np.log(x)))
-
-    def sign(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.sign(np.log(x)) * np.where(x > 0, 1.0, 0.0)
-
-    def log_abs_deriv(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            lx = np.log(x)
-            return np.log(np.abs(lx - 6.0)) - math.log(2.0) - 0.5 * lx - 4.0 * np.log(np.abs(lx))
-
-    def deriv_sign(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.sign(np.log(x) - 6.0)
-
-    def log_abs_logx(lx):
+    def slog_logx(lx):
         lx = np.asarray(lx, dtype=float)
-        return 0.5 * lx - 3.0 * np.log(np.abs(lx))
+        return np.sign(lx), 0.5 * lx - 3.0 * np.log(np.abs(lx))
 
-    def sign_logx(lx):
-        return np.sign(np.asarray(lx, dtype=float))
-
-    def log_abs_deriv_logx(lx):
+    def slog_deriv_logx(lx):
         lx = np.asarray(lx, dtype=float)
-        return np.log(np.abs(lx - 6.0)) - math.log(2.0) - 0.5 * lx - 4.0 * np.log(np.abs(lx))
+        return (np.sign(lx - 6.0),
+                np.log(np.abs(lx - 6.0)) - math.log(2.0) - 0.5 * lx - 4.0 * np.log(np.abs(lx)))
 
-    def deriv_sign_logx(lx):
-        return np.sign(np.asarray(lx, dtype=float) - 6.0)
+    # the x forms are the log-x forms at log(x); F vanishes at x = 0
+    def slog(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            sign, logabs = slog_logx(np.log(x))
+        return sign * np.where(x > 0, 1.0, 0.0), logabs
 
-    return Function1D(value=value, deriv=deriv, log_abs=log_abs, sign=sign,
-                      log_abs_deriv=log_abs_deriv, deriv_sign=deriv_sign,
-                      log_abs_logx=log_abs_logx, sign_logx=sign_logx,
-                      log_abs_deriv_logx=log_abs_deriv_logx, deriv_sign_logx=deriv_sign_logx)
+    def slog_deriv(x):
+        with np.errstate(divide="ignore"):
+            return slog_deriv_logx(np.log(np.asarray(x, dtype=float)))
+
+    return Function1D(value=value, deriv=deriv, slog=slog, slog_deriv=slog_deriv,
+                      slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx)
 
 
 def build_thm33(params: Thm33Params) -> ScalarFunctional:

@@ -130,47 +130,41 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted(pts))
 
 
-def abs_value_pow_integrand(f: ScalarFunctional, p: float) -> Integrand:
-    """|f(x)|^p as a log-capable integrand."""
+def _abs_pow_integrand(f: ScalarFunctional, p: float, slog, slog_at_logx,
+                       name: str) -> Integrand:
+    """|g(x)|^p for g = f or f', given g's (sign, log) pair in x and log x."""
     def log_eval(x):
-        _, logabs = slog_abs_pow(f.log_abs(x), p)
+        _, logabs = slog_abs_pow(slog(x)[1], p)
         return np.ones_like(np.asarray(x, dtype=float)), logabs
 
     neglog = None
     if f.has_logx_forms():
         def neglog(u):
             u = np.asarray(u, dtype=float)
-            _, logabs = f.slog_value_at_logx(-u)
+            _, logabs = slog_at_logx(-u)
             return np.ones_like(u), p * np.asarray(logabs, dtype=float)
 
     return Integrand(log_eval=log_eval, breakpoints=_scalar_cuts(f),
                      singular_points=tuple(f.singular_points), neglog_eval=neglog,
-                     name=f"|{f.name}|^{p}")
+                     name=name)
+
+
+def abs_value_pow_integrand(f: ScalarFunctional, p: float) -> Integrand:
+    """|f(x)|^p as a log-capable integrand."""
+    return _abs_pow_integrand(f, p, f.slog_value, f.slog_value_at_logx, f"|{f.name}|^{p}")
 
 
 def abs_deriv_pow_integrand(f: ScalarFunctional, p: float) -> Integrand:
     """|f'(x)|^p as a log-capable integrand."""
-    def log_eval(x):
-        _, logabs = slog_abs_pow(f.log_abs_deriv(x), p)
-        return np.ones_like(np.asarray(x, dtype=float)), logabs
-
-    neglog = None
-    if f.has_logx_forms():
-        def neglog(u):
-            u = np.asarray(u, dtype=float)
-            _, logabs = f.slog_deriv_at_logx(-u)
-            return np.ones_like(u), p * np.asarray(logabs, dtype=float)
-
-    return Integrand(log_eval=log_eval, breakpoints=_scalar_cuts(f),
-                     singular_points=tuple(f.singular_points), neglog_eval=neglog,
-                     name=f"|{f.name}'|^{p}")
+    return _abs_pow_integrand(f, p, f.slog_deriv, f.slog_deriv_at_logx, f"|{f.name}'|^{p}")
 
 
 def _residual_slog(f: ScalarFunctional, x, eps: float, c: float, centered: bool):
     s, l = difference_quotient_slog(f, x, eps, c)
     if centered:
-        ds = np.sign(c) * f.deriv_sign(x)
-        dl = f.log_abs_deriv(x) + math.log(abs(c)) if c != 0.0 else np.full_like(l, -np.inf)
+        ds, dl = f.slog_deriv(x)
+        ds = np.sign(c) * ds
+        dl = dl + math.log(abs(c)) if c != 0.0 else np.full_like(l, -np.inf)
         s, l = slog_sub(s, l, ds, dl)
     return s, l
 
@@ -180,7 +174,7 @@ def _residual_slog_neglog(f: ScalarFunctional, u, eps: float, c: float, centered
     u = np.asarray(u, dtype=float)
     with np.errstate(under="ignore"):
         x = np.exp(-u)
-    s1, l1 = f.value_sign(x + eps * c), f.log_abs(x + eps * c)
+    s1, l1 = f.slog_value(x + eps * c)
     s0, l0 = f.slog_value_at_logx(-u)
     s, l = slog_sub(s1, l1, s0, l0)
     l = l - math.log(eps)

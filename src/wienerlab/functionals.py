@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .slog import slog_of, slog_sub
+from .slog import slog_exp, slog_of, slog_sub
 from .wiener import BrownianPath, CameronMartinDirection, cm_inner, shift_path, wiener_integral
 
 GLUE_TOL = 1e-10
@@ -122,66 +122,31 @@ class Polynomial:
 class Function1D:
     """One piece of a piecewise scalar function.
 
-    value/deriv are the closed forms; log_abs/sign (and the derivative
-    variants) evaluate (sign, log|.|) directly, which is what the quadrature
-    engine consumes.  The *_logx variants take log(x) instead of x and are
-    only needed for pieces that must be probed at x far below the smallest
-    positive double (the origin-singular diagnostics).
+    value/deriv are the closed forms; slog/slog_deriv map x to the
+    (sign, log|.|) pair of the value and of the derivative, which is what the
+    quadrature engine consumes, and default to slog_of of the closed form.
+    The *_logx pairs take log(x) instead of x and are only needed for pieces
+    that must be probed at x far below the smallest positive double (the
+    origin-singular diagnostics).
     """
 
     value: Callable
     deriv: Callable
-    log_abs: Callable = None
-    sign: Callable = None
-    log_abs_deriv: Callable = None
-    deriv_sign: Callable = None
-    log_abs_logx: Optional[Callable] = None
-    sign_logx: Optional[Callable] = None
-    log_abs_deriv_logx: Optional[Callable] = None
-    deriv_sign_logx: Optional[Callable] = None
+    slog: Callable = None
+    slog_deriv: Callable = None
+    slog_logx: Optional[Callable] = None
+    slog_deriv_logx: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.log_abs is None:
-            v = self.value
-            object.__setattr__(self, "log_abs", _default_log(v))
-        if self.sign is None:
-            object.__setattr__(self, "sign", _default_sign(self.value))
-        if self.log_abs_deriv is None:
-            object.__setattr__(self, "log_abs_deriv", _default_log(self.deriv))
-        if self.deriv_sign is None:
-            object.__setattr__(self, "deriv_sign", _default_sign(self.deriv))
-
-
-def _default_log(fn):
-    def log_abs(x):
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(fn(np.asarray(x, dtype=float))))
-    return log_abs
-
-
-def _default_sign(fn):
-    def sign(x):
-        return np.sign(fn(np.asarray(x, dtype=float)))
-    return sign
-
-
-def constant_piece(c: float) -> Function1D:
-    return Function1D(
-        value=lambda x: np.full_like(np.asarray(x, dtype=float), c),
-        deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
+        value, deriv = self.value, self.deriv
+        if self.slog is None:
+            object.__setattr__(self, "slog", lambda x: slog_of(value(x)))
+        if self.slog_deriv is None:
+            object.__setattr__(self, "slog_deriv", lambda x: slog_of(deriv(x)))
 
 
 def zero_piece() -> Function1D:
-    z = constant_piece(0.0)
-    return Function1D(
-        value=z.value,
-        deriv=z.deriv,
-        log_abs_logx=lambda lx: np.full_like(np.asarray(lx, dtype=float), -np.inf),
-        sign_logx=lambda lx: np.zeros_like(np.asarray(lx, dtype=float)),
-        log_abs_deriv_logx=lambda lx: np.full_like(np.asarray(lx, dtype=float), -np.inf),
-        deriv_sign_logx=lambda lx: np.zeros_like(np.asarray(lx, dtype=float)),
-    )
+    return Function1D(value=np.zeros_like, deriv=np.zeros_like)
 
 
 @dataclass(frozen=True)
@@ -219,20 +184,23 @@ class ScalarFunctional:
             if not dd <= GLUE_TOL:
                 raise ValueError(f"{self.name}: derivative jump {dd:.3e} at breakpoint {b}")
 
-    def _piece_index(self, x: np.ndarray) -> np.ndarray:
-        return np.searchsorted(np.asarray(self.breakpoints), x, side="right")
-
-    def _dispatch(self, x, attr: str) -> np.ndarray:
+    def _dispatch(self, x, attr: str):
+        """Evaluate piece attribute `attr` at x, piece by piece; the slog*
+        attributes return (sign, log) pairs and fill two arrays."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
-        out = np.empty_like(x)
-        idx = self._piece_index(x)
+        pair = attr.startswith("slog")
+        outs = (np.empty_like(x), np.empty_like(x)) if pair else (np.empty_like(x),)
+        idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
         for i, piece in enumerate(self.pieces):
             m = idx == i
             if np.any(m):
-                out[m] = getattr(piece, attr)(x[m])
-        return out[0] if scalar else out
+                got = getattr(piece, attr)(x[m])
+                for out, v in zip(outs, got if pair else (got,)):
+                    out[m] = v
+        outs = tuple(out[0] if scalar else out for out in outs)
+        return outs if pair else outs[0]
 
     def value(self, x):
         return self._dispatch(x, "value")
@@ -240,17 +208,28 @@ class ScalarFunctional:
     def deriv(self, x):
         return self._dispatch(x, "deriv")
 
+    def slog_value(self, x):
+        """(sign, log|f|) at x."""
+        return self._dispatch(x, "slog")
+
+    def slog_deriv(self, x):
+        """(sign, log|f'|) at x."""
+        return self._dispatch(x, "slog_deriv")
+
+    # Single-form views over the pairs.  Nothing in the package calls them;
+    # they stay because the benchmark tracer (perfbench/tracer.py) wraps
+    # these method names.
     def log_abs(self, x):
-        return self._dispatch(x, "log_abs")
+        return self.slog_value(x)[1]
 
     def value_sign(self, x):
-        return self._dispatch(x, "sign")
+        return self.slog_value(x)[0]
 
     def log_abs_deriv(self, x):
-        return self._dispatch(x, "log_abs_deriv")
+        return self.slog_deriv(x)[1]
 
     def deriv_sign(self, x):
-        return self._dispatch(x, "deriv_sign")
+        return self.slog_deriv(x)[0]
 
     # --- (sign, log) pairs parameterized by log(x), for x -> 0+ probing ---
 
@@ -260,23 +239,15 @@ class ScalarFunctional:
 
     def has_logx_forms(self) -> bool:
         p = self._origin_piece()
-        return p.log_abs_logx is not None and p.log_abs_deriv_logx is not None
+        return p.slog_logx is not None and p.slog_deriv_logx is not None
 
     def slog_value_at_logx(self, lx):
-        p = self._origin_piece()
-        if p.log_abs_logx is None:
-            lx = np.asarray(lx, dtype=float)
-            x = np.exp(lx)
-            return p.sign(x), p.log_abs(x)
-        return p.sign_logx(lx), p.log_abs_logx(lx)
+        """(sign, log|f|) at x = exp(lx); needs has_logx_forms()."""
+        return self._origin_piece().slog_logx(lx)
 
     def slog_deriv_at_logx(self, lx):
-        p = self._origin_piece()
-        if p.log_abs_deriv_logx is None:
-            lx = np.asarray(lx, dtype=float)
-            x = np.exp(lx)
-            return p.deriv_sign(x), p.log_abs_deriv(x)
-        return p.deriv_sign_logx(lx), p.log_abs_deriv_logx(lx)
+        """(sign, log|f'|) at x = exp(lx); needs has_logx_forms()."""
+        return self._origin_piece().slog_deriv_logx(lx)
 
 
 def linear_functional() -> ScalarFunctional:
@@ -349,38 +320,23 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 def difference_quotient_1d(f: ScalarFunctional, x: float, eps: float, c: float) -> float:
     """(f(x + eps*c) - f(x)) / eps.
 
-    When both log-magnitudes exceed LOG_OVERFLOW the quotient is formed as
-    f(x) * (e^Delta - 1) / eps with Delta the log difference, which stays
-    meaningful long after f itself overflows a double.
+    When either log-magnitude exceeds LOG_OVERFLOW the quotient is formed in
+    (sign, log) space, which stays meaningful long after f itself overflows
+    a double; it is +-inf only when the quotient does.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    l1 = float(f.log_abs(x + eps * c))
-    l0 = float(f.log_abs(x))
+    l1, l0 = f.slog_value(np.array([x + eps * c, x]))[1]
     if max(l1, l0) <= LOG_OVERFLOW:
         return (float(f.value(x + eps * c)) - float(f.value(x))) / eps
-    s0 = float(f.value_sign(x))
-    s1 = float(f.value_sign(x + eps * c))
-
-    def exp_or_inf(v):
-        return math.exp(v) if v <= 709.0 else math.inf
-
-    if s0 == s1 and s0 != 0.0:
-        delta = l1 - l0
-        if delta == 0.0:
-            return 0.0
-        if abs(delta) > 700.0:  # one side utterly dominates
-            return s0 * math.copysign(exp_or_inf(max(l1, l0)), delta) / eps
-        return s0 * exp_or_inf(l0) * math.expm1(delta) / eps
-    sign, logabs = slog_sub(s1, l1, s0, l0)
-    return float(sign) * exp_or_inf(float(logabs)) / eps
+    return float(slog_exp(*difference_quotient_slog(f, x, eps, c)))
 
 
 def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float):
     """(sign, log|.|) of the difference quotient, vectorized over x."""
     x = np.asarray(x, dtype=float)
-    s1, l1 = f.value_sign(x + eps * c), f.log_abs(x + eps * c)
-    s0, l0 = f.value_sign(x), f.log_abs(x)
+    s1, l1 = f.slog_value(x + eps * c)
+    s0, l0 = f.slog_value(x)
     sign, logabs = slog_sub(s1, l1, s0, l0)
     return sign, logabs - math.log(eps)
 

@@ -717,7 +717,7 @@ def gaussian_expectation(g: Integrand,
     lo, hi = g.domain
     cuts = sorted({float(b) for b in list(g.breakpoints) + [0.0] if lo < b < hi})
     edges = list(zip([lo] + cuts, cuts + [hi]))
-    share = budget // (len(edges) + 1)
+    share = budget // len(edges)
     pieces = [integrate_piece(w, a, b, atol / len(edges), rtol, share) for a, b in edges]
     return _combine(pieces, [f"({a:g}, {b:g})" for a, b in edges],
                     sum(v.n_evals for v in pieces))

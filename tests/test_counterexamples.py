@@ -8,6 +8,7 @@ from wienerlab import (Thm31Params, Thm33Params, build_thm31, build_thm33, catal
                        smooth_completion_G, smooth_completion_g,
                        squared_quotient_floor_integrand, validate_eta_mu)
 from wienerlab.quadrature import integrate_semi_infinite
+from wienerlab.slog import slog_of
 
 
 class TestTailGrowthFunctional:
@@ -38,7 +39,7 @@ class TestTailGrowthFunctional:
     def test_square_weight_majorant(self, f31):
         # |f(x)|^2 phi(x) <= x^-2a on [sqrt(2a), inf), pointwise on a grid
         xs = np.linspace(2.0, 40.0, 1000)
-        lhs = 2.0 * f31.log_abs(xs) + (-0.5 * xs * xs - 0.5 * math.log(2 * math.pi))
+        lhs = 2.0 * f31.slog_value(xs)[1] + (-0.5 * xs * xs - 0.5 * math.log(2 * math.pi))
         rhs = -4.0 * np.log(xs)
         assert np.all(lhs <= rhs + 1e-12)
 
@@ -171,3 +172,45 @@ def test_catalog_names():
 def test_build_functions_take_param_objects():
     assert build_thm31(Thm31Params(a=2.5)).name == "thm31"
     assert build_thm33(Thm33Params()).name == "thm33"
+
+
+def _off_breakpoints(f, xs):
+    for b in f.breakpoints:
+        xs = xs[np.abs(xs - b) > 1e-9 * max(1.0, abs(b))]
+    return xs
+
+
+def _assert_pairs_agree(got, want):
+    (s_got, l_got), (s_want, l_want) = got, want
+    np.testing.assert_array_equal(s_got, s_want)
+    with np.errstate(invalid="ignore"):  # -inf - -inf where both sides vanish
+        dev = np.abs(l_got - l_want)
+    same = (l_got == l_want) | (dev <= 1e-12 * np.maximum(1.0, np.abs(l_want)))
+    assert np.all(same), np.max(dev[~same])
+
+
+class TestPairForms:
+    """The hand-written (sign, log) pairs of every catalog piece against
+    slog_of of the closed forms."""
+
+    def test_thm31(self, f31):
+        xs = _off_breakpoints(f31, np.linspace(-4.0, 40.0, 4001))
+        _assert_pairs_agree(f31.slog_value(xs), slog_of(f31.value(xs)))
+        _assert_pairs_agree(f31.slog_deriv(xs), slog_of(f31.deriv(xs)))
+
+    def test_thm33(self, f33):
+        xs = np.concatenate([np.linspace(-1.0, 5e-4, 4001),
+                             np.logspace(-300.0, math.log10(5e-4), 2001)])
+        xs = _off_breakpoints(f33, xs)
+        _assert_pairs_agree(f33.slog_value(xs), slog_of(f33.value(xs)))
+        _assert_pairs_agree(f33.slog_deriv(xs), slog_of(f33.deriv(xs)))
+        # F vanishes at its flagged point 0, where no derivative is asked for
+        assert tuple(map(float, f33.slog_value(0.0))) == (0.0, -math.inf)
+
+    def test_thm33_logx_forms_match_x_forms(self, f33):
+        xs = np.logspace(-300.0, math.log10(2e-4), 2001)[:-1]
+        for at_logx, at_x in ((f33.slog_value_at_logx, f33.slog_value),
+                              (f33.slog_deriv_at_logx, f33.slog_deriv)):
+            for got, want in zip(at_logx(np.log(xs)), at_x(xs)):
+                np.testing.assert_array_equal(got, want)
+

@@ -10,6 +10,7 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, Function1D
                        difference_quotient_1d, eval_cylindrical, linear_functional,
                        malliavin_derivative_cylindrical, mc_difference_quotient,
                        pairing_with_h, sample_path)
+from wienerlab.functionals import LOG_OVERFLOW
 from wienerlab.wiener import BrownianPath
 
 UNIT = CameronMartinDirection.constant(1.0)
@@ -161,6 +162,23 @@ class TestDifferenceQuotient1D:
         # at x = 70 the quotient is ~exp(1232) which overflows; the sign of the
         # log-space route must still be positive before overflow kicks in
         assert got > 0.0
+
+    @pytest.mark.parametrize("x", [49.5, 52.0])
+    @pytest.mark.parametrize("eps", [0.25, 2.0 ** -8])
+    @pytest.mark.parametrize("c", [1.0, -1.0])
+    def test_overflow_branch_finite_against_oracle(self, f31, x, eps, c):
+        # log|f| is about 605-677 here: past LOG_OVERFLOW, yet the quotient
+        # is a finite double and must match 200-bit arithmetic
+        assert float(f31.slog_value(x)[1]) > LOG_OVERFLOW
+        with mp.workprec(200):
+            a = mp.mpf(2)
+            def f(y):
+                y = mp.mpf(y)
+                return mp.e ** (y * y / 4) * y ** (-a) * (2 * mp.pi) ** mp.mpf("0.25")
+            oracle = float((f(x + eps * c) - f(x)) / mp.mpf(eps))
+        got = difference_quotient_1d(f31, x, eps, c)
+        assert math.isfinite(got)
+        assert got == pytest.approx(oracle, rel=1e-8)
 
     def test_rejects_nonpositive_eps(self, flin):
         with pytest.raises(ValueError):

@@ -254,6 +254,12 @@ class TestBudgetCap:
             assert v.status == "inconclusive"
             assert v.n_evals <= budget
 
+    def test_whole_budget_is_spent(self):
+        # three pieces at 45 evaluations: one 15-point panel each
+        g = Integrand.from_function(np.ones_like, breakpoints=(1.0,))
+        v = gaussian_expectation(g, atol=1e-14, rtol=1e-14, budget=45)
+        assert v.n_evals == 45
+
 
 class TestGaussianExpectation:
     def test_second_moment(self):
