@@ -186,11 +186,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _at_least(flag: str, value: int, low: int) -> int:
+    if value < low:
+        raise UsageError(f"{flag} must be at least {low}, got {value}")
+    return value
+
+
 def _quad_opts(args):
     return dict(
         atol=_merge(args, "atol", quad.DEFAULT_ATOL, float),
         rtol=_merge(args, "rtol", quad.DEFAULT_RTOL, float),
-        budget=_merge(args, "budget", quad.DEFAULT_BUDGET, int),
+        budget=_at_least("--budget", _merge(args, "budget", quad.DEFAULT_BUDGET, int), 1),
     )
 
 
@@ -306,7 +312,8 @@ def cmd_cm_check(args) -> int:
         return EXIT_USAGE
     shift_spec = _merge(args, "shift", None, str)
     shift = _parse_direction(shift_spec) if shift_spec else directions[0]
-    n = _merge(args, "n_samples", 10**6, int)
+    # the standard errors need two samples
+    n = _at_least("--n-samples", _merge(args, "n_samples", 10**6, int), 2)
     seed = _merge(args, "seed", 20_260_810, int)
 
     Z = CylindricalFunctional(directions[:poly.n_vars], poly)

@@ -105,9 +105,6 @@ class LqTable:
     def __iter__(self):
         return iter(self.rows)
 
-    def filter(self, quantity: str) -> "LqTable":
-        return LqTable(tuple(r for r in self.rows if r.quantity == quantity))
-
     def values(self):
         return [r.value for r in self.rows]
 
@@ -159,8 +156,11 @@ def abs_deriv_pow_integrand(f: ScalarFunctional, p: float) -> Integrand:
     return _abs_pow_integrand(f, p, f.slog_deriv, f.slog_deriv_at_logx, f"|{f.name}'|^{p}")
 
 
-def _residual_slog(f: ScalarFunctional, x, eps: float, c: float, centered: bool):
-    s, l = difference_quotient_slog(f, x, eps, c)
+def _residual_slog(f: ScalarFunctional, x, shift, log_eps, c: float, centered: bool):
+    """(f(x + shift) - f(x))/eps - centered * c f'(x), shift = eps c, per point."""
+    # the plain difference (unit eps along the shift), then the row's log eps
+    s, l = difference_quotient_slog(f, x, 1.0, shift)
+    l = l - log_eps
     if centered:
         ds, dl = f.slog_deriv(x)
         ds = np.sign(c) * ds
@@ -169,15 +169,15 @@ def _residual_slog(f: ScalarFunctional, x, eps: float, c: float, centered: bool)
     return s, l
 
 
-def _residual_slog_neglog(f: ScalarFunctional, u, eps: float, c: float, centered: bool):
+def _residual_slog_neglog(f: ScalarFunctional, u, shift, log_eps, c: float, centered: bool):
     """Residual at x = exp(-u), evaluating the f(x) side in log-x form."""
     u = np.asarray(u, dtype=float)
     with np.errstate(under="ignore"):
         x = np.exp(-u)
-    s1, l1 = f.slog_value(x + eps * c)
+    s1, l1 = f.slog_value(x + shift)
     s0, l0 = f.slog_value_at_logx(-u)
     s, l = slog_sub(s1, l1, s0, l0)
-    l = l - math.log(eps)
+    l = l - log_eps
     if centered:
         ds0, dl0 = f.slog_deriv_at_logx(-u)
         if c != 0.0:
@@ -186,24 +186,42 @@ def _residual_slog_neglog(f: ScalarFunctional, u, eps: float, c: float, centered
     return s, l
 
 
-def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
-                           centered: bool) -> Integrand:
-    """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q."""
-    def log_eval(x):
-        s, l = _residual_slog(f, np.asarray(x, dtype=float), eps, c, centered)
-        _, logabs = slog_abs_pow(l, q)
-        return np.ones_like(np.asarray(x, dtype=float)), logabs
+def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
+                     outer) -> quad.Family:
+    """outer(log|X_eps - centered * c f'(x)|), one member per eps.
+
+    The rows index the shift eps c and math.log(eps) of their point's member.
+    """
+    shift = np.array(eps_values) * c
+    log_eps = np.array([math.log(e) for e in eps_values])
+
+    def log_eval(x, row):
+        x = np.asarray(x, dtype=float)
+        _, l = _residual_slog(f, x, shift[row], log_eps[row], c, centered)
+        return np.ones_like(x), outer(l)
 
     neglog = None
     if f.has_logx_forms():
-        def neglog(u):
-            _, l = _residual_slog_neglog(f, u, eps, c, centered)
-            _, logabs = slog_abs_pow(l, q)
-            return np.ones_like(np.asarray(u, dtype=float)), logabs
+        def neglog(u, row):
+            u = np.asarray(u, dtype=float)
+            _, l = _residual_slog_neglog(f, u, shift[row], log_eps[row], c, centered)
+            return np.ones_like(u), outer(l)
 
-    return Integrand(log_eval=log_eval, breakpoints=_scalar_cuts(f, shifts=(eps * c,)),
-                     singular_points=tuple(f.singular_points), neglog_eval=neglog,
-                     name=f"|X_eps[{f.name}]|^{q} eps={eps:g}")
+    return quad.Family(log_eval, tuple(_scalar_cuts(f, shifts=(e * c,)) for e in eps_values),
+                       tuple(f.singular_points), neglog)
+
+
+def _diffquot_family(f: ScalarFunctional, q: float, eps_values, c: float,
+                     centered: bool) -> quad.Family:
+    """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q, one member per eps."""
+    return _residual_family(f, eps_values, c, centered, lambda l: slog_abs_pow(l, q)[1])
+
+
+def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
+                           centered: bool) -> Integrand:
+    """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q."""
+    return _diffquot_family(f, q, (eps,), c, centered).member(
+        0, f"|X_eps[{f.name}]|^{q} eps={eps:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +253,8 @@ def lq_diffquot_norm(f: ScalarFunctional, q: float, eps: float, c: float, *,
         raise ValueError("eps must be positive")
     if q <= 0.0:
         raise ValueError("need q > 0")
-    g = diffquot_pow_integrand(f, q, eps, c, centered)
-    return quad.gaussian_expectation(g, atol=atol, rtol=rtol, budget=budget)
+    fam = _diffquot_family(f, q, (eps,), c, centered)
+    return quad.gaussian_expectations(fam, atol=atol, rtol=rtol, budget=budget)[0]
 
 
 @dataclass(frozen=True)
@@ -266,11 +284,9 @@ def ssgd_test(f: ScalarFunctional, p: float, q: float, h_T: float, grid: Epsilon
     if not 0.0 < q <= p:
         raise ValueError("need 0 < q <= p")
     grid = grid.capped(f.window / abs(h_T) if f.window and h_T != 0.0 else None)
-    rows = []
-    for eps in grid.values:
-        v = lq_diffquot_norm(f, q, eps, h_T, centered=True,
-                             atol=atol, rtol=rtol, budget=budget)
-        rows.append(LqRow("diffquot_residual", q, eps, v))
+    fam = _diffquot_family(f, q, grid.values, h_T, centered=True)
+    verdicts = quad.gaussian_expectations(fam, atol=atol, rtol=rtol, budget=budget)
+    rows = [LqRow("diffquot_residual", q, eps, v) for eps, v in zip(grid.values, verdicts)]
     table = LqTable(tuple(rows))
 
     if any(r.verdict.diverged for r in rows):
@@ -301,24 +317,15 @@ def _psi_log(ly):
     return np.where(np.isneginf(ly), -np.inf, out)
 
 
+def _dvp_family(f: ScalarFunctional, eps_values, c: float) -> quad.Family:
+    """psi(|X_eps|^2) phi(x), Gaussian weight included, one member per eps."""
+    return quad.weighted(_residual_family(f, eps_values, c, False,
+                                          lambda l: _psi_log(2.0 * l)))
+
+
 def _dvp_piece_integrand(f: ScalarFunctional, eps: float, c: float) -> Integrand:
     """psi(|X_eps|^2) phi(x), Gaussian weight included."""
-    def log_eval(x):
-        x = np.asarray(x, dtype=float)
-        _, l = difference_quotient_slog(f, x, eps, c)
-        return np.ones_like(x), _psi_log(2.0 * l)
-
-    neglog = None
-    if f.has_logx_forms():
-        def neglog(u):
-            u = np.asarray(u, dtype=float)
-            _, l = _residual_slog_neglog(f, u, eps, c, centered=False)
-            return np.ones_like(u), _psi_log(2.0 * l)
-
-    return quad.weighted(Integrand(log_eval=log_eval,
-                                   breakpoints=_scalar_cuts(f, shifts=(eps * c,)),
-                                   singular_points=tuple(f.singular_points), neglog_eval=neglog,
-                                   name=f"psi(|X_eps|^2) eps={eps:g}"))
+    return _dvp_family(f, (eps,), c).member(0, f"psi(|X_eps|^2) eps={eps:g}")
 
 
 def _dvp_pieces(f: ScalarFunctional, eps: float, h_T: float):
@@ -360,14 +367,18 @@ def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: Epsilo
         return DvpResult(h_T, Flag.YES, 0.0, LqTable(()), LqTable(()),
                          "zero direction endpoint: X_eps vanishes identically")
     grid = grid.capped(f.window / abs(h_T) if f.window else None)
+    plan = [[(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi]
+            for eps in grid.values]
+    results = iter(quad.integrate_pieces(
+        _dvp_family(f, grid.values, h_T),
+        [(row, lo, hi) for row, labelled in enumerate(plan) for _, lo, hi in labelled],
+        atol, rtol, budget))
     rows = []
     sup_total = 0.0
     any_diverged = False
     any_unknown = False
-    for eps in grid.values:
-        g = _dvp_piece_integrand(f, eps, h_T)
-        pieces = {label: quad.integrate_piece(g, lo, hi, atol, rtol, budget)
-                  for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi}
+    for eps, labelled in zip(grid.values, plan):
+        pieces = {label: next(results) for label, _, _ in labelled}
         rows += [LqRow(f"dvp_{label}", 2.0, eps, v) for label, v in pieces.items()]
         verdicts = pieces.values()
         any_diverged |= any(v.diverged for v in verdicts)
@@ -539,10 +550,11 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
     lq_rows = []
     for h_T in h_list:
         eff = grid.capped(f.window / abs(h_T) if f.window and h_T else None)
-        for eps in eff.values:
-            v = lq_diffquot_norm(f, q_mid, eps, h_T, centered=False,
-                                 atol=atol, rtol=rtol, budget=budget)
-            lq_rows.append(LqRow(f"diffquot_norm[h={h_T:g}]", q_mid, eps, v))
+        verdicts = quad.gaussian_expectations(
+            _diffquot_family(f, q_mid, eff.values, h_T, centered=False),
+            atol=atol, rtol=rtol, budget=budget)
+        lq_rows += [LqRow(f"diffquot_norm[h={h_T:g}]", q_mid, eps, v)
+                    for eps, v in zip(eff.values, verdicts)]
 
     ssgd = {}
     for q in sorted({q_mid, p, *extra_qs}):

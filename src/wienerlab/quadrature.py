@@ -16,6 +16,12 @@ Semi-infinite domains are exhausted along R_k = a + 2^k; integrals singular
 at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
 integrate_piece picks the route for one piece of the line from its ends.
+
+The drivers (_adaptive, _exhaust) are generators that yield panel requests
+and receive the panels' values.  _outcomes moves the drivers of a Family --
+integrands that share one body, such as the eps rows of a report -- forward
+together, so one integrand call per round and route serves every member.
+The single-verdict functions run a family of one the same way.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,6 +41,7 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_BUDGET = 100_000
 GROWTH_RUN = 6          # consecutive growing increments certify divergence
 MAX_ROUND = 64          # panels split per round of _adaptive (bounds peak memory)
+MAX_POINTS = 2 * MAX_ROUND * 15  # points per integrand call of _outcomes
 CALM_RUN = 3            # consecutive sub-tolerance increments allow convergence
 MAGNITUDE_LIMIT = 1e12  # partials beyond this certify divergence
 MAX_DOUBLINGS = 60
@@ -134,6 +142,76 @@ def bertrand_integrand(exponent: float) -> Integrand:
                      singular_points=(0.0,), name=f"bertrand[{exponent}]")
 
 
+@dataclass(frozen=True, eq=False)
+class Family:
+    """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
+
+    log_eval(x, row) -> (sign, log|g_row(x)|), where row holds the member
+    index of each point (an int array shaped like x, or one int);
+    neglog_eval(u, row) is the same at x = e^-u.  breakpoints[i] are the
+    breakpoints of g_i; the singular points and the domain are shared.
+    """
+
+    log_eval: Callable
+    breakpoints: tuple
+    singular_points: tuple = ()
+    neglog_eval: Optional[Callable] = None
+    domain: tuple = (-math.inf, math.inf)
+
+    @classmethod
+    def of(cls, g: Integrand) -> "Family":
+        """The family whose one member is g."""
+        neglog = None
+        if g.neglog_eval is not None:
+            def neglog(u, row):
+                return g.neglog_eval(u)
+        return cls(lambda x, row: g.log_eval(x), (tuple(g.breakpoints),),
+                   tuple(g.singular_points), neglog, g.domain)
+
+    def member(self, row: int, name: str) -> Integrand:
+        """g_row as an Integrand of its own."""
+        neglog = None
+        if self.neglog_eval is not None:
+            def neglog(u):
+                return self.neglog_eval(u, row)
+        return Integrand(log_eval=lambda x: self.log_eval(x, row), domain=self.domain,
+                         breakpoints=self.breakpoints[row],
+                         singular_points=self.singular_points, neglog_eval=neglog, name=name)
+
+    def cuts(self, row: int, a: float, b: float) -> list:
+        """Member row's break and singular points inside (a, b)."""
+        pts = list(self.breakpoints[row]) + list(self.singular_points)
+        return [p for p in pts if a < p < b]
+
+    @cached_property
+    def reflected(self) -> "Family":
+        """x -> g(-x), breakpoints and singular points reflected along."""
+        return Family(lambda x, row: self.log_eval(-x, row),
+                      tuple(tuple(-b for b in bps) for bps in self.breakpoints),
+                      tuple(-s for s in self.singular_points))
+
+    @cached_property
+    def substituted(self) -> "Family":
+        """u = -log x: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-u) e^-u du.
+
+        Breakpoints b in (0, 1) move along as u = -log b.
+        """
+        if self.neglog_eval is not None:
+            base = self.neglog_eval
+        else:
+            def base(u, row):
+                if np.any(u > 700.0):
+                    raise _NeglogRangeError
+                return self.log_eval(np.exp(-u), row)
+
+        def log_eval(u, row):
+            sign, logabs = base(u, row)
+            return sign, np.asarray(logabs, dtype=float) - u
+
+        return Family(log_eval, tuple(tuple(-math.log(b) for b in bps if 0.0 < b < 1.0)
+                                      for bps in self.breakpoints))
+
+
 class Verdict:
     CONVERGED = "converged"
     DIVERGED = "diverged"
@@ -165,11 +243,6 @@ class IntegralVerdict:
     @property
     def diverged(self) -> bool:
         return self.status == Verdict.DIVERGED
-
-    def expect(self) -> float:
-        if not self.converged:
-            raise ValueError(f"integral did not converge: {self.status} ({self.message})")
-        return self.value
 
     def __repr__(self):
         if self.converged:
@@ -265,24 +338,24 @@ class _PanelSum:
 _UNPAID = _PanelSum(0.0, math.inf, False, False, ())  # first panels beyond the budget
 
 
-def _adaptive(log_eval, a: float, b: float, atol: float, rtol: float,
-              budget: _Budget, cuts=()) -> _PanelSum:
+def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cuts=()):
     """Globally adaptive bisection that splits the worst panels in rounds.
 
-    The first panels, one per piece between the cuts, are evaluated in one
-    call.  Each round then pops the worst panels from an error heap until
-    their errors cover the excess of the total error over the tolerance (at
-    least one panel, at most MAX_ROUND, and no more than the budget left
-    pays for) and evaluates all their halves in one call.  Panels too
-    narrow to split keep their error as stuck error.  The order of
-    refinement is a deterministic function of panel errors and insertion
-    order, so results do not depend on scheduling.  No panel is evaluated
-    that the budget cannot pay for.
+    A generator: it yields panel requests (lo, hi), receives the panels'
+    (value, error, hot) from _gk_panels and returns a _PanelSum.  The first
+    panels, one per piece between the cuts, form one request.  Each round
+    then pops the worst panels from an error heap until their errors cover
+    the excess of the total error over the tolerance (at least one panel, at
+    most MAX_ROUND, and no more than the budget left pays for) and requests
+    all their halves.  Panels too narrow to split keep their error as stuck
+    error.  The order of refinement is a deterministic function of panel
+    errors and insertion order, so results do not depend on scheduling.  No
+    panel is requested that the budget cannot pay for.
     """
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
     if 15 * (len(edges) - 1) > budget.left:
         return _UNPAID
-    values, errors, hot = _gk_panels(log_eval, np.array(edges[:-1]), np.array(edges[1:]))
+    values, errors, hot = yield np.array(edges[:-1]), np.array(edges[1:])
     budget.consume(15 * (len(edges) - 1))
     if hot.any():
         return _PanelSum(math.inf, math.inf, False, True, ())
@@ -330,7 +403,7 @@ def _adaptive(log_eval, a: float, b: float, atol: float, rtol: float,
             lo_ends += (lo, mid)
             hi_ends += (mid, hi)
         budget.consume(30 * len(picked))
-        values, errors, hot = _gk_panels(log_eval, np.array(lo_ends), np.array(hi_ends))
+        values, errors, hot = yield np.array(lo_ends), np.array(hi_ends)
         if hot.any():
             return _PanelSum(math.inf, math.inf, False, True, tuple(history))
         vs, es = values.tolist(), errors.tolist()
@@ -346,9 +419,110 @@ def _adaptive(log_eval, a: float, b: float, atol: float, rtol: float,
             del history[:32]
 
 
-def _inner_cuts(g: Integrand, a: float, b: float):
-    pts = list(g.breakpoints) + list(g.singular_points)
-    return [p for p in pts if a < p < b]
+def _evaluate(form: Family, requests):
+    """_gk_panels over the requests [(row, lo, hi), ...] of one form, in one call."""
+    lo = np.concatenate([r[1] for r in requests])
+    hi = np.concatenate([r[2] for r in requests])
+    rows = np.repeat([r[0] for r in requests], [15 * r[1].size for r in requests])
+    return _gk_panels(lambda x: form.log_eval(x, rows), lo, hi)
+
+
+def _chunks(batch) -> list:
+    """Split the requests [(i, (row, lo, hi)), ...] into calls of at most MAX_POINTS points."""
+    chunks, size = [], MAX_POINTS
+    for item in batch:
+        n = 15 * item[1][1].size
+        if size + n > MAX_POINTS:
+            chunks.append([])
+            size = 0
+        chunks[-1].append(item)
+        size += n
+    return chunks
+
+
+def _outcomes(drivers) -> list:
+    """Run drivers (form, row, generator) together; return what each one ends with.
+
+    An outcome is the driver's verdict, or the error that escaped it.  Each
+    round gathers the pending request of every driver and evaluates the
+    requests of one form in one call, split so that no call holds more than
+    MAX_POINTS points.  A panel's result does not depend on the other panels
+    of its call, and each driver keeps its own budget, tolerances and cuts,
+    so every outcome equals the one its driver reaches alone.  A call that
+    raises is repeated driver by driver, and each driver whose own panels
+    raise gets the error thrown in.
+    """
+    outcomes = [None] * len(drivers)
+    pending = {}
+
+    def resume(i, step, arg):
+        try:
+            lo, hi = step(arg)
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as exc:
+            outcomes[i] = exc
+        else:
+            pending[i] = (drivers[i][1], lo, hi)
+
+    for i, (_, _, gen) in enumerate(drivers):
+        resume(i, gen.send, None)
+    while pending:
+        by_form = {}
+        for i, request in pending.items():
+            by_form.setdefault(drivers[i][0], []).append((i, request))
+        pending = {}
+        for form, batch in by_form.items():
+            chunks = _chunks(batch)
+            while chunks:
+                chunk = chunks.pop(0)
+                try:
+                    values, errors, hot = _evaluate(form, [r for _, r in chunk])
+                except Exception as exc:
+                    if len(chunk) > 1:
+                        chunks[:0] = [[item] for item in chunk]
+                    else:
+                        resume(chunk[0][0], drivers[chunk[0][0]][2].throw, exc)
+                    continue
+                start = 0
+                for i, (_, lo, _) in chunk:
+                    end = start + lo.size
+                    resume(i, drivers[i][2].send,
+                           (values[start:end], errors[start:end], hot[start:end]))
+                    start = end
+    return outcomes
+
+
+def _lockstep(drivers) -> list:
+    """The verdicts of _outcomes(drivers).
+
+    The first error in driver order is raised, as running the drivers one
+    after another would raise it.
+    """
+    outcomes = _outcomes(drivers)
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
+
+
+def _finite(form: Family, row: int, a: float, b: float, atol: float, rtol: float,
+            budget: int):
+    """Driver of the finite adaptive rule over [a, b]."""
+    def verdict():
+        bud = _Budget(budget)
+        res = yield from _adaptive(a, b, atol, rtol, bud, form.cuts(row, a, b))
+        if res is _UNPAID:
+            return _inconclusive((), bud.used, "budget below the first panels")
+        if res.hot:
+            return _inconclusive([h[1] for h in res.history], bud.used,
+                                 "magnitudes beyond double range on a finite interval")
+        if res.ok:
+            return _converged(res.value, res.error, bud.used)
+        return _inconclusive([h[1] for h in res.history] + [res.value], bud.used,
+                             f"refinement budget exhausted (error {res.error:.3e})")
+
+    return form, row, verdict()
 
 
 def integrate_adaptive(g: Integrand, a: float, b: float,
@@ -361,17 +535,7 @@ def integrate_adaptive(g: Integrand, a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    bud = _Budget(budget)
-    res = _adaptive(g.log_eval, a, b, atol, rtol, bud, _inner_cuts(g, a, b))
-    if res is _UNPAID:
-        return _inconclusive((), bud.used, "budget below the first panels")
-    if res.hot:
-        return _inconclusive([h[1] for h in res.history], bud.used,
-                             "magnitudes beyond double range on a finite interval")
-    if res.ok:
-        return _converged(res.value, res.error, bud.used)
-    return _inconclusive([h[1] for h in res.history] + [res.value], bud.used,
-                         f"refinement budget exhausted (error {res.error:.3e})")
+    return _lockstep([_finite(Family.of(g), 0, a, b, atol, rtol, budget)])[0]
 
 
 FIT_MISMATCH = 1e-5  # held-out relative error below which a power tail is trusted
@@ -425,8 +589,11 @@ def _revival_blocked(g: Integrand, start: float, edge: float, tol: float,
 
 
 def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
-             bud: _Budget, what: str) -> IntegralVerdict:
+             bud: _Budget, what: str):
     """Shared verdict engine: integrate successive segments, watch increments.
+
+    A driver generator like _adaptive, whose segments are _adaptive drivers
+    made by segment_integral(lo, hi, k, tol); it returns the verdict.
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
@@ -451,7 +618,7 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
             continue
         tol = max(atol, rtol * abs(partial))
         try:
-            seg = segment_integral(prev_edge, edge, k, tol)
+            seg = yield from segment_integral(prev_edge, edge, k, tol)
         except _NeglogRangeError:
             return _inconclusive([r[1] for r in records], bud.used,
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
@@ -509,44 +676,42 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
                          f"{what}: exhaustion budget ran out without a certificate")
 
 
+def _semi_infinite(form: Family, row: int, a: float, atol: float, rtol: float,
+                   budget: int):
+    """Driver of [a, inf), exhausted along a + 2^k."""
+    bud = _Budget(budget)
+    boundaries = [a] + [a + 2.0 ** k for k in range(MAX_DOUBLINGS)]
+
+    def segment(lo, hi, k, tol_hint):
+        seg_atol = max(atol, tol_hint) / (16.0 * (k + 1) ** 2)
+        return _adaptive(lo, hi, seg_atol, 0.25 * rtol, bud, form.cuts(row, lo, hi))
+
+    return form, row, _exhaust(segment, boundaries, atol, rtol, bud, f"[{a:g}, inf)")
+
+
 def integrate_semi_infinite(g: Integrand, a: float,
                             atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                             budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """Integrate g over [a, inf) by doubling the exhaustion point."""
     if not math.isfinite(a):
         raise ValueError("need a finite left endpoint")
+    return _lockstep([_semi_infinite(Family.of(g), 0, a, atol, rtol, budget)])[0]
+
+
+def _origin(fam: Family, row: int, mu: float, atol: float, rtol: float, budget: int,
+            method: str):
+    """Driver of (0, mu] with mu < 1, by the u = -log x route or by shrinking."""
+    if method == "substitution":
+        return _semi_infinite(fam.substituted, row, -math.log(mu), atol, rtol, budget)
     bud = _Budget(budget)
-    boundaries = [a] + [a + 2.0 ** k for k in range(MAX_DOUBLINGS)]
+    boundaries = [-math.log(mu * 2.0 ** -k) for k in range(MAX_SHRINKS + 1)]
 
-    def segment(lo, hi, k, tol_hint):
-        seg_atol = max(atol, tol_hint) / (16.0 * (k + 1) ** 2)
-        return _adaptive(g.log_eval, lo, hi, seg_atol, 0.25 * rtol,
-                         bud, _inner_cuts(g, lo, hi))
+    def segment(u_lo, u_hi, k, tol_hint):
+        lo, hi = mu * 2.0 ** -k, mu * 2.0 ** -(k - 1)
+        seg_atol = max(atol, tol_hint) / (16.0 * k * k)
+        return _adaptive(lo, hi, seg_atol, 0.25 * rtol, bud, fam.cuts(row, lo, hi))
 
-    return _exhaust(segment, boundaries, atol, rtol, bud, f"[{a:g}, inf)")
-
-
-def _substituted_integrand(g: Integrand) -> Integrand:
-    """u = -log x: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-u) e^-u du.
-
-    Breakpoints b in (0, 1) move along as u = -log b.
-    """
-    if g.neglog_eval is not None:
-        base = g.neglog_eval
-    else:
-        def base(u):
-            u = np.asarray(u, dtype=float)
-            if np.any(u > 700.0):
-                raise _NeglogRangeError
-            return g.log_eval(np.exp(-u))
-
-    def log_eval(u):
-        u = np.asarray(u, dtype=float)
-        sign, logabs = base(u)
-        return sign, np.asarray(logabs, dtype=float) - u
-
-    cuts = tuple(-math.log(b) for b in g.breakpoints if 0.0 < b < 1.0)
-    return Integrand(log_eval=log_eval, breakpoints=cuts, name=f"{g.name} under u=-log x")
+    return fam, row, _exhaust(segment, boundaries, atol, rtol, bud, "shrink")
 
 
 def integrate_singular_origin(g: Integrand, mu: float,
@@ -565,27 +730,15 @@ def integrate_singular_origin(g: Integrand, mu: float,
     """
     if not 0.0 < mu:
         raise ValueError("need mu > 0")
-    if mu >= 1.0:
-        pieces = [integrate_singular_origin(g, 0.5, 0.5 * atol, rtol, budget // 2, method),
-                  integrate_adaptive(g, 0.5, mu, 0.5 * atol, 0.5 * rtol, budget // 2)]
-        return _combine(pieces, ["(0, 0.5]", f"[0.5, {mu:g}]"],
-                        sum(v.n_evals for v in pieces))
-
-    if method == "substitution":
-        return integrate_semi_infinite(_substituted_integrand(g), -math.log(mu),
-                                       atol, rtol, budget)
-    if method != "shrink":
+    if method not in ("substitution", "shrink"):
         raise ValueError(f"unknown method {method!r}")
-    bud = _Budget(budget)
-    boundaries = [-math.log(mu * 2.0 ** -k) for k in range(MAX_SHRINKS + 1)]
-
-    def segment(u_lo, u_hi, k, tol_hint):
-        lo, hi = mu * 2.0 ** -k, mu * 2.0 ** -(k - 1)
-        seg_atol = max(atol, tol_hint) / (16.0 * k * k)
-        return _adaptive(g.log_eval, lo, hi, seg_atol, 0.25 * rtol,
-                         bud, _inner_cuts(g, lo, hi))
-
-    return _exhaust(segment, boundaries, atol, rtol, bud, "shrink")
+    fam = Family.of(g)
+    if mu >= 1.0:
+        pieces = _lockstep([
+            _origin(fam, 0, 0.5, 0.5 * atol, rtol, budget // 2, method),
+            _finite(fam, 0, 0.5, mu, 0.5 * atol, 0.5 * rtol, budget // 2)])
+        return _combine(pieces, ["(0, 0.5]", f"[0.5, {mu:g}]"])
+    return _lockstep([_origin(fam, 0, mu, atol, rtol, budget, method)])[0]
 
 
 def _fit_power_tail(u_edges, increments):
@@ -621,6 +774,8 @@ def _fit_power_tail(u_edges, increments):
         return math.inf, math.inf
     for _ in range(120):
         mid = 0.5 * (lo_p + hi_p)
+        if mid == lo_p or mid == hi_p:
+            break  # adjacent doubles: the bracket cannot shrink further
         if ratio_of(mid) > target:
             lo_p = mid
         else:
@@ -641,37 +796,25 @@ def _fit_power_tail(u_edges, increments):
 # Pieces of the line and Gaussian expectations
 # ---------------------------------------------------------------------------
 
-def weighted(g: Integrand) -> Integrand:
-    """g(x) phi(x), in both the x form and the neglog form of g."""
-    def log_eval(x):
-        x = np.asarray(x, dtype=float)
-        sign, logabs = g.log_eval(x)
+def weighted(fam: Family) -> Family:
+    """g(x) phi(x) for every member g, in both the x form and the neglog form."""
+    def log_eval(x, row):
+        sign, logabs = fam.log_eval(x, row)
         return sign, np.asarray(logabs, dtype=float) + gauss_log_pdf(x)
 
     neglog = None
-    if g.neglog_eval is not None:
-        def neglog(u):
-            u = np.asarray(u, dtype=float)
-            sign, logabs = g.neglog_eval(u)
+    if fam.neglog_eval is not None:
+        def neglog(u, row):
+            sign, logabs = fam.neglog_eval(u, row)
             with np.errstate(under="ignore"):
                 w = -0.5 * np.exp(-2.0 * u) - LOG_SQRT_2PI
             return sign, np.asarray(logabs, dtype=float) + w
 
-    return Integrand(log_eval=log_eval, domain=g.domain, breakpoints=g.breakpoints,
-                     singular_points=g.singular_points, neglog_eval=neglog,
-                     name=f"{g.name} * phi")
+    return Family(log_eval, fam.breakpoints, fam.singular_points, neglog, fam.domain)
 
 
-def _reflected(g: Integrand) -> Integrand:
-    """x -> g(-x), with g's breakpoints and singular points reflected along."""
-    def log_eval(x):
-        return g.log_eval(-np.asarray(x, dtype=float))
-    return Integrand(log_eval=log_eval, breakpoints=tuple(-b for b in g.breakpoints),
-                     singular_points=tuple(-s for s in g.singular_points),
-                     name=f"{g.name} reflected")
-
-
-def _combine(pieces, labels, n_evals) -> IntegralVerdict:
+def _combine(pieces, labels) -> IntegralVerdict:
+    n_evals = sum(v.n_evals for v in pieces)
     for v, lab in zip(pieces, labels):
         if v.diverged:
             return IntegralVerdict(Verdict.DIVERGED, evidence=v.evidence, n_evals=n_evals,
@@ -685,39 +828,61 @@ def _combine(pieces, labels, n_evals) -> IntegralVerdict:
     raise AssertionError("unreachable")
 
 
-def integrate_piece(g: Integrand, lo: float, hi: float,
-                    atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                    budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
-    """Integrate g over one piece (lo, hi) of the line, routed by its ends.
+def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float,
+           budget: int):
+    """Driver of one piece (lo, hi) of the line, routed by its ends.
 
     An infinite end goes to semi-infinite exhaustion (the left end
     reflected), (0, hi) with hi < 1 and a declared singularity at 0 to the
     u = -log x route, and anything else to the finite adaptive rule.
     """
     if lo == -math.inf:
-        return integrate_semi_infinite(_reflected(g), -hi, atol, rtol, budget)
+        return _semi_infinite(fam.reflected, row, -hi, atol, rtol, budget)
     if hi == math.inf:
-        return integrate_semi_infinite(g, lo, atol, rtol, budget)
-    if lo == 0.0 and 0.0 in g.singular_points and hi < 1.0:
-        return integrate_singular_origin(g, hi, atol, rtol, budget)
-    return integrate_adaptive(g, lo, hi, atol, rtol, budget)
+        return _semi_infinite(fam, row, lo, atol, rtol, budget)
+    if lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
+        return _origin(fam, row, hi, atol, rtol, budget, "substitution")
+    return _finite(fam, row, lo, hi, atol, rtol, budget)
+
+
+def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,
+                     rtol: float = DEFAULT_RTOL, budget: int = DEFAULT_BUDGET) -> list:
+    """Verdicts for the pieces [(row, lo, hi), ...] of fam's members, in lockstep."""
+    return _lockstep([_piece(fam, row, lo, hi, atol, rtol, budget) for row, lo, hi in pieces])
+
+
+def integrate_piece(g: Integrand, lo: float, hi: float,
+                    atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
+                    budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
+    """Integrate g over one piece (lo, hi) of the line, routed by its ends (_piece)."""
+    return integrate_pieces(Family.of(g), [(0, lo, hi)], atol, rtol, budget)[0]
+
+
+def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
+                          rtol: float = DEFAULT_RTOL, budget: int = DEFAULT_BUDGET) -> list:
+    """E[g(W_1)] = int g(x) phi(x) dx for every member g of fam, in lockstep.
+
+    Each member's line is split at its breakpoints (plus 0), and each piece
+    gets budget // (number of pieces).  Any Diverged piece makes the
+    expectation Diverged; all pieces Converged sum their values and errors;
+    anything else is Inconclusive.
+    """
+    w = weighted(fam)
+    lo, hi = fam.domain
+    plans = []
+    drivers = []
+    for row, bps in enumerate(fam.breakpoints):
+        cuts = sorted({float(b) for b in list(bps) + [0.0] if lo < b < hi})
+        edges = list(zip([lo] + cuts, cuts + [hi]))
+        share = budget // len(edges)
+        drivers += [_piece(w, row, a, b, atol / len(edges), rtol, share) for a, b in edges]
+        plans.append([f"({a:g}, {b:g})" for a, b in edges])
+    verdicts = iter(_lockstep(drivers))
+    return [_combine([next(verdicts) for _ in labels], labels) for labels in plans]
 
 
 def gaussian_expectation(g: Integrand,
                          atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                          budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
-    """E[g(W_1)] = int g(x) phi(x) dx with verdict combination across pieces.
-
-    The line is split at g's declared breakpoints (plus 0) and each piece goes
-    to integrate_piece.  Any Diverged piece makes the expectation Diverged;
-    all pieces Converged sum their values and errors; anything else is
-    Inconclusive.
-    """
-    w = weighted(g)
-    lo, hi = g.domain
-    cuts = sorted({float(b) for b in list(g.breakpoints) + [0.0] if lo < b < hi})
-    edges = list(zip([lo] + cuts, cuts + [hi]))
-    share = budget // len(edges)
-    pieces = [integrate_piece(w, a, b, atol / len(edges), rtol, share) for a, b in edges]
-    return _combine(pieces, [f"({a:g}, {b:g})" for a, b in edges],
-                    sum(v.n_evals for v in pieces))
+    """E[g(W_1)] with verdict combination across pieces (gaussian_expectations)."""
+    return gaussian_expectations(Family.of(g), atol, rtol, budget)[0]

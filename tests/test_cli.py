@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from wienerlab import quadrature as quad
 from wienerlab.cli import (EXIT_CONTRADICTION, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
                            _parse_direction, _parse_poly, main)
 
@@ -85,6 +87,47 @@ class TestExitCodes:
         assert run(["cm-check", "--poly", "x1*x2", "--direction", "1.0"],
                    tmp_path) == EXIT_USAGE
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_cm_check_needs_two_samples(self, tmp_path, capsys, n):
+        # one sample has no standard error; none used to end in an IndexError
+        assert run(["cm-check", "--n-samples", n, "--out", str(tmp_path)],
+                   tmp_path) == EXIT_USAGE
+        assert f"--n-samples must be at least 2, got {n}" in capsys.readouterr().err
+        assert not (tmp_path / "cm-check.csv").exists()
+
+    @pytest.mark.parametrize("command", [["reproduce-thm31"], ["reproduce-thm33"],
+                                         ["diagnose", "--functional", "linear"]])
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_budget_must_be_positive(self, tmp_path, capsys, command, budget):
+        assert run(command + ["--budget", budget, "--out", str(tmp_path)],
+                   tmp_path) == EXIT_USAGE
+        assert f"--budget must be at least 1, got {budget}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_budget_from_config_checked(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget = 0\n", encoding="utf-8")
+        assert run(["reproduce-thm31", "--config", str(cfg)], tmp_path) == EXIT_USAGE
+
+
+class TestCallCounts:
+    @pytest.mark.parametrize("command, most", [("reproduce-thm31", 350),
+                                               ("reproduce-thm33", 500)])
+    def test_default_report(self, tmp_path, monkeypatch, command, most):
+        # the eps rows of a report share each round's integrand call; one
+        # row after another took 1,360 (thm31) and 2,126 (thm33) calls
+        calls = []
+        real = quad._gk_panels
+
+        def counting(log_eval, a, b):
+            calls.append(a.size)
+            return real(log_eval, a, b)
+
+        monkeypatch.setattr(quad, "_gk_panels", counting)
+        assert run([command, "--out", str(tmp_path)], tmp_path) == EXIT_OK
+        assert len(calls) <= most
+        assert 15 * max(calls) <= quad.MAX_POINTS == 1920
+
 
 class TestConfigPrecedence:
     def test_config_file_supplies_values(self, tmp_path):
@@ -139,9 +182,11 @@ class TestDeterminism:
 
 
 def test_console_entrypoint_runs(tmp_path):
+    # the subprocess imports this checkout's package, installed or not
+    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "wienerlab.cli", "cm-check", "--n-samples", "10000",
          "--out", str(tmp_path), "--format", "csv"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert proc.returncode == 0
     assert "within 3 SE" in proc.stdout

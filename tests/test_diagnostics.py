@@ -5,11 +5,13 @@ import pytest
 
 from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGrid, Flag,
                        Function1D, Polynomial, ScalarFunctional, TimeGrid,
-                       cameron_martin_check, cm_inner, dvp_uniform_integrability_test,
-                       lq_diffquot_norm, membership_report, report_to_csv,
-                       report_to_markdown, rows_to_csv, sgd_probability_test,
+                       cameron_martin_check, catalog_build, cm_inner,
+                       dvp_uniform_integrability_test, lq_diffquot_norm, membership_report,
+                       report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
-from wienerlab.diagnostics import LqRow, report_evidence_rows
+from wienerlab import quadrature as quad
+from wienerlab.diagnostics import (LqRow, _diffquot_family, _dvp_family, _dvp_piece_integrand,
+                                   _dvp_pieces, report_evidence_rows)
 
 UNIT = CameronMartinDirection.constant(1.0)
 
@@ -184,6 +186,59 @@ class TestDvp:
     def test_tail_growth_not_uniformly_integrable(self, f31, grid):
         res = dvp_uniform_integrability_test(f31, 1.0, grid)
         assert res.verdict == Flag.NO
+
+
+class TestLockstep:
+    """Every row of a family run in lockstep equals that row run alone."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        real = quad._gk_panels
+
+        def counting(log_eval, a, b):
+            calls.append(a.size)
+            return real(log_eval, a, b)
+
+        monkeypatch.setattr(quad, "_gk_panels", counting)
+        return calls
+
+    @pytest.mark.parametrize("name, params, h", [
+        # (-inf, 0) reflected, finite pieces up to the shifted breakpoint,
+        # then semi-infinite exhaustion
+        ("thm31", {"a": 2.004}, 0.98),
+        ("thm31", {"a": 2.004}, -0.98),
+        # the piece (0, mu) goes by u = -log x
+        ("thm33", {"eta": 1e-4, "mu": 2e-4}, 1.0),
+    ])
+    def test_residual_rows(self, grid, monkeypatch, name, params, h):
+        f = catalog_build(name, **params)
+        eps_values = grid.capped(f.window / abs(h) if f.window else None).values
+        calls = self.count_calls(monkeypatch)
+        family = quad.gaussian_expectations(_diffquot_family(f, 2.0, eps_values, h, True))
+        n_family = len(calls)
+        alone = [lq_diffquot_norm(f, 2.0, eps, h, centered=True) for eps in eps_values]
+        assert len(family) == len(eps_values) == 8
+        for together, single in zip(family, alone):
+            assert repr(together) == repr(single)
+            assert together == single  # status, value, abs_error, n_evals, message, ...
+        assert 2 * n_family < len(calls) - n_family
+
+    @pytest.mark.parametrize("h", [1.0, -1.0])
+    def test_thm33_psi_pieces(self, f33, grid, monkeypatch, h):
+        # h > 0: the inside piece (0, mu) goes by u = -log x; h < 0: it is finite
+        eps_values = grid.capped(f33.window / abs(h)).values
+        pieces = [(row, lo, hi) for row, eps in enumerate(eps_values)
+                  for _, lo, hi in _dvp_pieces(f33, eps, h) if lo < hi]
+        assert len(pieces) == 24
+        calls = self.count_calls(monkeypatch)
+        family = quad.integrate_pieces(_dvp_family(f33, eps_values, h), pieces)
+        n_family = len(calls)
+        alone = [quad.integrate_piece(_dvp_piece_integrand(f33, eps_values[row], h), lo, hi)
+                 for row, lo, hi in pieces]
+        assert family == alone
+        assert all(v.converged for v in family)
+        assert 2 * n_family < len(calls) - n_family
 
 
 class TestCameronMartin:

@@ -9,7 +9,8 @@ from wienerlab import (Integrand, bertrand_integrand, gaussian_expectation,
                        integrate_singular_origin)
 from wienerlab.diagnostics import (EpsilonGrid, _dvp_piece_integrand, abs_value_pow_integrand,
                                    diffquot_pow_integrand, dvp_uniform_integrability_test)
-from wienerlab.quadrature import EvaluationError, _gk_panels, gauss_log_pdf
+from wienerlab import quadrature as quad
+from wienerlab.quadrature import EvaluationError, Family, _gk_panels, gauss_log_pdf
 from wienerlab.slog import slog_of
 
 
@@ -100,6 +101,78 @@ class TestPanels:
             for i in range(lo.size):
                 v1, e1, h1 = _gk_panels(log_eval, lo[i:i + 1], hi[i:i + 1])
                 assert (v1[0], e1[0], h1[0]) == (values[i], errors[i], hot[i])
+
+
+class TestLockstep:
+    """A driver whose panels raise ends as it does alone; the others are unaffected."""
+
+    @staticmethod
+    def record_calls(monkeypatch):
+        calls = []  # (requests in the call, raised)
+        real = quad._evaluate
+
+        def recording(form, requests):
+            try:
+                out = real(form, requests)
+            except Exception:
+                calls.append((len(requests), True))
+                raise
+            calls.append((len(requests), False))
+            return out
+
+        monkeypatch.setattr(quad, "_evaluate", recording)
+        return calls
+
+    def test_nan_member(self, monkeypatch):
+        # member 1 turns NaN above x = 0.7; members 0 and 2 oscillate and
+        # need many rounds
+        freq = np.array([50.0, 1.0, 80.0])
+
+        def log_eval(x, row):
+            with np.errstate(invalid="ignore"):
+                return slog_of(np.where((row == 1) & (x > 0.7), np.nan, np.sin(freq[row] * x)))
+
+        fam = Family(log_eval, ((), (), ()))
+        calls = self.record_calls(monkeypatch)
+        together = quad._outcomes([quad._piece(fam, row, 0.0, 10.0, 1e-12, 1e-12, 100_000)
+                                   for row in range(3)])
+        assert (3, True) in calls  # the first round raised for all three
+        alone = [quad._outcomes([quad._piece(fam, row, 0.0, 10.0, 1e-12, 1e-12, 100_000)])[0]
+                 for row in range(3)]
+        assert isinstance(together[1], EvaluationError)
+        assert isinstance(alone[1], EvaluationError)
+        assert str(together[1]) == str(alone[1])
+        for row in (0, 2):
+            assert together[row].converged and together[row] == alone[row]
+            exact = (1.0 - math.cos(10.0 * freq[row])) / freq[row]
+            assert abs(together[row].value - exact) <= together[row].abs_error
+        with pytest.raises(EvaluationError) as raised:
+            quad.integrate_pieces(fam, [(row, 0.0, 10.0) for row in range(3)],
+                                  atol=1e-12, rtol=1e-12)
+        assert str(raised.value) == str(alone[1])
+
+    def test_past_exp_minus_700_without_neglog_form(self, monkeypatch):
+        # 1/(x |log x|^i) with no neglog form, on the u = -log x route.
+        # Member 0 starts at u = 690 and reaches u > 700 in its fifth segment,
+        # while member 1 (i = 1, diverging) and member 2 (i = 3) still run.
+        expo = np.array([1.0, 1.0, 3.0])
+
+        def log_eval(x, row):
+            lx = np.log(x)
+            return np.ones_like(x), -lx - expo[row] * np.log(np.abs(lx))
+
+        fam = Family(log_eval, ((), (), ()), singular_points=(0.0,))
+        pieces = [(0, 0.0, 1e-300), (1, 0.0, 0.5), (2, 0.0, 0.5)]
+        calls = self.record_calls(monkeypatch)
+        together = quad.integrate_pieces(fam, pieces)
+        assert any(n > 1 and raised for n, raised in calls)
+        alone = [quad.integrate_pieces(fam, [piece])[0] for piece in pieces]
+        assert together == alone
+        assert together[0].status == "inconclusive"
+        assert "cannot probe beyond exp(-700)" in together[0].message
+        assert together[1].diverged
+        assert together[2].converged
+        assert together[2].value == pytest.approx(0.5 / math.log(2.0) ** 2, rel=1e-8)
 
 
 class TestSemiInfinite:
