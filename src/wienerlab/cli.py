@@ -63,8 +63,9 @@ def _parse_eps_grid(s: str) -> EpsilonGrid:
 
 def _parse_poly(spec: str) -> Polynomial:
     """Tiny polynomial grammar: '2*x1^2*x2 - 0.5*x1 + 3'; variables x1..xn."""
-    s = spec.replace("-", "+-").replace(" ", "")
-    terms = [t for t in s.split("+") if t]
+    # a sign right after a mantissa's e/E belongs to the exponent (1e-3, 2.5E+1)
+    s = re.sub(r"(?<![\d.][eE])-", "+-", spec.replace(" ", ""))
+    terms = [t for t in re.split(r"(?<![\d.][eE])\+", s) if t]
     parsed = []
     n_vars = 1
     for term in terms:

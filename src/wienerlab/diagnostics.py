@@ -34,7 +34,8 @@ from .functionals import (CylindricalFunctional, ScalarFunctional,
                           difference_quotient_slog)
 from .quadrature import Integrand, IntegralVerdict, Verdict
 from .slog import slog_abs_pow, slog_sub
-from .wiener import CameronMartinDirection, TimeGrid, cm_inner, sample_increments
+from .wiener import (CameronMartinDirection, cm_inner, merged_grid,
+                     wiener_integral_blocks)
 
 TOL_SSGD = 1e-3
 
@@ -428,27 +429,25 @@ class CmCheckResult:
         return self.gap <= 3.0 * (self.se_lhs + self.se_rhs)
 
 
-def _batch_coordinates(Z: CylindricalFunctional, grid: TimeGrid, incs: np.ndarray) -> np.ndarray:
-    from .wiener import wiener_integral_batch
-    return np.column_stack([wiener_integral_batch(h, grid, incs) for h in Z.directions])
-
-
 def cameron_martin_check(Z: CylindricalFunctional, h: CameronMartinDirection,
                          n_samples: int, seed: int) -> CmCheckResult:
     """Monte Carlo for E[Z(omega + h)] = E[Z(omega) exp(W(h) - ||h||^2/2)].
 
     Both sides ride the same paths (common random numbers); the shift acts on
     the coordinates exactly, W(h_i)(omega + h) = W(h_i)(omega) + <h_i, h>_H.
+    The paths stream through one Philox block at a time; only the two sample
+    arrays span all of them.
     """
-    from .wiener import merged_grid
-    grid = merged_grid(list(Z.directions) + [h])
-    incs = sample_increments(grid, n_samples, seed)
-    coords = _batch_coordinates(Z, grid, incs)
-    shift = np.array([cm_inner(hi, h) for hi in Z.directions])
-    lhs_samples = Z.poly(coords + shift)
-    from .wiener import girsanov_log_weight_batch
-    logw = girsanov_log_weight_batch(h, grid, incs)
-    rhs_samples = Z.poly(coords) * np.exp(logw)
+    if n_samples < 2:
+        raise ValueError(f"the standard errors need at least 2 samples, got {n_samples}")
+    grid = merged_grid(Z.directions + (h,))
+    shift = np.array([[cm_inner(hi, h)] for hi in Z.directions])
+    half_norm2 = 0.5 * cm_inner(h, h)
+    lhs_samples, rhs_samples = np.empty(n_samples), np.empty(n_samples)
+    for start, W in wiener_integral_blocks(Z.directions + (h,), grid, n_samples, seed):
+        coords, stop = W[:-1], start + W.shape[1]
+        lhs_samples[start:stop] = Z.poly((coords + shift).T)
+        rhs_samples[start:stop] = Z.poly(coords.T) * np.exp(W[-1] - half_norm2)
     n = float(n_samples)
     return CmCheckResult(
         lhs=float(np.mean(lhs_samples)),
@@ -464,21 +463,23 @@ def sgd_probability_test(Z: CylindricalFunctional, h: CameronMartinDirection,
     """Empirical P(|X_eps - <grad Z, h>| > delta) per eps; rows (eps, prob)."""
     if delta <= 0.0:
         raise ValueError("delta must be positive")
-    from .wiener import merged_grid
-    tgrid = merged_grid(list(Z.directions) + [h])
-    incs = sample_increments(tgrid, n_samples, seed)
-    coords = _batch_coordinates(Z, tgrid, incs)
+    if n_samples < 1:
+        raise ValueError(f"need at least 1 sample, got {n_samples}")
+    tgrid = merged_grid(Z.directions + (h,))
     shift = np.array([cm_inner(hi, h) for hi in Z.directions])
-    pairing = np.zeros(coords.shape[0])
-    for i, poly_i in enumerate(Z.gradient_polys()):
-        pairing += np.asarray(poly_i(coords), dtype=float) * shift[i]
-    base = np.asarray(Z.poly(coords), dtype=float)
-    rows = []
-    for eps in grid.values:
-        shifted = np.asarray(Z.poly(coords + eps * shift), dtype=float)
-        resid = (shifted - base) / eps - pairing
-        rows.append((eps, float(np.mean(np.abs(resid) > delta))))
-    return rows
+    grads = Z.gradient_polys()
+    counts = [0] * len(grid.values)
+    for _, coords in wiener_integral_blocks(Z.directions, tgrid, n_samples, seed):
+        x = coords.T
+        pairing = np.zeros(x.shape[0])
+        for i, poly_i in enumerate(grads):
+            pairing += np.asarray(poly_i(x), dtype=float) * shift[i]
+        base = np.asarray(Z.poly(x), dtype=float)
+        for k, eps in enumerate(grid.values):
+            shifted = np.asarray(Z.poly(x + eps * shift), dtype=float)
+            resid = (shifted - base) / eps - pairing
+            counts[k] += int(np.count_nonzero(np.abs(resid) > delta))
+    return [(eps, count / n_samples) for eps, count in zip(grid.values, counts)]
 
 
 # ---------------------------------------------------------------------------

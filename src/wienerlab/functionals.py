@@ -30,6 +30,19 @@ LOG_OVERFLOW = 600.0  # switch difference quotients to log-space factorization
 # multivariate polynomials (exact coefficient arithmetic)
 # ---------------------------------------------------------------------------
 
+def _power(powers: dict, x: np.ndarray, j: int, p: int) -> np.ndarray:
+    """Column j of x to the power p >= 1, memoized in powers[j, p]."""
+    if (j, p) not in powers:
+        if p == 1:
+            powers[j, p] = np.ascontiguousarray(x[:, j])
+        elif p % 2:
+            powers[j, p] = _power(powers, x, j, p - 1) * _power(powers, x, j, 1)
+        else:
+            half = _power(powers, x, j, p // 2)
+            powers[j, p] = half * half
+    return powers[j, p]
+
+
 class Polynomial:
     """Multivariate polynomial as {exponent tuple: coefficient}."""
 
@@ -99,14 +112,19 @@ class Polynomial:
         return Polynomial(self.n_vars, out)
 
     def __call__(self, x) -> np.ndarray:
-        """Evaluate at a point (n_vars,) or a batch (n_paths, n_vars)."""
+        """Evaluate at a point (n_vars,) or a batch (n_paths, n_vars).
+
+        Each power x_j^p is formed once, by squaring and multiplying, and
+        shared by all terms; x_j^1 and x_j^2 are exactly x_j and x_j * x_j.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
+        powers = {}
         out = np.zeros(x.shape[0])
         for e, c in self.terms.items():
             term = np.full(x.shape[0], c)
             for j, p in enumerate(e):
                 if p:
-                    term = term * x[:, j] ** p
+                    term *= _power(powers, x, j, p)
             out += term
         return out if out.size > 1 else out[0]
 

@@ -179,19 +179,40 @@ def sample_path(grid: TimeGrid, seed: int) -> BrownianPath:
     return BrownianPath(grid, values)
 
 
-def sample_increments(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
-    """(n_paths, n_cells) matrix of Brownian increments.
-
-    Rows are generated in fixed-size blocks, one Philox substream per block,
-    so the output is a pure function of (grid, n_paths, seed) no matter how
-    the blocks would be distributed across workers.
+def _increment_blocks(grid: TimeGrid, n_paths: int, seed: int):
+    """Yield (start, block), the rows from start on of the (n_paths, n_cells)
+    increment matrix; one Philox substream per block of _BATCH rows makes each
+    row a pure function of (grid, seed, row index), however the work is split.
     """
     sqdt = np.sqrt(grid.cell_widths)
-    blocks = []
-    for b in range((n_paths + _BATCH - 1) // _BATCH):
-        rows = min(_BATCH, n_paths - b * _BATCH)
-        blocks.append(_rng_for(seed, b).standard_normal((rows, grid.n_cells)) * sqdt)
+    for b, start in enumerate(range(0, n_paths, _BATCH)):
+        rows = min(_BATCH, n_paths - start)
+        block = _rng_for(seed, b).standard_normal((rows, grid.n_cells))
+        block *= sqdt
+        yield start, block
+
+
+def sample_increments(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
+    """(n_paths, n_cells) matrix of Brownian increments."""
+    blocks = [block for _, block in _increment_blocks(grid, n_paths, seed)]
     return np.vstack(blocks) if blocks else np.empty((0, grid.n_cells))
+
+
+def wiener_integral_blocks(directions, grid: TimeGrid, n_paths: int, seed: int):
+    """Yield (start, W) with W[i, r] = W(directions[i]) on path start + r, the
+    paths being the rows of sample_increments(grid, n_paths, seed) drawn one
+    Philox block at a time."""
+    dens = [_path_cell_density(h, grid) for h in directions]
+    for start, block in _increment_blocks(grid, n_paths, seed):
+        rows = block.shape[0]
+        if rows == 1:
+            # numpy forms a one-row product with dot, which rounds unlike the
+            # gemv that every other path goes through; a doubled row stays on gemv
+            block = np.vstack((block, block))
+        W = np.empty((len(dens), block.shape[0]))
+        for i, d in enumerate(dens):
+            np.matmul(block, d, out=W[i])
+        yield start, W[:, :rows]
 
 
 def shift_path(omega: BrownianPath, h: CameronMartinDirection, eps: float) -> BrownianPath:

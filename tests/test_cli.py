@@ -32,6 +32,14 @@ class TestPolyParsing:
         p = _parse_poly("2*x1^2*x2 - 0.5*x1 + 3")
         assert p.terms == {(2, 1): 2.0, (1, 0): -0.5, (0, 0): 3.0}
 
+    @pytest.mark.parametrize("spec, terms", [
+        ("1e-3*x1^2", {(2,): 1e-3}),
+        ("-1e-2*x1^2 + 3", {(2,): -1e-2, (0,): 3.0}),
+        ("1e+3*x1", {(1,): 1e3}),
+    ])
+    def test_exponent_notation(self, spec, terms):
+        assert _parse_poly(spec).terms == terms
+
     def test_garbage_rejected(self):
         with pytest.raises(Exception):
             _parse_poly("x1^^2 @")

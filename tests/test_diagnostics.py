@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
 from wienerlab import quadrature as quad
 from wienerlab.diagnostics import (LqRow, _diffquot_family, _dvp_family, _dvp_piece_integrand,
                                    _dvp_pieces, report_evidence_rows)
+
+from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
+                              sample_increments, wiener_integral_batch)
 
 UNIT = CameronMartinDirection.constant(1.0)
 
@@ -276,6 +280,130 @@ class TestCameronMartin:
                 Z = CylindricalFunctional(dirs[:2], poly)
                 res = cameron_martin_check(Z, shift, 2 * 10**5, seed=7)
                 assert res.within_3se, (poly.terms, shift.density_values)
+
+
+def pow_poly(poly, x):
+    """poly at the rows of x with libm powers x[:, j] ** p, term by term."""
+    out = np.zeros(x.shape[0])
+    for e, c in poly.terms.items():
+        term = np.full(x.shape[0], c)
+        for j, p in enumerate(e):
+            if p:
+                term = term * x[:, j] ** p
+        out += term
+    return out
+
+
+def full_matrix_coordinates(Z, h, n, seed):
+    grid = merged_grid(list(Z.directions) + [h])
+    incs = sample_increments(grid, n, seed)
+    coords = np.column_stack([wiener_integral_batch(hi, grid, incs) for hi in Z.directions])
+    shift = np.array([cm_inner(hi, h) for hi in Z.directions])
+    return grid, incs, coords, shift
+
+
+def full_matrix_cm(Z, h, n, seed):
+    """cameron_martin_check on the whole (n, cells) increment matrix at once."""
+    grid, incs, coords, shift = full_matrix_coordinates(Z, h, n, seed)
+    lhs = pow_poly(Z.poly, coords + shift)
+    rhs = pow_poly(Z.poly, coords) * np.exp(girsanov_log_weight_batch(h, grid, incs))
+    return (np.mean(lhs), np.mean(rhs), np.std(lhs, ddof=1) / math.sqrt(n),
+            np.std(rhs, ddof=1) / math.sqrt(n))
+
+
+def full_matrix_sgd(Z, h, eps_grid, delta, n, seed):
+    """sgd_probability_test on the whole (n, cells) increment matrix at once."""
+    _, _, coords, shift = full_matrix_coordinates(Z, h, n, seed)
+    pairing = np.zeros(n)
+    for i, poly_i in enumerate(Z.gradient_polys()):
+        pairing += pow_poly(poly_i, coords) * shift[i]
+    base = pow_poly(Z.poly, coords)
+    rows = []
+    for eps in eps_grid.values:
+        resid = (pow_poly(Z.poly, coords + eps * shift) - base) / eps - pairing
+        rows.append((eps, float(np.mean(np.abs(resid) > delta))))
+    return rows
+
+
+class TestBlockBoundaries:
+    """Streaming one Philox block at a time gives the full-matrix results."""
+
+    G3 = TimeGrid.uniform(3)
+    DIRS = (CameronMartinDirection(G3, np.array([1.0, -0.5, 2.0])),
+            CameronMartinDirection(TimeGrid.uniform(2), np.array([0.25, 1.5])))
+    SHIFT = CameronMartinDirection(TimeGrid.uniform(4), np.array([0.3, -0.2, 0.1, 0.4]))
+    X = [Polynomial.variable(i, 2) for i in range(2)]
+    QUADRATIC = 1.5 * X[0] ** 2 * X[1] - 0.7 * X[1] ** 2 + X[0] + 0.3
+    CUBIC = X[0] ** 3 - 2.0 * X[0] * X[1] ** 2 + 0.5
+
+    @pytest.mark.parametrize("n", [2, _BATCH, _BATCH + 1])
+    def test_cm_quadratic_bit_for_bit(self, n):
+        Z = CylindricalFunctional(self.DIRS, self.QUADRATIC)
+        res = cameron_martin_check(Z, self.SHIFT, n, seed=21)
+        got = (res.lhs, res.rhs, res.se_lhs, res.se_rhs)
+        assert got == full_matrix_cm(Z, self.SHIFT, n, seed=21)
+        assert res.n_samples == n
+
+    @pytest.mark.parametrize("n", [2, _BATCH, _BATCH + 1])
+    def test_cm_cubic_close(self, n):
+        Z = CylindricalFunctional(self.DIRS, self.CUBIC)
+        res = cameron_martin_check(Z, self.SHIFT, n, seed=22)
+        got = (res.lhs, res.rhs, res.se_lhs, res.se_rhs)
+        assert got == pytest.approx(full_matrix_cm(Z, self.SHIFT, n, seed=22),
+                                    rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, _BATCH, _BATCH + 1])
+    def test_sgd_quadratic_bit_for_bit(self, n):
+        Z = CylindricalFunctional(self.DIRS, self.QUADRATIC)
+        grid = EpsilonGrid.default()
+        rows = sgd_probability_test(Z, self.SHIFT, grid, 0.05, n, seed=23)
+        assert rows == full_matrix_sgd(Z, self.SHIFT, grid, 0.05, n, seed=23)
+        assert 0.0 < rows[0][1] < 1.0 or n == 2
+
+    @pytest.mark.parametrize("n", [2, _BATCH, _BATCH + 1])
+    def test_sgd_cubic_close(self, n):
+        Z = CylindricalFunctional(self.DIRS, self.CUBIC)
+        grid = EpsilonGrid.default()
+        rows = sgd_probability_test(Z, self.SHIFT, grid, 0.05, n, seed=24)
+        ref = full_matrix_sgd(Z, self.SHIFT, grid, 0.05, n, seed=24)
+        assert [eps for eps, _ in rows] == [eps for eps, _ in ref]
+        assert [p for _, p in rows] == pytest.approx([p for _, p in ref], rel=1e-12, abs=0.0)
+
+    def test_memory_one_block_at_a_time(self):
+        # a 6-cell merged grid at 1e6 paths: the increment matrix alone is 46 MB
+        g = TimeGrid.uniform(6)
+        dirs = [CameronMartinDirection(g, np.linspace(-1.0, 1.0, 6)),
+                CameronMartinDirection(TimeGrid.uniform(3), np.array([1.0, 0.5, -0.5]))]
+        Z = CylindricalFunctional(dirs, self.X[0] ** 3 + self.X[0] * self.X[1])
+        shift = CameronMartinDirection(TimeGrid.uniform(2), np.array([0.2, -0.3]))
+        assert merged_grid(dirs + [shift]).n_cells == 6
+        tracemalloc.start()
+        try:
+            cameron_martin_check(Z, shift, 10**6, seed=25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * 2**20
+
+
+class TestSampleCounts:
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_cm_needs_two_samples(self, n):
+        Z = CylindricalFunctional([UNIT], Polynomial.variable(0, 1) ** 2)
+        with pytest.raises(ValueError, match="at least 2"):
+            cameron_martin_check(Z, UNIT, n, seed=1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sgd_needs_one_sample(self, n):
+        Z = CylindricalFunctional([UNIT], Polynomial.variable(0, 1) ** 2)
+        with pytest.raises(ValueError, match="at least 1"):
+            sgd_probability_test(Z, UNIT, EpsilonGrid.default(), 0.1, n, seed=1)
+
+    def test_sgd_single_path(self):
+        # one path, one block of one row: X_eps - pairing = eps * <1, 1>^2 = eps
+        Z = CylindricalFunctional([UNIT], Polynomial.variable(0, 1) ** 2)
+        rows = sgd_probability_test(Z, UNIT, EpsilonGrid.default(), 0.1, 1, seed=1)
+        assert rows == [(eps, 1.0 if eps > 0.1 else 0.0) for eps in EpsilonGrid.default().values]
 
 
 class TestSgdProbability:

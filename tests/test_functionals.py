@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -58,6 +59,29 @@ class TestPolynomial:
         p = (Polynomial.variable(0, 2) ** 2) * Polynomial.variable(1, 2)
         pts = np.array([[1.0, 2.0], [3.0, -1.0]])
         assert np.allclose(p(pts), [2.0, -9.0])
+
+
+class TestIntegerPowers:
+    X = np.random.default_rng(2026).normal(scale=3.0, size=1000)
+
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_within_p_units_in_last_place(self, p):
+        got = (X1 ** p)(self.X[:, None])
+        for x, y in zip(self.X, got):
+            exact = Fraction(float(x)) ** p
+            assert abs(Fraction(float(y)) - exact) <= p * Fraction(1, 2**53) * abs(exact)
+
+    def test_squares_and_first_powers_exact(self):
+        x = self.X
+        assert np.array_equal((X1 ** 1)(x[:, None]), x)
+        assert np.array_equal((X1 ** 2)(x[:, None]), x * x)
+        # a shared power: x^2 * y and x^2 both use the same x * x
+        x2, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
+        pts = np.column_stack([x, x[::-1]])
+        assert np.array_equal((x2 ** 2 * y + x2 ** 2)(pts), x * x * x[::-1] + x * x)
+
+    def test_one_row_batch_is_a_scalar(self):
+        assert (X1 ** 3)(np.array([[2.0]])) == 8.0
 
 
 class TestCylindrical:

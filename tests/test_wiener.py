@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from wienerlab import (BrownianPath, CameronMartinDirection, TimeGrid, cm_inner, cm_norm,
                        girsanov_weight, merged_grid, sample_increments, sample_path,
                        shift_path, wiener_integral)
-from wienerlab.wiener import girsanov_log_weight_batch
+from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, wiener_integral_batch,
+                              wiener_integral_blocks)
 
 UNIT = CameronMartinDirection.constant(1.0)
 
@@ -92,6 +93,30 @@ class TestSampling:
         big = sample_increments(g, 1000, seed=5)
         small = sample_increments(g, 10, seed=5)
         assert np.array_equal(big[:10], small)
+
+    def test_prefix_consistent_across_substreams(self):
+        g = TimeGrid.uniform(3)
+        big = sample_increments(g, 2 * _BATCH + 3, seed=11)
+        mid = sample_increments(g, _BATCH + 1, seed=11)
+        assert big.shape == (2 * _BATCH + 3, 3)
+        assert np.array_equal(big[:_BATCH + 1], mid)
+        # every block draws from its own substream, not from the first again
+        assert not np.array_equal(big[_BATCH:_BATCH + 3], big[:3])
+        assert not np.array_equal(big[2 * _BATCH:], big[_BATCH:_BATCH + 3])
+
+    def test_integral_blocks_match_full_matrix(self):
+        g = TimeGrid.uniform(4)
+        dirs = (piecewise([1.0, 2.0, -1.0, 0.5]), piecewise([0.25, -3.0]), UNIT)
+        n = _BATCH + 1
+        incs = sample_increments(g, n, seed=13)
+        got = np.empty((len(dirs), n))
+        starts = []
+        for start, W in wiener_integral_blocks(dirs, g, n, seed=13):
+            starts.append(start)
+            got[:, start:start + W.shape[1]] = W
+        assert starts == [0, _BATCH]
+        for i, h in enumerate(dirs):
+            assert np.array_equal(got[i], wiener_integral_batch(h, g, incs))
 
 
 class TestShift:
