@@ -240,7 +240,12 @@ def _report_exit(report: MembershipReport, expected: dict) -> int:
     return EXIT_OK
 
 
-def _run_report(args, name: str, params: dict, expected: dict, stem: str) -> int:
+# the catalog parameters each functional takes; their defaults are the
+# counterexamples' parameter dataclasses
+_CATALOG_PARAMS = {"linear": (), "thm31": ("a",), "thm33": ("eta", "mu")}
+
+
+def _run_report(args, name: str, expected: dict, stem: str) -> int:
     p = _merge(args, "p", 2.0, float)
     deltas = _merge(args, "delta", (0.1, 0.5), _parse_float_list)
     h_list = _merge(args, "h", (1.0, -1.0), _parse_float_list)
@@ -248,6 +253,11 @@ def _run_report(args, name: str, params: dict, expected: dict, stem: str) -> int
     grid = _parse_eps_grid(eps_spec) if eps_spec else EpsilonGrid.default()
     extra_qs = _merge(args, "q", (), _parse_float_list)
 
+    params = {}
+    for key in _CATALOG_PARAMS[name]:  # only those set by flag or config
+        value = _merge(args, key, None, float)
+        if value is not None:
+            params[key] = value
     try:
         f = catalog_build(name, **params)
     except (ValueError, KeyError, TypeError) as exc:
@@ -271,16 +281,13 @@ def _run_report(args, name: str, params: dict, expected: dict, stem: str) -> int
 
 
 def cmd_reproduce_thm31(args) -> int:
-    a = _merge(args, "a", 2.0, float)
     expected = {"in_base": Flag.YES, "ssgd_pp": Flag.NO, "in_plus": Flag.NO}
-    return _run_report(args, "thm31", {"a": a}, expected, "thm31-report")
+    return _run_report(args, "thm31", expected, "thm31-report")
 
 
 def cmd_reproduce_thm33(args) -> int:
-    eta = _merge(args, "eta", 1e-4, float)
-    mu = _merge(args, "mu", 2e-4, float)
     expected = {"in_base": Flag.YES, "ssgd_pp": Flag.YES, "in_plus": Flag.NO}
-    return _run_report(args, "thm33", {"eta": eta, "mu": mu}, expected, "thm33-report")
+    return _run_report(args, "thm33", expected, "thm33-report")
 
 
 def cmd_diagnose(args) -> int:
@@ -288,17 +295,11 @@ def cmd_diagnose(args) -> int:
     if not name:
         print("error: --functional is required", file=sys.stderr)
         return EXIT_USAGE
-    params = {}
-    if name == "thm31":
-        params["a"] = _merge(args, "a", 2.0, float)
-    elif name == "thm33":
-        params["eta"] = _merge(args, "eta", 1e-4, float)
-        params["mu"] = _merge(args, "mu", 2e-4, float)
-    elif name != "linear":
-        print(f"error: unknown functional {name!r} (known: linear, thm31, thm33)",
+    if name not in _CATALOG_PARAMS:
+        print(f"error: unknown functional {name!r} (known: {', '.join(_CATALOG_PARAMS)})",
               file=sys.stderr)
         return EXIT_USAGE
-    return _run_report(args, name, params, {}, f"{name}-diagnose")
+    return _run_report(args, name, {}, f"{name}-diagnose")
 
 
 def cmd_cm_check(args) -> int:

@@ -126,18 +126,7 @@ class Thm31Params:
 
 
 def _thm31_right_piece(a: float) -> Function1D:
-    """f(x) = exp(x^2/4) x^-a (2 pi)^(1/4) and its closed-form derivative."""
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return np.exp(0.25 * x * x) * x ** (-a) * (2.0 * math.pi) ** 0.25
-
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore"):
-            return (np.exp(0.25 * x * x) * (0.5 * x ** (1.0 - a) - a * x ** (-a - 1.0))
-                    * (2.0 * math.pi) ** 0.25)
-
+    """f(x) = exp(x^2/4) x^-a (2 pi)^(1/4), written as (sign, log) pairs."""
     def slog(x):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x), 0.25 * x * x - a * np.log(x) + QUARTER_LOG_2PI
@@ -150,7 +139,7 @@ def _thm31_right_piece(a: float) -> Function1D:
                     0.25 * x * x - (a + 1.0) * np.log(x)
                     + np.log(np.abs(0.5 * x * x - a)) + QUARTER_LOG_2PI)
 
-    return Function1D(value=value, deriv=deriv, slog=slog, slog_deriv=slog_deriv)
+    return Function1D(slog=slog, slog_deriv=slog_deriv)
 
 
 def build_thm31(params: Thm31Params) -> ScalarFunctional:
@@ -258,22 +247,12 @@ def validate_eta_mu(eta: float, mu: float) -> ValidationResult:
 
 
 def _thm33_core_piece() -> Function1D:
-    """F(x) = sqrt(x) / log(x)^3 on (0, mu], with logx-parameterized forms.
+    """F(x) = sqrt(x) / log(x)^3 on (0, mu], written as (sign, log) pairs in
+    log x; F vanishes at x = 0.
 
     F'(x) = 1/(2 sqrt(x) log(x)^3) - 3/(sqrt(x) log(x)^4)
           = (log x - 6) / (2 sqrt(x) log(x)^4).
     """
-    def value(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.sqrt(x) / np.log(x) ** 3
-
-    def deriv(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            lx = np.log(x)
-            return (lx - 6.0) / (2.0 * np.sqrt(x) * lx ** 4)
-
     def slog_logx(lx):
         lx = np.asarray(lx, dtype=float)
         return np.sign(lx), 0.5 * lx - 3.0 * np.log(np.abs(lx))
@@ -283,19 +262,7 @@ def _thm33_core_piece() -> Function1D:
         return (np.sign(lx - 6.0),
                 np.log(np.abs(lx - 6.0)) - math.log(2.0) - 0.5 * lx - 4.0 * np.log(np.abs(lx)))
 
-    # the x forms are the log-x forms at log(x); F vanishes at x = 0
-    def slog(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            sign, logabs = slog_logx(np.log(x))
-        return sign * np.where(x > 0, 1.0, 0.0), logabs
-
-    def slog_deriv(x):
-        with np.errstate(divide="ignore"):
-            return slog_deriv_logx(np.log(np.asarray(x, dtype=float)))
-
-    return Function1D(value=value, deriv=deriv, slog=slog, slog_deriv=slog_deriv,
-                      slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx)
+    return Function1D(slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx)
 
 
 def build_thm33(params: Thm33Params) -> ScalarFunctional:

@@ -473,10 +473,10 @@ def sgd_probability_test(Z: CylindricalFunctional, h: CameronMartinDirection,
         x = coords.T
         pairing = np.zeros(x.shape[0])
         for i, poly_i in enumerate(grads):
-            pairing += np.asarray(poly_i(x), dtype=float) * shift[i]
-        base = np.asarray(Z.poly(x), dtype=float)
+            pairing += poly_i(x) * shift[i]
+        base = Z.poly(x)
         for k, eps in enumerate(grid.values):
-            shifted = np.asarray(Z.poly(x + eps * shift), dtype=float)
+            shifted = Z.poly(x + eps * shift)
             resid = (shifted - base) / eps - pairing
             counts[k] += int(np.count_nonzero(np.abs(resid) > delta))
     return [(eps, count / n_samples) for eps, count in zip(grid.values, counts)]

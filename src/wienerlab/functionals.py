@@ -6,9 +6,10 @@ Two families cover everything the diagnostics need:
   derivative in a direction h is sum_i df/dx_i(...) <h_i, h>_H, computed by
   exact coefficient manipulation.
 * ScalarFunctional -- Z = f(W_T) for a piecewise-defined real function f.
-  Each piece carries closed-form value, derivative and their (sign, log)
-  representations so the Gaussian-weighted diagnostics can work far beyond
-  double-precision overflow of f itself.
+  Each piece is written in one form (closed forms, (sign, log) pairs, or
+  (sign, log) pairs in log x) and the others are derived from it, so the
+  Gaussian-weighted diagnostics can work far beyond double-precision
+  overflow of f itself.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .slog import slog_exp, slog_of, slog_sub
 from .wiener import BrownianPath, CameronMartinDirection, cm_inner, shift_path, wiener_integral
 
 GLUE_TOL = 1e-10
-LOG_OVERFLOW = 600.0  # switch difference quotients to log-space factorization
 
 
 # ---------------------------------------------------------------------------
@@ -112,11 +112,13 @@ class Polynomial:
         return Polynomial(self.n_vars, out)
 
     def __call__(self, x) -> np.ndarray:
-        """Evaluate at a point (n_vars,) or a batch (n_paths, n_vars).
+        """Evaluate at a point (n_vars,), giving a scalar, or at a batch
+        (n_paths, n_vars), giving an array of shape (n_paths,).
 
         Each power x_j^p is formed once, by squaring and multiplying, and
         shared by all terms; x_j^1 and x_j^2 are exactly x_j and x_j * x_j.
         """
+        point = np.ndim(x) < 2
         x = np.atleast_2d(np.asarray(x, dtype=float))
         powers = {}
         out = np.zeros(x.shape[0])
@@ -126,7 +128,7 @@ class Polynomial:
                 if p:
                     term *= _power(powers, x, j, p)
             out += term
-        return out if out.size > 1 else out[0]
+        return out[0] if point else out
 
     def __repr__(self):
         return f"Polynomial({self.n_vars}, {self.terms!r})"
@@ -136,31 +138,54 @@ class Polynomial:
 # scalar functionals Z = f(W_T)
 # ---------------------------------------------------------------------------
 
+def _at_logx(pair_logx: Callable) -> Callable:
+    """x -> pair_logx(log x), with (0, -inf) where log x = -inf."""
+    def pair(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(np.asarray(x, dtype=float))
+            sign, logabs = pair_logx(lx)
+        zero = np.isneginf(lx)
+        return np.where(zero, 0.0, sign), np.where(zero, -np.inf, logabs)
+    return pair
+
+
+def _derive(closed, pair, pair_logx, names) -> tuple:
+    """(closed form, (sign, log) pair) from whichever of the three is given."""
+    if pair is None and pair_logx is not None:
+        pair = _at_logx(pair_logx)
+    elif pair is None and closed is not None:
+        pair = lambda x: slog_of(closed(x))
+    if pair is None:
+        raise ValueError(f"a piece needs one of {', '.join(names)}")
+    return (closed if closed is not None else lambda x: slog_exp(*pair(x))), pair
+
+
 @dataclass(frozen=True)
 class Function1D:
-    """One piece of a piecewise scalar function.
+    """One piece of a piecewise scalar function, written in one form.
 
-    value/deriv are the closed forms; slog/slog_deriv map x to the
+    value/deriv are the closed forms.  slog/slog_deriv map x to the
     (sign, log|.|) pair of the value and of the derivative, which is what the
-    quadrature engine consumes, and default to slog_of of the closed form.
-    The *_logx pairs take log(x) instead of x and are only needed for pieces
-    that must be probed at x far below the smallest positive double (the
-    origin-singular diagnostics).
+    quadrature engine consumes.  slog_logx/slog_deriv_logx take log(x)
+    instead of x, for pieces that must be probed at x far below the smallest
+    positive double (the origin-singular diagnostics).  Give one form for the
+    value and one for the derivative; the rest are derived: log-x pairs give
+    the x pairs at log(x), pairs give the closed forms through slog_exp, and
+    closed forms give the pairs through slog_of.
     """
 
-    value: Callable
-    deriv: Callable
-    slog: Callable = None
-    slog_deriv: Callable = None
+    value: Optional[Callable] = None
+    deriv: Optional[Callable] = None
+    slog: Optional[Callable] = None
+    slog_deriv: Optional[Callable] = None
     slog_logx: Optional[Callable] = None
     slog_deriv_logx: Optional[Callable] = None
 
     def __post_init__(self):
-        value, deriv = self.value, self.deriv
-        if self.slog is None:
-            object.__setattr__(self, "slog", lambda x: slog_of(value(x)))
-        if self.slog_deriv is None:
-            object.__setattr__(self, "slog_deriv", lambda x: slog_of(deriv(x)))
+        for names in (("value", "slog", "slog_logx"), ("deriv", "slog_deriv", "slog_deriv_logx")):
+            closed, pair = _derive(*(getattr(self, n) for n in names), names)
+            object.__setattr__(self, names[0], closed)
+            object.__setattr__(self, names[1], pair)
 
 
 def zero_piece() -> Function1D:
@@ -338,15 +363,12 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 def difference_quotient_1d(f: ScalarFunctional, x: float, eps: float, c: float) -> float:
     """(f(x + eps*c) - f(x)) / eps.
 
-    When either log-magnitude exceeds LOG_OVERFLOW the quotient is formed in
-    (sign, log) space, which stays meaningful long after f itself overflows
-    a double; it is +-inf only when the quotient does.
+    The quotient is formed in (sign, log) space, which stays meaningful long
+    after f itself overflows a double; it is +-inf only when the quotient
+    does.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    l1, l0 = f.slog_value(np.array([x + eps * c, x]))[1]
-    if max(l1, l0) <= LOG_OVERFLOW:
-        return (float(f.value(x + eps * c)) - float(f.value(x))) / eps
     return float(slog_exp(*difference_quotient_slog(f, x, eps, c)))
 
 

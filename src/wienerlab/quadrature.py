@@ -232,7 +232,6 @@ class IntegralVerdict:
     value: Optional[float] = None
     abs_error: Optional[float] = None
     evidence: Optional[GrowthEvidence] = None
-    partials: tuple = ()
     n_evals: int = 0
     message: str = ""
 
@@ -260,9 +259,8 @@ def _diverged(records, reason, n_evals, message=""):
                            n_evals=n_evals, message=message)
 
 
-def _inconclusive(partials, n_evals, message=""):
-    return IntegralVerdict(Verdict.INCONCLUSIVE, partials=tuple(partials),
-                           n_evals=n_evals, message=message)
+def _inconclusive(n_evals, message=""):
+    return IntegralVerdict(Verdict.INCONCLUSIVE, n_evals=n_evals, message=message)
 
 
 class _Budget:
@@ -332,10 +330,9 @@ class _PanelSum:
     error: float
     ok: bool      # error target met
     hot: bool     # beyond double range
-    history: tuple
 
 
-_UNPAID = _PanelSum(0.0, math.inf, False, False, ())  # first panels beyond the budget
+_UNPAID = _PanelSum(0.0, math.inf, False, False)  # first panels beyond the budget
 
 
 def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cuts=()):
@@ -358,7 +355,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
     values, errors, hot = yield np.array(edges[:-1]), np.array(edges[1:])
     budget.consume(15 * (len(edges) - 1))
     if hot.any():
-        return _PanelSum(math.inf, math.inf, False, True, ())
+        return _PanelSum(math.inf, math.inf, False, True)
     heap = []
     total_v = 0.0
     total_e = 0.0
@@ -368,7 +365,6 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
         total_e += e
         heapq.heappush(heap, (-e, seq, lo, hi, v, e))
     seq = len(heap)
-    history = []
 
     stuck_error = 0.0  # error trapped in panels too narrow to split
     stagnation = 0
@@ -376,13 +372,13 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
     while True:
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
-            return _PanelSum(total_v, total_e, True, False, tuple(history))
+            return _PanelSum(total_v, total_e, True, False)
         # rounding noise in log space puts a floor on the achievable error;
         # stop burning budget once refinement stops paying
         stagnation = stagnation + 1 if total_e > 0.999 * last_e else 0
         last_e = total_e
         if stagnation >= 24:
-            return _PanelSum(total_v, total_e, False, False, tuple(history))
+            return _PanelSum(total_v, total_e, False, False)
         room = min(MAX_ROUND, budget.left // 30)
         picked = []
         cover = 0.0
@@ -391,12 +387,12 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
             if (hi - lo) <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
                 stuck_error += e
                 if stuck_error > tol:
-                    return _PanelSum(total_v, total_e, False, False, tuple(history))
+                    return _PanelSum(total_v, total_e, False, False)
                 continue
             picked.append((lo, hi, v, e))
             cover += e
         if not picked:
-            return _PanelSum(total_v, total_e, False, False, tuple(history))
+            return _PanelSum(total_v, total_e, False, False)
         lo_ends, hi_ends = [], []
         for lo, hi, _, _ in picked:
             mid = 0.5 * (lo + hi)
@@ -405,7 +401,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
         budget.consume(30 * len(picked))
         values, errors, hot = yield np.array(lo_ends), np.array(hi_ends)
         if hot.any():
-            return _PanelSum(math.inf, math.inf, False, True, tuple(history))
+            return _PanelSum(math.inf, math.inf, False, True)
         vs, es = values.tolist(), errors.tolist()
         halves = zip(picked, lo_ends[1::2], vs[::2], vs[1::2], es[::2], es[1::2])
         for (lo, hi, v, e), mid, v1, v2, e1, e2 in halves:
@@ -414,9 +410,6 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
             heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
             heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
             seq += 2
-        history.append((budget.used, total_v))
-        if len(history) > 64:
-            del history[:32]
 
 
 def _evaluate(form: Family, requests):
@@ -513,14 +506,12 @@ def _finite(form: Family, row: int, a: float, b: float, atol: float, rtol: float
         bud = _Budget(budget)
         res = yield from _adaptive(a, b, atol, rtol, bud, form.cuts(row, a, b))
         if res is _UNPAID:
-            return _inconclusive((), bud.used, "budget below the first panels")
+            return _inconclusive(bud.used, "budget below the first panels")
         if res.hot:
-            return _inconclusive([h[1] for h in res.history], bud.used,
-                                 "magnitudes beyond double range on a finite interval")
+            return _inconclusive(bud.used, "magnitudes beyond double range on a finite interval")
         if res.ok:
             return _converged(res.value, res.error, bud.used)
-        return _inconclusive([h[1] for h in res.history] + [res.value], bud.used,
-                             f"refinement budget exhausted (error {res.error:.3e})")
+        return _inconclusive(bud.used, f"refinement budget exhausted (error {res.error:.3e})")
 
     return form, row, verdict()
 
@@ -620,7 +611,7 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
         try:
             seg = yield from segment_integral(prev_edge, edge, k, tol)
         except _NeglogRangeError:
-            return _inconclusive([r[1] for r in records], bud.used,
+            return _inconclusive(bud.used,
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
         if seg is _UNPAID:
             break
@@ -669,11 +660,9 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
         if bud.exhausted:
             break
     else:
-        return _inconclusive([r[1] for r in records], bud.used,
-                             f"{what}: boundary list ran out after {len(records)} segments "
-                             "without a certificate")
-    return _inconclusive([r[1] for r in records], bud.used,
-                         f"{what}: exhaustion budget ran out without a certificate")
+        return _inconclusive(bud.used, f"{what}: boundary list ran out after {len(records)} "
+                             "segments without a certificate")
+    return _inconclusive(bud.used, f"{what}: exhaustion budget ran out without a certificate")
 
 
 def _semi_infinite(form: Family, row: int, a: float, atol: float, rtol: float,
@@ -824,7 +813,7 @@ def _combine(pieces, labels) -> IntegralVerdict:
                           sum(v.abs_error for v in pieces), n_evals)
     for v, lab in zip(pieces, labels):
         if not v.converged:
-            return _inconclusive(v.partials, n_evals, f"piece {lab}: {v.message}")
+            return _inconclusive(n_evals, f"piece {lab}: {v.message}")
     raise AssertionError("unreachable")
 
 

@@ -157,6 +157,18 @@ class TestConfigPrecedence:
         text = (tmp_path / "linear-diagnose.csv").read_text(encoding="utf-8")
         assert "dvp_total[h=1]" in text and "dvp_total[h=-1]" in text
 
+    def test_unset_catalog_parameters_keep_their_defaults(self, tmp_path, capsys):
+        # eta keeps its default 1e-4, so mu = 5e-5 breaks 0 < eta < mu
+        assert run(["diagnose", "--functional", "thm33", "--mu", "5e-5"],
+                   tmp_path) == EXIT_USAGE
+        assert "ordering" in capsys.readouterr().err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mu = 1.5e-4\nh = 1\nformat = md\n", encoding="utf-8")
+        assert run(["reproduce-thm33", "--config", str(cfg), "--out", str(tmp_path)],
+                   tmp_path) == EXIT_OK
+        text = (tmp_path / "thm33-report.md").read_text(encoding="utf-8")
+        assert "parameters: {'eta': 0.0001, 'mu': 0.00015}" in text
+
     def test_env_var_sets_output_dir(self, tmp_path):
         code = run(["diagnose", "--functional", "linear", "--delta", "0.1",
                     "--h", "1.0", "--format", "csv"], tmp_path)

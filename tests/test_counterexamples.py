@@ -7,6 +7,7 @@ import pytest
 from wienerlab import (Thm31Params, Thm33Params, build_thm31, build_thm33, catalog_build,
                        smooth_completion_G, smooth_completion_g,
                        squared_quotient_floor_integrand, validate_eta_mu)
+from wienerlab.functionals import Function1D, ScalarFunctional, zero_piece
 from wienerlab.quadrature import integrate_semi_infinite
 from wienerlab.slog import slog_of
 
@@ -189,21 +190,61 @@ def _assert_pairs_agree(got, want):
     assert np.all(same), np.max(dev[~same])
 
 
+def _thm31_closed(a):
+    """The thm31 functional rebuilt from the closed forms of its right piece."""
+    c = (2.0 * math.pi) ** 0.25
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(0.25 * x * x) * x ** (-a) * c
+
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        return np.exp(0.25 * x * x) * (0.5 * x ** (1.0 - a) - a * x ** (-a - 1.0)) * c
+
+    right = Function1D(value=value, deriv=deriv)
+    x0 = math.sqrt(2.0 * a)
+    left = smooth_completion_g(x0, float(value(x0)), float(deriv(x0)))
+    return ScalarFunctional(name="thm31-closed", breakpoints=(x0,), pieces=(left, right))
+
+
+def _thm33_closed(mu):
+    """The thm33 functional rebuilt from the closed forms of its core piece."""
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.sqrt(x) / np.log(x) ** 3
+
+    def deriv(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            lx = np.log(x)
+            return (lx - 6.0) / (2.0 * np.sqrt(x) * lx ** 4)
+
+    core = Function1D(value=value, deriv=deriv)
+    tail = smooth_completion_G(mu, float(value(mu)), float(deriv(mu)))
+    return ScalarFunctional(name="thm33-closed", breakpoints=(0.0, mu),
+                            pieces=(zero_piece(), core, tail),
+                            non_differentiable=frozenset({0.0}))
+
+
 class TestPairForms:
-    """The hand-written (sign, log) pairs of every catalog piece against
-    slog_of of the closed forms."""
+    """The (sign, log) pairs of every catalog piece against slog_of of closed
+    forms written here, independently of the catalog's log forms."""
 
     def test_thm31(self, f31):
+        ref = _thm31_closed(f31.params["a"])
         xs = _off_breakpoints(f31, np.linspace(-4.0, 40.0, 4001))
-        _assert_pairs_agree(f31.slog_value(xs), slog_of(f31.value(xs)))
-        _assert_pairs_agree(f31.slog_deriv(xs), slog_of(f31.deriv(xs)))
+        _assert_pairs_agree(f31.slog_value(xs), slog_of(ref.value(xs)))
+        _assert_pairs_agree(f31.slog_deriv(xs), slog_of(ref.deriv(xs)))
 
     def test_thm33(self, f33):
+        ref = _thm33_closed(f33.params["mu"])
         xs = np.concatenate([np.linspace(-1.0, 5e-4, 4001),
                              np.logspace(-300.0, math.log10(5e-4), 2001)])
         xs = _off_breakpoints(f33, xs)
-        _assert_pairs_agree(f33.slog_value(xs), slog_of(f33.value(xs)))
-        _assert_pairs_agree(f33.slog_deriv(xs), slog_of(f33.deriv(xs)))
+        _assert_pairs_agree(f33.slog_value(xs), slog_of(ref.value(xs)))
+        _assert_pairs_agree(f33.slog_deriv(xs), slog_of(ref.deriv(xs)))
         # F vanishes at its flagged point 0, where no derivative is asked for
         assert tuple(map(float, f33.slog_value(0.0))) == (0.0, -math.inf)
 

@@ -11,7 +11,7 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, Function1D
                        difference_quotient_1d, eval_cylindrical, linear_functional,
                        malliavin_derivative_cylindrical, mc_difference_quotient,
                        pairing_with_h, sample_path)
-from wienerlab.functionals import LOG_OVERFLOW
+from wienerlab.slog import slog_exp, slog_of
 from wienerlab.wiener import BrownianPath
 
 UNIT = CameronMartinDirection.constant(1.0)
@@ -33,6 +33,15 @@ class TestPolynomial:
         x, y = Polynomial.variable(0, 2), Polynomial.variable(1, 2)
         p = (x + 2.0 * y) * (x - y) + 1.0
         assert p(np.array([3.0, 2.0])) == pytest.approx((3 + 4) * (3 - 2) + 1)
+
+    def test_point_gives_float_and_batch_gives_array(self):
+        p = Polynomial.variable(0, 2) * Polynomial.variable(1, 2) + 1.0
+        point = p(np.array([3.0, 2.0]))
+        assert isinstance(point, float) and point == 7.0
+        for n in (1, 2):
+            batch = p(np.tile([3.0, 2.0], (n, 1)))
+            assert isinstance(batch, np.ndarray) and batch.shape == (n,)
+            assert np.all(batch == 7.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_partials_match_sympy(self, seed):
@@ -125,6 +134,67 @@ class TestCylindrical:
         assert g2.terms == {(1, 0): 1.0}
 
 
+class TestDerivedForms:
+    """A piece is written in one form; the other forms are derived from it."""
+
+    @staticmethod
+    def _growth(x):
+        x = np.asarray(x, dtype=float)
+        return np.sign(x - 1.0), 0.25 * x * x - np.log(x)
+
+    @staticmethod
+    def _growth_deriv(x):
+        x = np.asarray(x, dtype=float)
+        return -np.ones_like(x), x - 2.0 * np.log(x)
+
+    @staticmethod
+    def _cusp(lx):
+        lx = np.asarray(lx, dtype=float)
+        return np.sign(lx), 0.5 * lx - 3.0 * np.log(np.abs(lx))
+
+    @staticmethod
+    def _cusp_deriv(lx):
+        lx = np.asarray(lx, dtype=float)
+        return np.sign(lx - 6.0), np.log(np.abs(lx - 6.0)) - 0.5 * lx - 4.0 * np.log(np.abs(lx))
+
+    def test_pairs_give_closed_forms(self):
+        piece = Function1D(slog=self._growth, slog_deriv=self._growth_deriv)
+        assert piece.slog is self._growth and piece.slog_deriv is self._growth_deriv
+        # x = 1 has sign 0, x = 60 overflows a double
+        xs = np.array([0.25, 1.0, 3.0, 40.0, 60.0])
+        np.testing.assert_array_equal(piece.value(xs), slog_exp(*self._growth(xs)))
+        np.testing.assert_array_equal(piece.deriv(xs), slog_exp(*self._growth_deriv(xs)))
+        assert piece.value(1.0) == 0.0 and piece.value(60.0) == math.inf
+
+    def test_logx_pairs_give_x_pairs(self):
+        piece = Function1D(slog_logx=self._cusp, slog_deriv_logx=self._cusp_deriv)
+        xs = np.concatenate([[0.0, 5e-324], np.logspace(-300.0, -1.0, 200)])
+        for at_x, at_logx in ((piece.slog, self._cusp), (piece.slog_deriv, self._cusp_deriv)):
+            sign, logabs = at_x(xs)
+            want_sign, want_logabs = at_logx(np.log(xs[1:]))
+            np.testing.assert_array_equal(sign[1:], want_sign)
+            np.testing.assert_array_equal(logabs[1:], want_logabs)
+            assert (sign[0], logabs[0]) == (0.0, -math.inf)
+            assert tuple(map(float, at_x(0.0))) == (0.0, -math.inf)
+        np.testing.assert_array_equal(piece.value(xs), slog_exp(*piece.slog(xs)))
+        assert piece.value(0.0) == 0.0 and piece.deriv(0.0) == 0.0
+
+    def test_closed_forms_give_pairs(self):
+        piece = Function1D(value=lambda x: np.asarray(x, float) ** 3,
+                           deriv=lambda x: 3.0 * np.asarray(x, float) ** 2)
+        xs = np.array([-2.0, 0.0, 0.5, 7.0])
+        for got, want in zip(piece.slog(xs), slog_of(xs ** 3)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(piece.slog_deriv(xs), slog_of(3.0 * xs ** 2)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_no_form_rejected(self):
+        with pytest.raises(ValueError, match="needs one of value, slog, slog_logx"):
+            Function1D()
+        with pytest.raises(ValueError, match="needs one of deriv, slog_deriv, slog_deriv_logx"):
+            Function1D(value=np.zeros_like)
+
+
 class TestScalarPairing:
     def test_linear(self):
         c = CameronMartinDirection.constant(2.5)
@@ -191,9 +261,9 @@ class TestDifferenceQuotient1D:
     @pytest.mark.parametrize("eps", [0.25, 2.0 ** -8])
     @pytest.mark.parametrize("c", [1.0, -1.0])
     def test_overflow_branch_finite_against_oracle(self, f31, x, eps, c):
-        # log|f| is about 605-677 here: past LOG_OVERFLOW, yet the quotient
-        # is a finite double and must match 200-bit arithmetic
-        assert float(f31.slog_value(x)[1]) > LOG_OVERFLOW
+        # log|f| is about 605-677 here: far out in the exp(x^2/4) growth,
+        # yet the quotient is a finite double and must match 200-bit arithmetic
+        assert float(f31.slog_value(x)[1]) > 600.0
         with mp.workprec(200):
             a = mp.mpf(2)
             def f(y):
