@@ -354,6 +354,19 @@ class DvpResult:
     message: str = ""
 
 
+def _bertrand_majorants(f: ScalarFunctional, h_list, atol, rtol, budget) -> LqTable:
+    """The Bertrand majorants behind the inside-piece estimate, exponents 5..8,
+    in lockstep; none for a functional without mu or for zero endpoints only."""
+    if "mu" not in f.params or not any(h_list):
+        return LqTable(())
+    exponents = (5.0, 6.0, 7.0, 8.0)
+    verdicts = quad.integrate_pieces(quad.bertrand_family(exponents),
+                                     [(row, 0.0, f.params["mu"]) for row in range(4)],
+                                     atol, rtol, budget)
+    return LqTable(tuple(LqRow("bertrand_majorant", e, None, v)
+                         for e, v in zip(exponents, verdicts)))
+
+
 def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, *,
                                    atol: float = quad.DEFAULT_ATOL,
                                    rtol: float = quad.DEFAULT_RTOL,
@@ -364,6 +377,13 @@ def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: Epsilo
     shifted-gap / core / tail decomposition mirrors the two sign cases of the
     shift endpoint.  A zero shift endpoint is trivially uniformly integrable.
     """
+    return _dvp_test(f, h_T, grid, _bertrand_majorants(f, (h_T,), atol, rtol, budget),
+                     atol, rtol, budget)
+
+
+def _dvp_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, majorants: LqTable,
+              atol: float, rtol: float, budget: int) -> DvpResult:
+    """dvp_uniform_integrability_test with the Bertrand majorants given."""
     if h_T == 0.0:
         return DvpResult(h_T, Flag.YES, 0.0, LqTable(()), LqTable(()),
                          "zero direction endpoint: X_eps vanishes identically")
@@ -390,22 +410,13 @@ def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: Epsilo
                 Verdict.CONVERGED, value=total, abs_error=sum(v.abs_error for v in verdicts))))
             sup_total = max(sup_total, total)
 
-    # Bertrand majorants behind the inside-piece estimate
-    bertrand = []
-    if "mu" in f.params:
-        mu = f.params["mu"]
-        for i in range(5, 9):
-            v = quad.integrate_singular_origin(quad.bertrand_integrand(float(i)), mu,
-                                               atol=atol, rtol=rtol, budget=budget)
-            bertrand.append(LqRow("bertrand_majorant", float(i), None, v))
-
     if any_diverged:
         flag, sup = Flag.NO, None
     elif any_unknown:
         flag, sup = Flag.UNKNOWN, None
     else:
         flag, sup = Flag.YES, sup_total
-    return DvpResult(h_T, flag, sup, LqTable(tuple(rows)), LqTable(tuple(bertrand)))
+    return DvpResult(h_T, flag, sup, LqTable(tuple(rows)), majorants)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +574,8 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
             ssgd[(q, h_T)] = ssgd_test(f, p, q, h_T, grid, tol_ssgd=tol_ssgd,
                                        atol=atol, rtol=rtol, budget=budget)
 
-    dvp = {h_T: dvp_uniform_integrability_test(f, h_T, grid, atol=atol, rtol=rtol,
-                                               budget=budget)
-           for h_T in h_list}
+    majorants = _bertrand_majorants(f, h_list, atol, rtol, budget)
+    dvp = {h_T: _dvp_test(f, h_T, grid, majorants, atol, rtol, budget) for h_T in h_list}
 
     in_base = _seminorm_flag(seminorms[p])
     ssgd_pp = _combine_flags(ssgd[(p, h_T)].verdict for h_T in h_list)

@@ -212,6 +212,7 @@ class ScalarFunctional:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "_breakpoints", np.asarray(self.breakpoints, dtype=float))
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         if list(self.breakpoints) != sorted(self.breakpoints):
@@ -228,18 +229,19 @@ class ScalarFunctional:
                 raise ValueError(f"{self.name}: derivative jump {dd:.3e} at breakpoint {b}")
 
     def _dispatch(self, x, attr: str):
-        """Evaluate piece attribute `attr` at x, piece by piece; the slog*
-        attributes return (sign, log) pairs and fill two arrays."""
+        """Evaluate piece attribute `attr` at x, only on the pieces x falls
+        in; the slog* attributes return (sign, log) pairs."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         pair = attr.startswith("slog")
+        idx = np.searchsorted(self._breakpoints, x, side="right")
+        first, last = (int(idx.min()), int(idx.max())) if x.size else (0, -1)
         outs = (np.empty_like(x), np.empty_like(x)) if pair else (np.empty_like(x),)
-        idx = np.searchsorted(np.asarray(self.breakpoints), x, side="right")
-        for i, piece in enumerate(self.pieces):
-            m = idx == i
-            if np.any(m):
-                got = getattr(piece, attr)(x[m])
+        for i in range(first, last + 1):
+            m = Ellipsis if first == last else idx == i
+            if m is Ellipsis or m.any():
+                got = getattr(self.pieces[i], attr)(x[m])
                 for out, v in zip(outs, got if pair else (got,)):
                     out[m] = v
         outs = tuple(out[0] if scalar else out for out in outs)
@@ -277,7 +279,7 @@ class ScalarFunctional:
     # --- (sign, log) pairs parameterized by log(x), for x -> 0+ probing ---
 
     def _origin_piece(self) -> Function1D:
-        idx = int(np.searchsorted(np.asarray(self.breakpoints), 0.0, side="right"))
+        idx = int(np.searchsorted(self._breakpoints, 0.0, side="right"))
         return self.pieces[idx]
 
     def has_logx_forms(self) -> bool:
@@ -363,12 +365,15 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 def difference_quotient_1d(f: ScalarFunctional, x: float, eps: float, c: float) -> float:
     """(f(x + eps*c) - f(x)) / eps.
 
-    The quotient is formed in (sign, log) space, which stays meaningful long
-    after f itself overflows a double; it is +-inf only when the quotient
-    does.
+    Where either value overflows a double the quotient is formed in
+    (sign, log) space, which stays meaningful long after f itself overflows;
+    it is +-inf only when the quotient does.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    v1, v0 = float(f.value(x + eps * c)), float(f.value(x))
+    if math.isfinite(v1) and math.isfinite(v0):
+        return (v1 - v0) / eps
     return float(slog_exp(*difference_quotient_slog(f, x, eps, c)))
 
 

@@ -20,13 +20,15 @@ integrate_piece picks the route for one piece of the line from its ends.
 The drivers (_adaptive, _exhaust) are generators that yield panel requests
 and receive the panels' values.  _outcomes moves the drivers of a Family --
 integrands that share one body, such as the eps rows of a report -- forward
-together, so one integrand call per round and route serves every member.
-The single-verdict functions run a family of one the same way.
+together: each round, one integrand call serves the x and reflected routes
+of every member, and one more the u = -log x route.  The single-verdict
+functions run a family of one the same way.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -122,26 +124,6 @@ class Integrand:
         return cls(log_eval=log_eval, **kw)
 
 
-def bertrand_integrand(exponent: float) -> Integrand:
-    """1 / (x |log x|^exponent) on (0, 1); converges at 0 iff exponent > 1.
-
-    The convergence yardstick for everything singular at the origin; carries
-    its exact neglog form u - exponent*log(u).
-    """
-    def log_eval(x):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            lx = np.log(x)
-        return np.ones_like(x), -lx - exponent * np.log(np.abs(lx))
-
-    def neglog_eval(u):
-        u = np.asarray(u, dtype=float)
-        return np.ones_like(u), u - exponent * np.log(u)
-
-    return Integrand(log_eval=log_eval, neglog_eval=neglog_eval, domain=(0.0, 1.0),
-                     singular_points=(0.0,), name=f"bertrand[{exponent}]")
-
-
 @dataclass(frozen=True, eq=False)
 class Family:
     """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
@@ -157,6 +139,7 @@ class Family:
     singular_points: tuple = ()
     neglog_eval: Optional[Callable] = None
     domain: tuple = (-math.inf, math.inf)
+    mirrors: Optional["Family"] = None
 
     @classmethod
     def of(cls, g: Integrand) -> "Family":
@@ -185,10 +168,11 @@ class Family:
 
     @cached_property
     def reflected(self) -> "Family":
-        """x -> g(-x), breakpoints and singular points reflected along."""
+        """x -> g(-x), breakpoints and singular points reflected along;
+        _outcomes runs its requests in self's calls, at negated nodes."""
         return Family(lambda x, row: self.log_eval(-x, row),
                       tuple(tuple(-b for b in bps) for bps in self.breakpoints),
-                      tuple(-s for s in self.singular_points))
+                      tuple(-s for s in self.singular_points), mirrors=self)
 
     @cached_property
     def substituted(self) -> "Family":
@@ -210,6 +194,30 @@ class Family:
 
         return Family(log_eval, tuple(tuple(-math.log(b) for b in bps if 0.0 < b < 1.0)
                                       for bps in self.breakpoints))
+
+
+def bertrand_family(exponents) -> Family:
+    """1 / (x |log x|^e) on (0, 1) for each e in exponents; converges at 0 iff
+    e > 1.  The convergence yardstick for everything singular at the origin;
+    carries its exact neglog form u - e*log(u)."""
+    exponents = np.array(exponents, dtype=float)
+
+    def log_eval(x, row):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            lx = np.log(x)
+        return np.ones_like(x), -lx - exponents[row] * np.log(np.abs(lx))
+
+    def neglog_eval(u, row):
+        u = np.asarray(u, dtype=float)
+        return np.ones_like(u), u - exponents[row] * np.log(u)
+
+    return Family(log_eval, ((),) * exponents.size, (0.0,), neglog_eval, (0.0, 1.0))
+
+
+def bertrand_integrand(exponent: float) -> Integrand:
+    """The one member of bertrand_family((exponent,))."""
+    return bertrand_family((exponent,)).member(0, f"bertrand[{exponent}]")
 
 
 class Verdict:
@@ -352,7 +360,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
     if 15 * (len(edges) - 1) > budget.left:
         return _UNPAID
-    values, errors, hot = yield np.array(edges[:-1]), np.array(edges[1:])
+    values, errors, hot = yield edges[:-1], edges[1:]
     budget.consume(15 * (len(edges) - 1))
     if hot.any():
         return _PanelSum(math.inf, math.inf, False, True)
@@ -399,7 +407,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
             lo_ends += (lo, mid)
             hi_ends += (mid, hi)
         budget.consume(30 * len(picked))
-        values, errors, hot = yield np.array(lo_ends), np.array(hi_ends)
+        values, errors, hot = yield lo_ends, hi_ends
         if hot.any():
             return _PanelSum(math.inf, math.inf, False, True)
         vs, es = values.tolist(), errors.tolist()
@@ -413,18 +421,21 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
 
 
 def _evaluate(form: Family, requests):
-    """_gk_panels over the requests [(row, lo, hi), ...] of one form, in one call."""
-    lo = np.concatenate([r[1] for r in requests])
-    hi = np.concatenate([r[2] for r in requests])
-    rows = np.repeat([r[0] for r in requests], [15 * r[1].size for r in requests])
-    return _gk_panels(lambda x: form.log_eval(x, rows), lo, hi)
+    """_gk_panels over the requests [(row, lo, hi, sign), ...], lo and hi lists,
+    in one call of form's body; a request with sign -1 runs at negated nodes."""
+    sizes = [15 * len(r[1]) for r in requests]
+    rows = np.repeat([r[0] for r in requests], sizes)
+    signs = np.repeat([r[3] for r in requests], sizes)
+    lo = np.array([v for r in requests for v in r[1]])
+    hi = np.array([v for r in requests for v in r[2]])
+    return _gk_panels(lambda x: form.log_eval(x * signs, rows), lo, hi)
 
 
 def _chunks(batch) -> list:
-    """Split the requests [(i, (row, lo, hi)), ...] into calls of at most MAX_POINTS points."""
+    """Split the requests [(i, (row, lo, hi, sign)), ...] into calls of <= MAX_POINTS points."""
     chunks, size = [], MAX_POINTS
     for item in batch:
-        n = 15 * item[1][1].size
+        n = 15 * len(item[1][1])
         if size + n > MAX_POINTS:
             chunks.append([])
             size = 0
@@ -438,12 +449,13 @@ def _outcomes(drivers) -> list:
 
     An outcome is the driver's verdict, or the error that escaped it.  Each
     round gathers the pending request of every driver and evaluates the
-    requests of one form in one call, split so that no call holds more than
-    MAX_POINTS points.  A panel's result does not depend on the other panels
-    of its call, and each driver keeps its own budget, tolerances and cuts,
-    so every outcome equals the one its driver reaches alone.  A call that
-    raises is repeated driver by driver, and each driver whose own panels
-    raise gets the error thrown in.
+    requests of one body in one call (a reflected form's at negated nodes,
+    with those of the family it mirrors), split so that no call holds more
+    than MAX_POINTS points.  A panel's result does not depend on the other
+    panels of its call, negation is exact, and each driver keeps its own
+    budget, tolerances and cuts, so every outcome equals the one its driver
+    reaches alone.  A call that raises is repeated driver by driver, and each
+    driver whose own panels raise gets the error thrown in.
     """
     outcomes = [None] * len(drivers)
     pending = {}
@@ -456,16 +468,16 @@ def _outcomes(drivers) -> list:
         except Exception as exc:
             outcomes[i] = exc
         else:
-            pending[i] = (drivers[i][1], lo, hi)
+            pending[i] = (drivers[i][1], lo, hi, -1.0 if drivers[i][0].mirrors else 1.0)
 
     for i, (_, _, gen) in enumerate(drivers):
         resume(i, gen.send, None)
     while pending:
-        by_form = {}
+        by_body = {}
         for i, request in pending.items():
-            by_form.setdefault(drivers[i][0], []).append((i, request))
+            by_body.setdefault(drivers[i][0].mirrors or drivers[i][0], []).append((i, request))
         pending = {}
-        for form, batch in by_form.items():
+        for form, batch in by_body.items():
             chunks = _chunks(batch)
             while chunks:
                 chunk = chunks.pop(0)
@@ -478,8 +490,8 @@ def _outcomes(drivers) -> list:
                         resume(chunk[0][0], drivers[chunk[0][0]][2].throw, exc)
                     continue
                 start = 0
-                for i, (_, lo, _) in chunk:
-                    end = start + lo.size
+                for i, (_, lo, _, _) in chunk:
+                    end = start + len(lo)
                     resume(i, drivers[i][2].send,
                            (values[start:end], errors[start:end], hot[start:end]))
                     start = end
@@ -669,7 +681,7 @@ def _semi_infinite(form: Family, row: int, a: float, atol: float, rtol: float,
                    budget: int):
     """Driver of [a, inf), exhausted along a + 2^k."""
     bud = _Budget(budget)
-    boundaries = [a] + [a + 2.0 ** k for k in range(MAX_DOUBLINGS)]
+    boundaries = itertools.chain((a,), (a + 2.0 ** k for k in range(MAX_DOUBLINGS)))
 
     def segment(lo, hi, k, tol_hint):
         seg_atol = max(atol, tol_hint) / (16.0 * (k + 1) ** 2)
@@ -693,7 +705,7 @@ def _origin(fam: Family, row: int, mu: float, atol: float, rtol: float, budget: 
     if method == "substitution":
         return _semi_infinite(fam.substituted, row, -math.log(mu), atol, rtol, budget)
     bud = _Budget(budget)
-    boundaries = [-math.log(mu * 2.0 ** -k) for k in range(MAX_SHRINKS + 1)]
+    boundaries = (-math.log(mu * 2.0 ** -k) for k in range(MAX_SHRINKS + 1))
 
     def segment(u_lo, u_hi, k, tol_hint):
         lo, hi = mu * 2.0 ** -k, mu * 2.0 ** -(k - 1)

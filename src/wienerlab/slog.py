@@ -28,28 +28,22 @@ def slog_exp(sign, logabs):
 
 def slog_add(s1, l1, s2, l2):
     """(s1 e^l1) + (s2 e^l2) as a (sign, log) pair, without forming the values."""
-    s1, l1, s2, l2 = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (s1, l1, s2, l2)))
+    s1, l1, s2, l2 = (np.asarray(a, dtype=float) for a in (s1, l1, s2, l2))
     big_is_1 = (l1 > l2) | ((l1 == l2) & (s2 == 0))
     lb = np.where(big_is_1, l1, l2)
     ls = np.where(big_is_1, l2, l1)
     sb = np.where(big_is_1, s1, s2)
     ss = np.where(big_is_1, s2, s1)
 
-    out_sign = np.where(sb != 0, sb, ss)
+    opposite = sb * ss < 0
     with np.errstate(invalid="ignore", divide="ignore"):
-        same = np.log1p(np.exp(ls - lb))          # magnitudes add
-        diff = np.log1p(-np.exp(ls - lb))         # magnitudes cancel
-    delta = np.where(sb * ss < 0, diff, same)
-    delta = np.where(ss == 0, 0.0, delta)
-    out_log = lb + delta
-    # exact cancellation: equal magnitude, opposite sign
-    cancel = (sb * ss < 0) & (ls == lb)
-    out_sign = np.where(cancel, 0.0, out_sign)
-    out_log = np.where(cancel, NEG_INF, out_log)
-    # both zero
-    zero = (sb == 0) & (ss == 0)
-    out_sign = np.where(zero, 0.0, out_sign)
-    out_log = np.where(zero, NEG_INF, out_log)
+        e = np.exp(ls - lb)
+        delta = np.log1p(np.where(opposite, -e, e))  # magnitudes cancel or add
+    out_log = lb + np.where(ss == 0, 0.0, delta)
+    # exact cancellation (equal magnitude, opposite sign) or both zero
+    gone = (opposite & (ls == lb)) | ((sb == 0) & (ss == 0))
+    out_sign = np.where(gone, 0.0, np.where(sb != 0, sb, ss))
+    out_log = np.where(gone, NEG_INF, out_log)
     return out_sign, out_log
 
 

@@ -198,21 +198,26 @@ def sample_increments(grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     return np.vstack(blocks) if blocks else np.empty((0, grid.n_cells))
 
 
+def _project(block: np.ndarray, dens) -> np.ndarray:
+    """W[i, r] = block[r] @ dens[i], each path rounded as in any other block."""
+    rows = block.shape[0]
+    if rows == 1:
+        # numpy forms a one-row product with dot, which rounds unlike the
+        # gemv that every other path goes through; a doubled row stays on gemv
+        block = np.vstack((block, block))
+    W = np.empty((len(dens), block.shape[0]))
+    for i, d in enumerate(dens):
+        np.matmul(block, d, out=W[i])
+    return W[:, :rows]
+
+
 def wiener_integral_blocks(directions, grid: TimeGrid, n_paths: int, seed: int):
     """Yield (start, W) with W[i, r] = W(directions[i]) on path start + r, the
     paths being the rows of sample_increments(grid, n_paths, seed) drawn one
     Philox block at a time."""
     dens = [_path_cell_density(h, grid) for h in directions]
     for start, block in _increment_blocks(grid, n_paths, seed):
-        rows = block.shape[0]
-        if rows == 1:
-            # numpy forms a one-row product with dot, which rounds unlike the
-            # gemv that every other path goes through; a doubled row stays on gemv
-            block = np.vstack((block, block))
-        W = np.empty((len(dens), block.shape[0]))
-        for i, d in enumerate(dens):
-            np.matmul(block, d, out=W[i])
-        yield start, W[:, :rows]
+        yield start, _project(block, dens)
 
 
 def shift_path(omega: BrownianPath, h: CameronMartinDirection, eps: float) -> BrownianPath:
@@ -243,8 +248,7 @@ def wiener_integral(h: CameronMartinDirection, omega: BrownianPath) -> float:
 
 def wiener_integral_batch(h: CameronMartinDirection, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:
     """W(h) for a matrix of path increments, one value per row."""
-    dens = _path_cell_density(h, grid)
-    return increments @ dens
+    return _project(increments, [_path_cell_density(h, grid)])[0]
 
 
 def girsanov_log_weight(h: CameronMartinDirection, omega: BrownianPath) -> float:

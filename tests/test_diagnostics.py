@@ -183,9 +183,12 @@ class TestDvp:
             for label in ("dvp_below", "dvp_inside", "dvp_above"):
                 rows = [r for r in res.table.rows if r.quantity == label]
                 assert rows and all(r.verdict.converged for r in rows)
-            # Bertrand majorants finite for exponents 5..8
+            # Bertrand majorants finite for exponents 5..8, each as it is alone
             assert [r.q for r in res.bertrand_rows.rows] == [5.0, 6.0, 7.0, 8.0]
             assert all(r.verdict.converged for r in res.bertrand_rows.rows)
+            assert [r.verdict for r in res.bertrand_rows.rows] == [
+                quad.integrate_singular_origin(quad.bertrand_integrand(r.q), f33.params["mu"])
+                for r in res.bertrand_rows.rows]
 
     def test_tail_growth_not_uniformly_integrable(self, f31, grid):
         res = dvp_uniform_integrability_test(f31, 1.0, grid)
@@ -446,6 +449,16 @@ class TestMembershipReport:
             hi = lq_diffquot_norm(f31, 1.5, eps, 1.0)
             assert lo.converged and hi.converged
             assert lo.value <= 1.0 + hi.value + 1e-9
+
+    def test_majorants_run_once_per_report(self, f33, grid, monkeypatch):
+        made = []
+        real = quad.bertrand_family
+        monkeypatch.setattr(quad, "bertrand_family", lambda e: made.append(e) or real(e))
+        h_list = (1.0, -1.0, 0.0)
+        rep = membership_report(f33, 2.0, deltas=(0.1,), h_list=h_list)
+        assert made == [(5.0, 6.0, 7.0, 8.0)]
+        for h in h_list:
+            assert rep.dvp[h] == dvp_uniform_integrability_test(f33, h, grid)
 
     def test_chain_enforced(self, f31, f33, flin):
         for f in (flin, f31, f33):

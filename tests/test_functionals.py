@@ -274,9 +274,60 @@ class TestDifferenceQuotient1D:
         assert math.isfinite(got)
         assert got == pytest.approx(oracle, rel=1e-8)
 
+    def test_plain_difference_where_values_are_finite(self, flin):
+        # the (sign, log) path lost a factor |log f| of precision here: 1.0019
+        assert difference_quotient_1d(flin, 1e12, 1.0, 1.0) == 1.0
+        x, eps = 1e6, 1e-3
+        with mp.workprec(200):
+            # 200-bit quotient of f(x) = x at the doubles the function sees
+            oracle = (mp.mpf(x + eps) - mp.mpf(x)) / mp.mpf(eps)
+        got = difference_quotient_1d(flin, x, eps, 1.0)
+        assert abs(got - oracle) <= 1e-15 * abs(oracle)
+
     def test_rejects_nonpositive_eps(self, flin):
         with pytest.raises(ValueError):
             difference_quotient_1d(flin, 0.0, 0.0, 1.0)
+
+
+def masked_dispatch(f: ScalarFunctional, x, attr: str):
+    """ScalarFunctional._dispatch as it was: one mask per piece, every piece visited."""
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
+    pair = attr.startswith("slog")
+    outs = (np.empty_like(x), np.empty_like(x)) if pair else (np.empty_like(x),)
+    idx = np.searchsorted(np.asarray(f.breakpoints), x, side="right")
+    for i, piece in enumerate(f.pieces):
+        m = idx == i
+        if np.any(m):
+            got = getattr(piece, attr)(x[m])
+            for out, v in zip(outs, got if pair else (got,)):
+                out[m] = v
+    outs = tuple(out[0] if scalar else out for out in outs)
+    return outs if pair else outs[0]
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("name", ["f31", "f33", "flin"])
+    @pytest.mark.parametrize("attr", ["value", "deriv", "slog", "slog_deriv"])
+    def test_bit_identical_to_masked_reference(self, request, name, attr):
+        f = request.getfixturevalue(name)
+        bps = list(f.breakpoints)
+        inputs = [np.empty(0), np.float64(0.0), np.float64(1.5), np.array(bps or [0.0])]
+        inputs += [np.array([b]) for b in bps] + [np.float64(b) for b in bps]
+        for b in bps or [0.0]:
+            span = max(abs(b), 1e-4)
+            inputs += [np.linspace(b - span, b + span, 41),   # across, on b itself
+                       np.linspace(b + 0.1 * span, b + span, 7),  # one piece only
+                       np.linspace(b - span, b - 0.1 * span, 7)]
+        inputs.append(np.linspace(-5.0, 5.0, 300))
+        for x in inputs:
+            with np.errstate(all="ignore"):
+                got, ref = f._dispatch(x, attr), masked_dispatch(f, x, attr)
+            for g, r in zip(got if attr.startswith("slog") else (got,),
+                            ref if attr.startswith("slog") else (ref,)):
+                assert type(g) is type(r) and np.shape(g) == np.shape(r)
+                assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
 
 
 class TestMcDifferenceQuotient:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -150,6 +151,67 @@ class TestLockstep:
             quad.integrate_pieces(fam, [(row, 0.0, 10.0) for row in range(3)],
                                   atol=1e-12, rtol=1e-12)
         assert str(raised.value) == str(alone[1])
+
+    @staticmethod
+    def two_sided_drivers(fam, form_left, atol=1e-11, rtol=1e-9, budget=100_000):
+        """Each member on (-inf, -1), (-1, 1) and (1, inf); form_left carries the left pieces."""
+        drivers = []
+        for row in range(len(fam.breakpoints)):
+            drivers += [quad._semi_infinite(form_left, row, 1.0, atol, rtol, budget),
+                        quad._piece(fam, row, -1.0, 1.0, atol, rtol, budget),
+                        quad._piece(fam, row, 1.0, math.inf, atol, rtol, budget)]
+        return drivers
+
+    def test_reflected_route_shares_the_parent_call(self, monkeypatch):
+        # Gaussian-weighted members that differ on the two sides of 0, with a
+        # jump at the breakpoint -2; without the mirror link the reflected
+        # pieces run in calls of their own
+        shift = np.array([0.0, 0.5, -1.5, 3.0])
+
+        def log_eval(x, row):
+            sign, logabs = slog_of(np.where(x < -2.0, np.cos(x), x - shift[row]))
+            return sign, logabs + gauss_log_pdf(x - shift[row])
+
+        fam = Family(log_eval, ((-2.0,),) * shift.size)
+        assert fam.reflected.mirrors is fam
+        apart = dataclasses.replace(fam.reflected, mirrors=None)
+        calls = []
+        real = quad._gk_panels
+
+        def counting(log_eval, a, b):
+            calls.append(a.size)
+            return real(log_eval, a, b)
+
+        monkeypatch.setattr(quad, "_gk_panels", counting)
+        merged = quad._lockstep(self.two_sided_drivers(fam, fam.reflected))
+        n_merged = len(calls)
+        separate = quad._lockstep(self.two_sided_drivers(fam, apart))
+        assert merged == separate
+        assert all(v.converged for v in merged)
+        assert n_merged < len(calls) - n_merged
+        for row in range(shift.size):
+            left = quad.integrate_piece(fam.member(row, "g"), -math.inf, -1.0,
+                                        atol=1e-11, rtol=1e-9)
+            assert left == merged[3 * row]
+
+    def test_reflected_nan_member(self, monkeypatch):
+        # member 1 turns NaN below x = -1.5, which only its reflected piece
+        # (-inf, -1) reaches; every other piece ends as it does alone
+        def log_eval(x, row):
+            with np.errstate(invalid="ignore"):
+                return slog_of(np.where((row == 1) & (x < -1.5), np.nan,
+                                        np.exp(-0.5 * x * x) * np.sin(3.0 * x + row)))
+
+        fam = Family(log_eval, ((), (), ()))
+        calls = self.record_calls(monkeypatch)
+        together = quad._outcomes(self.two_sided_drivers(fam, fam.reflected))
+        assert any(n > 1 and raised for n, raised in calls)
+        alone = [quad._outcomes([driver])[0]
+                 for driver in self.two_sided_drivers(fam, fam.reflected)]
+        assert isinstance(together[3], EvaluationError)
+        assert type(together[3]) is type(alone[3]) and str(together[3]) == str(alone[3])
+        others = [i for i in range(9) if i != 3]
+        assert all(together[i].converged and together[i] == alone[i] for i in others)
 
     def test_past_exp_minus_700_without_neglog_form(self, monkeypatch):
         # 1/(x |log x|^i) with no neglog form, on the u = -log x route.

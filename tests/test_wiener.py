@@ -119,6 +119,18 @@ class TestSampling:
             assert np.array_equal(got[i], wiener_integral_batch(h, g, incs))
 
 
+    @pytest.mark.parametrize("cells", [6, 4])
+    def test_one_row_batch_rounds_as_the_full_batch(self, cells):
+        # numpy takes a one-row product through dot, which rounded 2,063
+        # (6 cells) and 1,870 (4 cells) of these rows unlike the full matrix
+        g = TimeGrid.uniform(cells)
+        h = piecewise(np.linspace(-1.3, 2.1, cells))
+        incs = sample_increments(g, 4000, seed=17)
+        full = wiener_integral_batch(h, g, incs)
+        rows = np.array([wiener_integral_batch(h, g, incs[r:r + 1])[0] for r in range(4000)])
+        assert rows.tobytes() == full.tobytes()
+
+
 class TestShift:
     def test_zero_shift_identity(self):
         p = sample_path(TimeGrid.uniform(4), seed=3)
