@@ -11,9 +11,8 @@ at i = 1.
 
 import math
 
-from wienerlab import (Integrand, bertrand_integrand, gaussian_expectation,
-                       integrate_adaptive, integrate_semi_infinite,
-                       integrate_singular_origin)
+from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
+                       integrate_semi_infinite, integrate_singular_origin)
 
 
 def show(label, verdict, exact=None):
@@ -30,35 +29,27 @@ def show(label, verdict, exact=None):
 
 
 print("== finite intervals ==")
-show("int_0^1 x dx", integrate_adaptive(Integrand.from_function(lambda x: x), 0, 1),
+show("int_0^1 x dx", integrate_adaptive(Family.from_function(lambda x: x), 0, 1),
      exact=0.5)
 
 print()
 print("== Gaussian expectations E[g(W_1)] ==")
-show("E[W^2]", gaussian_expectation(Integrand.from_function(lambda x: x * x)), exact=1.0)
-show("E[W^4]", gaussian_expectation(Integrand.from_function(lambda x: x ** 4)), exact=3.0)
+show("E[W^2]", gaussian_expectation(Family.from_function(lambda x: x * x)), exact=1.0)
+show("E[W^4]", gaussian_expectation(Family.from_function(lambda x: x ** 4)), exact=3.0)
 show("E[W^3] (odd, cancels)",
-     gaussian_expectation(Integrand.from_function(lambda x: x ** 3)), exact=0.0)
+     gaussian_expectation(Family.from_function(lambda x: x ** 3)), exact=0.0)
 
 print()
 print("== semi-infinite tails, exhaustion points double ==")
 show("int_2^inf x^-4 dx",
-     integrate_semi_infinite(Integrand.from_function(lambda x: x ** -4.0), 2.0),
+     integrate_semi_infinite(Family.from_function(lambda x: x ** -4.0), 2.0),
      exact=1.0 / 24.0)
 show("int_2^inf x^-1 dx (harmonic)",
-     integrate_semi_infinite(Integrand.from_function(lambda x: 1.0 / x), 2.0))
+     integrate_semi_infinite(Family.from_function(lambda x: 1.0 / x), 2.0))
 
 print()
 print("== Bertrand scale at the origin: u = -log x turns it into u^-i ==")
 for i in (6.0, 2.0, 1.0, 0.5):
-    v = integrate_singular_origin(bertrand_integrand(i), math.exp(-10.0))
+    v = integrate_singular_origin(bertrand_family((i,)), math.exp(-10.0))
     exact = 10.0 ** (1 - i) / (i - 1) if i > 1 else None
     show(f"int_0^(e^-10) dx/(x |log x|^{i:g})", v, exact=exact)
-
-print()
-print("== the two origin routes agree on convergent Bertrand integrals ==")
-for i in (2.0, 5.0, 8.0):
-    a = integrate_singular_origin(bertrand_integrand(i), math.exp(-10.0))
-    b = integrate_singular_origin(bertrand_integrand(i), math.exp(-10.0), method="shrink")
-    print(f"  i={i:g}: substitution {a.value:.15g}  shrink {b.value:.15g}  "
-          f"relative gap {abs(a.value - b.value) / a.value:.2e}")

@@ -22,8 +22,8 @@ from .functionals import (CylindricalFunctional, Function1D, Polynomial,
                           eval_cylindrical, linear_functional,
                           malliavin_derivative_cylindrical, mc_difference_quotient,
                           pairing_with_h)
-from .quadrature import (Integrand, IntegralVerdict, Verdict, bertrand_integrand,
-                         gaussian_expectation, integrate_adaptive, integrate_piece,
+from .quadrature import (Family, IntegralVerdict, Verdict, bertrand_family,
+                         gaussian_expectation, integrate_adaptive, integrate_pieces,
                          integrate_semi_infinite, integrate_singular_origin)
 from .wiener import (BrownianPath, CameronMartinDirection, TimeGrid, cm_inner, cm_norm,
                      girsanov_log_weight, girsanov_weight, merged_grid, sample_increments,

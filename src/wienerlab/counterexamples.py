@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .functionals import Function1D, ScalarFunctional, linear_functional, zero_piece
-from .quadrature import Integrand
+from .quadrature import Family
 
 QUARTER_LOG_2PI = 0.25 * math.log(2.0 * math.pi)
 
@@ -155,26 +155,26 @@ def build_thm31(params: Thm31Params) -> ScalarFunctional:
                             params={"a": a})
 
 
-def squared_quotient_floor_integrand(a: float, eps: float) -> Integrand:
+def squared_quotient_floor_integrand(a: float, eps: float) -> Family:
     """Pointwise floor (up to a factor 4) of the squared difference quotient
     of the thm31 functional against the Gaussian weight, on [sqrt(2a), inf).
 
     With s = eps/2: exp(s^2/2 + s x) |(x+s)^(-a-1) ((x+s)^2/2 - a)|^2.
-    Already weighted; integrate it directly over the semi-infinite domain.
+    Already weighted, as a one-row family; integrate it directly over the
+    semi-infinite domain.
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     s = 0.5 * eps
 
-    def log_eval(x):
+    def log_eval(x, row=0):
         x = np.asarray(x, dtype=float)
         xs = x + s
         with np.errstate(divide="ignore"):
             log_psi = -(a + 1.0) * np.log(xs) + np.log(np.abs(0.5 * xs * xs - a))
         return np.ones_like(x), 0.5 * s * s + s * x + 2.0 * log_psi + 0.5 * math.log(2 * math.pi)
 
-    return Integrand(log_eval=log_eval, domain=(math.sqrt(2 * a), math.inf),
-                     name=f"quotient floor a={a} eps={eps}")
+    return Family(log_eval, domain=(math.sqrt(2 * a), math.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 from . import quadrature as quad
 from .functionals import (CylindricalFunctional, ScalarFunctional,
                           difference_quotient_slog)
-from .quadrature import Integrand, IntegralVerdict, Verdict
+from .quadrature import Family, IntegralVerdict, Verdict
 from .slog import slog_abs_pow, slog_sub
 from .wiener import (CameronMartinDirection, cm_inner, merged_grid,
                      wiener_integral_blocks)
@@ -128,33 +128,21 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted(pts))
 
 
-def _abs_pow_integrand(f: ScalarFunctional, p: float, slog, slog_at_logx,
-                       name: str) -> Integrand:
-    """|g(x)|^p for g = f or f', given g's (sign, log) pair in x and log x."""
-    def log_eval(x):
+def _abs_pow_family(f: ScalarFunctional, p: float, slog, slog_at_logx) -> Family:
+    """|g(x)|^p as a one-row family for g = f or f', given g's (sign, log)
+    pair in x and log x (f.slog_value and f.slog_value_at_logx for g = f)."""
+    def log_eval(x, row=0):
         _, logabs = slog_abs_pow(slog(x)[1], p)
         return np.ones_like(np.asarray(x, dtype=float)), logabs
 
     neglog = None
     if f.has_logx_forms():
-        def neglog(u):
+        def neglog(u, row=0):
             u = np.asarray(u, dtype=float)
             _, logabs = slog_at_logx(-u)
             return np.ones_like(u), p * np.asarray(logabs, dtype=float)
 
-    return Integrand(log_eval=log_eval, breakpoints=_scalar_cuts(f),
-                     singular_points=tuple(f.singular_points), neglog_eval=neglog,
-                     name=name)
-
-
-def abs_value_pow_integrand(f: ScalarFunctional, p: float) -> Integrand:
-    """|f(x)|^p as a log-capable integrand."""
-    return _abs_pow_integrand(f, p, f.slog_value, f.slog_value_at_logx, f"|{f.name}|^{p}")
-
-
-def abs_deriv_pow_integrand(f: ScalarFunctional, p: float) -> Integrand:
-    """|f'(x)|^p as a log-capable integrand."""
-    return _abs_pow_integrand(f, p, f.slog_deriv, f.slog_deriv_at_logx, f"|{f.name}'|^{p}")
+    return Family(log_eval, (_scalar_cuts(f),), tuple(f.singular_points), neglog)
 
 
 def _residual_slog(f: ScalarFunctional, x, shift, log_eps, c: float, centered: bool):
@@ -188,7 +176,7 @@ def _residual_slog_neglog(f: ScalarFunctional, u, shift, log_eps, c: float, cent
 
 
 def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
-                     outer) -> quad.Family:
+                     outer) -> Family:
     """outer(log|X_eps - centered * c f'(x)|), one member per eps.
 
     The rows index the shift eps c and math.log(eps) of their point's member.
@@ -196,33 +184,36 @@ def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
     shift = np.array(eps_values) * c
     log_eps = np.array([math.log(e) for e in eps_values])
 
-    def log_eval(x, row):
+    def log_eval(x, row=0):
         x = np.asarray(x, dtype=float)
         _, l = _residual_slog(f, x, shift[row], log_eps[row], c, centered)
         return np.ones_like(x), outer(l)
 
     neglog = None
     if f.has_logx_forms():
-        def neglog(u, row):
+        def neglog(u, row=0):
             u = np.asarray(u, dtype=float)
             _, l = _residual_slog_neglog(f, u, shift[row], log_eps[row], c, centered)
             return np.ones_like(u), outer(l)
 
-    return quad.Family(log_eval, tuple(_scalar_cuts(f, shifts=(e * c,)) for e in eps_values),
-                       tuple(f.singular_points), neglog)
+    return Family(log_eval, tuple(_scalar_cuts(f, shifts=(e * c,)) for e in eps_values),
+                  tuple(f.singular_points), neglog)
 
 
 def _diffquot_family(f: ScalarFunctional, q: float, eps_values, c: float,
-                     centered: bool) -> quad.Family:
+                     centered: bool) -> Family:
     """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q, one member per eps."""
     return _residual_family(f, eps_values, c, centered, lambda l: slog_abs_pow(l, q)[1])
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
-                           centered: bool) -> Integrand:
-    """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q."""
-    return _diffquot_family(f, q, (eps,), c, centered).member(
-        0, f"|X_eps[{f.name}]|^{q} eps={eps:g}")
+                           centered: bool) -> Family:
+    """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q as a one-row family.
+
+    Nothing in the package calls it; the benchmark (perfbench/run.py) times
+    its log_eval by this name.
+    """
+    return _diffquot_family(f, q, (eps,), c, centered)
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +229,12 @@ def sobolev_seminorm(f: ScalarFunctional, p: float, *,
     """
     if not p > 1.0:
         raise ValueError("need p > 1")
-    value_part = quad.gaussian_expectation(abs_value_pow_integrand(f, p),
-                                           atol=atol, rtol=rtol, budget=budget)
-    deriv_part = quad.gaussian_expectation(abs_deriv_pow_integrand(f, p),
-                                           atol=atol, rtol=rtol, budget=budget)
+    value_part = quad.gaussian_expectation(
+        _abs_pow_family(f, p, f.slog_value, f.slog_value_at_logx),
+        atol=atol, rtol=rtol, budget=budget)
+    deriv_part = quad.gaussian_expectation(
+        _abs_pow_family(f, p, f.slog_deriv, f.slog_deriv_at_logx),
+        atol=atol, rtol=rtol, budget=budget)
     return value_part, deriv_part
 
 
@@ -318,15 +311,10 @@ def _psi_log(ly):
     return np.where(np.isneginf(ly), -np.inf, out)
 
 
-def _dvp_family(f: ScalarFunctional, eps_values, c: float) -> quad.Family:
+def _dvp_family(f: ScalarFunctional, eps_values, c: float) -> Family:
     """psi(|X_eps|^2) phi(x), Gaussian weight included, one member per eps."""
     return quad.weighted(_residual_family(f, eps_values, c, False,
                                           lambda l: _psi_log(2.0 * l)))
-
-
-def _dvp_piece_integrand(f: ScalarFunctional, eps: float, c: float) -> Integrand:
-    """psi(|X_eps|^2) phi(x), Gaussian weight included."""
-    return _dvp_family(f, (eps,), c).member(0, f"psi(|X_eps|^2) eps={eps:g}")
 
 
 def _dvp_pieces(f: ScalarFunctional, eps: float, h_T: float):

@@ -15,7 +15,9 @@ infinite" is rendered as certified unbounded growth at desk scale.
 Semi-infinite domains are exhausted along R_k = a + 2^k; integrals singular
 at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
-integrate_piece picks the route for one piece of the line from its ends.
+integrate_pieces picks the route for each piece of the line from its ends.
+
+Every integrand is a Family; Family(body) is an integrand of one row.
 
 The drivers (_adaptive, _exhaust) are generators that yield panel requests
 and receive the panels' values.  _outcomes moves the drivers of a Family --
@@ -28,7 +30,6 @@ functions run a family of one the same way.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -47,7 +48,6 @@ MAX_POINTS = 2 * MAX_ROUND * 15  # points per integrand call of _outcomes
 CALM_RUN = 3            # consecutive sub-tolerance increments allow convergence
 MAGNITUDE_LIMIT = 1e12  # partials beyond this certify divergence
 MAX_DOUBLINGS = 60
-MAX_SHRINKS = 400
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -101,65 +101,31 @@ class _NeglogRangeError(Exception):
     """x = exp(-u) underflowed and the integrand has no neglog form."""
 
 
-@dataclass(frozen=True)
-class Integrand:
-    """A log-capable integrand: log_eval(x) -> (sign, log|g(x)|), vectorized.
-
-    neglog_eval, when present, evaluates u -> (sign, log|g(e^-u)|) and lets
-    the origin-singular route probe x far below the smallest positive double.
-    """
-
-    log_eval: Callable
-    domain: tuple = (-math.inf, math.inf)
-    breakpoints: tuple = ()
-    singular_points: tuple = ()
-    neglog_eval: Optional[Callable] = None
-    name: str = "integrand"
-
-    @classmethod
-    def from_function(cls, fn, **kw) -> "Integrand":
-        """Wrap an ordinary value-returning function."""
-        def log_eval(x):
-            return slog_of(fn(np.asarray(x, dtype=float)))
-        return cls(log_eval=log_eval, **kw)
-
-
 @dataclass(frozen=True, eq=False)
 class Family:
     """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
 
-    log_eval(x, row) -> (sign, log|g_row(x)|), where row holds the member
-    index of each point (an int array shaped like x, or one int);
-    neglog_eval(u, row) is the same at x = e^-u.  breakpoints[i] are the
-    breakpoints of g_i; the singular points and the domain are shared.
+    log_eval(x, row=0) -> (sign, log|g_row(x)|), vectorized, where row holds
+    the member index of each point (an int array shaped like x, or one int).
+    neglog_eval(u, row=0), when present, is the same at x = e^-u and lets the
+    origin-singular route probe x far below the smallest positive double.
+    breakpoints[i] are the breakpoints of g_i; the singular points and the
+    domain are shared.  Family(body) is an integrand of one row.
     """
 
     log_eval: Callable
-    breakpoints: tuple
+    breakpoints: tuple = ((),)
     singular_points: tuple = ()
     neglog_eval: Optional[Callable] = None
     domain: tuple = (-math.inf, math.inf)
     mirrors: Optional["Family"] = None
 
     @classmethod
-    def of(cls, g: Integrand) -> "Family":
-        """The family whose one member is g."""
-        neglog = None
-        if g.neglog_eval is not None:
-            def neglog(u, row):
-                return g.neglog_eval(u)
-        return cls(lambda x, row: g.log_eval(x), (tuple(g.breakpoints),),
-                   tuple(g.singular_points), neglog, g.domain)
-
-    def member(self, row: int, name: str) -> Integrand:
-        """g_row as an Integrand of its own."""
-        neglog = None
-        if self.neglog_eval is not None:
-            def neglog(u):
-                return self.neglog_eval(u, row)
-        return Integrand(log_eval=lambda x: self.log_eval(x, row), domain=self.domain,
-                         breakpoints=self.breakpoints[row],
-                         singular_points=self.singular_points, neglog_eval=neglog, name=name)
+    def from_function(cls, fn, **kw) -> "Family":
+        """The one-row family of an ordinary value-returning function."""
+        def log_eval(x, row=0):
+            return slog_of(fn(np.asarray(x, dtype=float)))
+        return cls(log_eval, **kw)
 
     def cuts(self, row: int, a: float, b: float) -> list:
         """Member row's break and singular points inside (a, b)."""
@@ -170,7 +136,7 @@ class Family:
     def reflected(self) -> "Family":
         """x -> g(-x), breakpoints and singular points reflected along;
         _outcomes runs its requests in self's calls, at negated nodes."""
-        return Family(lambda x, row: self.log_eval(-x, row),
+        return Family(lambda x, row=0: self.log_eval(-x, row),
                       tuple(tuple(-b for b in bps) for bps in self.breakpoints),
                       tuple(-s for s in self.singular_points), mirrors=self)
 
@@ -183,17 +149,28 @@ class Family:
         if self.neglog_eval is not None:
             base = self.neglog_eval
         else:
-            def base(u, row):
+            def base(u, row=0):
                 if np.any(u > 700.0):
                     raise _NeglogRangeError
                 return self.log_eval(np.exp(-u), row)
 
-        def log_eval(u, row):
+        def log_eval(u, row=0):
             sign, logabs = base(u, row)
             return sign, np.asarray(logabs, dtype=float) - u
 
         return Family(log_eval, tuple(tuple(-math.log(b) for b in bps if 0.0 < b < 1.0)
                                       for bps in self.breakpoints))
+
+
+# the benchmark tracer (perfbench/tracer.py) patches quadrature.Integrand.__init__
+Integrand = Family
+
+
+def _one_row(g: Family) -> Family:
+    """g, checked to have one row: the single-verdict functions integrate row 0."""
+    if len(g.breakpoints) != 1:
+        raise ValueError(f"need a one-row family, got {len(g.breakpoints)} rows")
+    return g
 
 
 def bertrand_family(exponents) -> Family:
@@ -202,22 +179,17 @@ def bertrand_family(exponents) -> Family:
     carries its exact neglog form u - e*log(u)."""
     exponents = np.array(exponents, dtype=float)
 
-    def log_eval(x, row):
+    def log_eval(x, row=0):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             lx = np.log(x)
         return np.ones_like(x), -lx - exponents[row] * np.log(np.abs(lx))
 
-    def neglog_eval(u, row):
+    def neglog_eval(u, row=0):
         u = np.asarray(u, dtype=float)
         return np.ones_like(u), u - exponents[row] * np.log(u)
 
     return Family(log_eval, ((),) * exponents.size, (0.0,), neglog_eval, (0.0, 1.0))
-
-
-def bertrand_integrand(exponent: float) -> Integrand:
-    """The one member of bertrand_family((exponent,))."""
-    return bertrand_family((exponent,)).member(0, f"bertrand[{exponent}]")
 
 
 class Verdict:
@@ -528,7 +500,7 @@ def _finite(form: Family, row: int, a: float, b: float, atol: float, rtol: float
     return form, row, verdict()
 
 
-def integrate_adaptive(g: Integrand, a: float, b: float,
+def integrate_adaptive(g: Family, a: float, b: float,
                        atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                        budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """Integrate g over the finite interval [a, b].
@@ -538,65 +510,17 @@ def integrate_adaptive(g: Integrand, a: float, b: float,
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    return _lockstep([_finite(Family.of(g), 0, a, b, atol, rtol, budget)])[0]
+    return _lockstep([_finite(_one_row(g), 0, a, b, atol, rtol, budget)])[0]
 
 
 FIT_MISMATCH = 1e-5  # held-out relative error below which a power tail is trusted
-PROBE_LADDER = 12    # revival probes at start + (R - start) 4^j, j = 1..PROBE_LADDER
 
 
-def _revival_blocked(g: Integrand, start: float, edge: float, tol: float,
-                     bud: _Budget, power_model=None) -> bool:
-    """Point-probe far beyond the current horizon before trusting a tail.
+def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget: int):
+    """Verdict engine of [a, inf): integrate successive segments, watch increments.
 
-    An integrand can decay below tolerance and revive exponentially much
-    later (e.g. u^-6 e^(alpha u) with tiny alpha), which no increment-based
-    stopping rule can see.  Each probe charges the order of magnitude of the
-    mass a bump at that point would carry, g(u) (u - start); convergence is
-    blocked when that exceeds the tolerance plus ten times what the fitted
-    power tail predicts.  Probes beyond the representable range of an
-    integrand without a neglog form are skipped (revivals there are
-    undetectable; the substitution route with closed neglog forms is the
-    default for exactly this reason).
-    """
-    span = edge - start
-    if not (span > 0.0 and math.isfinite(span)):
-        return False
-    probes = start + span * 4.0 ** np.arange(1.0, PROBE_LADDER + 1.0)
-    probes = probes[np.isfinite(probes)]
-    if probes.size == 0:
-        return False
-    try:
-        _, logabs = g.log_eval(probes)
-    except _NeglogRangeError:
-        limit_mask = probes < 700.0  # exp(-u) floor for fallback neglog forms
-        if not np.any(limit_mask):
-            return False
-        try:
-            _, logabs = g.log_eval(probes[limit_mask])
-        except _NeglogRangeError:
-            return False
-        probes = probes[limit_mask]
-    bud.consume(probes.size)
-    logabs = np.asarray(logabs, dtype=float)
-    if np.any(np.isnan(logabs)):
-        return True  # cannot vouch for the tail
-    with np.errstate(over="ignore"):
-        mass = np.exp(logabs + np.log(probes - start))
-    allowed = np.full_like(mass, tol)
-    if power_model is not None:
-        c_log, p = power_model
-        with np.errstate(over="ignore"):
-            allowed = allowed + 10.0 * np.exp(c_log + (1.0 - p) * np.log(probes))
-    return bool(np.any(mass > allowed))
-
-
-def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
-             bud: _Budget, what: str):
-    """Shared verdict engine: integrate successive segments, watch increments.
-
-    A driver generator like _adaptive, whose segments are _adaptive drivers
-    made by segment_integral(lo, hi, k, tol); it returns the verdict.
+    A generator like _adaptive; its segments [a + 2^(k-2), a + 2^(k-1)] (the
+    first is [a, a + 1]) run as _adaptive generators, and it returns the verdict.
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
@@ -606,22 +530,22 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
     held-out increment orders of magnitude above it) or CALM_RUN consecutive
     sub-tolerance increments with a geometric tail estimate.
     """
+    bud = _Budget(budget)
+    what = f"[{a:g}, inf)"
     partial = 0.0
     quad_err = 0.0
     records = []
     increments = []
-    edges_seen = []
+    edges_seen = [a]
     growth_run = 0
     calm_run = 0
-    prev_edge = None
-    for k, edge in enumerate(boundaries):
-        if prev_edge is None:
-            prev_edge = edge
-            edges_seen.append(edge)
-            continue
+    prev_edge = a
+    for k in range(1, MAX_DOUBLINGS + 1):
+        edge = a + 2.0 ** (k - 1)
         tol = max(atol, rtol * abs(partial))
         try:
-            seg = yield from segment_integral(prev_edge, edge, k, tol)
+            seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
+                                       0.25 * rtol, bud, form.cuts(row, prev_edge, edge))
         except _NeglogRangeError:
             return _inconclusive(bud.used,
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
@@ -652,7 +576,7 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
             return _diverged(records, "increment_growth", bud.used,
                              f"{what}: increments grew for {GROWTH_RUN} consecutive steps")
 
-        if edges_seen[0] > 0.0:
+        if a > 0.0:
             tail, mismatch = _fit_power_tail(edges_seen, increments)
             if math.isfinite(tail) and seg.ok and mismatch < FIT_MISMATCH:
                 tail_unc = tail * max(10.0 * mismatch, 1e-12)
@@ -680,66 +604,42 @@ def _exhaust(segment_integral, boundaries, atol: float, rtol: float,
 def _semi_infinite(form: Family, row: int, a: float, atol: float, rtol: float,
                    budget: int):
     """Driver of [a, inf), exhausted along a + 2^k."""
-    bud = _Budget(budget)
-    boundaries = itertools.chain((a,), (a + 2.0 ** k for k in range(MAX_DOUBLINGS)))
-
-    def segment(lo, hi, k, tol_hint):
-        seg_atol = max(atol, tol_hint) / (16.0 * (k + 1) ** 2)
-        return _adaptive(lo, hi, seg_atol, 0.25 * rtol, bud, form.cuts(row, lo, hi))
-
-    return form, row, _exhaust(segment, boundaries, atol, rtol, bud, f"[{a:g}, inf)")
+    return form, row, _exhaust(form, row, a, atol, rtol, budget)
 
 
-def integrate_semi_infinite(g: Integrand, a: float,
+def integrate_semi_infinite(g: Family, a: float,
                             atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                             budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """Integrate g over [a, inf) by doubling the exhaustion point."""
     if not math.isfinite(a):
         raise ValueError("need a finite left endpoint")
-    return _lockstep([_semi_infinite(Family.of(g), 0, a, atol, rtol, budget)])[0]
+    return _lockstep([_semi_infinite(_one_row(g), 0, a, atol, rtol, budget)])[0]
 
 
-def _origin(fam: Family, row: int, mu: float, atol: float, rtol: float, budget: int,
-            method: str):
-    """Driver of (0, mu] with mu < 1, by the u = -log x route or by shrinking."""
-    if method == "substitution":
-        return _semi_infinite(fam.substituted, row, -math.log(mu), atol, rtol, budget)
-    bud = _Budget(budget)
-    boundaries = (-math.log(mu * 2.0 ** -k) for k in range(MAX_SHRINKS + 1))
-
-    def segment(u_lo, u_hi, k, tol_hint):
-        lo, hi = mu * 2.0 ** -k, mu * 2.0 ** -(k - 1)
-        seg_atol = max(atol, tol_hint) / (16.0 * k * k)
-        return _adaptive(lo, hi, seg_atol, 0.25 * rtol, bud, fam.cuts(row, lo, hi))
-
-    return fam, row, _exhaust(segment, boundaries, atol, rtol, bud, "shrink")
+def _origin(fam: Family, row: int, mu: float, atol: float, rtol: float, budget: int):
+    """The u = -log x route over (0, mu], mu < 1: [-log mu, inf) in u."""
+    return _semi_infinite(fam.substituted, row, -math.log(mu), atol, rtol, budget)
 
 
-def integrate_singular_origin(g: Integrand, mu: float,
+def integrate_singular_origin(g: Family, mu: float,
                               atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                              budget: int = DEFAULT_BUDGET,
-                              method: str = "substitution") -> IntegralVerdict:
+                              budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """Integrate g over (0, mu], where g may blow up (or fail to be integrable) at 0.
 
-    The default route substitutes u = -log x and exhausts the resulting
-    semi-infinite domain, which turns Bertrand behavior x^-1 |log x|^-i into
-    the transparent power scale u^-i.  The "shrink" route integrates over
-    [mu 2^-k, mu 2^-(k-1)] directly; since its lower limits advance only
-    linearly in u, it extrapolates the fitted power-law tail in u instead of
-    waiting for the raw increments to die out.  For mu >= 1 the part above
-    1/2 is a finite piece of its own.
+    Substitutes u = -log x and exhausts the resulting semi-infinite domain,
+    which turns Bertrand behavior x^-1 |log x|^-i into the transparent power
+    scale u^-i, whose fitted tail the exhaustion extrapolates.  For mu >= 1
+    the part above 1/2 is a finite piece of its own.
     """
     if not 0.0 < mu:
         raise ValueError("need mu > 0")
-    if method not in ("substitution", "shrink"):
-        raise ValueError(f"unknown method {method!r}")
-    fam = Family.of(g)
+    _one_row(g)
     if mu >= 1.0:
         pieces = _lockstep([
-            _origin(fam, 0, 0.5, 0.5 * atol, rtol, budget // 2, method),
-            _finite(fam, 0, 0.5, mu, 0.5 * atol, 0.5 * rtol, budget // 2)])
+            _origin(g, 0, 0.5, 0.5 * atol, rtol, budget // 2),
+            _finite(g, 0, 0.5, mu, 0.5 * atol, 0.5 * rtol, budget // 2)])
         return _combine(pieces, ["(0, 0.5]", f"[0.5, {mu:g}]"])
-    return _lockstep([_origin(fam, 0, mu, atol, rtol, budget, method)])[0]
+    return _lockstep([_origin(g, 0, mu, atol, rtol, budget)])[0]
 
 
 def _fit_power_tail(u_edges, increments):
@@ -799,13 +699,13 @@ def _fit_power_tail(u_edges, increments):
 
 def weighted(fam: Family) -> Family:
     """g(x) phi(x) for every member g, in both the x form and the neglog form."""
-    def log_eval(x, row):
+    def log_eval(x, row=0):
         sign, logabs = fam.log_eval(x, row)
         return sign, np.asarray(logabs, dtype=float) + gauss_log_pdf(x)
 
     neglog = None
     if fam.neglog_eval is not None:
-        def neglog(u, row):
+        def neglog(u, row=0):
             sign, logabs = fam.neglog_eval(u, row)
             with np.errstate(under="ignore"):
                 w = -0.5 * np.exp(-2.0 * u) - LOG_SQRT_2PI
@@ -842,7 +742,7 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     if hi == math.inf:
         return _semi_infinite(fam, row, lo, atol, rtol, budget)
     if lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
-        return _origin(fam, row, hi, atol, rtol, budget, "substitution")
+        return _origin(fam, row, hi, atol, rtol, budget)
     return _finite(fam, row, lo, hi, atol, rtol, budget)
 
 
@@ -850,13 +750,6 @@ def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,
                      rtol: float = DEFAULT_RTOL, budget: int = DEFAULT_BUDGET) -> list:
     """Verdicts for the pieces [(row, lo, hi), ...] of fam's members, in lockstep."""
     return _lockstep([_piece(fam, row, lo, hi, atol, rtol, budget) for row, lo, hi in pieces])
-
-
-def integrate_piece(g: Integrand, lo: float, hi: float,
-                    atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
-                    budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
-    """Integrate g over one piece (lo, hi) of the line, routed by its ends (_piece)."""
-    return integrate_pieces(Family.of(g), [(0, lo, hi)], atol, rtol, budget)[0]
 
 
 def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
@@ -882,8 +775,8 @@ def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
     return [_combine([next(verdicts) for _ in labels], labels) for labels in plans]
 
 
-def gaussian_expectation(g: Integrand,
+def gaussian_expectation(g: Family,
                          atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                          budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """E[g(W_1)] with verdict combination across pieces (gaussian_expectations)."""
-    return gaussian_expectations(Family.of(g), atol, rtol, budget)[0]
+    return gaussian_expectations(_one_row(g), atol, rtol, budget)[0]

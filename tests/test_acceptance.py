@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGrid, Flag,
-                       Integrand, Polynomial, TimeGrid, bertrand_integrand,
+from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGrid, Family,
+                       Flag, Polynomial, TimeGrid, bertrand_family,
                        cameron_martin_check, cm_inner, dvp_uniform_integrability_test,
                        eval_cylindrical, gaussian_expectation, integrate_semi_infinite,
                        integrate_singular_origin, lq_diffquot_norm, mc_difference_quotient,
@@ -44,16 +44,16 @@ class _Stopwatch:
 
 def test_a1_quadrature_exactness():
     with _Stopwatch("A1 quadrature exactness", 1.0):
-        v2 = gaussian_expectation(Integrand.from_function(lambda x: x * x),
+        v2 = gaussian_expectation(Family.from_function(lambda x: x * x),
                                   atol=1e-12, rtol=1e-11)
         assert v2.converged and abs(v2.value - 1.0) < 1e-10
-        v4 = gaussian_expectation(Integrand.from_function(lambda x: x ** 4),
+        v4 = gaussian_expectation(Family.from_function(lambda x: x ** 4),
                                   atol=1e-12, rtol=1e-11)
         assert v4.converged and abs(v4.value - 3.0) < 1e-10
-        vq = integrate_semi_infinite(Integrand.from_function(lambda x: x ** -4.0), 2.0,
+        vq = integrate_semi_infinite(Family.from_function(lambda x: x ** -4.0), 2.0,
                                      atol=1e-12, rtol=1e-10)
         assert vq.converged and abs(vq.value - 1.0 / 24.0) < 1e-9
-        vb = integrate_singular_origin(bertrand_integrand(6.0), math.exp(-10.0),
+        vb = integrate_singular_origin(bertrand_family((6.0,)), math.exp(-10.0),
                                        atol=1e-18, rtol=1e-11)
         assert vb.converged and abs(vb.value - 2e-6) < 1e-9 * 2e-6
 
@@ -169,10 +169,10 @@ def test_a9_verdict_chain_and_separations(f31, f33, flin):
 
 def _a1_rows():
     rows = []
-    v2 = gaussian_expectation(Integrand.from_function(lambda x: x * x),
+    v2 = gaussian_expectation(Family.from_function(lambda x: x * x),
                               atol=1e-12, rtol=1e-11)
     rows.append(LqRow("moment_x2", 2.0, None, v2))
-    vb = integrate_singular_origin(bertrand_integrand(6.0), math.exp(-10.0),
+    vb = integrate_singular_origin(bertrand_family((6.0,)), math.exp(-10.0),
                                    atol=1e-18, rtol=1e-11)
     rows.append(LqRow("bertrand6", 6.0, None, vb))
     return rows

@@ -11,7 +11,7 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
 from wienerlab import quadrature as quad
-from wienerlab.diagnostics import (LqRow, _diffquot_family, _dvp_family, _dvp_piece_integrand,
+from wienerlab.diagnostics import (LqRow, _diffquot_family, _dvp_family,
                                    _dvp_pieces, report_evidence_rows)
 
 from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
@@ -187,7 +187,7 @@ class TestDvp:
             assert [r.q for r in res.bertrand_rows.rows] == [5.0, 6.0, 7.0, 8.0]
             assert all(r.verdict.converged for r in res.bertrand_rows.rows)
             assert [r.verdict for r in res.bertrand_rows.rows] == [
-                quad.integrate_singular_origin(quad.bertrand_integrand(r.q), f33.params["mu"])
+                quad.integrate_singular_origin(quad.bertrand_family((r.q,)), f33.params["mu"])
                 for r in res.bertrand_rows.rows]
 
     def test_tail_growth_not_uniformly_integrable(self, f31, grid):
@@ -241,7 +241,7 @@ class TestLockstep:
         calls = self.count_calls(monkeypatch)
         family = quad.integrate_pieces(_dvp_family(f33, eps_values, h), pieces)
         n_family = len(calls)
-        alone = [quad.integrate_piece(_dvp_piece_integrand(f33, eps_values[row], h), lo, hi)
+        alone = [quad.integrate_pieces(_dvp_family(f33, (eps_values[row],), h), [(0, lo, hi)])[0]
                  for row, lo, hi in pieces]
         assert family == alone
         assert all(v.converged for v in family)

@@ -5,13 +5,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from wienerlab import (Integrand, bertrand_integrand, gaussian_expectation,
-                       integrate_adaptive, integrate_piece, integrate_semi_infinite,
-                       integrate_singular_origin)
-from wienerlab.diagnostics import (EpsilonGrid, _dvp_piece_integrand, abs_value_pow_integrand,
+from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
+                       integrate_pieces, integrate_semi_infinite, integrate_singular_origin)
+from wienerlab.diagnostics import (EpsilonGrid, _abs_pow_family, _dvp_family,
                                    diffquot_pow_integrand, dvp_uniform_integrability_test)
 from wienerlab import quadrature as quad
-from wienerlab.quadrature import EvaluationError, Family, _gk_panels, gauss_log_pdf
+from wienerlab.quadrature import EvaluationError, _gk_panels, gauss_log_pdf
 from wienerlab.slog import slog_of
 
 
@@ -28,35 +27,35 @@ def gauss_x2_mass(r):
 
 class TestAdaptive:
     def test_linear(self):
-        v = integrate_adaptive(Integrand.from_function(lambda x: x), 0.0, 1.0,
+        v = integrate_adaptive(Family.from_function(lambda x: x), 0.0, 1.0,
                                atol=1e-14, rtol=1e-13)
         assert v.converged
         assert v.value == pytest.approx(0.5, abs=1e-12)
 
     def test_gaussian_mass(self):
-        g = Integrand.from_function(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi))
+        g = Family.from_function(lambda x: np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi))
         v = integrate_adaptive(g, -8.0, 8.0, atol=1e-12, rtol=1e-12)
         assert v.converged
         assert v.value == pytest.approx(gauss_mass(8.0), abs=1e-10)
 
     def test_gaussian_second_moment_window(self):
-        g = Integrand.from_function(
+        g = Family.from_function(
             lambda x: x * x * np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi))
         v = integrate_adaptive(g, -8.0, 8.0, atol=1e-12, rtol=1e-12)
         assert v.value == pytest.approx(gauss_x2_mass(8.0), abs=1e-10)
 
     def test_error_bound_honest(self):
-        v = integrate_adaptive(Integrand.from_function(np.sin), 0.0, math.pi,
+        v = integrate_adaptive(Family.from_function(np.sin), 0.0, math.pi,
                                atol=1e-12, rtol=1e-12)
         assert abs(v.value - 2.0) <= v.abs_error + 1e-12
 
     def test_budget_exhaustion_is_inconclusive(self):
-        g = Integrand.from_function(lambda x: np.sin(1e5 * x))
+        g = Family.from_function(lambda x: np.sin(1e5 * x))
         v = integrate_adaptive(g, 0.0, 1.0, atol=1e-14, rtol=1e-14, budget=300)
         assert v.status == "inconclusive"
 
     def test_nan_raises(self):
-        g = Integrand.from_function(lambda x: np.where(x > 0.5, np.nan, x))
+        g = Family.from_function(lambda x: np.where(x > 0.5, np.nan, x))
         with pytest.raises(EvaluationError):
             integrate_adaptive(g, 0.0, 1.0)
 
@@ -65,18 +64,18 @@ class TestAdaptive:
         # round instead of one per panel (255 calls before batching)
         calls = []
 
-        def log_eval(x):
+        def log_eval(x, row=0):
             calls.append(x.size)
             return slog_of(np.sin(50.0 * x))
 
-        v = integrate_adaptive(Integrand(log_eval=log_eval), 0.0, 10.0, atol=1e-12, rtol=1e-12)
+        v = integrate_adaptive(Family(log_eval), 0.0, 10.0, atol=1e-12, rtol=1e-12)
         assert v.converged
         assert abs(v.value - (1.0 - math.cos(500.0)) / 50.0) <= v.abs_error
         assert len(calls) <= 16
         assert sum(calls) == v.n_evals
 
     def test_bad_interval_rejected(self):
-        g = Integrand.from_function(lambda x: x)
+        g = Family.from_function(lambda x: x)
         with pytest.raises(ValueError):
             integrate_adaptive(g, 1.0, 0.0)
         with pytest.raises(ValueError):
@@ -190,8 +189,7 @@ class TestLockstep:
         assert all(v.converged for v in merged)
         assert n_merged < len(calls) - n_merged
         for row in range(shift.size):
-            left = quad.integrate_piece(fam.member(row, "g"), -math.inf, -1.0,
-                                        atol=1e-11, rtol=1e-9)
+            (left,) = integrate_pieces(fam, [(row, -math.inf, -1.0)], atol=1e-11, rtol=1e-9)
             assert left == merged[3 * row]
 
     def test_reflected_nan_member(self, monkeypatch):
@@ -239,13 +237,13 @@ class TestLockstep:
 
 class TestSemiInfinite:
     def test_quartic_tail(self):
-        v = integrate_semi_infinite(Integrand.from_function(lambda x: x ** -4.0), 2.0,
+        v = integrate_semi_infinite(Family.from_function(lambda x: x ** -4.0), 2.0,
                                     atol=1e-12, rtol=1e-10)
         assert v.converged
         assert v.value == pytest.approx(1.0 / 24.0, abs=1e-9)
 
     def test_harmonic_tail_diverges(self):
-        v = integrate_semi_infinite(Integrand.from_function(lambda x: 1.0 / x), 2.0)
+        v = integrate_semi_infinite(Family.from_function(lambda x: 1.0 / x), 2.0)
         assert v.diverged
         recs = v.evidence.records
         partials = [r[1] for r in recs]
@@ -259,11 +257,11 @@ class TestSemiInfinite:
         # phi-integrable on [sqrt(2a), inf) for any eps
         q = diffquot_pow_integrand(f31, 2.0, 0.1, 1.0, centered=False)
 
-        def weighted(x):
+        def weighted(x, row=0):
             s, l = q.log_eval(x)
             return s, np.asarray(l) + gauss_log_pdf(x)
 
-        g = Integrand(log_eval=weighted)
+        g = Family(weighted)
         v = integrate_semi_infinite(g, math.sqrt(4.0), atol=1e-10, rtol=1e-8)
         assert v.diverged
 
@@ -271,46 +269,40 @@ class TestSemiInfinite:
 class TestSingularOrigin:
     def test_bertrand_closed_form(self):
         # int_0^{e^-10} dx/(x |log x|^6) = 10^-5 / 5
-        v = integrate_singular_origin(bertrand_integrand(6.0), math.exp(-10.0),
+        v = integrate_singular_origin(bertrand_family((6.0,)), math.exp(-10.0),
                                       atol=1e-18, rtol=1e-11)
         assert v.converged
         assert v.value == pytest.approx(2e-6, rel=1e-9)
 
     def test_inverse_x_diverges(self):
-        v = integrate_singular_origin(Integrand.from_function(lambda x: 1.0 / x), 0.1)
+        v = integrate_singular_origin(Family.from_function(lambda x: 1.0 / x), 0.1)
         assert v.diverged
 
     def test_cusp_derivative_square_converges(self, f33):
         # |F'|^2 behaves like the Bertrand exponent 6 at the origin: finite
-        from wienerlab.diagnostics import abs_deriv_pow_integrand
-        g = abs_deriv_pow_integrand(f33, 2.0)
+        g = _abs_pow_family(f33, 2.0, f33.slog_deriv, f33.slog_deriv_at_logx)
 
-        def weighted(u):
+        def weighted(u, row=0):
             s, l = g.neglog_eval(u)
             return s, np.asarray(l) - 0.5 * np.exp(-2.0 * u) - 0.5 * math.log(2 * math.pi)
 
-        gi = Integrand(log_eval=g.log_eval, neglog_eval=weighted,
-                       singular_points=(0.0,))
         # weight the x-space form too
-        def weighted_x(x):
+        def weighted_x(x, row=0):
             s, l = g.log_eval(x)
             return s, np.asarray(l) + gauss_log_pdf(x)
 
-        gi = Integrand(log_eval=weighted_x, neglog_eval=weighted, singular_points=(0.0,))
+        gi = Family(weighted_x, neglog_eval=weighted, singular_points=(0.0,))
         v = integrate_singular_origin(gi, 2e-4)
         assert v.converged
         assert v.value > 0.0
 
     def test_methods_agree_on_bertrand(self):
-        # substitution route vs shrinking lower limits, 1e-8 relative
+        # the u = -log x route against the closed form 10^(1-i) / (i-1)
         for i in range(2, 9):
-            b = bertrand_integrand(float(i))
+            b = bertrand_family((float(i),))
             exact = 10.0 ** (1 - i) / (i - 1)
             va = integrate_singular_origin(b, math.exp(-10.0), atol=1e-14, rtol=1e-10)
-            vb = integrate_singular_origin(b, math.exp(-10.0), atol=1e-14, rtol=1e-10,
-                                           method="shrink")
-            assert va.converged and vb.converged
-            assert abs(va.value - vb.value) <= 1e-8 * exact
+            assert va.converged
             assert va.value == pytest.approx(exact, rel=1e-9)
 
     @pytest.mark.parametrize("c", [1e-4, 1.9e-4, 1.999e-4])
@@ -318,23 +310,15 @@ class TestSingularOrigin:
         # a kink at c must be a panel edge in u = -log x as well, or the
         # error can pass the stated bound (by 10^7 at c = 1.999e-4)
         mu = 2e-4
-        g = Integrand.from_function(lambda x: np.abs(x - c), breakpoints=(c,),
-                                    singular_points=(0.0,))
+        g = Family.from_function(lambda x: np.abs(x - c), breakpoints=((c,),),
+                                 singular_points=(0.0,))
         v = integrate_singular_origin(g, mu, atol=1e-18, rtol=1e-10)
         exact = 0.5 * (c * c + (mu - c) ** 2)
         assert v.converged
         assert abs(v.value - exact) <= v.abs_error
 
-    def test_shrink_says_boundaries_ran_out(self):
-        # 1/(x |log x|) diverges too slowly for MAX_SHRINKS halvings of x to
-        # show it; the verdict names the boundary list, not the budget
-        v = integrate_singular_origin(bertrand_integrand(1.0), 0.1, method="shrink")
-        assert v.status == "inconclusive"
-        assert "boundary list ran out after 400 segments" in v.message
-        assert v.n_evals < 100_000
-
     def test_mu_above_one(self):
-        g = Integrand.from_function(lambda x: x ** -0.5, singular_points=(0.0,))
+        g = Family.from_function(lambda x: x ** -0.5, singular_points=(0.0,))
         v = integrate_singular_origin(g, 4.0)
         assert v.converged
         assert abs(v.value - 4.0) <= v.abs_error
@@ -342,16 +326,17 @@ class TestSingularOrigin:
 
 class TestIntegratePiece:
     def test_routes_by_ends(self):
-        phi = Integrand(log_eval=lambda x: (np.ones_like(x), gauss_log_pdf(x)))
-        left = integrate_piece(phi, -math.inf, 0.0, atol=1e-12, rtol=1e-10)
-        right = integrate_piece(phi, 0.0, math.inf, atol=1e-12, rtol=1e-10)
-        finite = integrate_piece(phi, -1.0, 1.0, atol=1e-12, rtol=1e-10)
+        phi = Family(lambda x, row=0: (np.ones_like(x), gauss_log_pdf(x)))
+        left, right, finite = integrate_pieces(
+            phi, [(0, -math.inf, 0.0), (0, 0.0, math.inf), (0, -1.0, 1.0)],
+            atol=1e-12, rtol=1e-10)
         for v in (left, right):
             assert v.converged and abs(v.value - 0.5) <= v.abs_error + 1e-12
         assert finite.value == pytest.approx(gauss_mass(1.0), abs=1e-12)
-        b = bertrand_integrand(6.0)
+        b = bertrand_family((6.0,))
         mu = math.exp(-10.0)
-        assert repr(integrate_piece(b, 0.0, mu)) == repr(integrate_singular_origin(b, mu))
+        (piece,) = integrate_pieces(b, [(0, 0.0, mu)])
+        assert repr(piece) == repr(integrate_singular_origin(b, mu))
 
     def test_left_piece_keeps_breakpoints(self, f33):
         # psi(|X_eps|^2) phi is nonzero only on the gap (-eps, 0) of the piece
@@ -361,7 +346,7 @@ class TestIntegratePiece:
         table = dvp_uniform_integrability_test(f33, 1.0, EpsilonGrid((eps,))).table
         (below,) = [row.verdict for row in table if row.quantity == "dvp_below"]
         assert below.converged
-        log_eval = _dvp_piece_integrand(f33, eps, 1.0).log_eval
+        log_eval = _dvp_family(f33, (eps,), 1.0).log_eval
 
         def value(x):
             sign, logabs = log_eval(np.array([float(x)]))
@@ -377,11 +362,11 @@ class TestBudgetCap:
     @pytest.mark.parametrize("budget", [30, 300, 1000])
     def test_evaluations_within_budget(self, budget):
         # no route evaluates a panel it cannot pay for
-        fast = Integrand.from_function(lambda x: np.sin(1e3 * x) / (1.0 + x * x))
+        fast = Family.from_function(lambda x: np.sin(1e3 * x) / (1.0 + x * x))
         runs = [
             integrate_adaptive(fast, 0.0, 1.0, atol=1e-14, rtol=1e-14, budget=budget),
             integrate_semi_infinite(fast, 2.0, atol=1e-14, rtol=1e-14, budget=budget),
-            integrate_singular_origin(Integrand.from_function(lambda x: np.sin(1.0 / x)), 0.5,
+            integrate_singular_origin(Family.from_function(lambda x: np.sin(1.0 / x)), 0.5,
                                       atol=1e-14, rtol=1e-14, budget=budget),
             gaussian_expectation(fast, atol=1e-14, rtol=1e-14, budget=budget),
         ]
@@ -391,26 +376,26 @@ class TestBudgetCap:
 
     def test_whole_budget_is_spent(self):
         # three pieces at 45 evaluations: one 15-point panel each
-        g = Integrand.from_function(np.ones_like, breakpoints=(1.0,))
+        g = Family.from_function(np.ones_like, breakpoints=((1.0,),))
         v = gaussian_expectation(g, atol=1e-14, rtol=1e-14, budget=45)
         assert v.n_evals == 45
 
 
 class TestGaussianExpectation:
     def test_second_moment(self):
-        v = gaussian_expectation(Integrand.from_function(lambda x: x * x),
+        v = gaussian_expectation(Family.from_function(lambda x: x * x),
                                  atol=1e-12, rtol=1e-11)
         assert v.value == pytest.approx(1.0, abs=1e-10)
 
     def test_fourth_moment(self):
-        v = gaussian_expectation(Integrand.from_function(lambda x: x ** 4),
+        v = gaussian_expectation(Family.from_function(lambda x: x ** 4),
                                  atol=1e-12, rtol=1e-11)
         assert v.value == pytest.approx(3.0, abs=1e-10)
 
     def test_tail_growth_square_matches_closed_form(self, f31):
         # |f|^2 phi is exactly x^-2a above the breakpoint and the bounded
         # completion squared below it: v0^2 Phi(2) + 1/24
-        g = abs_value_pow_integrand(f31, 2.0)
+        g = _abs_pow_family(f31, 2.0, f31.slog_value, f31.slog_value_at_logx)
         v = gaussian_expectation(g, atol=1e-11, rtol=1e-9)
         v0 = float(f31.value(2.0))
         exact = v0 * v0 * 0.5 * (1.0 + math.erf(2.0 / math.sqrt(2.0))) + 1.0 / 24.0
@@ -419,14 +404,65 @@ class TestGaussianExpectation:
 
     def test_overflow_on_finite_piece_is_inconclusive(self):
         # magnitudes beyond double range on a bounded piece certify nothing
-        g = Integrand(log_eval=lambda x: (np.ones_like(x), 1000.0 + 0 * x), domain=(-1.0, 1.0))
+        g = Family(lambda x, row=0: (np.ones_like(x), 1000.0 + 0 * x), domain=(-1.0, 1.0))
         assert gaussian_expectation(g).status == "inconclusive"
 
     def test_odd_moment_is_zero(self):
-        v = gaussian_expectation(Integrand.from_function(lambda x: x ** 3),
+        v = gaussian_expectation(Family.from_function(lambda x: x ** 3),
                                  atol=1e-10, rtol=1e-9)
         assert v.converged
         assert abs(v.value) <= 1e-10
+
+
+class TestOneRow:
+    """The single-verdict functions integrate one row; a body's row defaults to 0."""
+
+    @pytest.mark.parametrize("run", [
+        lambda g: integrate_adaptive(g, 0.0, 1.0),
+        lambda g: integrate_semi_infinite(g, 2.0),
+        lambda g: integrate_singular_origin(g, 0.1),
+        lambda g: gaussian_expectation(g),
+    ], ids=["adaptive", "semi_infinite", "singular_origin", "gaussian_expectation"])
+    def test_more_than_one_row_rejected(self, run):
+        # rejected before any evaluation, not integrated as row 0 alone
+        calls = []
+
+        def log_eval(x, row=0):
+            calls.append(x.size)
+            return np.ones_like(x), -2.0 * np.log1p(np.abs(x))
+
+        for rows in ((), ((), ()), ((0.5,), (0.5,), ())):
+            with pytest.raises(ValueError, match="one-row family"):
+                run(Family(log_eval, rows))
+        assert not calls
+        assert run(Family(log_eval)).converged
+        assert calls
+
+    def test_one_argument_call_is_row_0(self, f31, f33):
+        # log_eval(x) and neglog_eval(u) equal the explicit row 0 bit for bit
+        x = np.concatenate([np.linspace(-4.0, 12.0, 161), np.geomspace(1e-9, 0.9, 40)])
+        u = np.linspace(0.2, 60.0, 120)
+        bodies = {"from_function": Family.from_function(lambda x: np.sin(x) / (1.0 + x * x)),
+                  "bertrand": bertrand_family((6.0,))}
+        for f in (f31, f33):
+            bodies[f"diffquot[{f.name}]"] = diffquot_pow_integrand(f, 2.0, 0.125, 1.0, True)
+            bodies[f"abs_pow[{f.name}]"] = _abs_pow_family(f, 2.0, f.slog_deriv,
+                                                           f.slog_deriv_at_logx)
+        assert bodies["bertrand"].neglog_eval is not None
+        assert bodies["from_function"].neglog_eval is None
+        for name in list(bodies):
+            bodies[f"weighted({name})"] = quad.weighted(bodies[name])
+        for name in list(bodies):
+            bodies[f"{name}.reflected"] = bodies[name].reflected
+            bodies[f"{name}.substituted"] = bodies[name].substituted
+        with np.errstate(all="ignore"):
+            for name, g in bodies.items():
+                forms = [(g.log_eval, u if name.endswith(".substituted") else x)]
+                if g.neglog_eval is not None:
+                    forms.append((g.neglog_eval, u))
+                for body, points in forms:
+                    for one, explicit in zip(body(points), body(points, 0)):
+                        np.testing.assert_array_equal(one, explicit, err_msg=name)
 
 
 class TestVerdictProperties:
@@ -434,35 +470,36 @@ class TestVerdictProperties:
         # nested nonnegative integrands: if the smaller diverges so does the larger
         verdicts = {}
         for i in (1.0, 0.75, 0.5):
-            verdicts[i] = integrate_singular_origin(bertrand_integrand(i), 0.1)
+            verdicts[i] = integrate_singular_origin(bertrand_family((i,)), 0.1)
         assert verdicts[1.0].diverged  # smallest of the three on (0, 0.1)
         assert verdicts[0.75].diverged
         assert verdicts[0.5].diverged
 
     def test_linearity_under_converged(self):
-        base = integrate_semi_infinite(Integrand.from_function(lambda x: x ** -4.0), 2.0,
+        base = integrate_semi_infinite(Family.from_function(lambda x: x ** -4.0), 2.0,
                                        atol=1e-12, rtol=1e-10)
         for alpha in (2.0, 10.0):
             scaled = integrate_semi_infinite(
-                Integrand.from_function(lambda x, a=alpha: a * x ** -4.0), 2.0,
+                Family.from_function(lambda x, a=alpha: a * x ** -4.0), 2.0,
                 atol=1e-12, rtol=1e-10)
             tol = alpha * base.abs_error + scaled.abs_error
             assert abs(scaled.value - alpha * base.value) <= tol + 1e-14
 
     def test_no_verdict_flip_under_tightening(self, f31, f33):
         # the acceptance catalog keeps its verdicts when tolerances tighten 10x
-        from wienerlab.diagnostics import abs_deriv_pow_integrand
         cases = [
             (lambda a, r: integrate_semi_infinite(
-                Integrand.from_function(lambda x: x ** -4.0), 2.0, atol=a, rtol=r), True),
+                Family.from_function(lambda x: x ** -4.0), 2.0, atol=a, rtol=r), True),
             (lambda a, r: integrate_singular_origin(
-                bertrand_integrand(6.0), math.exp(-10.0), atol=a, rtol=r), True),
+                bertrand_family((6.0,)), math.exp(-10.0), atol=a, rtol=r), True),
             (lambda a, r: integrate_singular_origin(
-                bertrand_integrand(1.0), 0.1, atol=a, rtol=r), False),
+                bertrand_family((1.0,)), 0.1, atol=a, rtol=r), False),
             (lambda a, r: gaussian_expectation(
-                abs_value_pow_integrand(f31, 2.0), atol=a, rtol=r), True),
+                _abs_pow_family(f31, 2.0, f31.slog_value, f31.slog_value_at_logx),
+                atol=a, rtol=r), True),
             (lambda a, r: gaussian_expectation(
-                abs_deriv_pow_integrand(f33, 2.1), atol=a, rtol=r), False),
+                _abs_pow_family(f33, 2.1, f33.slog_deriv, f33.slog_deriv_at_logx),
+                atol=a, rtol=r), False),
         ]
         for run, expect_converged in cases:
             loose = run(1e-10, 1e-8)
@@ -476,7 +513,7 @@ class TestVerdictProperties:
     def test_converged_error_contract(self):
         # Converged implies abs_error <= max(atol, rtol |value|)
         atol, rtol = 1e-11, 1e-9
-        v = integrate_semi_infinite(Integrand.from_function(lambda x: x ** -4.0), 2.0,
+        v = integrate_semi_infinite(Family.from_function(lambda x: x ** -4.0), 2.0,
                                     atol=atol, rtol=rtol)
         assert v.converged
         assert v.abs_error <= max(atol, rtol * abs(v.value))
