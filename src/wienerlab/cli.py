@@ -8,16 +8,22 @@ Subcommands:
   diagnose          run the membership report on any catalog functional
   cm-check          Monte Carlo check of the shift-versus-reweighting identity
 
+Every subcommand takes --config, --out and --format.  The three reports also
+take the parameters of their catalog functional (diagnose: of every one),
+--p, --q, --delta, --h and the quadrature flags --atol, --rtol, --budget and
+--eps-grid; cm-check takes --poly, --direction, --shift, --seed and
+--n-samples.
+
 Exit codes: 0 conclusions proved as configured, 1 contradiction, 2 evidence
 inconclusive, 64 usage or parameter error.  Reports embed the full evidence
-tables (CSV schema=1 and Markdown); same config + same seed gives
-byte-identical CSV output.
+tables (CSV schema=1 and Markdown); the same configuration gives
+byte-identical CSV output, for cm-check with the same --seed.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
+import dataclasses
 import os
 import re
 import sys
@@ -26,11 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from . import quadrature as quad
-from .counterexamples import catalog_build
-from .diagnostics import (EpsilonGrid, Flag, IntegralVerdict, LqRow, MembershipReport,
-                          Verdict, cameron_martin_check, membership_report,
-                          report_evidence_rows, report_to_markdown, rows_to_csv)
+from .counterexamples import CATALOG, catalog_build
+from .diagnostics import (EpsilonGrid, Flag, LqRow, MembershipReport, cameron_martin_check,
+                          membership_report, report_evidence_rows, report_to_markdown,
+                          rows_to_csv)
 from .functionals import CylindricalFunctional, Polynomial
+from .quadrature import IntegralVerdict, Verdict
 from .wiener import CameronMartinDirection, TimeGrid, cm_norm
 
 ENV_OUT = "WIENERLAB_OUT"
@@ -118,28 +125,34 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _merge(args: argparse.Namespace, key: str, default, convert=None):
-    """Flag beats config beats default."""
+def _merge(args: argparse.Namespace, key: str, default, convert):
+    """Flag beats config (converted from its text) beats default."""
     val = getattr(args, key, None)
-    if val is None:
-        val = args._config.get(key)
-        if val is not None and convert is not None:
-            val = convert(val)
-    if val is None:
-        val = default
-    return val
+    if val is None and key in args._config:
+        val = convert(args._config[key])
+    return default if val is None else val
 
 
-def _add_common(p: _Parser):
+def _add_output(p: _Parser):
     p.add_argument("--config", help="key=value file; flags override it")
     p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./wienerlab-out)")
     p.add_argument("--format", choices=["csv", "md", "both"], default=None)
-    p.add_argument("--atol", type=float, default=None)
-    p.add_argument("--rtol", type=float, default=None)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--eps-grid", dest="eps_grid", default=None, metavar="K1..K2")
-    p.add_argument("--n-samples", dest="n_samples", type=int, default=None)
+
+
+def _catalog_params(name: str) -> list:
+    """The parameters a catalog functional takes: its dataclass fields."""
+    return [fld.name for fld in dataclasses.fields(CATALOG[name][0])]
+
+
+# report subcommand -> (help, catalog functional, the flags it must come out
+# with); diagnose takes the functional from --functional and expects nothing
+_REPORTS = {
+    "reproduce-thm31": ("gaussian-tail growth counterexample", "thm31",
+                        {"in_base": Flag.YES, "ssgd_pp": Flag.NO, "in_plus": Flag.NO}),
+    "reproduce-thm33": ("origin-cusp counterexample", "thm33",
+                        {"in_base": Flag.YES, "ssgd_pp": Flag.YES, "in_plus": Flag.NO}),
+    "diagnose": ("membership report for a catalog functional", None, {}),
+}
 
 
 def build_parser() -> _Parser:
@@ -147,43 +160,35 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p31 = sub.add_parser("reproduce-thm31", help="gaussian-tail growth counterexample")
-    p31.add_argument("--a", type=float, default=None)
-    p31.add_argument("--p", type=float, default=None)
-    p31.add_argument("--q", type=_parse_float_list, default=None,
-                     help="extra L^q residual exponents, comma list")
-    p31.add_argument("--delta", type=_parse_float_list, default=None,
-                     help="exponent bumps for the sampled union")
-    p31.add_argument("--h", type=_parse_float_list, default=None,
-                     help="direction endpoints, comma list")
-    _add_common(p31)
-
-    p33 = sub.add_parser("reproduce-thm33", help="origin-cusp counterexample")
-    p33.add_argument("--eta", type=float, default=None)
-    p33.add_argument("--mu", type=float, default=None)
-    p33.add_argument("--p", type=float, default=None)
-    p33.add_argument("--q", type=_parse_float_list, default=None)
-    p33.add_argument("--delta", type=_parse_float_list, default=None)
-    p33.add_argument("--h", type=_parse_float_list, default=None)
-    _add_common(p33)
-
-    pd = sub.add_parser("diagnose", help="membership report for a catalog functional")
-    pd.add_argument("--functional", default=None, help="linear | thm31 | thm33")
-    pd.add_argument("--a", type=float, default=None)
-    pd.add_argument("--eta", type=float, default=None)
-    pd.add_argument("--mu", type=float, default=None)
-    pd.add_argument("--p", type=float, default=None)
-    pd.add_argument("--q", type=_parse_float_list, default=None)
-    pd.add_argument("--delta", type=_parse_float_list, default=None)
-    pd.add_argument("--h", type=_parse_float_list, default=None)
-    _add_common(pd)
+    for command, (help_text, name, _) in _REPORTS.items():
+        pr = sub.add_parser(command, help=help_text)
+        if name is None:
+            pr.add_argument("--functional", default=None, help=" | ".join(CATALOG))
+        names = [name] if name else list(CATALOG)
+        for key in dict.fromkeys(k for n in names for k in _catalog_params(n)):
+            pr.add_argument(f"--{key}", type=float, default=None)
+        pr.add_argument("--p", type=float, default=None)
+        pr.add_argument("--q", type=_parse_float_list, default=None,
+                        help="extra L^q residual exponents, comma list")
+        pr.add_argument("--delta", type=_parse_float_list, default=None,
+                        help="exponent bumps for the sampled union")
+        pr.add_argument("--h", type=_parse_float_list, default=None,
+                        help="direction endpoints, comma list")
+        pr.add_argument("--atol", type=float, default=None)
+        pr.add_argument("--rtol", type=float, default=None)
+        pr.add_argument("--budget", type=int, default=None,
+                        help="integrand evaluations per verdict, a hard cap")
+        pr.add_argument("--eps-grid", dest="eps_grid", default=None, metavar="K1..K2")
+        _add_output(pr)
 
     pc = sub.add_parser("cm-check", help="shift-versus-reweighting Monte Carlo check")
     pc.add_argument("--poly", default=None, help="polynomial in x1..xn, e.g. 'x1^2'")
     pc.add_argument("--direction", action="append", default=None,
                     help="density values for each functional direction (repeatable)")
     pc.add_argument("--shift", default=None, help="density values of the shift direction")
-    _add_common(pc)
+    pc.add_argument("--seed", type=int, default=None)
+    pc.add_argument("--n-samples", dest="n_samples", type=int, default=None)
+    _add_output(pc)
     return parser
 
 
@@ -240,12 +245,19 @@ def _report_exit(report: MembershipReport, expected: dict) -> int:
     return EXIT_OK
 
 
-# the catalog parameters each functional takes; their defaults are the
-# counterexamples' parameter dataclasses
-_CATALOG_PARAMS = {"linear": (), "thm31": ("a",), "thm33": ("eta", "mu")}
-
-
-def _run_report(args, name: str, expected: dict, stem: str) -> int:
+def cmd_report(args) -> int:
+    _, name, expected = _REPORTS[args.command]
+    suffix = "report"
+    if name is None:
+        name = _merge(args, "functional", None, str)
+        if not name:
+            print("error: --functional is required", file=sys.stderr)
+            return EXIT_USAGE
+        if name not in CATALOG:
+            print(f"error: unknown functional {name!r} (known: {', '.join(CATALOG)})",
+                  file=sys.stderr)
+            return EXIT_USAGE
+        suffix = "diagnose"
     p = _merge(args, "p", 2.0, float)
     deltas = _merge(args, "delta", (0.1, 0.5), _parse_float_list)
     h_list = _merge(args, "h", (1.0, -1.0), _parse_float_list)
@@ -253,11 +265,9 @@ def _run_report(args, name: str, expected: dict, stem: str) -> int:
     grid = _parse_eps_grid(eps_spec) if eps_spec else EpsilonGrid.default()
     extra_qs = _merge(args, "q", (), _parse_float_list)
 
-    params = {}
-    for key in _CATALOG_PARAMS[name]:  # only those set by flag or config
-        value = _merge(args, key, None, float)
-        if value is not None:
-            params[key] = value
+    # only the parameters set by flag or config; the others keep their defaults
+    params = {key: _merge(args, key, None, float) for key in _catalog_params(name)}
+    params = {key: value for key, value in params.items() if value is not None}
     try:
         f = catalog_build(name, **params)
     except (ValueError, KeyError, TypeError) as exc:
@@ -267,7 +277,7 @@ def _run_report(args, name: str, expected: dict, stem: str) -> int:
     report = membership_report(f, p, deltas=deltas, h_list=h_list, grid=grid,
                                extra_qs=extra_qs, **_quad_opts(args))
     rows = report_evidence_rows(report)
-    written = _emit(args, stem, rows, report_to_markdown(report))
+    written = _emit(args, f"{name}-{suffix}", rows, report_to_markdown(report))
     print(_flags_line(report))
     for path in written:
         print(f"wrote {path}")
@@ -278,28 +288,6 @@ def _run_report(args, name: str, expected: dict, stem: str) -> int:
     elif code == EXIT_INCONCLUSIVE:
         print("INCONCLUSIVE: some evidence did not certify", file=sys.stderr)
     return code
-
-
-def cmd_reproduce_thm31(args) -> int:
-    expected = {"in_base": Flag.YES, "ssgd_pp": Flag.NO, "in_plus": Flag.NO}
-    return _run_report(args, "thm31", expected, "thm31-report")
-
-
-def cmd_reproduce_thm33(args) -> int:
-    expected = {"in_base": Flag.YES, "ssgd_pp": Flag.YES, "in_plus": Flag.NO}
-    return _run_report(args, "thm33", expected, "thm33-report")
-
-
-def cmd_diagnose(args) -> int:
-    name = _merge(args, "functional", None, str)
-    if not name:
-        print("error: --functional is required", file=sys.stderr)
-        return EXIT_USAGE
-    if name not in _CATALOG_PARAMS:
-        print(f"error: unknown functional {name!r} (known: {', '.join(_CATALOG_PARAMS)})",
-              file=sys.stderr)
-        return EXIT_USAGE
-    return _run_report(args, name, {}, f"{name}-diagnose")
 
 
 def cmd_cm_check(args) -> int:
@@ -346,20 +334,12 @@ def cmd_cm_check(args) -> int:
     return EXIT_OK if res.within_3se else EXIT_CONTRADICTION
 
 
-_COMMANDS = {
-    "reproduce-thm31": cmd_reproduce_thm31,
-    "reproduce-thm33": cmd_reproduce_thm33,
-    "diagnose": cmd_diagnose,
-    "cm-check": cmd_cm_check,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         args._config = _load_config(args.config) if args.config else {}
-        return _COMMANDS[args.command](args)
+        return (cmd_report if args.command in _REPORTS else cmd_cm_check)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

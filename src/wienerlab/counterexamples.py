@@ -160,8 +160,8 @@ def squared_quotient_floor_integrand(a: float, eps: float) -> Family:
     of the thm31 functional against the Gaussian weight, on [sqrt(2a), inf).
 
     With s = eps/2: exp(s^2/2 + s x) |(x+s)^(-a-1) ((x+s)^2/2 - a)|^2.
-    Already weighted, as a one-row family; integrate it directly over the
-    semi-infinite domain.
+    Already weighted, as a one-row family; integrate it directly over
+    [sqrt(2a), inf).
     """
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -174,7 +174,7 @@ def squared_quotient_floor_integrand(a: float, eps: float) -> Family:
             log_psi = -(a + 1.0) * np.log(xs) + np.log(np.abs(0.5 * xs * xs - a))
         return np.ones_like(x), 0.5 * s * s + s * x + 2.0 * log_psi + 0.5 * math.log(2 * math.pi)
 
-    return Family(log_eval, domain=(math.sqrt(2 * a), math.inf))
+    return Family(log_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +285,23 @@ def build_thm33(params: Thm33Params) -> ScalarFunctional:
 # catalog
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class LinearParams:
+    """The linear functional takes no parameters."""
+
+
+# the catalog: name -> (parameter dataclass, builder); the dataclass fields
+# are the parameters a name takes, with their defaults
+CATALOG = {
+    "linear": (LinearParams, lambda params: linear_functional()),
+    "thm31": (Thm31Params, build_thm31),
+    "thm33": (Thm33Params, build_thm33),
+}
+
+
 def catalog_build(name: str, **params) -> ScalarFunctional:
     """Build a catalog functional by name: linear, thm31 (a), thm33 (eta, mu)."""
-    if name == "linear":
-        return linear_functional()
-    if name == "thm31":
-        return build_thm31(Thm31Params(**params))
-    if name == "thm33":
-        return build_thm33(Thm33Params(**params))
-    raise KeyError(f"unknown catalog functional {name!r}; "
-                   "known: linear, thm31, thm33")
+    if name not in CATALOG:
+        raise KeyError(f"unknown catalog functional {name!r}; known: {', '.join(CATALOG)}")
+    params_cls, build = CATALOG[name]
+    return build(params_cls(**params))

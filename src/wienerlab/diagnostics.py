@@ -9,7 +9,7 @@ Everything here renders a limit statement falsifiable at desk scale:
 * lq_diffquot_norm / ssgd_test -- L^q norms of difference quotients along a
   shift of size eps, optionally centered at the derivative pairing; the
   order-(p,q) differentiability verdict demands a decreasing tail over the
-  eps grid and a final residual below tol_ssgd.
+  eps grid and a final residual below TOL_SSGD.
 * dvp_uniform_integrability_test -- de la Vallee-Poussin test with
   psi(y) = y |log y|: the sup over the eps window of E[psi(|X_eps|^2)] must
   stay finite, reported piece by piece (below / inside / above the core
@@ -32,7 +32,7 @@ import numpy as np
 from . import quadrature as quad
 from .functionals import (CylindricalFunctional, ScalarFunctional,
                           difference_quotient_slog)
-from .quadrature import Family, IntegralVerdict, Verdict
+from .quadrature import Family, IntegralVerdict
 from .slog import slog_abs_pow, slog_sub
 from .wiener import (CameronMartinDirection, cm_inner, merged_grid,
                      wiener_integral_blocks)
@@ -105,9 +105,6 @@ class LqTable:
 
     def __iter__(self):
         return iter(self.rows)
-
-    def values(self):
-        return [r.value for r in self.rows]
 
 
 # ---------------------------------------------------------------------------
@@ -266,14 +263,13 @@ def _tail_decreasing(vals, span: int = 4) -> bool:
 
 
 def ssgd_test(f: ScalarFunctional, p: float, q: float, h_T: float, grid: EpsilonGrid, *,
-              tol_ssgd: float = TOL_SSGD,
               atol: float = quad.DEFAULT_ATOL, rtol: float = quad.DEFAULT_RTOL,
               budget: int = quad.DEFAULT_BUDGET) -> SsgdResult:
     """Does E|X_eps - f'(W_1) h_T|^q -> 0 along the grid?
 
     Yes needs every row Converged, a nonincreasing tail over the last four
-    rows and a final residual below tol_ssgd; any Diverged row (or a plateau
-    at or above tol_ssgd) is a No; anything else stays Unknown.
+    rows and a final residual below TOL_SSGD; any Diverged row (or a plateau
+    at or above TOL_SSGD) is a No; anything else stays Unknown.
     """
     if not 0.0 < q <= p:
         raise ValueError("need 0 < q <= p")
@@ -283,18 +279,17 @@ def ssgd_test(f: ScalarFunctional, p: float, q: float, h_T: float, grid: Epsilon
     rows = [LqRow("diffquot_residual", q, eps, v) for eps, v in zip(grid.values, verdicts)]
     table = LqTable(tuple(rows))
 
-    if any(r.verdict.diverged for r in rows):
-        return SsgdResult(q, h_T, table, Flag.NO, None)
-    if any(not r.verdict.converged for r in rows):
-        return SsgdResult(q, h_T, table, Flag.UNKNOWN, None)
+    flag = _verdicts_flag(verdicts)
+    if flag != Flag.YES:
+        return SsgdResult(q, h_T, table, flag, None)
     # a row within the quadrature's absolute resolution is numerically zero
     floor = max(atol, 0.0)
     vals = [0.0 if abs(r.value) <= max(r.abs_error, floor) else abs(r.value) for r in rows]
     final = vals[-1]
     decreasing = _tail_decreasing(vals)
-    if decreasing and final < tol_ssgd:
+    if decreasing and final < TOL_SSGD:
         return SsgdResult(q, h_T, table, Flag.YES, final)
-    if final >= tol_ssgd and not decreasing:
+    if final >= TOL_SSGD and not decreasing:
         return SsgdResult(q, h_T, table, Flag.NO, final)
     return SsgdResult(q, h_T, table, Flag.UNKNOWN, final)
 
@@ -383,27 +378,16 @@ def _dvp_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, majorants: LqT
         [(row, lo, hi) for row, labelled in enumerate(plan) for _, lo, hi in labelled],
         atol, rtol, budget))
     rows = []
-    sup_total = 0.0
-    any_diverged = False
-    any_unknown = False
+    totals = []  # per eps: Diverged if a piece is, Converged if all are
     for eps, labelled in zip(grid.values, plan):
-        pieces = {label: next(results) for label, _, _ in labelled}
-        rows += [LqRow(f"dvp_{label}", 2.0, eps, v) for label, v in pieces.items()]
-        verdicts = pieces.values()
-        any_diverged |= any(v.diverged for v in verdicts)
-        any_unknown |= not all(v.converged or v.diverged for v in verdicts)
-        if all(v.converged for v in verdicts):
-            total = sum(v.value for v in verdicts)
-            rows.append(LqRow("dvp_total", 2.0, eps, IntegralVerdict(
-                Verdict.CONVERGED, value=total, abs_error=sum(v.abs_error for v in verdicts))))
-            sup_total = max(sup_total, total)
-
-    if any_diverged:
-        flag, sup = Flag.NO, None
-    elif any_unknown:
-        flag, sup = Flag.UNKNOWN, None
-    else:
-        flag, sup = Flag.YES, sup_total
+        labels = [label for label, _, _ in labelled]
+        pieces = [next(results) for _ in labels]
+        rows += [LqRow(f"dvp_{label}", 2.0, eps, v) for label, v in zip(labels, pieces)]
+        totals.append(quad._combine(pieces, labels))
+        if totals[-1].converged:
+            rows.append(LqRow("dvp_total", 2.0, eps, totals[-1]))
+    flag = _verdicts_flag(totals)
+    sup = max([0.0, *(t.value for t in totals)]) if flag == Flag.YES else None
     return DvpResult(h_T, flag, sup, LqTable(tuple(rows)), majorants)
 
 
@@ -505,10 +489,11 @@ class MembershipReport:
         return not self.chain_violations
 
 
-def _seminorm_flag(pair) -> Flag:
-    if any(v.diverged for v in pair):
+def _verdicts_flag(verdicts) -> Flag:
+    """No if any verdict Diverged, Yes if all Converged, Unknown otherwise."""
+    if any(v.diverged for v in verdicts):
         return Flag.NO
-    if all(v.converged for v in pair):
+    if all(v.converged for v in verdicts):
         return Flag.YES
     return Flag.UNKNOWN
 
@@ -526,7 +511,6 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
                       h_list: Sequence[float] = (1.0,),
                       grid: Optional[EpsilonGrid] = None, *,
                       extra_qs: Sequence[float] = (),
-                      tol_ssgd: float = TOL_SSGD,
                       atol: float = quad.DEFAULT_ATOL, rtol: float = quad.DEFAULT_RTOL,
                       budget: int = quad.DEFAULT_BUDGET) -> MembershipReport:
     """Assemble the three-flag verdict chain for Z = f(W_1).
@@ -559,16 +543,16 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
     ssgd = {}
     for q in sorted({q_mid, p, *extra_qs}):
         for h_T in h_list:
-            ssgd[(q, h_T)] = ssgd_test(f, p, q, h_T, grid, tol_ssgd=tol_ssgd,
-                                       atol=atol, rtol=rtol, budget=budget)
+            ssgd[(q, h_T)] = ssgd_test(f, p, q, h_T, grid, atol=atol, rtol=rtol,
+                                       budget=budget)
 
     majorants = _bertrand_majorants(f, h_list, atol, rtol, budget)
     dvp = {h_T: _dvp_test(f, h_T, grid, majorants, atol, rtol, budget) for h_T in h_list}
 
-    in_base = _seminorm_flag(seminorms[p])
+    in_base = _verdicts_flag(seminorms[p])
     ssgd_pp = _combine_flags(ssgd[(p, h_T)].verdict for h_T in h_list)
 
-    per_delta = {d: _seminorm_flag(seminorms[p + d]) for d in deltas}
+    per_delta = {d: _verdicts_flag(seminorms[p + d]) for d in deltas}
     if any(fl == Flag.YES for fl in per_delta.values()):
         in_plus = Flag.YES
     elif per_delta and all(fl == Flag.NO for fl in per_delta.values()):

@@ -109,15 +109,14 @@ class Family:
     the member index of each point (an int array shaped like x, or one int).
     neglog_eval(u, row=0), when present, is the same at x = e^-u and lets the
     origin-singular route probe x far below the smallest positive double.
-    breakpoints[i] are the breakpoints of g_i; the singular points and the
-    domain are shared.  Family(body) is an integrand of one row.
+    breakpoints[i] are the breakpoints of g_i; the singular points are
+    shared.  Family(body) is an integrand of one row.
     """
 
     log_eval: Callable
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
     neglog_eval: Optional[Callable] = None
-    domain: tuple = (-math.inf, math.inf)
     mirrors: Optional["Family"] = None
 
     @classmethod
@@ -189,7 +188,7 @@ def bertrand_family(exponents) -> Family:
         u = np.asarray(u, dtype=float)
         return np.ones_like(u), u - exponents[row] * np.log(u)
 
-    return Family(log_eval, ((),) * exponents.size, (0.0,), neglog_eval, (0.0, 1.0))
+    return Family(log_eval, ((),) * exponents.size, (0.0,), neglog_eval)
 
 
 class Verdict:
@@ -711,7 +710,7 @@ def weighted(fam: Family) -> Family:
                 w = -0.5 * np.exp(-2.0 * u) - LOG_SQRT_2PI
             return sign, np.asarray(logabs, dtype=float) + w
 
-    return Family(log_eval, fam.breakpoints, fam.singular_points, neglog, fam.domain)
+    return Family(log_eval, fam.breakpoints, fam.singular_points, neglog)
 
 
 def _combine(pieces, labels) -> IntegralVerdict:
@@ -720,13 +719,10 @@ def _combine(pieces, labels) -> IntegralVerdict:
         if v.diverged:
             return IntegralVerdict(Verdict.DIVERGED, evidence=v.evidence, n_evals=n_evals,
                                    message=f"piece {lab}: {v.message}")
-    if all(v.converged for v in pieces):
-        return _converged(sum(v.value for v in pieces),
-                          sum(v.abs_error for v in pieces), n_evals)
     for v, lab in zip(pieces, labels):
         if not v.converged:
             return _inconclusive(n_evals, f"piece {lab}: {v.message}")
-    raise AssertionError("unreachable")
+    return _converged(sum(v.value for v in pieces), sum(v.abs_error for v in pieces), n_evals)
 
 
 def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float,
@@ -762,12 +758,11 @@ def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
     anything else is Inconclusive.
     """
     w = weighted(fam)
-    lo, hi = fam.domain
     plans = []
     drivers = []
     for row, bps in enumerate(fam.breakpoints):
-        cuts = sorted({float(b) for b in list(bps) + [0.0] if lo < b < hi})
-        edges = list(zip([lo] + cuts, cuts + [hi]))
+        cuts = sorted({float(b) for b in (*bps, 0.0)})
+        edges = list(zip([-math.inf] + cuts, cuts + [math.inf]))
         share = budget // len(edges)
         drivers += [_piece(w, row, a, b, atol / len(edges), rtol, share) for a, b in edges]
         plans.append([f"({a:g}, {b:g})" for a, b in edges])

@@ -91,11 +91,6 @@ class CameronMartinDirection:
         idx = np.clip(np.searchsorted(nodes, t, side="right") - 1, 0, self.grid.n_cells - 1)
         return cum[idx] + self.density_values[idx] * (t - nodes[idx])
 
-    @property
-    def endpoint(self) -> float:
-        """h(T), the only number the scalar functionals see."""
-        return float(self.primitive_at(self.grid.horizon))
-
 
 @dataclass(frozen=True)
 class BrownianPath:

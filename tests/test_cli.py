@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from wienerlab import quadrature as quad
+from wienerlab import diagnostics, quadrature as quad
+from wienerlab.diagnostics import Flag, LqTable, SsgdResult
 from wienerlab.cli import (EXIT_CONTRADICTION, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
                            _parse_direction, _parse_poly, main)
 
@@ -112,6 +113,32 @@ class TestExitCodes:
         assert f"--budget must be at least 1, got {budget}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_budget_below_one_panel_evaluates_nothing(self, tmp_path, monkeypatch):
+        # --budget caps the evaluations of every verdict, end to end
+        calls = []
+        real = quad._gk_panels
+        monkeypatch.setattr(quad, "_gk_panels", lambda *a: calls.append(a) or real(*a))
+        assert run(["reproduce-thm31", "--budget", "1", "--out", str(tmp_path)],
+                   tmp_path) == EXIT_INCONCLUSIVE
+        assert calls == []
+
+    def test_chain_violation_is_a_contradiction(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
+                            SsgdResult(q, h_T, LqTable(()), Flag.NO, None))
+        assert run(["diagnose", "--functional", "linear", "--out", str(tmp_path)],
+                   tmp_path) == EXIT_CONTRADICTION
+        text = (tmp_path / "linear-diagnose.md").read_text(encoding="utf-8")
+        assert "**Inconsistent report**: in_plus is Yes but ssgd_pp is No" in text
+
+    @pytest.mark.parametrize("argv", [["reproduce-thm31", "--seed", "7"],
+                                      ["reproduce-thm33", "--n-samples", "10"],
+                                      ["diagnose", "--functional", "linear", "--seed", "7"],
+                                      ["cm-check", "--budget", "5"],
+                                      ["cm-check", "--eps-grid", "1..4"]])
+    def test_flags_of_other_commands_rejected(self, tmp_path, argv):
+        assert run(argv + ["--out", str(tmp_path)], tmp_path) == EXIT_USAGE
+        assert not list(tmp_path.iterdir())
+
     def test_budget_from_config_checked(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("budget = 0\n", encoding="utf-8")
@@ -189,7 +216,7 @@ class TestDeterminism:
         d1, d2 = tmp_path / "one", tmp_path / "two"
         for d in (d1, d2):
             code = run(["diagnose", "--functional", "thm31", "--delta", "0.1",
-                        "--h", "1.0", "--seed", "7", "--format", "csv",
+                        "--h", "1.0", "--format", "csv",
                         "--out", str(d)], tmp_path)
             assert code == EXIT_OK
         b1 = (d1 / "thm31-diagnose.csv").read_bytes()

@@ -10,8 +10,8 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        dvp_uniform_integrability_test, lq_diffquot_norm, membership_report,
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
-from wienerlab import quadrature as quad
-from wienerlab.diagnostics import (LqRow, _diffquot_family, _dvp_family,
+from wienerlab import diagnostics, quadrature as quad
+from wienerlab.diagnostics import (LqRow, LqTable, SsgdResult, _diffquot_family, _dvp_family,
                                    _dvp_pieces, report_evidence_rows)
 
 from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
@@ -469,6 +469,37 @@ class TestMembershipReport:
                 assert flags["ssgd_pp"] == Flag.YES
             if flags["ssgd_pp"] == Flag.YES:
                 assert flags["in_base"] == Flag.YES
+
+    @pytest.mark.parametrize("ssgd_flag, ssgd_pp, notes, violations", [
+        (Flag.UNKNOWN, Flag.YES, ("ssgd_pp upgraded: implied by in_plus",), ()),
+        (Flag.NO, Flag.NO, (), ("in_plus is Yes but ssgd_pp is No",)),
+    ])
+    def test_chain_from_in_plus(self, flin, monkeypatch, ssgd_flag, ssgd_pp, notes,
+                                violations):
+        # the linear functional has every moment, so in_plus is Yes
+        monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
+                            SsgdResult(q, h_T, LqTable(()), ssgd_flag, None))
+        rep = membership_report(flin, 2.0, deltas=(0.1,), h_list=(1.0,))
+        assert rep.flags == {"in_base": Flag.YES, "ssgd_pp": ssgd_pp, "in_plus": Flag.YES}
+        assert rep.notes == notes
+        assert rep.chain_violations == violations
+        assert ("**Inconsistent report**" in report_to_markdown(rep)) == bool(violations)
+
+    @pytest.mark.parametrize("status, in_base, notes, violations", [
+        ("inconclusive", Flag.YES, ("in_base upgraded: implied by ssgd_pp",), ()),
+        ("diverged", Flag.NO, (), ("ssgd_pp is Yes but in_base is No",)),
+    ])
+    def test_chain_from_ssgd_pp(self, flin, monkeypatch, status, in_base, notes, violations):
+        # only the order-2 seminorms are replaced; ssgd_pp and in_plus stay Yes
+        real = diagnostics.sobolev_seminorm
+        stuck = quad.IntegralVerdict(status)
+        monkeypatch.setattr(diagnostics, "sobolev_seminorm", lambda f, p, **kw:
+                            (stuck, stuck) if p == 2.0 else real(f, p, **kw))
+        rep = membership_report(flin, 2.0, deltas=(0.1,), h_list=(1.0,))
+        assert rep.flags == {"in_base": in_base, "ssgd_pp": Flag.YES, "in_plus": Flag.YES}
+        assert rep.notes == notes
+        assert rep.chain_violations == violations
+        assert ("**Inconsistent report**" in report_to_markdown(rep)) == bool(violations)
 
 
 class TestEmission:
