@@ -12,10 +12,9 @@ from .counterexamples import (Thm31Params, Thm33Params, ValidationResult, build_
                               build_thm33, catalog_build, smooth_completion_G,
                               smooth_completion_g, squared_quotient_floor_integrand,
                               validate_eta_mu)
-from .diagnostics import (CmCheckResult, DvpResult, EpsilonGrid, Flag, LqRow, LqTable,
-                          MembershipReport, SsgdResult, cameron_martin_check,
-                          dvp_uniform_integrability_test, lq_diffquot_norm,
-                          membership_report, report_to_csv, report_to_markdown,
+from .diagnostics import (CmCheckResult, DvpResult, EpsilonGrid, Flag, LqRow, MembershipReport,
+                          SsgdResult, cameron_martin_check, dvp_uniform_integrability_test,
+                          lq_diffquot_norm, membership_report, report_to_csv, report_to_markdown,
                           rows_to_csv, sgd_probability_test, sobolev_seminorm, ssgd_test)
 from .functionals import (CylindricalFunctional, Function1D, Polynomial,
                           ScalarFunctional, difference_quotient_1d,

@@ -99,14 +99,6 @@ class LqRow:
         return self.verdict.abs_error
 
 
-@dataclass(frozen=True)
-class LqTable:
-    rows: tuple
-
-    def __iter__(self):
-        return iter(self.rows)
-
-
 # ---------------------------------------------------------------------------
 # integrand factories for scalar functionals
 # ---------------------------------------------------------------------------
@@ -252,7 +244,7 @@ def lq_diffquot_norm(f: ScalarFunctional, q: float, eps: float, c: float, *,
 class SsgdResult:
     q: float
     h_T: float
-    table: LqTable
+    table: tuple            # LqRow per eps
     verdict: Flag
     final_residual: Optional[float]
 
@@ -277,7 +269,7 @@ def ssgd_test(f: ScalarFunctional, p: float, q: float, h_T: float, grid: Epsilon
     fam = _diffquot_family(f, q, grid.values, h_T, centered=True)
     verdicts = quad.gaussian_expectations(fam, atol=atol, rtol=rtol, budget=budget)
     rows = [LqRow("diffquot_residual", q, eps, v) for eps, v in zip(grid.values, verdicts)]
-    table = LqTable(tuple(rows))
+    table = tuple(rows)
 
     flag = _verdicts_flag(verdicts)
     if flag != Flag.YES:
@@ -332,22 +324,21 @@ class DvpResult:
     h_T: float
     verdict: Flag
     sup_value: Optional[float]
-    table: LqTable          # per-eps rows: below / inside / above / total
-    bertrand_rows: LqTable  # majorant cross-check, exponents 5..8
+    table: tuple            # LqRow per eps and piece: below / inside / above / total
+    bertrand_rows: tuple    # LqRow per majorant cross-check, exponents 5..8
     message: str = ""
 
 
-def _bertrand_majorants(f: ScalarFunctional, h_list, atol, rtol, budget) -> LqTable:
+def _bertrand_majorants(f: ScalarFunctional, h_list, atol, rtol, budget) -> tuple:
     """The Bertrand majorants behind the inside-piece estimate, exponents 5..8,
     in lockstep; none for a functional without mu or for zero endpoints only."""
     if "mu" not in f.params or not any(h_list):
-        return LqTable(())
+        return ()
     exponents = (5.0, 6.0, 7.0, 8.0)
     verdicts = quad.integrate_pieces(quad.bertrand_family(exponents),
                                      [(row, 0.0, f.params["mu"]) for row in range(4)],
                                      atol, rtol, budget)
-    return LqTable(tuple(LqRow("bertrand_majorant", e, None, v)
-                         for e, v in zip(exponents, verdicts)))
+    return tuple(LqRow("bertrand_majorant", e, None, v) for e, v in zip(exponents, verdicts))
 
 
 def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, *,
@@ -364,11 +355,11 @@ def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: Epsilo
                      atol, rtol, budget)
 
 
-def _dvp_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, majorants: LqTable,
+def _dvp_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, majorants: tuple,
               atol: float, rtol: float, budget: int) -> DvpResult:
     """dvp_uniform_integrability_test with the Bertrand majorants given."""
     if h_T == 0.0:
-        return DvpResult(h_T, Flag.YES, 0.0, LqTable(()), LqTable(()),
+        return DvpResult(h_T, Flag.YES, 0.0, (), (),
                          "zero direction endpoint: X_eps vanishes identically")
     grid = grid.capped(f.window / abs(h_T) if f.window else None)
     plan = [[(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi]
@@ -388,7 +379,7 @@ def _dvp_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, majorants: LqT
             rows.append(LqRow("dvp_total", 2.0, eps, totals[-1]))
     flag = _verdicts_flag(totals)
     sup = max([0.0, *(t.value for t in totals)]) if flag == Flag.YES else None
-    return DvpResult(h_T, flag, sup, LqTable(tuple(rows)), majorants)
+    return DvpResult(h_T, flag, sup, tuple(rows), majorants)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +468,7 @@ class MembershipReport:
     deltas: tuple
     h_list: tuple
     seminorms: dict          # exponent -> (value verdict, deriv verdict)
-    lq_table: LqTable        # uncentered quotient norms at q' = (1+p)/2
+    lq_table: tuple          # LqRows: uncentered quotient norms at q' = (1+p)/2
     ssgd: dict               # (q, h_T) -> SsgdResult
     dvp: dict                # h_T -> DvpResult
     flags: dict              # "in_base" / "ssgd_pp" / "in_plus" -> Flag
@@ -578,7 +569,7 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
     flags = {"in_base": in_base, "ssgd_pp": ssgd_pp, "in_plus": in_plus}
     return MembershipReport(
         name=f.name, params=dict(f.params), p=p, deltas=tuple(deltas),
-        h_list=tuple(h_list), seminorms=seminorms, lq_table=LqTable(tuple(lq_rows)),
+        h_list=tuple(h_list), seminorms=seminorms, lq_table=tuple(lq_rows),
         ssgd=ssgd, dvp=dvp, flags=flags, chain_violations=tuple(violations),
         notes=tuple(notes),
     )
@@ -618,14 +609,14 @@ def report_evidence_rows(report: MembershipReport):
         val, der = report.seminorms[expo]
         rows.append(LqRow("abs_moment", expo, None, val))
         rows.append(LqRow("deriv_moment", expo, None, der))
-    rows.extend(report.lq_table.rows)
+    rows.extend(report.lq_table)
     for (q, h_T), res in sorted(report.ssgd.items()):
-        for r in res.table.rows:
+        for r in res.table:
             rows.append(LqRow(f"diffquot_residual[h={h_T:g}]", q, r.epsilon, r.verdict))
     for h_T, res in sorted(report.dvp.items()):
-        for r in res.table.rows:
+        for r in res.table:
             rows.append(LqRow(f"{r.quantity}[h={h_T:g}]", r.q, r.epsilon, r.verdict))
-        rows.extend(res.bertrand_rows.rows)
+        rows.extend(res.bertrand_rows)
     return rows
 
 
@@ -669,7 +660,7 @@ def report_to_markdown(report: MembershipReport) -> str:
         lines.append("")
         lines.append("| eps | verdict | value |")
         lines.append("|---|---|---|")
-        for r in res.table.rows:
+        for r in res.table:
             val = f"{r.value:.6g}" if r.verdict.converged else ""
             lines.append(f"| {r.epsilon:g} | {r.verdict.status} | {val} |")
         lines.append("")

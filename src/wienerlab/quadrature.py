@@ -20,11 +20,13 @@ integrate_pieces picks the route for each piece of the line from its ends.
 Every integrand is a Family; Family(body) is an integrand of one row.
 
 The drivers (_adaptive, _exhaust) are generators that yield panel requests
-and receive the panels' values.  _outcomes moves the drivers of a Family --
-integrands that share one body, such as the eps rows of a report -- forward
-together: each round, one integrand call serves the x and reflected routes
-of every member, and one more the u = -log x route.  The single-verdict
-functions run a family of one the same way.
+and receive the panels' values.  A driver holds only numbers: its budget is
+an int, and _adaptive returns the evaluations it spent.  _outcomes moves the
+drivers of a Family -- integrands that share one body, such as the eps rows
+of a report -- forward together: each round, one integrand call serves the
+x and reflected routes of every member, and one more the u = -log x route.
+An error raised by a driver's own panels ends that driver.  The
+single-verdict functions run a family of one the same way.
 """
 
 from __future__ import annotations
@@ -97,10 +99,6 @@ class EvaluationError(ValueError):
     """The integrand produced NaN inside its domain."""
 
 
-class _NeglogRangeError(Exception):
-    """x = exp(-u) underflowed and the integrand has no neglog form."""
-
-
 @dataclass(frozen=True, eq=False)
 class Family:
     """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
@@ -145,13 +143,7 @@ class Family:
 
         Breakpoints b in (0, 1) move along as u = -log b.
         """
-        if self.neglog_eval is not None:
-            base = self.neglog_eval
-        else:
-            def base(u, row=0):
-                if np.any(u > 700.0):
-                    raise _NeglogRangeError
-                return self.log_eval(np.exp(-u), row)
+        base = self.neglog_eval or (lambda u, row=0: self.log_eval(np.exp(-u), row))
 
         def log_eval(u, row=0):
             sign, logabs = base(u, row)
@@ -242,24 +234,6 @@ def _inconclusive(n_evals, message=""):
     return IntegralVerdict(Verdict.INCONCLUSIVE, n_evals=n_evals, message=message)
 
 
-class _Budget:
-    def __init__(self, total: int):
-        self.total = int(total)
-        self.used = 0
-
-    def consume(self, n: int) -> None:
-        self.used += n
-
-    @property
-    def left(self) -> int:
-        return self.total - self.used
-
-    @property
-    def exhausted(self) -> bool:
-        """Too little left to pay for one panel."""
-        return self.left < 15
-
-
 def _gk_panels(log_eval, a, b):
     """k 15-point panels [a_i, b_i] in one log_eval call on a (k, 15) grid.
 
@@ -309,16 +283,15 @@ class _PanelSum:
     error: float
     ok: bool      # error target met
     hot: bool     # beyond double range
+    evals: int    # evaluations spent; 0 when the budget cannot pay the first panels
 
 
-_UNPAID = _PanelSum(0.0, math.inf, False, False)  # first panels beyond the budget
-
-
-def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cuts=()):
+def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()):
     """Globally adaptive bisection that splits the worst panels in rounds.
 
     A generator: it yields panel requests (lo, hi), receives the panels'
-    (value, error, hot) from _gk_panels and returns a _PanelSum.  The first
+    (value, error, hot) from _gk_panels and returns a _PanelSum.  budget is
+    the number of evaluations it may spend.  The first
     panels, one per piece between the cuts, form one request.  Each round
     then pops the worst panels from an error heap until their errors cover
     the excess of the total error over the tolerance (at least one panel, at
@@ -329,12 +302,12 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
     panel is requested that the budget cannot pay for.
     """
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
-    if 15 * (len(edges) - 1) > budget.left:
-        return _UNPAID
+    used = 15 * (len(edges) - 1)
+    if used > budget:
+        return _PanelSum(0.0, math.inf, False, False, 0)
     values, errors, hot = yield edges[:-1], edges[1:]
-    budget.consume(15 * (len(edges) - 1))
     if hot.any():
-        return _PanelSum(math.inf, math.inf, False, True)
+        return _PanelSum(math.inf, math.inf, False, True, used)
     heap = []
     total_v = 0.0
     total_e = 0.0
@@ -351,14 +324,14 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
     while True:
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
-            return _PanelSum(total_v, total_e, True, False)
+            return _PanelSum(total_v, total_e, True, False, used)
         # rounding noise in log space puts a floor on the achievable error;
         # stop burning budget once refinement stops paying
         stagnation = stagnation + 1 if total_e > 0.999 * last_e else 0
         last_e = total_e
         if stagnation >= 24:
-            return _PanelSum(total_v, total_e, False, False)
-        room = min(MAX_ROUND, budget.left // 30)
+            return _PanelSum(total_v, total_e, False, False, used)
+        room = min(MAX_ROUND, (budget - used) // 30)
         picked = []
         cover = 0.0
         while heap and len(picked) < room and (not picked or cover < total_e - tol):
@@ -366,21 +339,21 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: _Budget, cut
             if (hi - lo) <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
                 stuck_error += e
                 if stuck_error > tol:
-                    return _PanelSum(total_v, total_e, False, False)
+                    return _PanelSum(total_v, total_e, False, False, used)
                 continue
             picked.append((lo, hi, v, e))
             cover += e
         if not picked:
-            return _PanelSum(total_v, total_e, False, False)
+            return _PanelSum(total_v, total_e, False, False, used)
         lo_ends, hi_ends = [], []
         for lo, hi, _, _ in picked:
             mid = 0.5 * (lo + hi)
             lo_ends += (lo, mid)
             hi_ends += (mid, hi)
-        budget.consume(30 * len(picked))
+        used += 30 * len(picked)
         values, errors, hot = yield lo_ends, hi_ends
         if hot.any():
-            return _PanelSum(math.inf, math.inf, False, True)
+            return _PanelSum(math.inf, math.inf, False, True, used)
         vs, es = values.tolist(), errors.tolist()
         halves = zip(picked, lo_ends[1::2], vs[::2], vs[1::2], es[::2], es[1::2])
         for (lo, hi, v, e), mid, v1, v2, e1, e2 in halves:
@@ -418,15 +391,15 @@ def _chunks(batch) -> list:
 def _outcomes(drivers) -> list:
     """Run drivers (form, row, generator) together; return what each one ends with.
 
-    An outcome is the driver's verdict, or the error that escaped it.  Each
+    An outcome is the driver's verdict, or the error that ended it.  Each
     round gathers the pending request of every driver and evaluates the
     requests of one body in one call (a reflected form's at negated nodes,
     with those of the family it mirrors), split so that no call holds more
     than MAX_POINTS points.  A panel's result does not depend on the other
     panels of its call, negation is exact, and each driver keeps its own
     budget, tolerances and cuts, so every outcome equals the one its driver
-    reaches alone.  A call that raises is repeated driver by driver, and each
-    driver whose own panels raise gets the error thrown in.
+    reaches alone.  A call that raises is repeated driver by driver, and a
+    driver whose own panels raise ends with that error.
     """
     outcomes = [None] * len(drivers)
     pending = {}
@@ -458,7 +431,7 @@ def _outcomes(drivers) -> list:
                     if len(chunk) > 1:
                         chunks[:0] = [[item] for item in chunk]
                     else:
-                        resume(chunk[0][0], drivers[chunk[0][0]][2].throw, exc)
+                        outcomes[chunk[0][0]] = exc
                     continue
                 start = 0
                 for i, (_, lo, _, _) in chunk:
@@ -486,15 +459,14 @@ def _finite(form: Family, row: int, a: float, b: float, atol: float, rtol: float
             budget: int):
     """Driver of the finite adaptive rule over [a, b]."""
     def verdict():
-        bud = _Budget(budget)
-        res = yield from _adaptive(a, b, atol, rtol, bud, form.cuts(row, a, b))
-        if res is _UNPAID:
-            return _inconclusive(bud.used, "budget below the first panels")
+        res = yield from _adaptive(a, b, atol, rtol, budget, form.cuts(row, a, b))
+        if not res.evals:
+            return _inconclusive(0, "budget below the first panels")
         if res.hot:
-            return _inconclusive(bud.used, "magnitudes beyond double range on a finite interval")
+            return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
         if res.ok:
-            return _converged(res.value, res.error, bud.used)
-        return _inconclusive(bud.used, f"refinement budget exhausted (error {res.error:.3e})")
+            return _converged(res.value, res.error, res.evals)
+        return _inconclusive(res.evals, f"refinement budget exhausted (error {res.error:.3e})")
 
     return form, row, verdict()
 
@@ -515,21 +487,25 @@ def integrate_adaptive(g: Family, a: float, b: float,
 FIT_MISMATCH = 1e-5  # held-out relative error below which a power tail is trusted
 
 
-def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget: int):
+def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget: int,
+             limit: float = math.inf):
     """Verdict engine of [a, inf): integrate successive segments, watch increments.
 
     A generator like _adaptive; its segments [a + 2^(k-2), a + 2^(k-1)] (the
     first is [a, a + 1]) run as _adaptive generators, and it returns the verdict.
+    No segment reaching past limit is requested (the u = -log x route without
+    a neglog form stops at u = 700, where x = e^-u underflows).
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
-    mass) or a partial beyond MAGNITUDE_LIMIT.  Converged needs either a
+    mass) or a partial beyond MAGNITUDE_LIMIT (a segment beyond double range
+    adds +inf).  A NaN increment ends Inconclusive.  Converged needs either a
     validated power-law tail (held-out mismatch below FIT_MISMATCH; exact for
     Bertrand scales, while a hidden exponential inflection shows up in the
     held-out increment orders of magnitude above it) or CALM_RUN consecutive
     sub-tolerance increments with a geometric tail estimate.
     """
-    bud = _Budget(budget)
+    used = 0
     what = f"[{a:g}, inf)"
     partial = 0.0
     quad_err = 0.0
@@ -541,30 +517,28 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
     prev_edge = a
     for k in range(1, MAX_DOUBLINGS + 1):
         edge = a + 2.0 ** (k - 1)
-        tol = max(atol, rtol * abs(partial))
-        try:
-            seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
-                                       0.25 * rtol, bud, form.cuts(row, prev_edge, edge))
-        except _NeglogRangeError:
-            return _inconclusive(bud.used,
+        if edge > limit:
+            return _inconclusive(used,
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
-        if seg is _UNPAID:
+        tol = max(atol, rtol * abs(partial))
+        seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
+                                   0.25 * rtol, budget - used, form.cuts(row, prev_edge, edge))
+        if not seg.evals:
             break
+        used += seg.evals
+        inc = seg.value
+        if math.isnan(inc):
+            return _inconclusive(used, f"{what}: the sum on [{prev_edge:g}, {edge:g}] is NaN")
         prev_edge = edge
         edges_seen.append(edge)
-        if seg.hot:
-            records.append((edge, math.inf, math.inf))
-            return _diverged(records, "magnitude_threshold", bud.used,
-                             f"{what}: magnitudes beyond double range by {edge!r}")
-        inc = seg.value
         partial += inc
         quad_err += seg.error
         increments.append(inc)
         records.append((edge, partial, inc))
         tol = max(atol, rtol * abs(partial))
 
-        if not math.isfinite(partial) or abs(partial) > MAGNITUDE_LIMIT:
-            return _diverged(records, "magnitude_threshold", bud.used,
+        if abs(partial) > MAGNITUDE_LIMIT:
+            return _diverged(records, "magnitude_threshold", used,
                              f"{what}: partial integral beyond {MAGNITUDE_LIMIT:g}")
 
         if len(increments) >= 2 and inc > increments[-2] and inc > tol and inc > 0:
@@ -572,7 +546,7 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
         else:
             growth_run = 0
         if growth_run >= GROWTH_RUN:
-            return _diverged(records, "increment_growth", bud.used,
+            return _diverged(records, "increment_growth", used,
                              f"{what}: increments grew for {GROWTH_RUN} consecutive steps")
 
         if a > 0.0:
@@ -580,7 +554,7 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
             if math.isfinite(tail) and seg.ok and mismatch < FIT_MISMATCH:
                 tail_unc = tail * max(10.0 * mismatch, 1e-12)
                 if quad_err + tail_unc <= tol:
-                    return _converged(partial + tail, quad_err + tail_unc, bud.used,
+                    return _converged(partial + tail, quad_err + tail_unc, used,
                                       "power-law tail extrapolated")
 
         calm_run = calm_run + 1 if abs(inc) < tol else 0
@@ -591,19 +565,13 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
                 tail = abs(inc) * ratio / (1.0 - ratio)
                 if tail <= tol and quad_err + tail <= tol:
                     sign = math.copysign(1.0, inc) if inc != 0.0 else 1.0
-                    return _converged(partial + sign * tail, quad_err + tail, bud.used)
-        if bud.exhausted:
+                    return _converged(partial + sign * tail, quad_err + tail, used)
+        if budget - used < 15:
             break
     else:
-        return _inconclusive(bud.used, f"{what}: boundary list ran out after {len(records)} "
+        return _inconclusive(used, f"{what}: boundary list ran out after {len(records)} "
                              "segments without a certificate")
-    return _inconclusive(bud.used, f"{what}: exhaustion budget ran out without a certificate")
-
-
-def _semi_infinite(form: Family, row: int, a: float, atol: float, rtol: float,
-                   budget: int):
-    """Driver of [a, inf), exhausted along a + 2^k."""
-    return form, row, _exhaust(form, row, a, atol, rtol, budget)
+    return _inconclusive(used, f"{what}: exhaustion budget ran out without a certificate")
 
 
 def integrate_semi_infinite(g: Family, a: float,
@@ -612,12 +580,15 @@ def integrate_semi_infinite(g: Family, a: float,
     """Integrate g over [a, inf) by doubling the exhaustion point."""
     if not math.isfinite(a):
         raise ValueError("need a finite left endpoint")
-    return _lockstep([_semi_infinite(_one_row(g), 0, a, atol, rtol, budget)])[0]
+    g = _one_row(g)
+    return _lockstep([(g, 0, _exhaust(g, 0, a, atol, rtol, budget))])[0]
 
 
 def _origin(fam: Family, row: int, mu: float, atol: float, rtol: float, budget: int):
     """The u = -log x route over (0, mu], mu < 1: [-log mu, inf) in u."""
-    return _semi_infinite(fam.substituted, row, -math.log(mu), atol, rtol, budget)
+    limit = 700.0 if fam.neglog_eval is None else math.inf
+    form = fam.substituted
+    return form, row, _exhaust(form, row, -math.log(mu), atol, rtol, budget, limit)
 
 
 def integrate_singular_origin(g: Family, mu: float,
@@ -734,9 +705,10 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     u = -log x route, and anything else to the finite adaptive rule.
     """
     if lo == -math.inf:
-        return _semi_infinite(fam.reflected, row, -hi, atol, rtol, budget)
+        form = fam.reflected
+        return form, row, _exhaust(form, row, -hi, atol, rtol, budget)
     if hi == math.inf:
-        return _semi_infinite(fam, row, lo, atol, rtol, budget)
+        return fam, row, _exhaust(fam, row, lo, atol, rtol, budget)
     if lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
         return _origin(fam, row, hi, atol, rtol, budget)
     return _finite(fam, row, lo, hi, atol, rtol, budget)

@@ -105,12 +105,12 @@ def test_a6_uniform_integrability_window(f33, grid):
             res = dvp_uniform_integrability_test(f33, h, grid)
             assert res.verdict == Flag.YES, f"h={h}: {res.verdict}"
             for label in ("dvp_below", "dvp_inside", "dvp_above"):
-                rows = [r for r in res.table.rows if r.quantity == label]
+                rows = [r for r in res.table if r.quantity == label]
                 assert rows, f"missing piece {label}"
                 assert all(r.verdict.converged for r in rows)
-            assert len(res.bertrand_rows.rows) == 4
+            assert len(res.bertrand_rows) == 4
             assert all(r.verdict.converged and math.isfinite(r.value)
-                       for r in res.bertrand_rows.rows)
+                       for r in res.bertrand_rows)
 
 
 def test_a7_cameron_martin_formula():

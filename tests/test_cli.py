@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from wienerlab import diagnostics, quadrature as quad
-from wienerlab.diagnostics import Flag, LqTable, SsgdResult
+from wienerlab.diagnostics import Flag, SsgdResult
 from wienerlab.cli import (EXIT_CONTRADICTION, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
                            _parse_direction, _parse_poly, main)
 
@@ -124,11 +124,23 @@ class TestExitCodes:
 
     def test_chain_violation_is_a_contradiction(self, tmp_path, monkeypatch):
         monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
-                            SsgdResult(q, h_T, LqTable(()), Flag.NO, None))
+                            SsgdResult(q, h_T, (), Flag.NO, None))
         assert run(["diagnose", "--functional", "linear", "--out", str(tmp_path)],
                    tmp_path) == EXIT_CONTRADICTION
         text = (tmp_path / "linear-diagnose.md").read_text(encoding="utf-8")
         assert "**Inconsistent report**: in_plus is Yes but ssgd_pp is No" in text
+
+    @pytest.mark.parametrize("command, flag", [("reproduce-thm31", Flag.YES),
+                                               ("reproduce-thm33", Flag.NO)])
+    def test_expectation_mismatch_is_a_contradiction(self, tmp_path, monkeypatch, capsys,
+                                                     command, flag):
+        # ssgd_pp answers the opposite of the expected flag, with a consistent chain
+        monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
+                            SsgdResult(q, h_T, (), flag, None))
+        assert run([command, "--out", str(tmp_path)], tmp_path) == EXIT_CONTRADICTION
+        assert "CONTRADICTION" in capsys.readouterr().err
+        text = (tmp_path / f"{command.split('-')[1]}-report.md").read_text(encoding="utf-8")
+        assert "**Inconsistent report**" not in text
 
     @pytest.mark.parametrize("argv", [["reproduce-thm31", "--seed", "7"],
                                       ["reproduce-thm33", "--n-samples", "10"],

@@ -114,6 +114,15 @@ class TestValidator:
         assert not res.ok
         assert res.failed == "weight_decreasing"
 
+    def test_weight_condition_boundary(self):
+        # the weight condition is mu + eta <= e^-8 exactly
+        top = math.exp(-8.0) * (1.0 + 1e-4)
+        res = validate_eta_mu(0.4 * top, 0.6 * top)
+        assert not res.ok
+        assert res.failed == "weight_decreasing"
+        below = math.exp(-8.0) * (1.0 - 1e-4)
+        assert validate_eta_mu(0.4 * below, 0.6 * below).ok
+
     def test_ordering_failures(self):
         assert validate_eta_mu(2e-4, 1e-4).failed == "ordering"
         assert validate_eta_mu(0.0, 1e-4).failed == "ordering"

@@ -11,7 +11,7 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
 from wienerlab import diagnostics, quadrature as quad
-from wienerlab.diagnostics import (LqRow, LqTable, SsgdResult, _diffquot_family, _dvp_family,
+from wienerlab.diagnostics import (LqRow, SsgdResult, _diffquot_family, _dvp_family,
                                    _dvp_pieces, report_evidence_rows)
 
 from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
@@ -119,7 +119,7 @@ class TestSsgd:
     def test_square_rows_follow_closed_form(self, grid):
         res = ssgd_test(square_functional(), 2.0, 1.5, 1.0, grid)
         assert res.verdict == Flag.YES
-        for row in res.table.rows:
+        for row in res.table:
             assert row.value == pytest.approx(row.epsilon ** 1.5, rel=1e-7)
 
     def test_tail_growth_fails_at_order2(self, f31, grid):
@@ -136,14 +136,14 @@ class TestSsgd:
             res = ssgd_test(f33, 2.0, 2.0, h, grid)
             assert res.verdict == Flag.YES
             # the grid must have been capped into the shift window
-            assert all(r.epsilon < f33.window for r in res.table.rows)
+            assert all(r.epsilon < f33.window for r in res.table)
 
     def test_residual_decay_at_least_linear(self, grid):
         # log-log slope of the residual rows >= 0.9 for polynomial functionals
         for f in (square_functional(), cubic_functional()):
             res = ssgd_test(f, 2.0, 1.5, 1.0, grid)
-            vals = np.array([r.value for r in res.table.rows])
-            eps = np.array([r.epsilon for r in res.table.rows])
+            vals = np.array([r.value for r in res.table])
+            eps = np.array([r.epsilon for r in res.table])
             slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
             assert slope >= 0.9
 
@@ -159,12 +159,12 @@ class TestDvp:
         res = dvp_uniform_integrability_test(flin, h, grid)
         assert res.verdict == Flag.YES
         expected = h * h * abs(math.log(h * h))
-        totals = [r.value for r in res.table.rows if r.quantity == "dvp_total"]
+        totals = [r.value for r in res.table if r.quantity == "dvp_total"]
         assert len(totals) == len(grid.values)
         for t in totals:
             assert t == pytest.approx(expected, rel=1e-7)
         for eps in grid.values:
-            rows = [r for r in res.table.rows if r.epsilon == eps]
+            rows = [r for r in res.table if r.epsilon == eps]
             total = next(r for r in rows if r.quantity == "dvp_total")
             pieces = [r.verdict.abs_error for r in rows if r.quantity != "dvp_total"]
             assert total.verdict.abs_error == sum(pieces) > 0.0
@@ -181,14 +181,14 @@ class TestDvp:
             assert res.verdict == Flag.YES
             assert math.isfinite(res.sup_value)
             for label in ("dvp_below", "dvp_inside", "dvp_above"):
-                rows = [r for r in res.table.rows if r.quantity == label]
+                rows = [r for r in res.table if r.quantity == label]
                 assert rows and all(r.verdict.converged for r in rows)
             # Bertrand majorants finite for exponents 5..8, each as it is alone
-            assert [r.q for r in res.bertrand_rows.rows] == [5.0, 6.0, 7.0, 8.0]
-            assert all(r.verdict.converged for r in res.bertrand_rows.rows)
-            assert [r.verdict for r in res.bertrand_rows.rows] == [
+            assert [r.q for r in res.bertrand_rows] == [5.0, 6.0, 7.0, 8.0]
+            assert all(r.verdict.converged for r in res.bertrand_rows)
+            assert [r.verdict for r in res.bertrand_rows] == [
                 quad.integrate_singular_origin(quad.bertrand_family((r.q,)), f33.params["mu"])
-                for r in res.bertrand_rows.rows]
+                for r in res.bertrand_rows]
 
     def test_tail_growth_not_uniformly_integrable(self, f31, grid):
         res = dvp_uniform_integrability_test(f31, 1.0, grid)
@@ -478,7 +478,7 @@ class TestMembershipReport:
                                 violations):
         # the linear functional has every moment, so in_plus is Yes
         monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
-                            SsgdResult(q, h_T, LqTable(()), ssgd_flag, None))
+                            SsgdResult(q, h_T, (), ssgd_flag, None))
         rep = membership_report(flin, 2.0, deltas=(0.1,), h_list=(1.0,))
         assert rep.flags == {"in_base": Flag.YES, "ssgd_pp": ssgd_pp, "in_plus": Flag.YES}
         assert rep.notes == notes
