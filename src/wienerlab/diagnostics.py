@@ -33,7 +33,7 @@ from . import quadrature as quad
 from .functionals import (CylindricalFunctional, ScalarFunctional,
                           difference_quotient_slog)
 from .quadrature import Family, IntegralVerdict
-from .slog import slog_abs_pow, slog_sub
+from .slog import slog_sub
 from .wiener import (CameronMartinDirection, cm_inner, merged_grid,
                      wiener_integral_blocks)
 
@@ -104,64 +104,35 @@ class LqRow:
 # ---------------------------------------------------------------------------
 
 def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
-    pts = set(f.breakpoints)
-    for s in shifts:
-        pts.update(b - s for b in f.breakpoints)
-    # fold in the smooth-cutoff shoulders of a compact completion, if any
-    if "mu" in f.params:
-        mu = f.params["mu"]
-        extra = {1.5 * mu, 2.0 * mu}
-        pts.update(extra)
-        for s in shifts:
-            pts.update(b - s for b in extra)
-    return tuple(sorted(pts))
+    """f's breakpoints and the smooth-cutoff shoulders of a compact completion
+    (1.5 mu and 2 mu), each also moved back by every shift."""
+    shoulders = (1.5 * f.params["mu"], 2.0 * f.params["mu"]) if "mu" in f.params else ()
+    return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _abs_pow_family(f: ScalarFunctional, p: float, slog, slog_at_logx) -> Family:
-    """|g(x)|^p as a one-row family for g = f or f', given g's (sign, log)
-    pair in x and log x (f.slog_value and f.slog_value_at_logx for g = f)."""
+def _route_family(f: ScalarFunctional, breakpoints, at_x, at_u, outer) -> Family:
+    """outer(log|g_row|) with the positive sign, one body per route: at_x(x, row)
+    is log|g_row(x)|, and at_u(u, row) is the same at x = e^-u, given when f
+    has its log-x forms."""
     def log_eval(x, row=0):
-        _, logabs = slog_abs_pow(slog(x)[1], p)
-        return np.ones_like(np.asarray(x, dtype=float)), logabs
+        x = np.asarray(x, dtype=float)
+        return np.ones_like(x), outer(at_x(x, row))
 
     neglog = None
     if f.has_logx_forms():
         def neglog(u, row=0):
             u = np.asarray(u, dtype=float)
-            _, logabs = slog_at_logx(-u)
-            return np.ones_like(u), p * np.asarray(logabs, dtype=float)
+            return np.ones_like(u), outer(at_u(u, row))
 
-    return Family(log_eval, (_scalar_cuts(f),), tuple(f.singular_points), neglog)
-
-
-def _residual_slog(f: ScalarFunctional, x, shift, log_eps, c: float, centered: bool):
-    """(f(x + shift) - f(x))/eps - centered * c f'(x), shift = eps c, per point."""
-    # the plain difference (unit eps along the shift), then the row's log eps
-    s, l = difference_quotient_slog(f, x, 1.0, shift)
-    l = l - log_eps
-    if centered:
-        ds, dl = f.slog_deriv(x)
-        ds = np.sign(c) * ds
-        dl = dl + math.log(abs(c)) if c != 0.0 else np.full_like(l, -np.inf)
-        s, l = slog_sub(s, l, ds, dl)
-    return s, l
+    return Family(log_eval, breakpoints, tuple(f.singular_points), neglog)
 
 
-def _residual_slog_neglog(f: ScalarFunctional, u, shift, log_eps, c: float, centered: bool):
-    """Residual at x = exp(-u), evaluating the f(x) side in log-x form."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(under="ignore"):
-        x = np.exp(-u)
-    s1, l1 = f.slog_value(x + shift)
-    s0, l0 = f.slog_value_at_logx(-u)
-    s, l = slog_sub(s1, l1, s0, l0)
-    l = l - log_eps
-    if centered:
-        ds0, dl0 = f.slog_deriv_at_logx(-u)
-        if c != 0.0:
-            s, l = slog_sub(s, l, np.sign(c) * np.asarray(ds0, dtype=float),
-                            np.asarray(dl0, dtype=float) + math.log(abs(c)))
-    return s, l
+def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
+    """|g(x)|^p as a one-row family, g = f' if deriv else f."""
+    slog, slog_at_logx = ((f.slog_deriv, f.slog_deriv_at_logx) if deriv
+                          else (f.slog_value, f.slog_value_at_logx))
+    return _route_family(f, (_scalar_cuts(f),), lambda x, row: slog(x)[1],
+                         lambda u, row: slog_at_logx(-u)[1], lambda l: p * l)
 
 
 def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
@@ -173,26 +144,35 @@ def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
     shift = np.array(eps_values) * c
     log_eps = np.array([math.log(e) for e in eps_values])
 
-    def log_eval(x, row=0):
-        x = np.asarray(x, dtype=float)
-        _, l = _residual_slog(f, x, shift[row], log_eps[row], c, centered)
-        return np.ones_like(x), outer(l)
+    def residual(row, diff, deriv):
+        """log|diff / eps - c f'|, diff the (sign, log) pair of f(x + eps c) - f(x)
+        and deriv a thunk for f's pair at x; c = 0 leaves diff = 0 alone."""
+        s, l = diff
+        l = l - log_eps[row]
+        if centered and c != 0.0:
+            ds, dl = deriv()
+            s, l = slog_sub(s, l, np.sign(c) * ds, dl + math.log(abs(c)))
+        return l
 
-    neglog = None
-    if f.has_logx_forms():
-        def neglog(u, row=0):
-            u = np.asarray(u, dtype=float)
-            _, l = _residual_slog_neglog(f, u, shift[row], log_eps[row], c, centered)
-            return np.ones_like(u), outer(l)
+    def at_x(x, row):
+        # the plain difference (unit eps along the shift), then the row's log eps
+        return residual(row, difference_quotient_slog(f, x, 1.0, shift[row]),
+                        lambda: f.slog_deriv(x))
 
-    return Family(log_eval, tuple(_scalar_cuts(f, shifts=(e * c,)) for e in eps_values),
-                  tuple(f.singular_points), neglog)
+    def at_u(u, row):
+        with np.errstate(under="ignore"):
+            x = np.exp(-u)
+        return residual(row, slog_sub(*f.slog_value(x + shift[row]), *f.slog_value_at_logx(-u)),
+                        lambda: f.slog_deriv_at_logx(-u))
+
+    return _route_family(f, tuple(_scalar_cuts(f, shifts=(e * c,)) for e in eps_values),
+                         at_x, at_u, outer)
 
 
 def _diffquot_family(f: ScalarFunctional, q: float, eps_values, c: float,
                      centered: bool) -> Family:
     """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q, one member per eps."""
-    return _residual_family(f, eps_values, c, centered, lambda l: slog_abs_pow(l, q)[1])
+    return _residual_family(f, eps_values, c, centered, lambda l: q * l)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
@@ -218,13 +198,9 @@ def sobolev_seminorm(f: ScalarFunctional, p: float, *,
     """
     if not p > 1.0:
         raise ValueError("need p > 1")
-    value_part = quad.gaussian_expectation(
-        _abs_pow_family(f, p, f.slog_value, f.slog_value_at_logx),
-        atol=atol, rtol=rtol, budget=budget)
-    deriv_part = quad.gaussian_expectation(
-        _abs_pow_family(f, p, f.slog_deriv, f.slog_deriv_at_logx),
-        atol=atol, rtol=rtol, budget=budget)
-    return value_part, deriv_part
+    return tuple(quad.gaussian_expectation(_abs_pow_family(f, p, deriv), atol=atol,
+                                           rtol=rtol, budget=budget)
+                 for deriv in (False, True))
 
 
 def lq_diffquot_norm(f: ScalarFunctional, q: float, eps: float, c: float, *,
@@ -238,6 +214,15 @@ def lq_diffquot_norm(f: ScalarFunctional, q: float, eps: float, c: float, *,
         raise ValueError("need q > 0")
     fam = _diffquot_family(f, q, (eps,), c, centered)
     return quad.gaussian_expectations(fam, atol=atol, rtol=rtol, budget=budget)[0]
+
+
+def _quotient_rows(f: ScalarFunctional, quantity: str, q: float, grid: EpsilonGrid,
+                   h_T: float, centered: bool, atol: float, rtol: float, budget: int) -> tuple:
+    """LqRow per eps of the grid capped to f's window: E|X_eps - centered * f' h_T|^q."""
+    grid = grid.capped(f.window / abs(h_T) if f.window and h_T else None)
+    verdicts = quad.gaussian_expectations(_diffquot_family(f, q, grid.values, h_T, centered),
+                                          atol=atol, rtol=rtol, budget=budget)
+    return tuple(LqRow(quantity, q, eps, v) for eps, v in zip(grid.values, verdicts))
 
 
 @dataclass(frozen=True)
@@ -265,18 +250,14 @@ def ssgd_test(f: ScalarFunctional, p: float, q: float, h_T: float, grid: Epsilon
     """
     if not 0.0 < q <= p:
         raise ValueError("need 0 < q <= p")
-    grid = grid.capped(f.window / abs(h_T) if f.window and h_T != 0.0 else None)
-    fam = _diffquot_family(f, q, grid.values, h_T, centered=True)
-    verdicts = quad.gaussian_expectations(fam, atol=atol, rtol=rtol, budget=budget)
-    rows = [LqRow("diffquot_residual", q, eps, v) for eps, v in zip(grid.values, verdicts)]
-    table = tuple(rows)
+    table = _quotient_rows(f, "diffquot_residual", q, grid, h_T, True, atol, rtol, budget)
 
-    flag = _verdicts_flag(verdicts)
+    flag = _verdicts_flag([r.verdict for r in table])
     if flag != Flag.YES:
         return SsgdResult(q, h_T, table, flag, None)
     # a row within the quadrature's absolute resolution is numerically zero
     floor = max(atol, 0.0)
-    vals = [0.0 if abs(r.value) <= max(r.abs_error, floor) else abs(r.value) for r in rows]
+    vals = [0.0 if abs(r.value) <= max(r.abs_error, floor) else abs(r.value) for r in table]
     final = vals[-1]
     decreasing = _tail_decreasing(vals)
     if decreasing and final < TOL_SSGD:
@@ -524,12 +505,8 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
     q_mid = 0.5 * (1.0 + p)
     lq_rows = []
     for h_T in h_list:
-        eff = grid.capped(f.window / abs(h_T) if f.window and h_T else None)
-        verdicts = quad.gaussian_expectations(
-            _diffquot_family(f, q_mid, eff.values, h_T, centered=False),
-            atol=atol, rtol=rtol, budget=budget)
-        lq_rows += [LqRow(f"diffquot_norm[h={h_T:g}]", q_mid, eps, v)
-                    for eps, v in zip(eff.values, verdicts)]
+        lq_rows += _quotient_rows(f, f"diffquot_norm[h={h_T:g}]", q_mid, grid, h_T, False,
+                                  atol, rtol, budget)
 
     ssgd = {}
     for q in sorted({q_mid, p, *extra_qs}):

@@ -299,7 +299,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
     all their halves.  Panels too narrow to split keep their error as stuck
     error.  The order of refinement is a deterministic function of panel
     errors and insertion order, so results do not depend on scheduling.  No
-    panel is requested that the budget cannot pay for.
+    panel is requested that the budget cannot pay for.  A NaN sum ends it.
     """
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
     used = 15 * (len(edges) - 1)
@@ -322,6 +322,8 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
     stagnation = 0
     last_e = math.inf
     while True:
+        if math.isnan(total_v):  # a running sum stays NaN: refining cannot mend it
+            return _PanelSum(total_v, total_e, False, False, used)
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
             return _PanelSum(total_v, total_e, True, False, used)
@@ -464,6 +466,8 @@ def _finite(form: Family, row: int, a: float, b: float, atol: float, rtol: float
             return _inconclusive(0, "budget below the first panels")
         if res.hot:
             return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
+        if math.isnan(res.value):
+            return _inconclusive(res.evals, f"the sum on [{a:g}, {b:g}] is NaN")
         if res.ok:
             return _converged(res.value, res.error, res.evals)
         return _inconclusive(res.evals, f"refinement budget exhausted (error {res.error:.3e})")

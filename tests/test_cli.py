@@ -217,6 +217,25 @@ class TestConfigPrecedence:
         assert code == EXIT_OK
         assert (tmp_path / "linear-diagnose.csv").exists()
 
+    def test_unknown_config_key_rejected(self, tmp_path):
+        # a misspelt key is a usage error, as the misspelt flag --bugdet is
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bugdet = 1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["diagnose", "--functional", "linear", "--config", str(cfg),
+                    "--out", str(out)], tmp_path) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, code", [("reproduce-thm31", EXIT_USAGE),
+                                               ("cm-check", EXIT_OK)])
+    def test_config_keys_of_other_commands(self, tmp_path, command, code):
+        # the reports take no seed or sample count; cm-check takes both
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 7\nn-samples = 1000\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)], tmp_path) == code
+        assert out.exists() == (code == EXIT_OK)
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n", encoding="utf-8")

@@ -11,8 +11,8 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
 from wienerlab import diagnostics, quadrature as quad
-from wienerlab.diagnostics import (LqRow, SsgdResult, _diffquot_family, _dvp_family,
-                                   _dvp_pieces, report_evidence_rows)
+from wienerlab.diagnostics import (LqRow, SsgdResult, _abs_pow_family, _diffquot_family,
+                                   _dvp_family, _dvp_pieces, report_evidence_rows)
 
 from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
                               sample_increments, wiener_integral_batch)
@@ -246,6 +246,27 @@ class TestLockstep:
         assert family == alone
         assert all(v.converged for v in family)
         assert 2 * n_family < len(calls) - n_family
+
+
+class TestRoutes:
+    def test_x_and_neglog_routes_agree(self, f33):
+        # on (0, mu) every quotient family gives the same bits at x and at
+        # u = -log x, down to x = 1e-300
+        x = np.geomspace(1e-300, 1.9e-4, 400)
+        u = -np.log(x)
+        eps_values = (2.0 ** -1, 2.0 ** -8, 2.0 ** -14)
+        families = {"|f|^2": _abs_pow_family(f33, 2.0, False),
+                    "|f'|^2.1": _abs_pow_family(f33, 2.1, True)}
+        for c in (1.0, -1.0):
+            for centered in (False, True):
+                families[f"diffquot[c={c:g}, centered={centered}]"] = _diffquot_family(
+                    f33, 2.0, eps_values, c, centered)
+            families[f"dvp[c={c:g}]"] = _dvp_family(f33, eps_values, c)
+        with np.errstate(all="ignore"):
+            for name, g in families.items():
+                for row in range(len(g.breakpoints)):
+                    for at_x, at_u in zip(g.log_eval(x, row), g.neglog_eval(u, row)):
+                        np.testing.assert_array_equal(at_x, at_u, err_msg=f"{name} row {row}")
 
 
 class TestCameronMartin:
