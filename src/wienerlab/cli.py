@@ -339,7 +339,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         args._config = _load_config(args.config) if args.config else {}
-        unknown = sorted(set(args._config) - set(vars(args)))
+        taken = set(vars(args)) - {"command", "config", "_config"}
+        unknown = sorted(set(args._config) - taken)
         if unknown:  # as argparse rejects a flag the command does not take
             raise UsageError(f"unrecognized config keys: {', '.join(unknown)}")
         return (cmd_report if args.command in _REPORTS else cmd_cm_check)(args)

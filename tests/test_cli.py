@@ -217,10 +217,13 @@ class TestConfigPrecedence:
         assert code == EXIT_OK
         assert (tmp_path / "linear-diagnose.csv").exists()
 
-    def test_unknown_config_key_rejected(self, tmp_path):
-        # a misspelt key is a usage error, as the misspelt flag --bugdet is
+    @pytest.mark.parametrize("line", ["bugdet = 1", "config = other.cfg",
+                                      "command = cm-check"])
+    def test_unknown_config_key_rejected(self, tmp_path, line):
+        # a misspelt key is a usage error, as the misspelt flag --bugdet is;
+        # so are the parser's own names, which no flag of the command sets
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("bugdet = 1\n", encoding="utf-8")
+        cfg.write_text(line + "\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run(["diagnose", "--functional", "linear", "--config", str(cfg),
                     "--out", str(out)], tmp_path) == EXIT_USAGE
