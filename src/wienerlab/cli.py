@@ -53,40 +53,46 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a flag or a config key must match exactly
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we want 64
         raise UsageError(message)
 
 
 def _parse_float_list(s: str):
-    return tuple(float(t) for t in s.split(",") if t.strip())
+    vals = tuple(float(t) for t in s.split(",") if t.strip())
+    if not vals:
+        raise argparse.ArgumentTypeError(f"empty list {s!r}")
+    return vals
 
 
 def _parse_eps_grid(s: str) -> EpsilonGrid:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", s.strip())
     if not m:
-        raise UsageError(f"--eps-grid wants k1..k2, got {s!r}")
+        raise argparse.ArgumentTypeError(f"wants k1..k2, got {s!r}")
     return EpsilonGrid.from_krange(int(m.group(1)), int(m.group(2)))
 
 
 def _parse_poly(spec: str) -> Polynomial:
-    """Tiny polynomial grammar: '2*x1^2*x2 - 0.5*x1 + 3'; variables x1..xn."""
-    # a sign right after a mantissa's e/E belongs to the exponent (1e-3, 2.5E+1)
-    s = re.sub(r"(?<![\d.][eE])-", "+-", spec.replace(" ", ""))
-    terms = [t for t in re.split(r"(?<![\d.][eE])\+", s) if t]
+    """Tiny polynomial grammar: '2*x1^2*x2 - 0.5*x1 + 3'; variables x1..xn.
+
+    A sign starts a term, except right after '*', where it belongs to its
+    factor (x1*-x2), and after a mantissa's e/E (1e-3, 2.5E+1).
+    """
+    terms = re.split(r"(?<=[^*])(?<![\d.][eE])(?=[+-])", spec.replace(" ", ""))
     parsed = []
     n_vars = 1
     for term in terms:
         coeff = 1.0
         expos = {}
         for factor in term.split("*"):
-            if not factor:
-                continue
-            m = re.fullmatch(r"(-?)x(\d+)(?:\^(\d+))?", factor)
+            m = re.fullmatch(r"([+-]?)x(\d+)(?:\^(\d+))?", factor)
             if m:
                 idx = int(m.group(2)) - 1
                 if idx < 0:
                     raise UsageError(f"variables start at x1, got {factor!r}")
-                if m.group(1):
+                if m.group(1) == "-":
                     coeff = -coeff
                 expos[idx] = expos.get(idx, 0) + int(m.group(3) or 1)
                 n_vars = max(n_vars, idx + 1)
@@ -100,43 +106,37 @@ def _parse_poly(spec: str) -> Polynomial:
     for coeff, expos in parsed:
         key = tuple(expos.get(i, 0) for i in range(n_vars))
         terms_dict[key] = terms_dict.get(key, 0.0) + coeff
-    fixed = {tuple(list(k) + [0] * (n_vars - len(k))): v for k, v in terms_dict.items()}
-    return Polynomial(n_vars, fixed)
+    return Polynomial(n_vars, terms_dict)
 
 
 def _parse_direction(spec: str) -> CameronMartinDirection:
     """Comma-separated density values, piecewise constant on a uniform grid."""
     vals = _parse_float_list(spec)
-    if not vals:
-        raise UsageError(f"empty direction spec {spec!r}")
     return CameronMartinDirection(TimeGrid.uniform(len(vals)), np.array(vals))
 
 
-def _load_config(path: str) -> dict:
-    cfg = {}
+def _config_flags(path: str) -> list:
+    """Each line 'key = value' of a config file as the flag --key=value."""
+    flags = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"config line without '=': {raw!r}")
-        key, val = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = val.strip()
-    return cfg
-
-
-def _merge(args: argparse.Namespace, key: str, default, convert):
-    """Flag beats config (converted from its text) beats default."""
-    val = getattr(args, key, None)
-    if val is None and key in args._config:
-        val = convert(args._config[key])
-    return default if val is None else val
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key == "config":
+            raise UsageError("a config file cannot name another config file")
+        flags.append(f"--{key}={val}")
+    return flags
 
 
 def _add_output(p: _Parser):
-    p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--out", help=f"output directory (default ${ENV_OUT} or ./wienerlab-out)")
-    p.add_argument("--format", choices=["csv", "md", "both"], default=None)
+    p.add_argument("--config", help="key = value lines, read as the flags --key=value; "
+                                    "flags override them")
+    p.add_argument("--out", type=Path, default=os.environ.get(ENV_OUT, "wienerlab-out"),
+                   help=f"output directory (default ${ENV_OUT} or ./wienerlab-out)")
+    p.add_argument("--format", choices=["csv", "md", "both"], default="both")
 
 
 def _catalog_params(name: str) -> list:
@@ -163,31 +163,35 @@ def build_parser() -> _Parser:
     for command, (help_text, name, _) in _REPORTS.items():
         pr = sub.add_parser(command, help=help_text)
         if name is None:
-            pr.add_argument("--functional", default=None, help=" | ".join(CATALOG))
+            pr.add_argument("--functional", choices=list(CATALOG))
         names = [name] if name else list(CATALOG)
+        # unset, a parameter keeps the default of its catalog dataclass
         for key in dict.fromkeys(k for n in names for k in _catalog_params(n)):
-            pr.add_argument(f"--{key}", type=float, default=None)
-        pr.add_argument("--p", type=float, default=None)
-        pr.add_argument("--q", type=_parse_float_list, default=None,
+            pr.add_argument(f"--{key}", type=float, default=argparse.SUPPRESS)
+        pr.add_argument("--p", type=float, default=2.0)
+        pr.add_argument("--q", type=_parse_float_list, default=(),
                         help="extra L^q residual exponents, comma list")
-        pr.add_argument("--delta", type=_parse_float_list, default=None,
+        pr.add_argument("--delta", type=_parse_float_list, default=(0.1, 0.5),
                         help="exponent bumps for the sampled union")
-        pr.add_argument("--h", type=_parse_float_list, default=None,
+        pr.add_argument("--h", type=_parse_float_list, default=(1.0, -1.0),
                         help="direction endpoints, comma list")
-        pr.add_argument("--atol", type=float, default=None)
-        pr.add_argument("--rtol", type=float, default=None)
-        pr.add_argument("--budget", type=int, default=None,
+        pr.add_argument("--atol", type=float, default=quad.DEFAULT_ATOL)
+        pr.add_argument("--rtol", type=float, default=quad.DEFAULT_RTOL)
+        pr.add_argument("--budget", type=int, default=quad.DEFAULT_BUDGET,
                         help="integrand evaluations per verdict, a hard cap")
-        pr.add_argument("--eps-grid", dest="eps_grid", default=None, metavar="K1..K2")
+        pr.add_argument("--eps-grid", type=_parse_eps_grid, default=EpsilonGrid.default(),
+                        metavar="K1..K2")
         _add_output(pr)
 
     pc = sub.add_parser("cm-check", help="shift-versus-reweighting Monte Carlo check")
-    pc.add_argument("--poly", default=None, help="polynomial in x1..xn, e.g. 'x1^2'")
-    pc.add_argument("--direction", action="append", default=None,
-                    help="density values for each functional direction (repeatable)")
-    pc.add_argument("--shift", default=None, help="density values of the shift direction")
-    pc.add_argument("--seed", type=int, default=None)
-    pc.add_argument("--n-samples", dest="n_samples", type=int, default=None)
+    pc.add_argument("--poly", default="x1^2", help="polynomial in x1..xn, e.g. 'x1^2'")
+    pc.add_argument("--direction", type=_parse_direction, action="append",
+                    help="density values for each functional direction (repeatable; "
+                         "default 1.0)")
+    pc.add_argument("--shift", type=_parse_direction,
+                    help="density values of the shift direction (default the first direction)")
+    pc.add_argument("--seed", type=int, default=20_260_810)
+    pc.add_argument("--n-samples", type=int, default=10**6)
     _add_output(pc)
     return parser
 
@@ -198,31 +202,15 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
-def _quad_opts(args):
-    return dict(
-        atol=_merge(args, "atol", quad.DEFAULT_ATOL, float),
-        rtol=_merge(args, "rtol", quad.DEFAULT_RTOL, float),
-        budget=_at_least("--budget", _merge(args, "budget", quad.DEFAULT_BUDGET, int), 1),
-    )
-
-
-def _out_dir(args) -> Path:
-    out = _merge(args, "out", None, str) or os.environ.get(ENV_OUT, "wienerlab-out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _emit(args, stem: str, rows, markdown: str) -> list:
-    fmt = _merge(args, "format", "both", str)
-    outdir = _out_dir(args)
+    args.out.mkdir(parents=True, exist_ok=True)
     written = []
-    if fmt in ("csv", "both"):
-        p = outdir / f"{stem}.csv"
+    if args.format in ("csv", "both"):
+        p = args.out / f"{stem}.csv"
         p.write_text(rows_to_csv(rows), encoding="utf-8")
         written.append(p)
-    if fmt in ("md", "both"):
-        p = outdir / f"{stem}.md"
+    if args.format in ("md", "both"):
+        p = args.out / f"{stem}.md"
         p.write_text(markdown, encoding="utf-8")
         written.append(p)
     return written
@@ -249,33 +237,21 @@ def cmd_report(args) -> int:
     _, name, expected = _REPORTS[args.command]
     suffix = "report"
     if name is None:
-        name = _merge(args, "functional", None, str)
-        if not name:
+        if not args.functional:
             print("error: --functional is required", file=sys.stderr)
             return EXIT_USAGE
-        if name not in CATALOG:
-            print(f"error: unknown functional {name!r} (known: {', '.join(CATALOG)})",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        suffix = "diagnose"
-    p = _merge(args, "p", 2.0, float)
-    deltas = _merge(args, "delta", (0.1, 0.5), _parse_float_list)
-    h_list = _merge(args, "h", (1.0, -1.0), _parse_float_list)
-    eps_spec = _merge(args, "eps_grid", None, str)
-    grid = _parse_eps_grid(eps_spec) if eps_spec else EpsilonGrid.default()
-    extra_qs = _merge(args, "q", (), _parse_float_list)
-
+        name, suffix = args.functional, "diagnose"
     # only the parameters set by flag or config; the others keep their defaults
-    params = {key: _merge(args, key, None, float) for key in _catalog_params(name)}
-    params = {key: value for key, value in params.items() if value is not None}
+    params = {key: value for key, value in vars(args).items() if key in _catalog_params(name)}
     try:
         f = catalog_build(name, **params)
     except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = membership_report(f, p, deltas=deltas, h_list=h_list, grid=grid,
-                               extra_qs=extra_qs, **_quad_opts(args))
+    report = membership_report(f, args.p, deltas=args.delta, h_list=args.h, grid=args.eps_grid,
+                               extra_qs=args.q, atol=args.atol, rtol=args.rtol,
+                               budget=_at_least("--budget", args.budget, 1))
     rows = report_evidence_rows(report)
     written = _emit(args, f"{name}-{suffix}", rows, report_to_markdown(report))
     print(_flags_line(report))
@@ -291,23 +267,18 @@ def cmd_report(args) -> int:
 
 
 def cmd_cm_check(args) -> int:
-    poly_spec = _merge(args, "poly", "x1^2", str)
-    dir_specs = getattr(args, "direction", None) or \
-        ([args._config["direction"]] if "direction" in args._config else ["1.0"])
-    poly = _parse_poly(poly_spec)
-    directions = [_parse_direction(s) for s in dir_specs]
+    poly = _parse_poly(args.poly)
+    directions = args.direction or [_parse_direction("1.0")]
     if len(directions) < poly.n_vars:
         print(f"error: polynomial uses x1..x{poly.n_vars} but only "
               f"{len(directions)} direction(s) given", file=sys.stderr)
         return EXIT_USAGE
-    shift_spec = _merge(args, "shift", None, str)
-    shift = _parse_direction(shift_spec) if shift_spec else directions[0]
+    shift = args.shift or directions[0]
     # the standard errors need two samples
-    n = _at_least("--n-samples", _merge(args, "n_samples", 10**6, int), 2)
-    seed = _merge(args, "seed", 20_260_810, int)
+    n = _at_least("--n-samples", args.n_samples, 2)
 
     Z = CylindricalFunctional(directions[:poly.n_vars], poly)
-    res = cameron_martin_check(Z, shift, n, seed)
+    res = cameron_martin_check(Z, shift, n, args.seed)
     rows = [
         LqRow("cm_lhs_shifted_mean", None, None,
               IntegralVerdict(Verdict.CONVERGED, value=res.lhs, abs_error=res.se_lhs)),
@@ -317,8 +288,8 @@ def cmd_cm_check(args) -> int:
     md = "\n".join([
         "# Shift-versus-reweighting check",
         "",
-        f"polynomial: `{poly_spec}`; shift norm: {cm_norm(shift):.6g}; "
-        f"samples: {n}; seed: {seed}",
+        f"polynomial: `{args.poly}`; shift norm: {cm_norm(shift):.6g}; "
+        f"samples: {n}; seed: {args.seed}",
         "",
         f"lhs (mean of shifted Z): {res.lhs:.8g} +- {res.se_lhs:.3g} (1 se)",
         f"rhs (reweighted mean):   {res.rhs:.8g} +- {res.se_rhs:.3g} (1 se)",
@@ -335,14 +306,15 @@ def cmd_cm_check(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args._config = _load_config(args.config) if args.config else {}
-        taken = set(vars(args)) - {"command", "config", "_config"}
-        unknown = sorted(set(args._config) - taken)
-        if unknown:  # as argparse rejects a flag the command does not take
-            raise UsageError(f"unrecognized config keys: {', '.join(unknown)}")
+        if args.config:  # its lines go before the command line's flags, which win
+            given = args
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+            if getattr(given, "direction", None):  # repeatable: the command line's list wins
+                args.direction = given.direction
         return (cmd_report if args.command in _REPORTS else cmd_cm_check)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,16 +24,17 @@ and receive the panels' values.  A driver holds only numbers: its budget is
 an int, and _adaptive returns the evaluations it spent.  _outcomes moves the
 drivers of a Family -- integrands that share one body, such as the eps rows
 of a report -- forward together: each round, one integrand call serves the
-x and reflected routes of every member, and one more the u = -log x route.
-An error raised by a driver's own panels ends that driver.  The
-single-verdict functions run a family of one the same way.
+x route of every member, including the left half-line, which a driver runs
+at sign -1 (x -> -x), and one more the u = -log x route.  An error raised by
+a driver's own panels ends that driver.  The single-verdict functions are
+one-row calls of integrate_pieces or gaussian_expectations.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -115,7 +116,6 @@ class Family:
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
     neglog_eval: Optional[Callable] = None
-    mirrors: Optional["Family"] = None
 
     @classmethod
     def from_function(cls, fn, **kw) -> "Family":
@@ -124,18 +124,11 @@ class Family:
             return slog_of(fn(np.asarray(x, dtype=float)))
         return cls(log_eval, **kw)
 
-    def cuts(self, row: int, a: float, b: float) -> list:
-        """Member row's break and singular points inside (a, b)."""
-        pts = list(self.breakpoints[row]) + list(self.singular_points)
+    def cuts(self, row: int, a: float, b: float, sign: float = 1.0) -> list:
+        """Member row's break and singular points p with sign * p inside (a, b),
+        as sign * p: the cuts of x -> g(sign * x)."""
+        pts = [sign * p for p in (*self.breakpoints[row], *self.singular_points)]
         return [p for p in pts if a < p < b]
-
-    @cached_property
-    def reflected(self) -> "Family":
-        """x -> g(-x), breakpoints and singular points reflected along;
-        _outcomes runs its requests in self's calls, at negated nodes."""
-        return Family(lambda x, row=0: self.log_eval(-x, row),
-                      tuple(tuple(-b for b in bps) for bps in self.breakpoints),
-                      tuple(-s for s in self.singular_points), mirrors=self)
 
     @cached_property
     def substituted(self) -> "Family":
@@ -391,17 +384,17 @@ def _chunks(batch) -> list:
 
 
 def _outcomes(drivers) -> list:
-    """Run drivers (form, row, generator) together; return what each one ends with.
+    """Run drivers (form, row, sign, generator) together; return what each one ends with.
 
     An outcome is the driver's verdict, or the error that ended it.  Each
     round gathers the pending request of every driver and evaluates the
-    requests of one body in one call (a reflected form's at negated nodes,
-    with those of the family it mirrors), split so that no call holds more
-    than MAX_POINTS points.  A panel's result does not depend on the other
-    panels of its call, negation is exact, and each driver keeps its own
-    budget, tolerances and cuts, so every outcome equals the one its driver
-    reaches alone.  A call that raises is repeated driver by driver, and a
-    driver whose own panels raise ends with that error.
+    requests of one form in one call (a driver of sign -1 at negated nodes),
+    split so that no call holds more than MAX_POINTS points.  A panel's
+    result does not depend on the other panels of its call, negation is
+    exact, and each driver keeps its own budget, tolerances and cuts, so
+    every outcome equals the one its driver reaches alone.  A call that
+    raises is repeated driver by driver, and a driver whose own panels raise
+    ends with that error.
     """
     outcomes = [None] * len(drivers)
     pending = {}
@@ -414,16 +407,16 @@ def _outcomes(drivers) -> list:
         except Exception as exc:
             outcomes[i] = exc
         else:
-            pending[i] = (drivers[i][1], lo, hi, -1.0 if drivers[i][0].mirrors else 1.0)
+            pending[i] = (drivers[i][1], lo, hi, drivers[i][2])
 
-    for i, (_, _, gen) in enumerate(drivers):
+    for i, (_, _, _, gen) in enumerate(drivers):
         resume(i, gen.send, None)
     while pending:
-        by_body = {}
+        by_form = {}
         for i, request in pending.items():
-            by_body.setdefault(drivers[i][0].mirrors or drivers[i][0], []).append((i, request))
+            by_form.setdefault(drivers[i][0], []).append((i, request))
         pending = {}
-        for form, batch in by_body.items():
+        for form, batch in by_form.items():
             chunks = _chunks(batch)
             while chunks:
                 chunk = chunks.pop(0)
@@ -438,7 +431,7 @@ def _outcomes(drivers) -> list:
                 start = 0
                 for i, (_, lo, _, _) in chunk:
                     end = start + len(lo)
-                    resume(i, drivers[i][2].send,
+                    resume(i, drivers[i][3].send,
                            (values[start:end], errors[start:end], hot[start:end]))
                     start = end
     return outcomes
@@ -457,43 +450,41 @@ def _lockstep(drivers) -> list:
     return outcomes
 
 
-def _finite(form: Family, row: int, a: float, b: float, atol: float, rtol: float,
-            budget: int):
+def _finite(a: float, b: float, atol: float, rtol: float, budget: int, cuts):
     """Driver of the finite adaptive rule over [a, b]."""
-    def verdict():
-        res = yield from _adaptive(a, b, atol, rtol, budget, form.cuts(row, a, b))
-        if not res.evals:
-            return _inconclusive(0, "budget below the first panels")
-        if res.hot:
-            return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
-        if math.isnan(res.value):
-            return _inconclusive(res.evals, f"the sum on [{a:g}, {b:g}] is NaN")
-        if res.ok:
-            return _converged(res.value, res.error, res.evals)
-        return _inconclusive(res.evals, f"refinement budget exhausted (error {res.error:.3e})")
-
-    return form, row, verdict()
+    res = yield from _adaptive(a, b, atol, rtol, budget, cuts)
+    if not res.evals:
+        return _inconclusive(0, "budget below the first panels")
+    if res.hot:
+        return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
+    if math.isnan(res.value):
+        return _inconclusive(res.evals, f"the sum on [{a:g}, {b:g}] is NaN")
+    if res.ok:
+        return _converged(res.value, res.error, res.evals)
+    return _inconclusive(res.evals, f"refinement budget exhausted (error {res.error:.3e})")
 
 
 def integrate_adaptive(g: Family, a: float, b: float,
                        atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                        budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
-    """Integrate g over the finite interval [a, b].
+    """Integrate g over the finite interval [a, b], routed as integrate_pieces routes.
 
     Declared interior break/singular points become panel edges; Kronrod nodes
-    are interior, so endpoint singularities are never evaluated.
+    are interior, so endpoint singularities are never evaluated.  (0, b) with
+    b < 1 and a declared singular point 0 goes by u = -log x.
     """
     if not (math.isfinite(a) and math.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    return _lockstep([_finite(_one_row(g), 0, a, b, atol, rtol, budget)])[0]
+    return integrate_pieces(_one_row(g), [(0, a, b)], atol, rtol, budget)[0]
 
 
 FIT_MISMATCH = 1e-5  # held-out relative error below which a power tail is trusted
 
 
 def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget: int,
-             limit: float = math.inf):
-    """Verdict engine of [a, inf): integrate successive segments, watch increments.
+             limit: float = math.inf, sign: float = 1.0):
+    """Verdict engine of [a, inf) for x -> g(sign * x): integrate successive
+    segments, watch increments.
 
     A generator like _adaptive; its segments [a + 2^(k-2), a + 2^(k-1)] (the
     first is [a, a + 1]) run as _adaptive generators, and it returns the verdict.
@@ -526,7 +517,8 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
         tol = max(atol, rtol * abs(partial))
         seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
-                                   0.25 * rtol, budget - used, form.cuts(row, prev_edge, edge))
+                                   0.25 * rtol, budget - used,
+                                   form.cuts(row, prev_edge, edge, sign))
         if not seg.evals:
             break
         used += seg.evals
@@ -584,15 +576,7 @@ def integrate_semi_infinite(g: Family, a: float,
     """Integrate g over [a, inf) by doubling the exhaustion point."""
     if not math.isfinite(a):
         raise ValueError("need a finite left endpoint")
-    g = _one_row(g)
-    return _lockstep([(g, 0, _exhaust(g, 0, a, atol, rtol, budget))])[0]
-
-
-def _origin(fam: Family, row: int, mu: float, atol: float, rtol: float, budget: int):
-    """The u = -log x route over (0, mu], mu < 1: [-log mu, inf) in u."""
-    limit = 700.0 if fam.neglog_eval is None else math.inf
-    form = fam.substituted
-    return form, row, _exhaust(form, row, -math.log(mu), atol, rtol, budget, limit)
+    return integrate_pieces(_one_row(g), [(0, a, math.inf)], atol, rtol, budget)[0]
 
 
 def integrate_singular_origin(g: Family, mu: float,
@@ -600,20 +584,16 @@ def integrate_singular_origin(g: Family, mu: float,
                               budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
     """Integrate g over (0, mu], where g may blow up (or fail to be integrable) at 0.
 
-    Substitutes u = -log x and exhausts the resulting semi-infinite domain,
-    which turns Bertrand behavior x^-1 |log x|^-i into the transparent power
-    scale u^-i, whose fitted tail the exhaustion extrapolates.  For mu >= 1
-    the part above 1/2 is a finite piece of its own.
+    The singular point 0 is declared, so (0, mu) goes by u = -log x: the
+    resulting semi-infinite domain turns Bertrand behavior x^-1 |log x|^-i
+    into the transparent power scale u^-i, whose fitted tail the exhaustion
+    extrapolates.  For mu >= 1 the line splits at 1/2, as
+    gaussian_expectations splits it.
     """
     if not 0.0 < mu:
         raise ValueError("need mu > 0")
-    _one_row(g)
-    if mu >= 1.0:
-        pieces = _lockstep([
-            _origin(g, 0, 0.5, 0.5 * atol, rtol, budget // 2),
-            _finite(g, 0, 0.5, mu, 0.5 * atol, 0.5 * rtol, budget // 2)])
-        return _combine(pieces, ["(0, 0.5]", f"[0.5, {mu:g}]"])
-    return _lockstep([_origin(g, 0, mu, atol, rtol, budget)])[0]
+    g = replace(_one_row(g), singular_points=(*g.singular_points, 0.0))
+    return _split(g, [(0, [0.0, mu] if mu < 1.0 else [0.0, 0.5, mu])], atol, rtol, budget)[0]
 
 
 def _fit_power_tail(u_edges, increments):
@@ -689,6 +669,8 @@ def weighted(fam: Family) -> Family:
 
 
 def _combine(pieces, labels) -> IntegralVerdict:
+    if len(pieces) == 1:
+        return pieces[0]
     n_evals = sum(v.n_evals for v in pieces)
     for v, lab in zip(pieces, labels):
         if v.diverged:
@@ -702,26 +684,43 @@ def _combine(pieces, labels) -> IntegralVerdict:
 
 def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float,
            budget: int):
-    """Driver of one piece (lo, hi) of the line, routed by its ends.
+    """Driver (form, row, sign, generator) of one piece (lo, hi) of the line,
+    routed by its ends.
 
-    An infinite end goes to semi-infinite exhaustion (the left end
-    reflected), (0, hi) with hi < 1 and a declared singularity at 0 to the
+    An infinite end goes to semi-infinite exhaustion (the left end at sign
+    -1, x -> -x), (0, hi) with hi < 1 and a declared singularity at 0 to the
     u = -log x route, and anything else to the finite adaptive rule.
     """
     if lo == -math.inf:
-        form = fam.reflected
-        return form, row, _exhaust(form, row, -hi, atol, rtol, budget)
+        return fam, row, -1.0, _exhaust(fam, row, -hi, atol, rtol, budget, sign=-1.0)
     if hi == math.inf:
-        return fam, row, _exhaust(fam, row, lo, atol, rtol, budget)
+        return fam, row, 1.0, _exhaust(fam, row, lo, atol, rtol, budget)
     if lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
-        return _origin(fam, row, hi, atol, rtol, budget)
-    return _finite(fam, row, lo, hi, atol, rtol, budget)
+        limit = 700.0 if fam.neglog_eval is None else math.inf
+        form = fam.substituted
+        return form, row, 1.0, _exhaust(form, row, -math.log(hi), atol, rtol, budget, limit)
+    return fam, row, 1.0, _finite(lo, hi, atol, rtol, budget, fam.cuts(row, lo, hi))
 
 
 def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,
                      rtol: float = DEFAULT_RTOL, budget: int = DEFAULT_BUDGET) -> list:
     """Verdicts for the pieces [(row, lo, hi), ...] of fam's members, in lockstep."""
     return _lockstep([_piece(fam, row, lo, hi, atol, rtol, budget) for row, lo, hi in pieces])
+
+
+def _split(fam: Family, lines, atol: float, rtol: float, budget: int) -> list:
+    """One verdict per (row, edges) of lines: the pieces between the edges run
+    in lockstep, each with atol and budget divided by their number, and
+    _combine joins them."""
+    plans = []
+    drivers = []
+    for row, edges in lines:
+        pieces = list(zip(edges, edges[1:]))
+        share = budget // len(pieces)
+        drivers += [_piece(fam, row, a, b, atol / len(pieces), rtol, share) for a, b in pieces]
+        plans.append([f"({a:g}, {b:g})" for a, b in pieces])
+    verdicts = iter(_lockstep(drivers))
+    return [_combine([next(verdicts) for _ in labels], labels) for labels in plans]
 
 
 def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
@@ -733,17 +732,9 @@ def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
     expectation Diverged; all pieces Converged sum their values and errors;
     anything else is Inconclusive.
     """
-    w = weighted(fam)
-    plans = []
-    drivers = []
-    for row, bps in enumerate(fam.breakpoints):
-        cuts = sorted({float(b) for b in (*bps, 0.0)})
-        edges = list(zip([-math.inf] + cuts, cuts + [math.inf]))
-        share = budget // len(edges)
-        drivers += [_piece(w, row, a, b, atol / len(edges), rtol, share) for a, b in edges]
-        plans.append([f"({a:g}, {b:g})" for a, b in edges])
-    verdicts = iter(_lockstep(drivers))
-    return [_combine([next(verdicts) for _ in labels], labels) for labels in plans]
+    lines = [(row, [-math.inf, *sorted({float(b) for b in (*bps, 0.0)}), math.inf])
+             for row, bps in enumerate(fam.breakpoints)]
+    return _split(weighted(fam), lines, atol, rtol, budget)
 
 
 def gaussian_expectation(g: Family,

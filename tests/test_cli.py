@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -37,6 +38,10 @@ class TestPolyParsing:
         ("1e-3*x1^2", {(2,): 1e-3}),
         ("-1e-2*x1^2 + 3", {(2,): -1e-2, (0,): 3.0}),
         ("1e+3*x1", {(1,): 1e3}),
+        # a sign after '*' belongs to its factor: these were x1^2 - 3 and x1 - x2
+        ("x1^2*-3", {(2,): -3.0}),
+        ("x1*-x2", {(1, 1): -1.0}),
+        ("-x1*+2 + 3", {(1,): -2.0, (0,): 3.0}),
     ])
     def test_exponent_notation(self, spec, terms):
         assert _parse_poly(spec).terms == terms
@@ -44,6 +49,14 @@ class TestPolyParsing:
     def test_garbage_rejected(self):
         with pytest.raises(Exception):
             _parse_poly("x1^^2 @")
+
+    @pytest.mark.parametrize("spec", ["x1**2", "x1*", "*x1", "x1 +"])
+    def test_empty_factor_rejected(self, tmp_path, spec):
+        # 'x1**2' ran cm-check on 2*x1: the empty factor between the stars was skipped
+        out = tmp_path / "out"
+        assert run(["cm-check", "--poly", spec, "--n-samples", "1000", "--out", str(out)],
+                   tmp_path) == EXIT_USAGE
+        assert not out.exists()
 
     def test_direction(self):
         d = _parse_direction("1.0,-2.0")
@@ -146,10 +159,31 @@ class TestExitCodes:
                                       ["reproduce-thm33", "--n-samples", "10"],
                                       ["diagnose", "--functional", "linear", "--seed", "7"],
                                       ["cm-check", "--budget", "5"],
-                                      ["cm-check", "--eps-grid", "1..4"]])
+                                      ["cm-check", "--eps-grid", "1..4"],
+                                      # nor does a flag abbreviate
+                                      ["diagnose", "--functional", "linear", "--bud", "5"]])
     def test_flags_of_other_commands_rejected(self, tmp_path, argv):
         assert run(argv + ["--out", str(tmp_path)], tmp_path) == EXIT_USAGE
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command, key", [("reproduce-thm31", "h"),
+                                              ("reproduce-thm33", "delta"),
+                                              ("diagnose --functional linear", "q"),
+                                              ("cm-check", "shift")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_list_rejected(self, tmp_path, command, key, source):
+        # --h= and --delta= ran a report with nothing to test, --shift= used
+        # the first direction
+        argv = command.split()
+        if source == "flag":
+            argv.append(f"--{key}=")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} =\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
+        assert not out.exists()
 
     def test_budget_from_config_checked(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -218,10 +252,13 @@ class TestConfigPrecedence:
         assert (tmp_path / "linear-diagnose.csv").exists()
 
     @pytest.mark.parametrize("line", ["bugdet = 1", "config = other.cfg",
-                                      "command = cm-check"])
+                                      "command = cm-check", "bud = 5", "eps_grid = 2..5",
+                                      "format = pdf"])
     def test_unknown_config_key_rejected(self, tmp_path, line):
         # a misspelt key is a usage error, as the misspelt flag --bugdet is;
-        # so are the parser's own names, which no flag of the command sets
+        # so are the parser's own names, which no flag of the command sets.
+        # A line is the flag --key=value: a key is a flag's exact name (no
+        # abbreviation, no variant spelling), and a value keeps to its choices
         cfg = tmp_path / "run.cfg"
         cfg.write_text(line + "\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -239,10 +276,53 @@ class TestConfigPrecedence:
         assert run([command, "--config", str(cfg), "--out", str(out)], tmp_path) == code
         assert out.exists() == (code == EXIT_OK)
 
+    def test_direction_flag_replaces_config_directions(self, tmp_path):
+        # repeatable: config lines add directions, and the command line's replace them
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("poly = x1*x2\ndirection = 1\ndirection = 1,2\nshift = 0.5\n"
+                       "n-samples = 1000\nformat = md\n", encoding="utf-8")
+        assert run(["cm-check", "--config", str(cfg), "--out", str(tmp_path)],
+                   tmp_path) == EXIT_OK
+        assert run(["cm-check", "--config", str(cfg), "--direction", "3",
+                    "--out", str(tmp_path)], tmp_path) == EXIT_USAGE
+        assert run(["cm-check", "--config", str(cfg), "--direction", "3", "--direction", "1",
+                    "--poly", "x1", "--out", str(tmp_path)], tmp_path) == EXIT_OK
+        text = (tmp_path / "cm-check.md").read_text(encoding="utf-8")
+        assert "polynomial: `x1`; shift norm: 0.5; samples: 1000" in text
+
     def test_bad_config_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("this is not a pair\n", encoding="utf-8")
         assert run(["reproduce-thm31", "--config", str(cfg)], tmp_path) == EXIT_USAGE
+
+
+class TestEpsGrid:
+    @staticmethod
+    def epsilons(path) -> set:
+        with open(path, encoding="utf-8") as fh:
+            next(fh)  # the schema line
+            return {float(row["epsilon"]) for row in csv.DictReader(fh) if row["epsilon"]}
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_rows_follow_the_range(self, tmp_path, source):
+        argv = ["diagnose", "--functional", "linear", "--h", "1", "--format", "csv",
+                "--out", str(tmp_path)]
+        if source == "flag":
+            argv += ["--eps-grid", "2..5"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("# eps = 2^-2 .. 2^-5\n\n   \n  eps-grid = 2..5\n# h = 0\n",
+                           encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        assert run(argv, tmp_path) == EXIT_OK
+        assert self.epsilons(tmp_path / "linear-diagnose.csv") == {2.0 ** -k for k in range(2, 6)}
+
+    @pytest.mark.parametrize("spec", ["5..2", "0..3", "2-5"])
+    def test_bad_range_rejected(self, tmp_path, spec):
+        out = tmp_path / "out"
+        assert run(["diagnose", "--functional", "linear", "--eps-grid", spec,
+                    "--out", str(out)], tmp_path) == EXIT_USAGE
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -147,6 +147,25 @@ class TestSsgd:
             slope = np.polyfit(np.log(eps), np.log(vals), 1)[0]
             assert slope >= 0.9
 
+    @pytest.mark.parametrize("values, flag", [
+        ((0.4, 0.2, 0.1, 0.05, 5e-4), Flag.YES),       # decreasing, final below TOL_SSGD
+        ((0.4, 1e-3, 2e-3, 1e-3, 1e-3), Flag.NO),      # a plateau at TOL_SSGD
+        ((0.4, 0.3, 0.2, 0.5, 0.4), Flag.NO),          # above it, not decreasing
+        ((0.4, 0.3, 0.2, 0.1, 0.05), Flag.UNKNOWN),    # decreasing, not yet below
+        ((0.4, 0.2, 1e-4, 2e-4, 5e-4), Flag.UNKNOWN),  # below, not decreasing
+    ])
+    def test_flag_rule_on_converged_rows(self, flin, grid, monkeypatch, values, flag):
+        def rows(f, quantity, q, grid, h_T, centered, atol, rtol, budget):
+            return tuple(LqRow(quantity, q, 2.0 ** -k,
+                               quad.IntegralVerdict(quad.Verdict.CONVERGED, value=v,
+                                                    abs_error=1e-12))
+                         for k, v in enumerate(values, 1))
+
+        monkeypatch.setattr(diagnostics, "_quotient_rows", rows)
+        res = ssgd_test(flin, 2.0, 2.0, 1.0, grid)
+        assert res.verdict == flag
+        assert res.final_residual == values[-1]
+
     def test_rejects_q_above_p(self, flin, grid):
         with pytest.raises(ValueError):
             ssgd_test(flin, 2.0, 2.5, 1.0, grid)
