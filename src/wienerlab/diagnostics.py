@@ -16,8 +16,9 @@ Everything here renders a limit statement falsifiable at desk scale:
   support), with the Bertrand majorants as a cross-check.
 * cameron_martin_check / sgd_probability_test -- Monte Carlo sides: the
   shift-versus-reweighting identity and convergence in probability.
-* membership_report -- assembles the evidence into the three flags and
-  enforces the inclusion chain on its own output.
+* membership_report -- runs every L^q, residual and psi-test row (one family)
+  and the Bertrand majorants in one lockstep run, then assembles the three
+  flags and enforces the inclusion chain on its own output.
 """
 
 from __future__ import annotations
@@ -110,19 +111,19 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _route_family(f: ScalarFunctional, breakpoints, at_x, at_u, outer) -> Family:
-    """outer(log|g_row|) with the positive sign, one body per route: at_x(x, row)
-    is log|g_row(x)|, and at_u(u, row) is the same at x = e^-u, given when f
-    has its log-x forms."""
+def _route_family(f: ScalarFunctional, breakpoints, at_x, at_u) -> Family:
+    """log|g_row| with the positive sign, one body per route: at_x(x, row) is
+    log|g_row(x)|, and at_u(u, row) is the same at x = e^-u, given when f has
+    its log-x forms."""
     def log_eval(x, row=0):
         x = np.asarray(x, dtype=float)
-        return np.ones_like(x), outer(at_x(x, row))
+        return np.ones_like(x), at_x(x, row)
 
     neglog = None
     if f.has_logx_forms():
         def neglog(u, row=0):
             u = np.asarray(u, dtype=float)
-            return np.ones_like(u), outer(at_u(u, row))
+            return np.ones_like(u), at_u(u, row)
 
     return Family(log_eval, breakpoints, tuple(f.singular_points), neglog)
 
@@ -131,28 +132,37 @@ def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
     """|g(x)|^p as a one-row family, g = f' if deriv else f."""
     slog, slog_at_logx = ((f.slog_deriv, f.slog_deriv_at_logx) if deriv
                           else (f.slog_value, f.slog_value_at_logx))
-    return _route_family(f, (_scalar_cuts(f),), lambda x, row: slog(x)[1],
-                         lambda u, row: slog_at_logx(-u)[1], lambda l: p * l)
+    return _route_family(f, (_scalar_cuts(f),), lambda x, row: p * slog(x)[1],
+                         lambda u, row: p * slog_at_logx(-u)[1])
 
 
-def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
-                     outer) -> Family:
-    """outer(log|X_eps - centered * c f'(x)|), one member per eps.
+def _quotient_family(f: ScalarFunctional, rows) -> Family:
+    """The quotient rows (q, eps, c, centered) as one family: member i is
+    |X_eps - centered * c f'(x)|^q, X_eps = (f(x + eps c) - f(x)) / eps, or
+    psi(|X_eps|^2) where q is None.
 
-    The rows index the shift eps c and math.log(eps) of their point's member.
+    The rows index the shift eps c, math.log(eps), the centring (c, or 0 when
+    not centered) and the outer map of their point's member.
     """
-    shift = np.array(eps_values) * c
-    log_eps = np.array([math.log(e) for e in eps_values])
+    shift = np.array([eps * c for _, eps, c, _ in rows])
+    log_eps = np.array([math.log(eps) for _, eps, _, _ in rows])
+    centre = np.array([c if centered else 0.0 for _, _, c, centered in rows])
+    log_centre = np.array([math.log(abs(c)) if c else 0.0 for c in centre])
+    expo = np.array([np.nan if q is None else q for q, _, _, _ in rows])  # NaN: psi
 
     def residual(row, diff, deriv):
-        """log|diff / eps - c f'|, diff the (sign, log) pair of f(x + eps c) - f(x)
-        and deriv a thunk for f's pair at x; c = 0 leaves diff = 0 alone."""
+        """log|g_row|, diff the (sign, log) pair of f(x + eps c) - f(x) and
+        deriv a thunk for f's pair at x; a zero centring leaves diff alone."""
         s, l = diff
         l = l - log_eps[row]
-        if centered and c != 0.0:
+        c = centre[row]
+        if c.any():
             ds, dl = deriv()
-            s, l = slog_sub(s, l, np.sign(c) * ds, dl + math.log(abs(c)))
-        return l
+            l = np.where(c != 0.0, slog_sub(s, l, np.sign(c) * ds, dl + log_centre[row])[1], l)
+        psi = np.isnan(expo[row])
+        if psi.any():
+            return np.where(psi, _psi_log(2.0 * l), expo[row] * l)
+        return expo[row] * l
 
     def at_x(x, row):
         # the plain difference (unit eps along the shift), then the row's log eps
@@ -165,14 +175,8 @@ def _residual_family(f: ScalarFunctional, eps_values, c: float, centered: bool,
         return residual(row, slog_sub(*f.slog_value(x + shift[row]), *f.slog_value_at_logx(-u)),
                         lambda: f.slog_deriv_at_logx(-u))
 
-    return _route_family(f, tuple(_scalar_cuts(f, shifts=(e * c,)) for e in eps_values),
-                         at_x, at_u, outer)
-
-
-def _diffquot_family(f: ScalarFunctional, q: float, eps_values, c: float,
-                     centered: bool) -> Family:
-    """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q, one member per eps."""
-    return _residual_family(f, eps_values, c, centered, lambda l: q * l)
+    return _route_family(f, tuple(_scalar_cuts(f, shifts=(eps * c,)) for _, eps, c, _ in rows),
+                         at_x, at_u)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
@@ -182,7 +186,7 @@ def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
     Nothing in the package calls it; the benchmark (perfbench/run.py) times
     its log_eval by this name.
     """
-    return _diffquot_family(f, q, (eps,), c, centered)
+    return _quotient_family(f, [(q, eps, c, centered)])
 
 
 # ---------------------------------------------------------------------------
@@ -212,17 +216,44 @@ def lq_diffquot_norm(f: ScalarFunctional, q: float, eps: float, c: float, *,
         raise ValueError("eps must be positive")
     if q <= 0.0:
         raise ValueError("need q > 0")
-    fam = _diffquot_family(f, q, (eps,), c, centered)
-    return quad.gaussian_expectations(fam, atol=atol, rtol=rtol, budget=budget)[0]
+    return quad.gaussian_expectation(_quotient_family(f, [(q, eps, c, centered)]),
+                                     atol=atol, rtol=rtol, budget=budget)
 
 
-def _quotient_rows(f: ScalarFunctional, quantity: str, q: float, grid: EpsilonGrid,
-                   h_T: float, centered: bool, atol: float, rtol: float, budget: int) -> tuple:
-    """LqRow per eps of the grid capped to f's window: E|X_eps - centered * f' h_T|^q."""
-    grid = grid.capped(f.window / abs(h_T) if f.window and h_T else None)
-    verdicts = quad.gaussian_expectations(_diffquot_family(f, q, grid.values, h_T, centered),
-                                          atol=atol, rtol=rtol, budget=budget)
-    return tuple(LqRow(quantity, q, eps, v) for eps, v in zip(grid.values, verdicts))
+def _quotient_jobs(f: ScalarFunctional, parts, grid: EpsilonGrid, atol: float, rtol: float,
+                   budget: int) -> list:
+    """A job per part (quantity, q, h_T, centered), the rows of all parts on one
+    weighted family: a round of quad._lockstep makes one body call per route.
+
+    A part has a row per eps of the grid capped to f's window.  With q, a row
+    is E|X_eps - centered * h_T f'(W_1)|^q (quad._expectation_job), and join
+    gives an LqRow per eps.  With q None, it is E[psi(|X_eps|^2)] over the
+    pieces below / inside / above the core, each with the whole budget, and
+    join gives the labelled piece verdicts per eps (none for h_T = 0).
+    """
+    rows, spans = [], []
+    for _, q, h_T, centered in parts:
+        eps_values = grid.capped(f.window / abs(h_T) if f.window and h_T else None).values
+        spans.append(range(len(rows), len(rows) + len(eps_values)))
+        rows += [(q, eps, h_T, centered) for eps in eps_values]
+    fam = quad.weighted(_quotient_family(f, rows))
+    return [_part_job(f, fam, part, span, [rows[row][1] for row in span], atol, rtol, budget)
+            for part, span in zip(parts, spans)]
+
+
+def _part_job(f, fam, part, span, eps_values, atol, rtol, budget):
+    """The job of a part of _quotient_jobs, whose rows of fam are span."""
+    quantity, q, h_T, _ = part
+    if q is not None:
+        drivers, join = quad._expectation_job(fam, span, atol, rtol, budget)
+        return drivers, lambda verdicts: tuple(
+            LqRow(quantity, q, eps, v) for eps, v in zip(eps_values, join(verdicts)))
+    plan = [[(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi]
+            for eps in eps_values] if h_T else []
+    drivers = [quad._piece(fam, row, lo, hi, atol, rtol, budget)
+               for row, labelled in zip(span, plan) for _, lo, hi in labelled]
+    return drivers, lambda verdicts: [(eps, [(label, next(verdicts)) for label, _, _ in labelled])
+                                      for eps, labelled in zip(eps_values, plan)]
 
 
 @dataclass(frozen=True)
@@ -242,16 +273,21 @@ def _tail_decreasing(vals, span: int = 4) -> bool:
 def ssgd_test(f: ScalarFunctional, p: float, q: float, h_T: float, grid: EpsilonGrid, *,
               atol: float = quad.DEFAULT_ATOL, rtol: float = quad.DEFAULT_RTOL,
               budget: int = quad.DEFAULT_BUDGET) -> SsgdResult:
-    """Does E|X_eps - f'(W_1) h_T|^q -> 0 along the grid?
+    """Does E|X_eps - f'(W_1) h_T|^q -> 0 along the grid?  (_ssgd_result)"""
+    if not 0.0 < q <= p:
+        raise ValueError("need 0 < q <= p")
+    (table,) = quad._lockstep(_quotient_jobs(f, [("diffquot_residual", q, h_T, True)], grid,
+                                            atol, rtol, budget))
+    return _ssgd_result(q, h_T, table, atol)
+
+
+def _ssgd_result(q: float, h_T: float, table: tuple, atol: float) -> SsgdResult:
+    """The verdict of ssgd_test from the residual rows of (q, h_T).
 
     Yes needs every row Converged, a nonincreasing tail over the last four
     rows and a final residual below TOL_SSGD; any Diverged row (or a plateau
     at or above TOL_SSGD) is a No; anything else stays Unknown.
     """
-    if not 0.0 < q <= p:
-        raise ValueError("need 0 < q <= p")
-    table = _quotient_rows(f, "diffquot_residual", q, grid, h_T, True, atol, rtol, budget)
-
     flag = _verdicts_flag([r.verdict for r in table])
     if flag != Flag.YES:
         return SsgdResult(q, h_T, table, flag, None)
@@ -279,12 +315,6 @@ def _psi_log(ly):
     return np.where(np.isneginf(ly), -np.inf, out)
 
 
-def _dvp_family(f: ScalarFunctional, eps_values, c: float) -> Family:
-    """psi(|X_eps|^2) phi(x), Gaussian weight included, one member per eps."""
-    return quad.weighted(_residual_family(f, eps_values, c, False,
-                                          lambda l: _psi_log(2.0 * l)))
-
-
 def _dvp_pieces(f: ScalarFunctional, eps: float, h_T: float):
     """Named (label, lo, hi) integration pieces below/inside/above the core."""
     bps = sorted(f.breakpoints)
@@ -310,52 +340,46 @@ class DvpResult:
     message: str = ""
 
 
-def _bertrand_majorants(f: ScalarFunctional, h_list, atol, rtol, budget) -> tuple:
-    """The Bertrand majorants behind the inside-piece estimate, exponents 5..8,
-    in lockstep; none for a functional without mu or for zero endpoints only."""
+def _majorant_job(f: ScalarFunctional, h_list, atol, rtol, budget):
+    """The job of the Bertrand majorants behind the inside-piece estimate,
+    exponents 5..8, whose join gives their LqRows; none for a functional
+    without mu or for zero endpoints only."""
     if "mu" not in f.params or not any(h_list):
-        return ()
+        return [], lambda verdicts: ()
     exponents = (5.0, 6.0, 7.0, 8.0)
-    verdicts = quad.integrate_pieces(quad.bertrand_family(exponents),
-                                     [(row, 0.0, f.params["mu"]) for row in range(4)],
-                                     atol, rtol, budget)
-    return tuple(LqRow("bertrand_majorant", e, None, v) for e, v in zip(exponents, verdicts))
+    fam = quad.bertrand_family(exponents)
+    drivers = [quad._piece(fam, row, 0.0, f.params["mu"], atol, rtol, budget) for row in range(4)]
+    return drivers, lambda verdicts: tuple(LqRow("bertrand_majorant", e, None, next(verdicts))
+                                           for e in exponents)
 
 
 def dvp_uniform_integrability_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, *,
                                    atol: float = quad.DEFAULT_ATOL,
                                    rtol: float = quad.DEFAULT_RTOL,
                                    budget: int = quad.DEFAULT_BUDGET) -> DvpResult:
-    """sup over the eps window of E[psi(|X_eps|^2)], psi(y) = y |log y|.
+    """sup over the eps window of E[psi(|X_eps|^2)], psi(y) = y |log y|  (_dvp_result)."""
+    majorants, psi = quad._lockstep([
+        _majorant_job(f, (h_T,), atol, rtol, budget),
+        *_quotient_jobs(f, [("dvp", None, h_T, False)], grid, atol, rtol, budget)])
+    return _dvp_result(h_T, psi, majorants)
+
+
+def _dvp_result(h_T: float, psi, majorants: tuple) -> DvpResult:
+    """The psi-test of h_T from its part's (eps, [(label, piece verdict)]) per eps.
 
     Yes iff every piece of every row Converged and the sup is finite; the
     shifted-gap / core / tail decomposition mirrors the two sign cases of the
     shift endpoint.  A zero shift endpoint is trivially uniformly integrable.
     """
-    return _dvp_test(f, h_T, grid, _bertrand_majorants(f, (h_T,), atol, rtol, budget),
-                     atol, rtol, budget)
-
-
-def _dvp_test(f: ScalarFunctional, h_T: float, grid: EpsilonGrid, majorants: tuple,
-              atol: float, rtol: float, budget: int) -> DvpResult:
-    """dvp_uniform_integrability_test with the Bertrand majorants given."""
     if h_T == 0.0:
         return DvpResult(h_T, Flag.YES, 0.0, (), (),
                          "zero direction endpoint: X_eps vanishes identically")
-    grid = grid.capped(f.window / abs(h_T) if f.window else None)
-    plan = [[(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi]
-            for eps in grid.values]
-    results = iter(quad.integrate_pieces(
-        _dvp_family(f, grid.values, h_T),
-        [(row, lo, hi) for row, labelled in enumerate(plan) for _, lo, hi in labelled],
-        atol, rtol, budget))
     rows = []
     totals = []  # per eps: Diverged if a piece is, Converged if all are
-    for eps, labelled in zip(grid.values, plan):
-        labels = [label for label, _, _ in labelled]
-        pieces = [next(results) for _ in labels]
-        rows += [LqRow(f"dvp_{label}", 2.0, eps, v) for label, v in zip(labels, pieces)]
-        totals.append(quad._combine(pieces, labels))
+    for eps, pieces in psi:
+        labels, verdicts = zip(*pieces)
+        rows += [LqRow(f"dvp_{label}", 2.0, eps, v) for label, v in pieces]
+        totals.append(quad._combine(verdicts, labels))
         if totals[-1].converged:
             rows.append(LqRow("dvp_total", 2.0, eps, totals[-1]))
     flag = _verdicts_flag(totals)
@@ -495,6 +519,12 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
              diverging reports No (the untested smaller deltas are recorded
              as sampled), anything else Unknown.
     """
+    if not all(0.0 <= t < math.inf for t in (atol, rtol)):
+        raise ValueError(f"atol and rtol must be finite and >= 0, got {atol!r} and {rtol!r}")
+    if not all(0.0 < d < math.inf for d in deltas):
+        raise ValueError(f"every delta must be finite and > 0, got {tuple(deltas)}")
+    if not all(abs(h_T) < math.inf for h_T in h_list) or len(set(h_list)) < len(h_list):
+        raise ValueError(f"the h endpoints must be finite and distinct, got {tuple(h_list)}")
     grid = grid or EpsilonGrid.default()
     notes = []
 
@@ -503,19 +533,20 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
         seminorms[p + d] = sobolev_seminorm(f, p + d, atol=atol, rtol=rtol, budget=budget)
 
     q_mid = 0.5 * (1.0 + p)
-    lq_rows = []
-    for h_T in h_list:
-        lq_rows += _quotient_rows(f, f"diffquot_norm[h={h_T:g}]", q_mid, grid, h_T, False,
-                                  atol, rtol, budget)
-
-    ssgd = {}
-    for q in sorted({q_mid, p, *extra_qs}):
-        for h_T in h_list:
-            ssgd[(q, h_T)] = ssgd_test(f, p, q, h_T, grid, atol=atol, rtol=rtol,
-                                       budget=budget)
-
-    majorants = _bertrand_majorants(f, h_list, atol, rtol, budget)
-    dvp = {h_T: _dvp_test(f, h_T, grid, majorants, atol, rtol, budget) for h_T in h_list}
+    qs = sorted({q_mid, p, *extra_qs})
+    if not all(0.0 < q <= p for q in qs):
+        raise ValueError("need 0 < q <= p")
+    # driver order L^q, residual, majorants, psi: _lockstep raises the first error in it
+    parts = ([(f"diffquot_norm[h={h_T:g}]", q_mid, h_T, False) for h_T in h_list]
+             + [("diffquot_residual", q, h_T, True) for q in qs for h_T in h_list]
+             + [("dvp", None, h_T, False) for h_T in h_list])
+    jobs = _quotient_jobs(f, parts, grid, atol, rtol, budget)
+    jobs.insert(len(parts) - len(h_list), _majorant_job(f, h_list, atol, rtol, budget))
+    results = iter(quad._lockstep(jobs))
+    lq_rows = [row for _ in h_list for row in next(results)]
+    ssgd = {(q, h_T): _ssgd_result(q, h_T, next(results), atol) for q in qs for h_T in h_list}
+    majorants = next(results)
+    dvp = {h_T: _dvp_result(h_T, next(results), majorants) for h_T in h_list}
 
     in_base = _verdicts_flag(seminorms[p])
     ssgd_pp = _combine_flags(ssgd[(p, h_T)].verdict for h_T in h_list)

@@ -20,14 +20,15 @@ integrate_pieces picks the route for each piece of the line from its ends.
 Every integrand is a Family; Family(body) is an integrand of one row.
 
 The drivers (_adaptive, _exhaust) are generators that yield panel requests
-and receive the panels' values.  A driver holds only numbers: its budget is
-an int, and _adaptive returns the evaluations it spent.  _outcomes moves the
-drivers of a Family -- integrands that share one body, such as the eps rows
-of a report -- forward together: each round, one integrand call serves the
-x route of every member, including the left half-line, which a driver runs
-at sign -1 (x -> -x), and one more the u = -log x route.  An error raised by
-a driver's own panels ends that driver.  The single-verdict functions are
-one-row calls of integrate_pieces or gaussian_expectations.
+and receive the panels' values; a driver holds only numbers (its budget is an
+int).  A job is a list of drivers and a join that turns their verdicts into
+results.  _lockstep moves the drivers of all its jobs forward together: each
+round, one integrand call per Family serves the x route of every member,
+including the left half-line, which a driver runs at sign -1 (x -> -x), and
+one more the u = -log x route.  So a report that puts all its quotient rows
+on one Family pays two calls a round for all of them.  An error raised by a
+driver's own panels ends that driver.  The single-verdict functions are
+one-row calls of integrate_pieces or _expectation_job.
 """
 
 from __future__ import annotations
@@ -437,17 +438,17 @@ def _outcomes(drivers) -> list:
     return outcomes
 
 
-def _lockstep(drivers) -> list:
-    """The verdicts of _outcomes(drivers).
-
-    The first error in driver order is raised, as running the drivers one
-    after another would raise it.
-    """
-    outcomes = _outcomes(drivers)
+def _lockstep(jobs) -> list:
+    """join(verdicts) for each job (drivers, join): the drivers of all jobs run
+    together by _outcomes, and each join takes its drivers' verdicts, in order,
+    from one iterator.  The first error in driver order is raised, as running
+    the drivers one after another would raise it."""
+    outcomes = _outcomes([driver for drivers, _ in jobs for driver in drivers])
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome
-    return outcomes
+    verdicts = iter(outcomes)
+    return [join(verdicts) for _, join in jobs]
 
 
 def _finite(a: float, b: float, atol: float, rtol: float, budget: int, cuts):
@@ -588,12 +589,13 @@ def integrate_singular_origin(g: Family, mu: float,
     resulting semi-infinite domain turns Bertrand behavior x^-1 |log x|^-i
     into the transparent power scale u^-i, whose fitted tail the exhaustion
     extrapolates.  For mu >= 1 the line splits at 1/2, as
-    gaussian_expectations splits it.
+    _expectation_job splits a line.
     """
     if not 0.0 < mu:
         raise ValueError("need mu > 0")
     g = replace(_one_row(g), singular_points=(*g.singular_points, 0.0))
-    return _split(g, [(0, [0.0, mu] if mu < 1.0 else [0.0, 0.5, mu])], atol, rtol, budget)[0]
+    job = _split(g, [(0, [0.0, mu] if mu < 1.0 else [0.0, 0.5, mu])], atol, rtol, budget)
+    return _lockstep([job])[0][0]
 
 
 def _fit_power_tail(u_edges, increments):
@@ -705,13 +707,13 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
 def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,
                      rtol: float = DEFAULT_RTOL, budget: int = DEFAULT_BUDGET) -> list:
     """Verdicts for the pieces [(row, lo, hi), ...] of fam's members, in lockstep."""
-    return _lockstep([_piece(fam, row, lo, hi, atol, rtol, budget) for row, lo, hi in pieces])
+    return _lockstep([([_piece(fam, row, lo, hi, atol, rtol, budget) for row, lo, hi in pieces],
+                       list)])[0]
 
 
-def _split(fam: Family, lines, atol: float, rtol: float, budget: int) -> list:
-    """One verdict per (row, edges) of lines: the pieces between the edges run
-    in lockstep, each with atol and budget divided by their number, and
-    _combine joins them."""
+def _split(fam: Family, lines, atol: float, rtol: float, budget: int):
+    """The job of the lines [(row, edges), ...]: the pieces between the edges,
+    each with atol and budget divided by their number, _combine-d per line."""
     plans = []
     drivers = []
     for row, edges in lines:
@@ -719,26 +721,23 @@ def _split(fam: Family, lines, atol: float, rtol: float, budget: int) -> list:
         share = budget // len(pieces)
         drivers += [_piece(fam, row, a, b, atol / len(pieces), rtol, share) for a, b in pieces]
         plans.append([f"({a:g}, {b:g})" for a, b in pieces])
-    verdicts = iter(_lockstep(drivers))
-    return [_combine([next(verdicts) for _ in labels], labels) for labels in plans]
+    return drivers, lambda verdicts: [_combine([next(verdicts) for _ in labels], labels)
+                                      for labels in plans]
 
 
-def gaussian_expectations(fam: Family, atol: float = DEFAULT_ATOL,
-                          rtol: float = DEFAULT_RTOL, budget: int = DEFAULT_BUDGET) -> list:
-    """E[g(W_1)] = int g(x) phi(x) dx for every member g of fam, in lockstep.
-
-    Each member's line is split at its breakpoints (plus 0), and each piece
-    gets budget // (number of pieces).  Any Diverged piece makes the
-    expectation Diverged; all pieces Converged sum their values and errors;
-    anything else is Inconclusive.
-    """
-    lines = [(row, [-math.inf, *sorted({float(b) for b in (*bps, 0.0)}), math.inf])
-             for row, bps in enumerate(fam.breakpoints)]
-    return _split(weighted(fam), lines, atol, rtol, budget)
+def _expectation_job(fam: Family, rows, atol: float, rtol: float, budget: int):
+    """The job of E[g(W_1)] for the given rows of fam, which carries the
+    Gaussian weight (weighted).  Each row's line is split at its breakpoints
+    (plus 0), and each piece gets budget // (number of pieces).  Any Diverged
+    piece makes the expectation Diverged; all pieces Converged sum their
+    values and errors; anything else is Inconclusive."""
+    lines = [(row, [-math.inf, *sorted({float(b) for b in (*fam.breakpoints[row], 0.0)}),
+                    math.inf]) for row in rows]
+    return _split(fam, lines, atol, rtol, budget)
 
 
 def gaussian_expectation(g: Family,
                          atol: float = DEFAULT_ATOL, rtol: float = DEFAULT_RTOL,
                          budget: int = DEFAULT_BUDGET) -> IntegralVerdict:
-    """E[g(W_1)] with verdict combination across pieces (gaussian_expectations)."""
-    return gaussian_expectations(_one_row(g), atol, rtol, budget)[0]
+    """E[g(W_1)] = int g(x) phi(x) dx, its line split as _expectation_job splits it."""
+    return _lockstep([_expectation_job(weighted(_one_row(g)), [0], atol, rtol, budget)])[0][0]

@@ -136,7 +136,7 @@ class TestExitCodes:
         assert calls == []
 
     def test_chain_violation_is_a_contradiction(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
+        monkeypatch.setattr(diagnostics, "_ssgd_result", lambda q, h_T, table, atol:
                             SsgdResult(q, h_T, (), Flag.NO, None))
         assert run(["diagnose", "--functional", "linear", "--out", str(tmp_path)],
                    tmp_path) == EXIT_CONTRADICTION
@@ -148,7 +148,7 @@ class TestExitCodes:
     def test_expectation_mismatch_is_a_contradiction(self, tmp_path, monkeypatch, capsys,
                                                      command, flag):
         # ssgd_pp answers the opposite of the expected flag, with a consistent chain
-        monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
+        monkeypatch.setattr(diagnostics, "_ssgd_result", lambda q, h_T, table, atol:
                             SsgdResult(q, h_T, (), flag, None))
         assert run([command, "--out", str(tmp_path)], tmp_path) == EXIT_CONTRADICTION
         assert "CONTRADICTION" in capsys.readouterr().err
@@ -184,6 +184,38 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("atol", "inf"), ("atol", "nan"), ("atol", "-1e-10"),
+                                            ("rtol", "inf"), ("rtol", "nan"), ("rtol", "-1e-8"),
+                                            ("delta", "0"), ("delta", "-0.5"), ("delta", "inf"),
+                                            ("delta", "0.1,nan"), ("h", "1,1"), ("h", "nan"),
+                                            ("h", "inf"), ("h", "1,-inf")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_bad_tolerance_delta_or_endpoint_rejected(self, tmp_path, key, value, source):
+        # --atol inf and --delta=0 certified in_plus = yes for thm31 (exit 1),
+        # --atol nan spent every budget, and --h=1,1 wrote the L^q rows twice
+        argv = ["reproduce-thm31", "--a", "6"]
+        if source == "flag":
+            argv.append(f"--{key}={value}")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q", ["3", "0", "nan"])
+    def test_residual_exponent_above_p_rejected(self, tmp_path, capsys, q):
+        out = tmp_path / "out"
+        assert run(["reproduce-thm31", "--a", "6", "--h=1", "--q", q, "--out", str(out)],
+                   tmp_path) == EXIT_USAGE
+        assert "need 0 < q <= p" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_atol_accepted(self, tmp_path):
+        assert run(["reproduce-thm31", "--a", "6", "--h=1", "--atol", "0", "--out",
+                    str(tmp_path)], tmp_path) == EXIT_OK
 
     def test_budget_from_config_checked(self, tmp_path):
         cfg = tmp_path / "run.cfg"

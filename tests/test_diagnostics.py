@@ -11,13 +11,23 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
 from wienerlab import diagnostics, quadrature as quad
-from wienerlab.diagnostics import (LqRow, SsgdResult, _abs_pow_family, _diffquot_family,
-                                   _dvp_family, _dvp_pieces, report_evidence_rows)
+from wienerlab.diagnostics import (LqRow, SsgdResult, _abs_pow_family, _dvp_pieces,
+                                   _quotient_family, report_evidence_rows)
 
 from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
                               sample_increments, wiener_integral_batch)
 
 UNIT = CameronMartinDirection.constant(1.0)
+
+
+def diffquot_family(f, q, eps_values, c, centered):
+    """|X_eps - centered * c f'|^q, one member per eps."""
+    return _quotient_family(f, [(q, eps, c, centered) for eps in eps_values])
+
+
+def psi_family(f, eps_values, c):
+    """psi(|X_eps|^2) phi, the psi-test integrand with its Gaussian weight, one member per eps."""
+    return quad.weighted(_quotient_family(f, [(None, eps, c, False) for eps in eps_values]))
 
 
 def square_functional():
@@ -155,13 +165,15 @@ class TestSsgd:
         ((0.4, 0.2, 1e-4, 2e-4, 5e-4), Flag.UNKNOWN),  # below, not decreasing
     ])
     def test_flag_rule_on_converged_rows(self, flin, grid, monkeypatch, values, flag):
-        def rows(f, quantity, q, grid, h_T, centered, atol, rtol, budget):
-            return tuple(LqRow(quantity, q, 2.0 ** -k,
-                               quad.IntegralVerdict(quad.Verdict.CONVERGED, value=v,
-                                                    abs_error=1e-12))
-                         for k, v in enumerate(values, 1))
+        def jobs(f, parts, grid, atol, rtol, budget):
+            (quantity, q, _, _), = parts
+            table = tuple(LqRow(quantity, q, 2.0 ** -k,
+                                quad.IntegralVerdict(quad.Verdict.CONVERGED, value=v,
+                                                     abs_error=1e-12))
+                          for k, v in enumerate(values, 1))
+            return [([], lambda verdicts: table)]
 
-        monkeypatch.setattr(diagnostics, "_quotient_rows", rows)
+        monkeypatch.setattr(diagnostics, "_quotient_jobs", jobs)
         res = ssgd_test(flin, 2.0, 2.0, 1.0, grid)
         assert res.verdict == flag
         assert res.final_residual == values[-1]
@@ -241,7 +253,10 @@ class TestLockstep:
         f = catalog_build(name, **params)
         eps_values = grid.capped(f.window / abs(h) if f.window else None).values
         calls = self.count_calls(monkeypatch)
-        family = quad.gaussian_expectations(_diffquot_family(f, 2.0, eps_values, h, True))
+        fam = quad.weighted(diffquot_family(f, 2.0, eps_values, h, True))
+        (family,) = quad._lockstep([quad._expectation_job(fam, range(len(eps_values)),
+                                                          quad.DEFAULT_ATOL, quad.DEFAULT_RTOL,
+                                                          quad.DEFAULT_BUDGET)])
         n_family = len(calls)
         alone = [lq_diffquot_norm(f, 2.0, eps, h, centered=True) for eps in eps_values]
         assert len(family) == len(eps_values) == 8
@@ -258,9 +273,9 @@ class TestLockstep:
                   for _, lo, hi in _dvp_pieces(f33, eps, h) if lo < hi]
         assert len(pieces) == 24
         calls = self.count_calls(monkeypatch)
-        family = quad.integrate_pieces(_dvp_family(f33, eps_values, h), pieces)
+        family = quad.integrate_pieces(psi_family(f33, eps_values, h), pieces)
         n_family = len(calls)
-        alone = [quad.integrate_pieces(_dvp_family(f33, (eps_values[row],), h), [(0, lo, hi)])[0]
+        alone = [quad.integrate_pieces(psi_family(f33, (eps_values[row],), h), [(0, lo, hi)])[0]
                  for row, lo, hi in pieces]
         assert family == alone
         assert all(v.converged for v in family)
@@ -278,9 +293,9 @@ class TestRoutes:
                     "|f'|^2.1": _abs_pow_family(f33, 2.1, True)}
         for c in (1.0, -1.0):
             for centered in (False, True):
-                families[f"diffquot[c={c:g}, centered={centered}]"] = _diffquot_family(
+                families[f"diffquot[c={c:g}, centered={centered}]"] = diffquot_family(
                     f33, 2.0, eps_values, c, centered)
-            families[f"dvp[c={c:g}]"] = _dvp_family(f33, eps_values, c)
+            families[f"dvp[c={c:g}]"] = psi_family(f33, eps_values, c)
         with np.errstate(all="ignore"):
             for name, g in families.items():
                 for row in range(len(g.breakpoints)):
@@ -482,6 +497,44 @@ class TestMembershipReport:
                              "in_plus": Flag.YES}
         assert rep.consistent
 
+    @pytest.mark.parametrize("name, params, h_list", [("thm31", {"a": 3.9}, (0.5, 2.0)),
+                                                      ("thm33", {}, (1.0, -1.0))])
+    def test_pooled_rows_equal_standalone(self, grid, name, params, h_list):
+        # the L^q, residual and psi-test rows of a report run in one pooled run;
+        # each verdict equals the stand-alone one, n_evals and message included
+        f = catalog_build(name, **params)
+        rep = membership_report(f, 2.0, deltas=(0.1,), h_list=h_list)
+        for h in h_list:
+            rows = [r for r in rep.lq_table if r.quantity == f"diffquot_norm[h={h:g}]"]
+            assert len(rows) == len(grid.values)
+            assert [r.verdict for r in rows] == [lq_diffquot_norm(f, 1.5, r.epsilon, h)
+                                                 for r in rows]
+            assert rep.dvp[h] == dvp_uniform_integrability_test(f, h, grid)
+        assert sorted(rep.ssgd) == sorted((q, h) for q in (1.5, 2.0) for h in h_list)
+        for (q, h), res in rep.ssgd.items():
+            assert res.table and res == ssgd_test(f, 2.0, q, h, grid)
+
+    def test_one_pooled_run_per_report(self, monkeypatch):
+        calls = []
+        real = quad._evaluate
+        monkeypatch.setattr(quad, "_evaluate",
+                            lambda form, requests: calls.append(form) or real(form, requests))
+        membership_report(catalog_build("thm31", a=6.0), 2.0, h_list=(1.0,))
+        # 127 when the L^q rows, the residual rows of each q, the majorants and
+        # the psi-test pieces ran one family after another
+        assert len(calls) == 95
+
+    @pytest.mark.parametrize("kw", [{"atol": math.inf}, {"atol": math.nan}, {"rtol": -1e-8},
+                                    {"deltas": (0.0,)}, {"deltas": (0.1, -0.5)},
+                                    {"deltas": (math.inf,)}, {"h_list": (1.0, 1.0)},
+                                    {"h_list": (math.nan,)}, {"h_list": (1.0, -math.inf)}])
+    def test_rejects_bad_tolerances_deltas_and_endpoints(self, flin, monkeypatch, kw):
+        ran = []
+        monkeypatch.setattr(quad, "_outcomes", lambda drivers: ran.append(drivers))
+        with pytest.raises(ValueError):
+            membership_report(flin, 2.0, **kw)
+        assert ran == []
+
     def test_lyapunov_ordering_of_tables(self, f31, grid):
         # for q' < q: converged E|X|^q' <= 1 + E|X|^q
         for eps in grid.values[:4]:
@@ -517,7 +570,7 @@ class TestMembershipReport:
     def test_chain_from_in_plus(self, flin, monkeypatch, ssgd_flag, ssgd_pp, notes,
                                 violations):
         # the linear functional has every moment, so in_plus is Yes
-        monkeypatch.setattr(diagnostics, "ssgd_test", lambda f, p, q, h_T, grid, **kw:
+        monkeypatch.setattr(diagnostics, "_ssgd_result", lambda q, h_T, table, atol:
                             SsgdResult(q, h_T, (), ssgd_flag, None))
         rep = membership_report(flin, 2.0, deltas=(0.1,), h_list=(1.0,))
         assert rep.flags == {"in_base": Flag.YES, "ssgd_pp": ssgd_pp, "in_plus": Flag.YES}

@@ -7,7 +7,7 @@ import pytest
 
 from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
                        integrate_pieces, integrate_semi_infinite, integrate_singular_origin)
-from wienerlab.diagnostics import (EpsilonGrid, _abs_pow_family, _dvp_family,
+from wienerlab.diagnostics import (EpsilonGrid, _abs_pow_family, _quotient_family,
                                    diffquot_pow_integrand, dvp_uniform_integrability_test)
 from wienerlab import quadrature as quad
 from wienerlab.quadrature import EvaluationError, _gk_panels, gauss_log_pdf
@@ -218,9 +218,9 @@ class TestLockstep:
             return real(log_eval, a, b)
 
         monkeypatch.setattr(quad, "_gk_panels", counting)
-        merged = quad._lockstep(self.two_sided_drivers(fam, fam))
+        merged = quad._lockstep([(self.two_sided_drivers(fam, fam), list)])[0]
         n_merged = len(calls)
-        separate = quad._lockstep(self.two_sided_drivers(fam, apart))
+        separate = quad._lockstep([(self.two_sided_drivers(fam, apart), list)])[0]
         assert merged == separate
         assert all(v.converged for v in merged)
         assert n_merged < len(calls) - n_merged
@@ -402,7 +402,7 @@ class TestIntegratePiece:
         table = dvp_uniform_integrability_test(f33, 1.0, EpsilonGrid((eps,))).table
         (below,) = [row.verdict for row in table if row.quantity == "dvp_below"]
         assert below.converged
-        log_eval = _dvp_family(f33, (eps,), 1.0).log_eval
+        log_eval = quad.weighted(_quotient_family(f33, [(None, eps, 1.0, False)])).log_eval
 
         def value(x):
             sign, logabs = log_eval(np.array([float(x)]))
