@@ -20,15 +20,16 @@ integrate_pieces picks the route for each piece of the line from its ends.
 Every integrand is a Family; Family(body) is an integrand of one row.
 
 The drivers (_adaptive, _exhaust) are generators that yield panel requests
-and receive the panels' values; a driver holds only numbers (its budget is an
-int).  A job is a list of drivers and a join that turns their verdicts into
-results.  _lockstep moves the drivers of all its jobs forward together: each
-round, one integrand call per Family serves the x route of every member,
-including the left half-line, which a driver runs at sign -1 (x -> -x), and
-one more the u = -log x route.  So a report that puts all its quotient rows
-on one Family pays two calls a round for all of them.  An error raised by a
-driver's own panels ends that driver.  The single-verdict functions are
-one-row calls of integrate_pieces or _expectation_job.
+and receive the panels' values as lists, made once per integrand call; while
+one waits it holds only numbers and its open panels.  A job is a list of
+drivers and a join that turns their verdicts into results.  _lockstep moves
+the drivers of all its jobs forward together: each round, one integrand call
+per Family serves the x route of every member, including the left half-line,
+which a driver runs at sign -1 (x -> -x), and one more the u = -log x route.
+So a report that puts all its quotient rows on one Family pays two calls a
+round for all of them.  An error raised by a driver's own panels ends that
+driver.  The single-verdict functions are one-row calls of integrate_pieces
+or _expectation_job.
 """
 
 from __future__ import annotations
@@ -284,33 +285,38 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
     """Globally adaptive bisection that splits the worst panels in rounds.
 
     A generator: it yields panel requests (lo, hi), receives the panels'
-    (value, error, hot) from _gk_panels and returns a _PanelSum.  budget is
-    the number of evaluations it may spend.  The first
-    panels, one per piece between the cuts, form one request.  Each round
-    then pops the worst panels from an error heap until their errors cover
-    the excess of the total error over the tolerance (at least one panel, at
-    most MAX_ROUND, and no more than the budget left pays for) and requests
-    all their halves.  Panels too narrow to split keep their error as stuck
-    error.  The order of refinement is a deterministic function of panel
-    errors and insertion order, so results do not depend on scheduling.  No
-    panel is requested that the budget cannot pay for.  A NaN sum ends it.
+    (value, error, hot) as lists and returns a _PanelSum.  budget is the
+    number of evaluations it may spend.  The first panels, one per piece
+    between the cuts, form one request, and end it if they meet the
+    tolerance.  Else each round pops the worst panels from an error heap
+    until their errors cover the excess of the total error over the
+    tolerance (at least one panel, at most MAX_ROUND, and no more than the
+    budget left pays for) and requests all their halves.  Panels too narrow
+    to split keep their error as stuck error.  The order of refinement is a
+    deterministic function of panel errors and insertion order, so results
+    do not depend on scheduling.  No panel is requested that the budget
+    cannot pay for.  A NaN sum ends it.
     """
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
     used = 15 * (len(edges) - 1)
     if used > budget:
         return _PanelSum(0.0, math.inf, False, False, 0)
     values, errors, hot = yield edges[:-1], edges[1:]
-    if hot.any():
+    if True in hot:
         return _PanelSum(math.inf, math.inf, False, True, used)
-    heap = []
     total_v = 0.0
     total_e = 0.0
-    for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values.tolist(),
-                                             errors.tolist())):
+    for v, e in zip(values, errors):
         total_v += v
         total_e += e
-        heapq.heappush(heap, (-e, seq, lo, hi, v, e))
+    if not math.isnan(total_v) and total_e <= max(atol, rtol * abs(total_v)):
+        return _PanelSum(total_v, total_e, True, False, used)
+    # the keys (-e, seq) are unique, so the pop order is that of pushing one by one
+    heap = [(-e, seq, lo, hi, v, e)
+            for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values, errors))]
+    heapq.heapify(heap)
     seq = len(heap)
+    del values, errors, hot
 
     stuck_error = 0.0  # error trapped in panels too narrow to split
     stagnation = 0
@@ -348,16 +354,16 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
             hi_ends += (mid, hi)
         used += 30 * len(picked)
         values, errors, hot = yield lo_ends, hi_ends
-        if hot.any():
+        if True in hot:
             return _PanelSum(math.inf, math.inf, False, True, used)
-        vs, es = values.tolist(), errors.tolist()
-        halves = zip(picked, lo_ends[1::2], vs[::2], vs[1::2], es[::2], es[1::2])
-        for (lo, hi, v, e), mid, v1, v2, e1, e2 in halves:
+        for (lo, hi, v, e), mid, v1, v2, e1, e2 in zip(picked, lo_ends[1::2], values[::2],
+                                                       values[1::2], errors[::2], errors[1::2]):
             total_v += (v1 + v2) - v
             total_e += (e1 + e2) - e
             heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
             heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
             seq += 2
+        del values, errors, hot  # nothing of this round stays alive while the driver waits
 
 
 def _evaluate(form: Family, requests):
@@ -390,12 +396,13 @@ def _outcomes(drivers) -> list:
     An outcome is the driver's verdict, or the error that ended it.  Each
     round gathers the pending request of every driver and evaluates the
     requests of one form in one call (a driver of sign -1 at negated nodes),
-    split so that no call holds more than MAX_POINTS points.  A panel's
-    result does not depend on the other panels of its call, negation is
-    exact, and each driver keeps its own budget, tolerances and cuts, so
-    every outcome equals the one its driver reaches alone.  A call that
-    raises is repeated driver by driver, and a driver whose own panels raise
-    ends with that error.
+    split so that no call holds more than MAX_POINTS points, whose results
+    each driver receives as slices of lists.  A panel's result does not
+    depend on the other panels of its call, negation is exact, and each
+    driver keeps its own budget, tolerances and cuts, so every outcome
+    equals the one its driver reaches alone.  A call that raises is
+    repeated driver by driver, and a driver whose own panels raise ends
+    with that error.
     """
     outcomes = [None] * len(drivers)
     pending = {}
@@ -422,7 +429,8 @@ def _outcomes(drivers) -> list:
             while chunks:
                 chunk = chunks.pop(0)
                 try:
-                    values, errors, hot = _evaluate(form, [r for _, r in chunk])
+                    values, errors, hot = map(np.ndarray.tolist,
+                                              _evaluate(form, [r for _, r in chunk]))
                 except Exception as exc:
                     if len(chunk) > 1:
                         chunks[:0] = [[item] for item in chunk]
@@ -511,6 +519,7 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
     growth_run = 0
     calm_run = 0
     prev_edge = a
+    cuts = form.cuts(row, a, math.inf, sign)  # _adaptive keeps those inside its segment
     for k in range(1, MAX_DOUBLINGS + 1):
         edge = a + 2.0 ** (k - 1)
         if edge > limit:
@@ -518,8 +527,7 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
                                  f"{what}: cannot probe beyond exp(-700) without a neglog form")
         tol = max(atol, rtol * abs(partial))
         seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
-                                   0.25 * rtol, budget - used,
-                                   form.cuts(row, prev_edge, edge, sign))
+                                   0.25 * rtol, budget - used, cuts)
         if not seg.evals:
             break
         used += seg.evals
@@ -546,9 +554,9 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
             return _diverged(records, "increment_growth", used,
                              f"{what}: increments grew for {GROWTH_RUN} consecutive steps")
 
-        if a > 0.0:
+        if a > 0.0 and seg.ok:
             tail, mismatch = _fit_power_tail(edges_seen, increments)
-            if math.isfinite(tail) and seg.ok and mismatch < FIT_MISMATCH:
+            if math.isfinite(tail) and mismatch < FIT_MISMATCH:
                 tail_unc = tail * max(10.0 * mismatch, 1e-12)
                 if quad_err + tail_unc <= tol:
                     return _converged(partial + tail, quad_err + tail_unc, used,
@@ -561,8 +569,8 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
             if ratio < 0.95:
                 tail = abs(inc) * ratio / (1.0 - ratio)
                 if tail <= tol and quad_err + tail <= tol:
-                    sign = math.copysign(1.0, inc) if inc != 0.0 else 1.0
-                    return _converged(partial + sign * tail, quad_err + tail, used)
+                    tail_sign = math.copysign(1.0, inc) if inc != 0.0 else 1.0
+                    return _converged(partial + tail_sign * tail, quad_err + tail, used)
         if budget - used < 15:
             break
     else:
@@ -604,7 +612,10 @@ def _fit_power_tail(u_edges, increments):
     Returns (tail beyond the last edge, relative mismatch on the held-out
     increment before the fitted pair); (inf, inf) when no power law with
     p >= 1.01 fits.  The p floor keeps a genuinely divergent p = 1 tail from
-    masquerading as a huge-but-finite one.
+    masquerading as a huge-but-finite one.  The predicted held-out increment
+    grows with p, so the bisection of p returns (inf, inf) once no p in its
+    bracket can pass the held-out check (with a relative margin of 1e-8 for
+    rounding); a fit that can pass bisects p down to adjacent doubles.
     """
     if len(increments) < 3:
         return math.inf, math.inf
@@ -614,37 +625,44 @@ def _fit_power_tail(u_edges, increments):
         if max(abs(i0), abs(i1), abs(i2)) == 0.0:
             return 0.0, 0.0
         return math.inf, math.inf
+    r0, r2, r3 = u0 / u1, u2 / u1, u3 / u1
+    # elsewhere r0 ** (1 - p) may overflow (which raises) or cancel beyond the margin
+    predicts = 1e-3 < r0 < 0.9999
 
-    def ratio_of(p):  # I(u2->u3) / I(u1->u2) under the power model, in ratio form
+    def model(p):  # I(u2->u3) / I(u1->u2) in ratio form, and the predicted i0 (or NaN)
         qq = 1.0 - p
-        a2 = (u2 / u1) ** qq
-        a3 = (u3 / u1) ** qq
-        den = 1.0 - a2
-        if den <= 0.0:
-            return math.inf
-        return (a2 - a3) / den
+        a2, a3 = r2 ** qq, r3 ** qq
+        if a2 >= 1.0:
+            return math.inf, math.nan
+        pred = i2 * (r0 ** qq - 1.0) / (a2 - a3) if predicts and a3 < a2 else math.nan
+        return (a2 - a3) / (1.0 - a2), pred
 
+    near = FIT_MISMATCH * max(i0, 1e-300)
+    low, high = (i0 - near) * (1.0 - 1e-8), (i0 + near) * (1.0 + 1e-8)
     target = i2 / i1
     lo_p, hi_p = 1.01, 80.0
-    r_lo, r_hi = ratio_of(lo_p), ratio_of(hi_p)
+    (r_lo, pred_lo), (r_hi, pred_hi) = model(lo_p), model(hi_p)
     if not (math.isfinite(r_lo) and r_hi <= target <= r_lo):
         return math.inf, math.inf
     for _ in range(120):
+        if pred_hi < low or pred_lo > high:
+            return math.inf, math.inf  # the held-out check fails for every p left
         mid = 0.5 * (lo_p + hi_p)
         if mid == lo_p or mid == hi_p:
             break  # adjacent doubles: the bracket cannot shrink further
-        if ratio_of(mid) > target:
-            lo_p = mid
+        r_mid, pred_mid = model(mid)
+        if r_mid > target:
+            lo_p, pred_lo = mid, pred_mid
         else:
-            hi_p = mid
+            hi_p, pred_hi = mid, pred_mid
     p = 0.5 * (lo_p + hi_p)
     qq = 1.0 - p
     b = (u2 / u3) ** qq  # > 1
     if not b > 1.0:
         return math.inf, math.inf
     tail = i2 / (b - 1.0)
-    a2, a3 = (u2 / u1) ** qq, (u3 / u1) ** qq
-    predicted_prev = i2 * ((u0 / u1) ** qq - 1.0) / (a2 - a3)
+    a2, a3 = r2 ** qq, r3 ** qq
+    predicted_prev = i2 * (r0 ** qq - 1.0) / (a2 - a3)
     mismatch = abs(predicted_prev - i0) / max(abs(i0), 1e-300)
     return tail, mismatch
 
@@ -714,15 +732,14 @@ def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,
 def _split(fam: Family, lines, atol: float, rtol: float, budget: int):
     """The job of the lines [(row, edges), ...]: the pieces between the edges,
     each with atol and budget divided by their number, _combine-d per line."""
-    plans = []
     drivers = []
     for row, edges in lines:
         pieces = list(zip(edges, edges[1:]))
         share = budget // len(pieces)
         drivers += [_piece(fam, row, a, b, atol / len(pieces), rtol, share) for a, b in pieces]
-        plans.append([f"({a:g}, {b:g})" for a, b in pieces])
-    return drivers, lambda verdicts: [_combine([next(verdicts) for _ in labels], labels)
-                                      for labels in plans]
+    return drivers, lambda verdicts: [
+        _combine([next(verdicts) for _ in edges[1:]],
+                 [f"({a:g}, {b:g})" for a, b in zip(edges, edges[1:])]) for _, edges in lines]
 
 
 def _expectation_job(fam: Family, rows, atol: float, rtol: float, budget: int):

@@ -4,6 +4,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
                        integrate_pieces, integrate_semi_infinite, integrate_singular_origin)
@@ -321,6 +323,24 @@ class TestSemiInfinite:
             exact = mp.quad(lambda x: abs(x - 0.3) ** -0.5 * mp.exp(-x), [0, 0.3, mp.inf])
             assert abs(v.value - float(exact)) <= v.abs_error
 
+    def test_left_half_line_calm_run_keeps_its_direction(self):
+        # -e^(x + |x + 3.3| / 2) on (-inf, -1]: a negative tail with a kink
+        # that decays geometrically, so the driver at sign -1 cuts at -3.3 and
+        # ends through the calm run with a negative tail estimate.  It equals
+        # its mirror image on [1, inf) and the verdict recorded before the
+        # cuts were computed once per driver.
+        def kinked(m):  # m = 1: the left piece; m = -1: its mirror image
+            return Family(lambda x, row=0: (-np.ones_like(x), m * x + 0.5 * np.abs(x + m * 3.3)),
+                          ((-m * 3.3, -m * 0.5),))
+
+        left, right = (integrate_pieces(kinked(m), [piece])[0]
+                       for m, piece in ((1.0, (0, -math.inf, -1.0)), (-1.0, (0, 1.0, math.inf))))
+        exact = -(2.0 * math.exp(-3.3) + (math.exp(0.15) - math.exp(-3.3)) / 1.5)
+        assert (left.status, left.value, left.abs_error, left.n_evals, left.message) == (
+            "converged", -0.8237337183538422, 2.4809571010949443e-12, 195, "")
+        assert repr(left) == repr(right) and left.n_evals == right.n_evals
+        assert abs(left.value - exact) <= left.abs_error
+
 
 class TestSingularOrigin:
     def test_bertrand_closed_form(self):
@@ -592,3 +612,90 @@ class TestVerdictProperties:
                                     atol=atol, rtol=rtol)
         assert v.converged
         assert v.abs_error <= max(atol, rtol * abs(v.value))
+
+
+def _bisecting_fit(u_edges, increments):
+    """_fit_power_tail as it was before the early stop: it always bisects p
+    down to adjacent doubles.  The oracle of TestPowerTailFit."""
+    if len(increments) < 3:
+        return math.inf, math.inf
+    u0, u1, u2, u3 = u_edges[-4:]
+    i0, i1, i2 = increments[-3:]
+    if min(i0, i1, i2) <= 0.0:
+        if max(abs(i0), abs(i1), abs(i2)) == 0.0:
+            return 0.0, 0.0
+        return math.inf, math.inf
+
+    def ratio_of(p):  # I(u2->u3) / I(u1->u2) under the power model, in ratio form
+        qq = 1.0 - p
+        a2 = (u2 / u1) ** qq
+        a3 = (u3 / u1) ** qq
+        den = 1.0 - a2
+        if den <= 0.0:
+            return math.inf
+        return (a2 - a3) / den
+
+    target = i2 / i1
+    lo_p, hi_p = 1.01, 80.0
+    r_lo, r_hi = ratio_of(lo_p), ratio_of(hi_p)
+    if not (math.isfinite(r_lo) and r_hi <= target <= r_lo):
+        return math.inf, math.inf
+    for _ in range(120):
+        mid = 0.5 * (lo_p + hi_p)
+        if mid == lo_p or mid == hi_p:
+            break  # adjacent doubles: the bracket cannot shrink further
+        if ratio_of(mid) > target:
+            lo_p = mid
+        else:
+            hi_p = mid
+    p = 0.5 * (lo_p + hi_p)
+    qq = 1.0 - p
+    b = (u2 / u3) ** qq  # > 1
+    if not b > 1.0:
+        return math.inf, math.inf
+    tail = i2 / (b - 1.0)
+    a2, a3 = (u2 / u1) ** qq, (u3 / u1) ** qq
+    predicted_prev = i2 * ((u0 / u1) ** qq - 1.0) / (a2 - a3)
+    mismatch = abs(predicted_prev - i0) / max(abs(i0), 1e-300)
+    return tail, mismatch
+
+
+class TestPowerTailFit:
+    """The early-stopping fit certifies exactly the fits the full bisection
+    certifies, with the same bits."""
+
+    @staticmethod
+    def case(a, k, p, scale, noise, draws, kind):
+        # the edges a, a + 1, a + 2, ... of exhaustion up to a + 2^(k+1), and
+        # the increments of c u^(1-p) / (p-1) between them, each moved by noise
+        edges = [a] + [a + 2.0 ** j for j in range(k + 2)]
+        qq = 1.0 - p
+        increments = [scale * (lo ** qq - hi ** qq) / (p - 1.0) * (1.0 + noise * d)
+                      for lo, hi, d in zip(edges, edges[1:], draws)]
+        if kind == "zero":
+            increments[-3:] = [0.0, 0.0, 0.0]
+        elif kind == "negative":
+            increments[-1 - k % 3] *= -1.0  # one of the fitted three
+        return edges, increments
+
+    @given(a=st.floats(1e-6, 50.0), k=st.integers(1, 24),
+           p=st.floats(1.05, 40.0), scale=st.floats(1e-6, 1e6),
+           noise=st.sampled_from([0.0, 1e-7, 1e-5, 1e-3, 1e-1]),
+           draws=st.lists(st.floats(-1.0, 1.0), min_size=26, max_size=26),
+           kind=st.sampled_from(["power"] * 8 + ["zero", "negative"]))
+    @settings(max_examples=1500, deadline=None)
+    def test_certifies_as_the_full_bisection(self, a, k, p, scale, noise, draws, kind):
+        edges, increments = self.case(a, k, p, scale, noise, draws, kind)
+        fast = quad._fit_power_tail(edges, increments)
+        full = _bisecting_fit(edges, increments)
+        assert (fast[1] < quad.FIT_MISMATCH) == (full[1] < quad.FIT_MISMATCH)
+        if full[1] < quad.FIT_MISMATCH:
+            assert [x.hex() for x in fast] == [x.hex() for x in full]
+
+    def test_exact_power_laws_are_certified(self):
+        # without noise the held-out check passes, so the early stop never fires
+        for a, p in ((0.5, 1.05), (2.0, 3.0), (8.5, 6.0), (50.0, 40.0)):
+            edges, increments = self.case(a, 6, p, 1.0, 0.0, [0.0] * 26, "power")
+            fast = quad._fit_power_tail(edges, increments)
+            assert fast == _bisecting_fit(edges, increments)
+            assert fast[1] < quad.FIT_MISMATCH
