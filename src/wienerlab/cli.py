@@ -243,6 +243,9 @@ def cmd_report(args) -> int:
         name, suffix = args.functional, "diagnose"
     # only the parameters set by flag or config; the others keep their defaults
     params = {key: value for key, value in vars(args).items() if key in _catalog_params(name)}
+    stray = [k for n in CATALOG for k in _catalog_params(n) if k in vars(args) and k not in params]
+    if stray:  # a parameter of another catalog functional (diagnose takes them all)
+        raise UsageError(f"--functional {name} takes no parameter --{stray[0]}")
     try:
         f = catalog_build(name, **params)
     except (ValueError, KeyError, TypeError) as exc:

@@ -117,8 +117,8 @@ class Thm31Params:
     a: float = 2.0
 
     def __post_init__(self):
-        if not self.a > 1.5:
-            raise ValueError(f"need a > 3/2, got a={self.a}")
+        if not 1.5 < self.a < math.inf:
+            raise ValueError(f"need a finite a > 3/2, got a={self.a}")
 
     @property
     def breakpoint(self) -> float:

@@ -111,29 +111,21 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _route_family(f: ScalarFunctional, breakpoints, at_x, at_u) -> Family:
-    """log|g_row| with the positive sign, one body per route: at_x(x, row) is
-    log|g_row(x)|, and at_u(u, row) is the same at x = e^-u, given when f has
-    its log-x forms."""
-    def log_eval(x, row=0):
+def _route_family(f: ScalarFunctional, breakpoints, at) -> Family:
+    """log|g_row| with the positive sign from one point function at(x, row, lx):
+    lx is None on the x route, and log x on the u = -log x route (where x = e^-u
+    may underflow), which passes it when f has its log-x forms (logx)."""
+    def log_eval(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
-        return np.ones_like(x), at_x(x, row)
+        return np.ones_like(x), at(x, row, lx)
 
-    neglog = None
-    if f.has_logx_forms():
-        def neglog(u, row=0):
-            u = np.asarray(u, dtype=float)
-            return np.ones_like(u), at_u(u, row)
-
-    return Family(log_eval, breakpoints, tuple(f.singular_points), neglog)
+    return Family(log_eval, breakpoints, tuple(f.singular_points), f.has_logx_forms())
 
 
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
     """|g(x)|^p as a one-row family, g = f' if deriv else f."""
-    slog, slog_at_logx = ((f.slog_deriv, f.slog_deriv_at_logx) if deriv
-                          else (f.slog_value, f.slog_value_at_logx))
-    return _route_family(f, (_scalar_cuts(f),), lambda x, row: p * slog(x)[1],
-                         lambda u, row: p * slog_at_logx(-u)[1])
+    slog = f.slog_deriv if deriv else f.slog_value
+    return _route_family(f, (_scalar_cuts(f),), lambda x, row, lx: p * slog(x, lx)[1])
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -150,33 +142,22 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     log_centre = np.array([math.log(abs(c)) if c else 0.0 for c in centre])
     expo = np.array([np.nan if q is None else q for q, _, _, _ in rows])  # NaN: psi
 
-    def residual(row, diff, deriv):
-        """log|g_row|, diff the (sign, log) pair of f(x + eps c) - f(x) and
-        deriv a thunk for f's pair at x; a zero centring leaves diff alone."""
-        s, l = diff
+    def at(x, row, lx):
+        """log|g_row(x)|: the plain difference (unit eps along the shift), then
+        the row's log eps; a zero centring leaves the quotient alone."""
+        s, l = difference_quotient_slog(f, x, 1.0, shift[row], lx)
         l = l - log_eps[row]
         c = centre[row]
         if c.any():
-            ds, dl = deriv()
+            ds, dl = f.slog_deriv(x, lx)
             l = np.where(c != 0.0, slog_sub(s, l, np.sign(c) * ds, dl + log_centre[row])[1], l)
         psi = np.isnan(expo[row])
         if psi.any():
             return np.where(psi, _psi_log(2.0 * l), expo[row] * l)
         return expo[row] * l
 
-    def at_x(x, row):
-        # the plain difference (unit eps along the shift), then the row's log eps
-        return residual(row, difference_quotient_slog(f, x, 1.0, shift[row]),
-                        lambda: f.slog_deriv(x))
-
-    def at_u(u, row):
-        with np.errstate(under="ignore"):
-            x = np.exp(-u)
-        return residual(row, slog_sub(*f.slog_value(x + shift[row]), *f.slog_value_at_logx(-u)),
-                        lambda: f.slog_deriv_at_logx(-u))
-
     return _route_family(f, tuple(_scalar_cuts(f, shifts=(eps * c,)) for _, eps, c, _ in rows),
-                         at_x, at_u)
+                         at)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
@@ -519,6 +500,8 @@ def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (
              diverging reports No (the untested smaller deltas are recorded
              as sampled), anything else Unknown.
     """
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"need a finite p > 1, got {p!r}")
     if not all(0.0 <= t < math.inf for t in (atol, rtol)):
         raise ValueError(f"atol and rtol must be finite and >= 0, got {atol!r} and {rtol!r}")
     if not all(0.0 < d < math.inf for d in deltas):

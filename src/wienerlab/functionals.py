@@ -253,13 +253,25 @@ class ScalarFunctional:
     def deriv(self, x):
         return self._dispatch(x, "deriv")
 
-    def slog_value(self, x):
-        """(sign, log|f|) at x."""
-        return self._dispatch(x, "slog")
+    def slog_value(self, x, lx=None):
+        """(sign, log|f|) at x.  Given lx = log x (x in the origin piece, and
+        has_logx_forms()), that piece's log-x form is used, so x may have
+        underflowed."""
+        return self._dispatch(x, "slog") if lx is None else self._origin_piece().slog_logx(lx)
 
-    def slog_deriv(self, x):
-        """(sign, log|f'|) at x."""
-        return self._dispatch(x, "slog_deriv")
+    def slog_deriv(self, x, lx=None):
+        """(sign, log|f'|) at x, or from lx as slog_value takes it."""
+        return (self._dispatch(x, "slog_deriv") if lx is None
+                else self._origin_piece().slog_deriv_logx(lx))
+
+    def _origin_piece(self) -> Function1D:
+        idx = int(np.searchsorted(self._breakpoints, 0.0, side="right"))
+        return self.pieces[idx]
+
+    def has_logx_forms(self) -> bool:
+        """Whether slog_value and slog_deriv take lx: the origin piece has both log-x forms."""
+        p = self._origin_piece()
+        return p.slog_logx is not None and p.slog_deriv_logx is not None
 
     # Single-form views over the pairs.  Nothing in the package calls them;
     # they stay because the benchmark tracer (perfbench/tracer.py) wraps
@@ -276,23 +288,11 @@ class ScalarFunctional:
     def deriv_sign(self, x):
         return self.slog_deriv(x)[0]
 
-    # --- (sign, log) pairs parameterized by log(x), for x -> 0+ probing ---
-
-    def _origin_piece(self) -> Function1D:
-        idx = int(np.searchsorted(self._breakpoints, 0.0, side="right"))
-        return self.pieces[idx]
-
-    def has_logx_forms(self) -> bool:
-        p = self._origin_piece()
-        return p.slog_logx is not None and p.slog_deriv_logx is not None
-
     def slog_value_at_logx(self, lx):
-        """(sign, log|f|) at x = exp(lx); needs has_logx_forms()."""
-        return self._origin_piece().slog_logx(lx)
+        return self.slog_value(None, lx)
 
     def slog_deriv_at_logx(self, lx):
-        """(sign, log|f'|) at x = exp(lx); needs has_logx_forms()."""
-        return self._origin_piece().slog_deriv_logx(lx)
+        return self.slog_deriv(None, lx)
 
 
 def linear_functional() -> ScalarFunctional:
@@ -377,11 +377,12 @@ def difference_quotient_1d(f: ScalarFunctional, x: float, eps: float, c: float) 
     return float(slog_exp(*difference_quotient_slog(f, x, eps, c)))
 
 
-def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float):
-    """(sign, log|.|) of the difference quotient, vectorized over x."""
+def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=None):
+    """(sign, log|.|) of the difference quotient, vectorized over x; a given
+    lx = log x goes to f.slog_value for f(x), so x may have underflowed."""
     x = np.asarray(x, dtype=float)
     s1, l1 = f.slog_value(x + eps * c)
-    s0, l0 = f.slog_value(x)
+    s0, l0 = f.slog_value(x, lx)
     sign, logabs = slog_sub(s1, l1, s0, l0)
     return sign, logabs - math.log(eps)
 

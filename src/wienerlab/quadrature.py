@@ -108,8 +108,9 @@ class Family:
 
     log_eval(x, row=0) -> (sign, log|g_row(x)|), vectorized, where row holds
     the member index of each point (an int array shaped like x, or one int).
-    neglog_eval(u, row=0), when present, is the same at x = e^-u and lets the
-    origin-singular route probe x far below the smallest positive double.
+    A body with logx set also takes log_eval(x, row, lx) and reads log x from
+    lx = log x, which lets the origin-singular route probe x far below the
+    smallest positive double (where x itself underflows to 0).
     breakpoints[i] are the breakpoints of g_i; the singular points are
     shared.  Family(body) is an integrand of one row.
     """
@@ -117,7 +118,9 @@ class Family:
     log_eval: Callable
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
-    neglog_eval: Optional[Callable] = None
+    logx: bool = False
+    # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
+    neglog_eval = None
 
     @classmethod
     def from_function(cls, fn, **kw) -> "Family":
@@ -136,12 +139,13 @@ class Family:
     def substituted(self) -> "Family":
         """u = -log x: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-u) e^-u du.
 
+        The body runs at x = e^-u, and with logx also gets lx = -u.
         Breakpoints b in (0, 1) move along as u = -log b.
         """
-        base = self.neglog_eval or (lambda u, row=0: self.log_eval(np.exp(-u), row))
-
         def log_eval(u, row=0):
-            sign, logabs = base(u, row)
+            with np.errstate(under="ignore"):
+                x = np.exp(-u)
+            sign, logabs = self.log_eval(x, row, -u) if self.logx else self.log_eval(x, row)
             return sign, np.asarray(logabs, dtype=float) - u
 
         return Family(log_eval, tuple(tuple(-math.log(b) for b in bps if 0.0 < b < 1.0)
@@ -162,20 +166,16 @@ def _one_row(g: Family) -> Family:
 def bertrand_family(exponents) -> Family:
     """1 / (x |log x|^e) on (0, 1) for each e in exponents; converges at 0 iff
     e > 1.  The convergence yardstick for everything singular at the origin;
-    carries its exact neglog form u - e*log(u)."""
+    its body takes log x (logx), so at lx = -u it is exactly u - e*log(u)."""
     exponents = np.array(exponents, dtype=float)
 
-    def log_eval(x, row=0):
-        x = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore"):
-            lx = np.log(x)
-        return np.ones_like(x), -lx - exponents[row] * np.log(np.abs(lx))
+    def log_eval(x, row=0, lx=None):
+        if lx is None:
+            with np.errstate(divide="ignore"):
+                lx = np.log(np.asarray(x, dtype=float))
+        return np.ones_like(lx), -lx - exponents[row] * np.log(np.abs(lx))
 
-    def neglog_eval(u, row=0):
-        u = np.asarray(u, dtype=float)
-        return np.ones_like(u), u - exponents[row] * np.log(u)
-
-    return Family(log_eval, ((),) * exponents.size, (0.0,), neglog_eval)
+    return Family(log_eval, ((),) * exponents.size, (0.0,), True)
 
 
 class Verdict:
@@ -233,11 +233,11 @@ def _gk_panels(log_eval, a, b):
     """k 15-point panels [a_i, b_i] in one log_eval call on a (k, 15) grid.
 
     Each panel is rescaled by its own largest log-magnitude before the
-    Kronrod and Gauss sums are formed.  Returns arrays (value, error, hot);
-    hot flags magnitudes beyond double range, which the exhaustion drivers
-    treat as divergence evidence.  The row sums are reductions along the
-    last axis, so a panel's result does not depend on the other panels of
-    the call.
+    Kronrod and Gauss sums are formed.  Returns arrays (value, error); a
+    panel with magnitudes beyond double range has value +-inf and error inf,
+    which the exhaustion drivers treat as divergence evidence.  The row sums
+    are reductions along the last axis, so a panel's result does not depend
+    on the other panels of the call.
     """
     hw = 0.5 * (b - a)
     x = np.multiply.outer(hw, X15)
@@ -269,15 +269,14 @@ def _gk_panels(log_eval, a, b):
     if hot.any():
         value[hot] = np.copysign(math.inf, resk[hot])
         error[hot] = math.inf
-    return value, error, hot
+    return value, error
 
 
 @dataclass
 class _PanelSum:
-    value: float
+    value: float  # +inf when a panel is beyond double range
     error: float
     ok: bool      # error target met
-    hot: bool     # beyond double range
     evals: int    # evaluations spent; 0 when the budget cannot pay the first panels
 
 
@@ -285,7 +284,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
     """Globally adaptive bisection that splits the worst panels in rounds.
 
     A generator: it yields panel requests (lo, hi), receives the panels'
-    (value, error, hot) as lists and returns a _PanelSum.  budget is the
+    (value, error) as lists and returns a _PanelSum.  budget is the
     number of evaluations it may spend.  The first panels, one per piece
     between the cuts, form one request, and end it if they meet the
     tolerance.  Else each round pops the worst panels from an error heap
@@ -295,44 +294,45 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
     to split keep their error as stuck error.  The order of refinement is a
     deterministic function of panel errors and insertion order, so results
     do not depend on scheduling.  No panel is requested that the budget
-    cannot pay for.  A NaN sum ends it.
+    cannot pay for.  A NaN sum ends it, and a panel beyond double range ends
+    it with value +inf.
     """
     edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
     used = 15 * (len(edges) - 1)
     if used > budget:
-        return _PanelSum(0.0, math.inf, False, False, 0)
-    values, errors, hot = yield edges[:-1], edges[1:]
-    if True in hot:
-        return _PanelSum(math.inf, math.inf, False, True, used)
+        return _PanelSum(0.0, math.inf, False, 0)
+    values, errors = yield edges[:-1], edges[1:]
+    if math.inf in values or -math.inf in values:
+        return _PanelSum(math.inf, math.inf, False, used)
     total_v = 0.0
     total_e = 0.0
     for v, e in zip(values, errors):
         total_v += v
         total_e += e
     if not math.isnan(total_v) and total_e <= max(atol, rtol * abs(total_v)):
-        return _PanelSum(total_v, total_e, True, False, used)
+        return _PanelSum(total_v, total_e, True, used)
     # the keys (-e, seq) are unique, so the pop order is that of pushing one by one
     heap = [(-e, seq, lo, hi, v, e)
             for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values, errors))]
     heapq.heapify(heap)
     seq = len(heap)
-    del values, errors, hot
+    del values, errors
 
     stuck_error = 0.0  # error trapped in panels too narrow to split
     stagnation = 0
     last_e = math.inf
     while True:
         if math.isnan(total_v):  # a running sum stays NaN: refining cannot mend it
-            return _PanelSum(total_v, total_e, False, False, used)
+            return _PanelSum(total_v, total_e, False, used)
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
-            return _PanelSum(total_v, total_e, True, False, used)
+            return _PanelSum(total_v, total_e, True, used)
         # rounding noise in log space puts a floor on the achievable error;
         # stop burning budget once refinement stops paying
         stagnation = stagnation + 1 if total_e > 0.999 * last_e else 0
         last_e = total_e
         if stagnation >= 24:
-            return _PanelSum(total_v, total_e, False, False, used)
+            return _PanelSum(total_v, total_e, False, used)
         room = min(MAX_ROUND, (budget - used) // 30)
         picked = []
         cover = 0.0
@@ -341,21 +341,21 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
             if (hi - lo) <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
                 stuck_error += e
                 if stuck_error > tol:
-                    return _PanelSum(total_v, total_e, False, False, used)
+                    return _PanelSum(total_v, total_e, False, used)
                 continue
             picked.append((lo, hi, v, e))
             cover += e
         if not picked:
-            return _PanelSum(total_v, total_e, False, False, used)
+            return _PanelSum(total_v, total_e, False, used)
         lo_ends, hi_ends = [], []
         for lo, hi, _, _ in picked:
             mid = 0.5 * (lo + hi)
             lo_ends += (lo, mid)
             hi_ends += (mid, hi)
         used += 30 * len(picked)
-        values, errors, hot = yield lo_ends, hi_ends
-        if True in hot:
-            return _PanelSum(math.inf, math.inf, False, True, used)
+        values, errors = yield lo_ends, hi_ends
+        if math.inf in values or -math.inf in values:
+            return _PanelSum(math.inf, math.inf, False, used)
         for (lo, hi, v, e), mid, v1, v2, e1, e2 in zip(picked, lo_ends[1::2], values[::2],
                                                        values[1::2], errors[::2], errors[1::2]):
             total_v += (v1 + v2) - v
@@ -363,7 +363,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
             heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
             heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
             seq += 2
-        del values, errors, hot  # nothing of this round stays alive while the driver waits
+        del values, errors  # nothing of this round stays alive while the driver waits
 
 
 def _evaluate(form: Family, requests):
@@ -429,8 +429,8 @@ def _outcomes(drivers) -> list:
             while chunks:
                 chunk = chunks.pop(0)
                 try:
-                    values, errors, hot = map(np.ndarray.tolist,
-                                              _evaluate(form, [r for _, r in chunk]))
+                    values, errors = map(np.ndarray.tolist,
+                                         _evaluate(form, [r for _, r in chunk]))
                 except Exception as exc:
                     if len(chunk) > 1:
                         chunks[:0] = [[item] for item in chunk]
@@ -440,8 +440,7 @@ def _outcomes(drivers) -> list:
                 start = 0
                 for i, (_, lo, _, _) in chunk:
                     end = start + len(lo)
-                    resume(i, drivers[i][3].send,
-                           (values[start:end], errors[start:end], hot[start:end]))
+                    resume(i, drivers[i][3].send, (values[start:end], errors[start:end]))
                     start = end
     return outcomes
 
@@ -464,7 +463,7 @@ def _finite(a: float, b: float, atol: float, rtol: float, budget: int, cuts):
     res = yield from _adaptive(a, b, atol, rtol, budget, cuts)
     if not res.evals:
         return _inconclusive(0, "budget below the first panels")
-    if res.hot:
+    if math.isinf(res.value):  # a panel, or the sum of finite panels, beyond double range
         return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
     if math.isnan(res.value):
         return _inconclusive(res.evals, f"the sum on [{a:g}, {b:g}] is NaN")
@@ -498,7 +497,7 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
     A generator like _adaptive; its segments [a + 2^(k-2), a + 2^(k-1)] (the
     first is [a, a + 1]) run as _adaptive generators, and it returns the verdict.
     No segment reaching past limit is requested (the u = -log x route without
-    a neglog form stops at u = 700, where x = e^-u underflows).
+    a body that takes log x stops at u = 700, where x = e^-u underflows).
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
@@ -523,8 +522,8 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
     for k in range(1, MAX_DOUBLINGS + 1):
         edge = a + 2.0 ** (k - 1)
         if edge > limit:
-            return _inconclusive(used,
-                                 f"{what}: cannot probe beyond exp(-700) without a neglog form")
+            return _inconclusive(used, f"{what}: cannot probe beyond exp(-700) "
+                                       "without a body that takes log x")
         tol = max(atol, rtol * abs(partial))
         seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
                                    0.25 * rtol, budget - used, cuts)
@@ -672,20 +671,13 @@ def _fit_power_tail(u_edges, increments):
 # ---------------------------------------------------------------------------
 
 def weighted(fam: Family) -> Family:
-    """g(x) phi(x) for every member g, in both the x form and the neglog form."""
-    def log_eval(x, row=0):
-        sign, logabs = fam.log_eval(x, row)
+    """g(x) phi(x) for every member g, with one body: log phi comes from x on
+    both routes, and a given lx goes on to fam's body."""
+    def log_eval(x, row=0, *lx):
+        sign, logabs = fam.log_eval(x, row, *lx)
         return sign, np.asarray(logabs, dtype=float) + gauss_log_pdf(x)
 
-    neglog = None
-    if fam.neglog_eval is not None:
-        def neglog(u, row=0):
-            sign, logabs = fam.neglog_eval(u, row)
-            with np.errstate(under="ignore"):
-                w = -0.5 * np.exp(-2.0 * u) - LOG_SQRT_2PI
-            return sign, np.asarray(logabs, dtype=float) + w
-
-    return Family(log_eval, fam.breakpoints, fam.singular_points, neglog)
+    return Family(log_eval, fam.breakpoints, fam.singular_points, fam.logx)
 
 
 def _combine(pieces, labels) -> IntegralVerdict:
@@ -716,7 +708,7 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     if hi == math.inf:
         return fam, row, 1.0, _exhaust(fam, row, lo, atol, rtol, budget)
     if lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
-        limit = 700.0 if fam.neglog_eval is None else math.inf
+        limit = math.inf if fam.logx else 700.0
         form = fam.substituted
         return form, row, 1.0, _exhaust(form, row, -math.log(hi), atol, rtol, budget, limit)
     return fam, row, 1.0, _finite(lo, hi, atol, rtol, budget, fam.cuts(row, lo, hi))

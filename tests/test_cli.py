@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,41 @@ class TestExitCodes:
         assert run(["reproduce-thm31", "--a", "6", "--h=1", "--q", q, "--out", str(out)],
                    tmp_path) == EXIT_USAGE
         assert "need 0 < q <= p" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("functional, key", [("linear", "a"), ("linear", "mu"),
+                                                 ("thm31", "eta"), ("thm33", "a")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_parameter_of_another_functional_rejected(self, tmp_path, capsys, functional,
+                                                      key, source):
+        # diagnose --functional linear --a 3 ran the linear report as if --a were absent
+        argv = ["diagnose"]
+        if source == "flag":
+            argv += ["--functional", functional, f"--{key}", "3"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"functional = {functional}\n{key} = 3\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
+        assert f"--functional {functional} takes no parameter --{key}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["reproduce-thm31", "--p", "inf"],
+                                      ["reproduce-thm31", "--p", "nan"],
+                                      ["reproduce-thm33", "--p", "inf"],
+                                      ["reproduce-thm31", "--a", "inf"],
+                                      ["diagnose", "--functional", "thm31", "--a", "inf"]])
+    def test_non_finite_p_or_a_rejected(self, tmp_path, capsys, argv):
+        # --p inf wrote a report of 34 inconclusive rows (exit 2); --a inf
+        # exited 64 only after a numpy RuntimeWarning from the gluing check
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
+        assert not caught
+        err = capsys.readouterr().err
+        assert "Warning" not in err and ("finite p > 1" in err or "finite a > 3/2" in err)
         assert not out.exists()
 
     def test_zero_atol_accepted(self, tmp_path):

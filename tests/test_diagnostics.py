@@ -284,22 +284,28 @@ class TestLockstep:
 
 class TestRoutes:
     def test_x_and_neglog_routes_agree(self, f33):
-        # on (0, mu) every quotient family gives the same bits at x and at
-        # u = -log x, down to x = 1e-300
+        # on (0, mu) every quotient family, the Bertrand family and their
+        # weighted forms give the same bits at x and on the u = -log x route,
+        # where the body gets x = e^-u and lx = -u, down to x = 1e-300
         x = np.geomspace(1e-300, 1.9e-4, 400)
         u = -np.log(x)
         eps_values = (2.0 ** -1, 2.0 ** -8, 2.0 ** -14)
         families = {"|f|^2": _abs_pow_family(f33, 2.0, False),
-                    "|f'|^2.1": _abs_pow_family(f33, 2.1, True)}
+                    "|f'|^2.1": _abs_pow_family(f33, 2.1, True),
+                    "bertrand": quad.bertrand_family((5.0, 8.0))}
         for c in (1.0, -1.0):
             for centered in (False, True):
                 families[f"diffquot[c={c:g}, centered={centered}]"] = diffquot_family(
                     f33, 2.0, eps_values, c, centered)
-            families[f"dvp[c={c:g}]"] = psi_family(f33, eps_values, c)
+            families[f"dvp[c={c:g}]"] = _quotient_family(
+                f33, [(None, eps, c, False) for eps in eps_values])
+        for name in list(families):
+            families[f"weighted({name})"] = quad.weighted(families[name])
         with np.errstate(all="ignore"):
             for name, g in families.items():
+                assert g.logx, name
                 for row in range(len(g.breakpoints)):
-                    for at_x, at_u in zip(g.log_eval(x, row), g.neglog_eval(u, row)):
+                    for at_x, at_u in zip(g.log_eval(x, row), g.log_eval(np.exp(-u), row, -u)):
                         np.testing.assert_array_equal(at_x, at_u, err_msg=f"{name} row {row}")
 
 

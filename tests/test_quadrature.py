@@ -95,6 +95,39 @@ class TestAdaptive:
         else:
             assert v.diverged
 
+    def test_finite_sum_beyond_double_range_is_inconclusive(self):
+        # 200 panels of 1e306 each are finite, but their sum is not: it was
+        # certified Converged with value inf
+        g = Family.from_function(lambda x: np.full_like(x, 1e306),
+                                 breakpoints=(tuple(float(k) for k in range(1, 200)),))
+        v = integrate_adaptive(g, 0.0, 200.0)
+        assert v.status == "inconclusive"
+        assert v.message == "magnitudes beyond double range on a finite interval"
+        assert v.n_evals == 15 * 200
+
+    def test_panel_beyond_double_range_in_a_refinement_round(self, monkeypatch):
+        # sin(20 x) e^(800 exp(-((x - 0.05) / 0.002)^2)): no node of the first
+        # panels is near the spike at 0.05; the fourth round's halves reach it
+        def log_eval(x, row=0):
+            with np.errstate(divide="ignore", under="ignore"):
+                spike = 800.0 * np.exp(-((x - 0.05) / 0.002) ** 2)
+                return np.sign(np.sin(20.0 * x)), np.log(np.abs(np.sin(20.0 * x))) + spike
+
+        rounds = []
+        real = quad._gk_panels
+
+        def recording(log_eval, a, b):
+            values, errors = real(log_eval, a, b)
+            rounds.append((a.size, int(np.isinf(values).sum())))
+            return values, errors
+
+        monkeypatch.setattr(quad, "_gk_panels", recording)
+        v = integrate_adaptive(Family(log_eval), 0.0, 1.0)
+        assert rounds == [(1, 0), (2, 0), (4, 0), (2, 1)]
+        assert v.status == "inconclusive"
+        assert v.message == "magnitudes beyond double range on a finite interval"
+        assert v.n_evals == 15 * 9
+
     def test_panels_batched_per_call(self):
         # halves of the worst panels are evaluated together: one call per
         # round instead of one per panel (255 calls before batching)
@@ -120,9 +153,9 @@ class TestAdaptive:
 
 class TestPanels:
     def test_batch_matches_single_panels(self):
-        # a panel's (value, error, hot) must not depend on the other panels
-        # of the call: magnitudes from zero (x < 0) to beyond double range
-        # (x > 26.5) with sign changes, and a bounded oscillation
+        # a panel's (value, error) must not depend on the other panels of the
+        # call: magnitudes from zero (x < 0) to beyond double range (x > 26.5,
+        # value +-inf) with sign changes, and a bounded oscillation
         def growing(x):
             with np.errstate(invalid="ignore"):
                 logabs = np.where(x < 0.0, -np.inf, 0.5 * x * x - 2.0 * np.log1p(np.abs(x)))
@@ -132,11 +165,60 @@ class TestPanels:
         lo = np.concatenate([[-5.0, 1e3, 0.0], rng.uniform(-3.0, 30.0, 60)])
         hi = lo + np.concatenate([[1.0, 1e3, 1e-3], rng.uniform(1e-6, 5.0, 60)])
         for log_eval, any_hot in ((growing, True), (lambda x: slog_of(np.sin(50.0 * x)), False)):
-            values, errors, hot = _gk_panels(log_eval, lo, hi)
+            values, errors = _gk_panels(log_eval, lo, hi)
+            hot = np.isinf(values)
             assert hot.any() == any_hot and not hot.all()
             for i in range(lo.size):
-                v1, e1, h1 = _gk_panels(log_eval, lo[i:i + 1], hi[i:i + 1])
-                assert (v1[0], e1[0], h1[0]) == (values[i], errors[i], hot[i])
+                v1, e1 = _gk_panels(log_eval, lo[i:i + 1], hi[i:i + 1])
+                assert (v1[0], e1[0], np.isinf(v1[0])) == (values[i], errors[i], hot[i])
+
+
+def drive(gen, panel):
+    """Run a driver generator alone, each requested panel (lo, hi) valued by
+    panel(lo, hi) -> (value, error); its result and the requests it made."""
+    requests = []
+    try:
+        lo, hi = gen.send(None)
+        while True:
+            requests.append((lo, hi))
+            values, errors = zip(*map(panel, lo, hi))
+            lo, hi = gen.send((list(values), list(errors)))
+    except StopIteration as stop:
+        return stop.value, requests
+
+
+class TestAdaptiveDriver:
+    """Exits of _adaptive that no integrand of the other tests reaches, on
+    panels valued by hand."""
+
+    def test_stagnation_ends_refinement(self):
+        # every panel keeps the error 1e-3 however narrow it gets, so the
+        # total error doubles each round until 64 panels split per round;
+        # after 24 rounds without a 0.1% drop the driver stops, far below budget
+        res, requests = drive(quad._adaptive(0.0, 1.0, 1e-10, 1e-8, 100_000),
+                              lambda lo, hi: (hi - lo, 1e-3))
+        splits = [1, 2, 4, 8, 16, 32] + [64] * 18
+        assert [len(lo) for lo, _ in requests] == [1] + [2 * n for n in splits]
+        assert not res.ok and res.value == 1.0
+        assert res.evals == 15 + 30 * sum(splits) < 100_000
+        verdict, _ = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 100_000, ()),
+                           lambda lo, hi: (hi - lo, 1e-3))
+        assert verdict.status == "inconclusive" and verdict.n_evals == res.evals
+        assert verdict.message.startswith("refinement budget exhausted")
+
+    def test_stuck_panel_keeps_its_error_and_refinement_goes_on(self):
+        # the cut 1e-17 makes a first panel [0, 1e-17] too narrow to split;
+        # its error 6e-9 stays under the tolerance 1e-8, so the driver counts
+        # it as stuck and splits the next worst panel instead
+        def panel(lo, hi):
+            return hi - lo, 6e-9 if hi - lo < 1e-15 else 1e-8 * (hi - lo) ** 2
+
+        res, requests = drive(quad._adaptive(0.0, 1.0, 1e-8, 0.0, 100_000, (1e-17,)), panel)
+        assert requests == [([0.0, 1e-17], [1e-17, 1.0]), ([1e-17, 0.5], [0.5, 1.0]),
+                            ([1e-17, 0.25], [0.25, 0.5])]
+        assert res.ok and res.evals == 15 * 6
+        assert res.error == pytest.approx(6e-9 + 2.5e-9 + 2 * 6.25e-10, rel=1e-12)
+        assert res.error <= 1e-8
 
 
 class TestLockstep:
@@ -249,6 +331,27 @@ class TestLockstep:
         others = [i for i in range(9) if i != 3]
         assert all(together[i].converged and together[i] == alone[i] for i in others)
 
+    @pytest.mark.parametrize("after_rounds", [0, 1])
+    def test_driver_error_outside_its_panels(self, after_rounds):
+        # a driver whose own code raises, before its first request or after
+        # one round, ends with that error; the driver beside it is unaffected
+        fam = Family.from_function(np.cos)
+
+        def failing():
+            for _ in range(after_rounds):
+                yield [0.0], [1.0]
+            raise ArithmeticError("driver bookkeeping failed")
+
+        good = quad._piece(fam, 0, 0.0, 1.0, 1e-12, 1e-12, 100_000)
+        alone = quad._outcomes([quad._piece(fam, 0, 0.0, 1.0, 1e-12, 1e-12, 100_000)])[0]
+        outcomes = quad._outcomes([(fam, 0, 1.0, failing()), good])
+        assert isinstance(outcomes[0], ArithmeticError)
+        assert str(outcomes[0]) == "driver bookkeeping failed"
+        assert outcomes[1].converged and outcomes[1] == alone
+        assert abs(outcomes[1].value - math.sin(1.0)) <= outcomes[1].abs_error
+        with pytest.raises(ArithmeticError, match="bookkeeping"):
+            quad._lockstep([([(fam, 0, 1.0, failing())], list)])
+
     def test_past_exp_minus_700_without_neglog_form(self):
         # 1/(x |log x|^i) with no neglog form, on the u = -log x route.
         # Member 0 starts at u = 690 and reaches u > 700 in its fifth segment,
@@ -358,16 +461,14 @@ class TestSingularOrigin:
         # |F'|^2 behaves like the Bertrand exponent 6 at the origin: finite
         g = _abs_pow_family(f33, 2.0, True)
 
-        def weighted(u, row=0):
-            s, l = g.neglog_eval(u)
-            return s, np.asarray(l) - 0.5 * np.exp(-2.0 * u) - 0.5 * math.log(2 * math.pi)
+        def weighted(x, row=0, lx=None):
+            # the weight from log x where the u = -log x route gives it
+            s, l = g.log_eval(x, row, lx)
+            if lx is None:
+                return s, np.asarray(l) + gauss_log_pdf(x)
+            return s, np.asarray(l) - 0.5 * np.exp(2.0 * lx) - 0.5 * math.log(2 * math.pi)
 
-        # weight the x-space form too
-        def weighted_x(x, row=0):
-            s, l = g.log_eval(x)
-            return s, np.asarray(l) + gauss_log_pdf(x)
-
-        gi = Family(weighted_x, neglog_eval=weighted, singular_points=(0.0,))
+        gi = Family(weighted, singular_points=(0.0,), logx=True)
         v = integrate_singular_origin(gi, 2e-4)
         assert v.converged
         assert v.value > 0.0
@@ -536,7 +637,8 @@ class TestOneRow:
         assert calls
 
     def test_one_argument_call_is_row_0(self, f31, f33):
-        # log_eval(x) and neglog_eval(u) equal the explicit row 0 bit for bit
+        # log_eval(x) equals the explicit row 0 bit for bit; the substituted
+        # forms run the bodies that take log x with lx = -u
         x = np.concatenate([np.linspace(-4.0, 12.0, 161), np.geomspace(1e-9, 0.9, 40)])
         u = np.linspace(0.2, 60.0, 120)
         bodies = {"from_function": Family.from_function(lambda x: np.sin(x) / (1.0 + x * x)),
@@ -544,20 +646,17 @@ class TestOneRow:
         for f in (f31, f33):
             bodies[f"diffquot[{f.name}]"] = diffquot_pow_integrand(f, 2.0, 0.125, 1.0, True)
             bodies[f"abs_pow[{f.name}]"] = _abs_pow_family(f, 2.0, True)
-        assert bodies["bertrand"].neglog_eval is not None
-        assert bodies["from_function"].neglog_eval is None
+        assert bodies["bertrand"].logx
+        assert not bodies["from_function"].logx
         for name in list(bodies):
             bodies[f"weighted({name})"] = quad.weighted(bodies[name])
         for name in list(bodies):
             bodies[f"{name}.substituted"] = bodies[name].substituted
         with np.errstate(all="ignore"):
             for name, g in bodies.items():
-                forms = [(g.log_eval, u if name.endswith(".substituted") else x)]
-                if g.neglog_eval is not None:
-                    forms.append((g.neglog_eval, u))
-                for body, points in forms:
-                    for one, explicit in zip(body(points), body(points, 0)):
-                        np.testing.assert_array_equal(one, explicit, err_msg=name)
+                points = u if name.endswith(".substituted") else x
+                for one, explicit in zip(g.log_eval(points), g.log_eval(points, 0)):
+                    np.testing.assert_array_equal(one, explicit, err_msg=name)
 
 
 class TestVerdictProperties:
