@@ -16,16 +16,14 @@ from .diagnostics import (CmCheckResult, DvpResult, EpsilonGrid, Flag, LqRow, Me
                           SsgdResult, cameron_martin_check, dvp_uniform_integrability_test,
                           lq_diffquot_norm, membership_report, report_to_csv, report_to_markdown,
                           rows_to_csv, sgd_probability_test, sobolev_seminorm, ssgd_test)
-from .functionals import (CylindricalFunctional, Function1D, Polynomial,
-                          ScalarFunctional, difference_quotient_1d,
-                          eval_cylindrical, linear_functional,
-                          malliavin_derivative_cylindrical, mc_difference_quotient,
+from .functionals import (CylindricalFunctional, Function1D, Polynomial, ScalarFunctional,
+                          eval_cylindrical, linear_functional, mc_difference_quotient,
                           pairing_with_h)
 from .quadrature import (Family, IntegralVerdict, Verdict, bertrand_family,
                          gaussian_expectation, integrate_adaptive, integrate_pieces,
                          integrate_semi_infinite, integrate_singular_origin)
 from .wiener import (BrownianPath, CameronMartinDirection, TimeGrid, cm_inner, cm_norm,
-                     girsanov_log_weight, girsanov_weight, merged_grid, sample_increments,
-                     sample_path, shift_path, wiener_integral, wiener_integral_batch)
+                     merged_grid, sample_increments, sample_path, shift_path, wiener_integral,
+                     wiener_integral_batch)
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import re
 import sys
@@ -106,12 +107,16 @@ def _parse_poly(spec: str) -> Polynomial:
     for coeff, expos in parsed:
         key = tuple(expos.get(i, 0) for i in range(n_vars))
         terms_dict[key] = terms_dict.get(key, 0.0) + coeff
+    if not all(map(math.isfinite, terms_dict.values())):
+        raise UsageError(f"polynomial coefficients must be finite, got {spec!r}")
     return Polynomial(n_vars, terms_dict)
 
 
 def _parse_direction(spec: str) -> CameronMartinDirection:
     """Comma-separated density values, piecewise constant on a uniform grid."""
     vals = _parse_float_list(spec)
+    if not all(map(math.isfinite, vals)):
+        raise argparse.ArgumentTypeError(f"density values must be finite, got {spec!r}")
     return CameronMartinDirection(TimeGrid.uniform(len(vals)), np.array(vals))
 
 
@@ -282,12 +287,15 @@ def cmd_cm_check(args) -> int:
 
     Z = CylindricalFunctional(directions[:poly.n_vars], poly)
     res = cameron_martin_check(Z, shift, n, args.seed)
-    rows = [
-        LqRow("cm_lhs_shifted_mean", None, None,
-              IntegralVerdict(Verdict.CONVERGED, value=res.lhs, abs_error=res.se_lhs)),
-        LqRow("cm_rhs_reweighted_mean", None, None,
-              IntegralVerdict(Verdict.CONVERGED, value=res.rhs, abs_error=res.se_rhs)),
-    ]
+    # a mean or standard error that is not finite certifies nothing
+    rows = [LqRow(quantity, None, None, IntegralVerdict(
+                Verdict.CONVERGED if math.isfinite(mean) and math.isfinite(se)
+                else Verdict.INCONCLUSIVE, value=mean, abs_error=se))
+            for quantity, mean, se in (("cm_lhs_shifted_mean", res.lhs, res.se_lhs),
+                                       ("cm_rhs_reweighted_mean", res.rhs, res.se_rhs))]
+    certified = all(r.verdict.converged for r in rows)
+    outcome = ("inconclusive" if not certified else
+               "consistent" if res.within_3se else "INCONSISTENT")
     md = "\n".join([
         "# Shift-versus-reweighting check",
         "",
@@ -297,7 +305,7 @@ def cmd_cm_check(args) -> int:
         f"lhs (mean of shifted Z): {res.lhs:.8g} +- {res.se_lhs:.3g} (1 se)",
         f"rhs (reweighted mean):   {res.rhs:.8g} +- {res.se_rhs:.3g} (1 se)",
         f"gap {res.gap:.3g} vs 3(se_lhs + se_rhs) = {3 * (res.se_lhs + res.se_rhs):.3g}"
-        f" -> {'consistent' if res.within_3se else 'INCONSISTENT'}",
+        f" -> {outcome}",
         "",
     ])
     written = _emit(args, "cm-check", rows, md)
@@ -305,6 +313,10 @@ def cmd_cm_check(args) -> int:
           f"  within 3 SE: {res.within_3se}")
     for path in written:
         print(f"wrote {path}")
+    if not certified:
+        print("INCONCLUSIVE: a Monte Carlo mean or standard error is not finite",
+              file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     return EXIT_OK if res.within_3se else EXIT_CONTRADICTION
 
 

@@ -333,15 +333,6 @@ def eval_cylindrical(Z: CylindricalFunctional, omega: BrownianPath) -> float:
     return float(Z.poly(Z.coordinates(omega)))
 
 
-def malliavin_derivative_cylindrical(Z: CylindricalFunctional) -> list:
-    """Coefficient functionals of the H-valued derivative over h_1..h_n.
-
-    The derivative of Z = f(W(h_1),...,W(h_n)) is sum_i df/dx_i(...) h_i, so
-    it is fully described by the list of partial-derivative polynomials.
-    """
-    return Z.gradient_polys()
-
-
 def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
     """<grad Z, h>_H evaluated along one path."""
     if isinstance(Z, CylindricalFunctional):
@@ -361,21 +352,6 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 # ---------------------------------------------------------------------------
 # difference quotients
 # ---------------------------------------------------------------------------
-
-def difference_quotient_1d(f: ScalarFunctional, x: float, eps: float, c: float) -> float:
-    """(f(x + eps*c) - f(x)) / eps.
-
-    Where either value overflows a double the quotient is formed in
-    (sign, log) space, which stays meaningful long after f itself overflows;
-    it is +-inf only when the quotient does.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    v1, v0 = float(f.value(x + eps * c)), float(f.value(x))
-    if math.isfinite(v1) and math.isfinite(v0):
-        return (v1 - v0) / eps
-    return float(slog_exp(*difference_quotient_slog(f, x, eps, c)))
-
 
 def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=None):
     """(sign, log|.|) of the difference quotient, vectorized over x; a given

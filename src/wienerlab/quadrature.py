@@ -15,21 +15,21 @@ infinite" is rendered as certified unbounded growth at desk scale.
 Semi-infinite domains are exhausted along R_k = a + 2^k; integrals singular
 at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
-integrate_pieces picks the route for each piece of the line from its ends.
+_piece picks the route of each piece of the line from its ends: x = route * t
+on route +-1 (-1 for the left half-line), x = e^-t on route 0.
 
 Every integrand is a Family; Family(body) is an integrand of one row.
 
-The drivers (_adaptive, _exhaust) are generators that yield panel requests
-and receive the panels' values as lists, made once per integrand call; while
-one waits it holds only numbers and its open panels.  A job is a list of
-drivers and a join that turns their verdicts into results.  _lockstep moves
-the drivers of all its jobs forward together: each round, one integrand call
-per Family serves the x route of every member, including the left half-line,
-which a driver runs at sign -1 (x -> -x), and one more the u = -log x route.
-So a report that puts all its quotient rows on one Family pays two calls a
-round for all of them.  An error raised by a driver's own panels ends that
-driver.  The single-verdict functions are one-row calls of integrate_pieces
-or _expectation_job.
+The drivers (_adaptive, _finite, _exhaust) are generators that hold only
+numbers in t: they yield panel requests and receive the panels' values as
+lists, made once per integrand call.  A job is a list of drivers and a join
+that turns their verdicts into results.  _lockstep moves the drivers of all
+its jobs forward together: each round, one integrand call per Family serves
+routes +-1 of every member, and one more route 0, whose nodes _evaluate maps
+to x.  So a report that puts all its quotient rows on one Family pays two
+calls a round for all of them.  An error raised by a driver's own panels
+ends that driver.  The single-verdict functions are one-row calls of
+integrate_pieces or _expectation_job.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -109,10 +108,10 @@ class Family:
     log_eval(x, row=0) -> (sign, log|g_row(x)|), vectorized, where row holds
     the member index of each point (an int array shaped like x, or one int).
     A body with logx set also takes log_eval(x, row, lx) and reads log x from
-    lx = log x, which lets the origin-singular route probe x far below the
+    lx = log x, which lets route 0 (u = -log x) probe x far below the
     smallest positive double (where x itself underflows to 0).
     breakpoints[i] are the breakpoints of g_i; the singular points are
-    shared.  Family(body) is an integrand of one row.
+    shared.  Family(body) is an integrand of one row, on every route.
     """
 
     log_eval: Callable
@@ -129,27 +128,15 @@ class Family:
             return slog_of(fn(np.asarray(x, dtype=float)))
         return cls(log_eval, **kw)
 
-    def cuts(self, row: int, a: float, b: float, sign: float = 1.0) -> list:
-        """Member row's break and singular points p with sign * p inside (a, b),
-        as sign * p: the cuts of x -> g(sign * x)."""
-        pts = [sign * p for p in (*self.breakpoints[row], *self.singular_points)]
+    def cuts(self, row: int, a: float, b: float, route: float = 1.0) -> list:
+        """Member row's cuts inside (a, b) in the variable t of a route: on
+        route +-1 (x = route * t) its break and singular points p as route * p,
+        on route 0 (x = e^-t) its breakpoints p in (0, 1) as -log p."""
+        if route:
+            pts = [route * p for p in (*self.breakpoints[row], *self.singular_points)]
+        else:
+            pts = [-math.log(p) for p in self.breakpoints[row] if 0.0 < p < 1.0]
         return [p for p in pts if a < p < b]
-
-    @cached_property
-    def substituted(self) -> "Family":
-        """u = -log x: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-u) e^-u du.
-
-        The body runs at x = e^-u, and with logx also gets lx = -u.
-        Breakpoints b in (0, 1) move along as u = -log b.
-        """
-        def log_eval(u, row=0):
-            with np.errstate(under="ignore"):
-                x = np.exp(-u)
-            sign, logabs = self.log_eval(x, row, -u) if self.logx else self.log_eval(x, row)
-            return sign, np.asarray(logabs, dtype=float) - u
-
-        return Family(log_eval, tuple(tuple(-math.log(b) for b in bps if 0.0 < b < 1.0)
-                                      for bps in self.breakpoints))
 
 
 # the benchmark tracer (perfbench/tracer.py) patches quadrature.Integrand.__init__
@@ -366,19 +353,30 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
         del values, errors  # nothing of this round stays alive while the driver waits
 
 
-def _evaluate(form: Family, requests):
-    """_gk_panels over the requests [(row, lo, hi, sign), ...], lo and hi lists,
-    in one call of form's body; a request with sign -1 runs at negated nodes."""
+def _evaluate(fam: Family, requests):
+    """_gk_panels over the requests [(row, lo, hi, route), ...], lo and hi
+    lists in t, in one call of fam's body; the routes are all +-1 (x = route
+    * t) or all 0: int_0^mu g(x) dx = int_{-log mu}^inf g(e^-t) e^-t dt, so
+    the body runs at x = e^-t, with lx = -t if it takes log x (logx)."""
     sizes = [15 * len(r[1]) for r in requests]
     rows = np.repeat([r[0] for r in requests], sizes)
-    signs = np.repeat([r[3] for r in requests], sizes)
     lo = np.array([v for r in requests for v in r[1]])
     hi = np.array([v for r in requests for v in r[2]])
-    return _gk_panels(lambda x: form.log_eval(x * signs, rows), lo, hi)
+    if requests[0][3]:
+        routes = np.repeat([r[3] for r in requests], sizes)
+        return _gk_panels(lambda t: fam.log_eval(t * routes, rows), lo, hi)
+
+    def log_eval(t):
+        with np.errstate(under="ignore"):
+            x = np.exp(-t)
+        sign, logabs = fam.log_eval(x, rows, -t) if fam.logx else fam.log_eval(x, rows)
+        return sign, np.asarray(logabs, dtype=float) - t
+
+    return _gk_panels(log_eval, lo, hi)
 
 
 def _chunks(batch) -> list:
-    """Split the requests [(i, (row, lo, hi, sign)), ...] into calls of <= MAX_POINTS points."""
+    """Split the requests [(i, (row, lo, hi, route)), ...] into calls of <= MAX_POINTS points."""
     chunks, size = [], MAX_POINTS
     for item in batch:
         n = 15 * len(item[1][1])
@@ -391,18 +389,18 @@ def _chunks(batch) -> list:
 
 
 def _outcomes(drivers) -> list:
-    """Run drivers (form, row, sign, generator) together; return what each one ends with.
+    """Run drivers (fam, row, route, generator) together; return what each one ends with.
 
     An outcome is the driver's verdict, or the error that ended it.  Each
-    round gathers the pending request of every driver and evaluates the
-    requests of one form in one call (a driver of sign -1 at negated nodes),
-    split so that no call holds more than MAX_POINTS points, whose results
-    each driver receives as slices of lists.  A panel's result does not
-    depend on the other panels of its call, negation is exact, and each
-    driver keeps its own budget, tolerances and cuts, so every outcome
-    equals the one its driver reaches alone.  A call that raises is
-    repeated driver by driver, and a driver whose own panels raise ends
-    with that error.
+    round gathers the pending request (row, lo, hi, route) of every driver
+    and evaluates the requests of one family in one _evaluate call for the
+    routes +-1 and one for route 0, split so that no call holds more than
+    MAX_POINTS points, whose results each driver receives as slices of
+    lists.  A panel's result does not depend on the other panels of its
+    call, negation is exact, and each driver keeps its own budget,
+    tolerances and cuts, so every outcome equals the one its driver reaches
+    alone.  A call that raises is repeated driver by driver, and a driver
+    whose own panels raise ends with that error.
     """
     outcomes = [None] * len(drivers)
     pending = {}
@@ -420,17 +418,17 @@ def _outcomes(drivers) -> list:
     for i, (_, _, _, gen) in enumerate(drivers):
         resume(i, gen.send, None)
     while pending:
-        by_form = {}
+        calls = {}
         for i, request in pending.items():
-            by_form.setdefault(drivers[i][0], []).append((i, request))
+            calls.setdefault((drivers[i][0], request[3] == 0), []).append((i, request))
         pending = {}
-        for form, batch in by_form.items():
+        for (fam, _), batch in calls.items():
             chunks = _chunks(batch)
             while chunks:
                 chunk = chunks.pop(0)
                 try:
                     values, errors = map(np.ndarray.tolist,
-                                         _evaluate(form, [r for _, r in chunk]))
+                                         _evaluate(fam, [r for _, r in chunk]))
                 except Exception as exc:
                     if len(chunk) > 1:
                         chunks[:0] = [[item] for item in chunk]
@@ -489,15 +487,15 @@ def integrate_adaptive(g: Family, a: float, b: float,
 FIT_MISMATCH = 1e-5  # held-out relative error below which a power tail is trusted
 
 
-def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget: int,
-             limit: float = math.inf, sign: float = 1.0):
-    """Verdict engine of [a, inf) for x -> g(sign * x): integrate successive
-    segments, watch increments.
+def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
+             limit: float = math.inf):
+    """Verdict engine of [a, inf): integrate successive segments, watch increments.
 
     A generator like _adaptive; its segments [a + 2^(k-2), a + 2^(k-1)] (the
-    first is [a, a + 1]) run as _adaptive generators, and it returns the verdict.
-    No segment reaching past limit is requested (the u = -log x route without
-    a body that takes log x stops at u = 700, where x = e^-u underflows).
+    first is [a, a + 1]) run as _adaptive generators, each keeping the cuts
+    inside it, and it returns the verdict.  No segment reaching past limit is
+    requested (the u = -log x route without a body that takes log x stops at
+    u = 700, where x = e^-u underflows).
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
@@ -518,7 +516,6 @@ def _exhaust(form: Family, row: int, a: float, atol: float, rtol: float, budget:
     growth_run = 0
     calm_run = 0
     prev_edge = a
-    cuts = form.cuts(row, a, math.inf, sign)  # _adaptive keeps those inside its segment
     for k in range(1, MAX_DOUBLINGS + 1):
         edge = a + 2.0 ** (k - 1)
         if edge > limit:
@@ -696,22 +693,25 @@ def _combine(pieces, labels) -> IntegralVerdict:
 
 def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float,
            budget: int):
-    """Driver (form, row, sign, generator) of one piece (lo, hi) of the line,
-    routed by its ends.
+    """Driver (fam, row, route, generator) of one piece (lo, hi) of the line,
+    routed by its ends, with its cuts in t.
 
-    An infinite end goes to semi-infinite exhaustion (the left end at sign
-    -1, x -> -x), (0, hi) with hi < 1 and a declared singularity at 0 to the
-    u = -log x route, and anything else to the finite adaptive rule.
+    An infinite end goes to semi-infinite exhaustion (the left end on route
+    -1), (0, hi) with hi < 1 and a declared singularity at 0 to exhaustion
+    on route 0, up to t = 700 unless the body takes log x, and anything else
+    to the finite adaptive rule.
     """
     if lo == -math.inf:
-        return fam, row, -1.0, _exhaust(fam, row, -hi, atol, rtol, budget, sign=-1.0)
-    if hi == math.inf:
-        return fam, row, 1.0, _exhaust(fam, row, lo, atol, rtol, budget)
-    if lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
-        limit = math.inf if fam.logx else 700.0
-        form = fam.substituted
-        return form, row, 1.0, _exhaust(form, row, -math.log(hi), atol, rtol, budget, limit)
-    return fam, row, 1.0, _finite(lo, hi, atol, rtol, budget, fam.cuts(row, lo, hi))
+        route, a = -1.0, -hi
+    elif hi == math.inf:
+        route, a = 1.0, lo
+    elif lo == 0.0 and 0.0 in fam.singular_points and hi < 1.0:
+        route, a = 0.0, -math.log(hi)
+    else:
+        return fam, row, 1.0, _finite(lo, hi, atol, rtol, budget, fam.cuts(row, lo, hi))
+    limit = 700.0 if route == 0.0 and not fam.logx else math.inf
+    return fam, row, route, _exhaust(a, atol, rtol, budget, fam.cuts(row, a, math.inf, route),
+                                     limit)
 
 
 def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,

@@ -246,15 +246,5 @@ def wiener_integral_batch(h: CameronMartinDirection, grid: TimeGrid, increments:
     return _project(increments, [_path_cell_density(h, grid)])[0]
 
 
-def girsanov_log_weight(h: CameronMartinDirection, omega: BrownianPath) -> float:
-    """log of the Girsanov density: W(h) - ||h||_H^2 / 2."""
-    return wiener_integral(h, omega) - 0.5 * cm_inner(h, h)
-
-
-def girsanov_weight(h: CameronMartinDirection, omega: BrownianPath) -> float:
-    """exp(int_0^T hdot dW - int_0^T hdot^2 dt / 2); use the log variant near overflow."""
-    return math.exp(girsanov_log_weight(h, omega))
-
-
 def girsanov_log_weight_batch(h: CameronMartinDirection, grid: TimeGrid, increments: np.ndarray) -> np.ndarray:
     return wiener_integral_batch(h, grid, increments) - 0.5 * cm_inner(h, h)

@@ -206,6 +206,40 @@ class TestExitCodes:
         assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
         assert not out.exists()
 
+    @staticmethod
+    def cm_check_argv(tmp_path, key, value, source):
+        argv = ["cm-check", "--n-samples", "1000"]
+        if source == "flag":
+            return argv + [f"--{key}={value}"]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        return argv + ["--config", str(cfg)]
+
+    @pytest.mark.parametrize("key, value", [("direction", "nan"), ("direction", "1,inf"),
+                                            ("shift", "inf"), ("poly", "nan*x1"),
+                                            ("poly", "1e400*x1"), ("poly", "1e200*1e200*x1")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cm_check_non_finite_input_rejected(self, tmp_path, key, value, source):
+        # these wrote cm_lhs_shifted_mean,,,converged,inf,nan rows and exited 1
+        out = tmp_path / "out"
+        argv = self.cm_check_argv(tmp_path, key, value, source)
+        assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cm_check_non_finite_mean_is_inconclusive(self, tmp_path, capsys, source):
+        # a finite direction whose Monte Carlo mean overflows certifies nothing
+        out = tmp_path / "out"
+        argv = self.cm_check_argv(tmp_path, "direction", "1e200", source)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(argv + ["--out", str(out)], tmp_path) == EXIT_INCONCLUSIVE
+        assert "INCONCLUSIVE" in capsys.readouterr().err
+        with open(out / "cm-check.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [r["verdict"] for r in rows] == ["inconclusive", "inconclusive"]
+        assert "-> inconclusive" in (out / "cm-check.md").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("q", ["3", "0", "nan"])
     def test_residual_exponent_above_p_rejected(self, tmp_path, capsys, q):
         out = tmp_path / "out"

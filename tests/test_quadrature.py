@@ -276,7 +276,8 @@ class TestLockstep:
         drivers = []
         for row in range(len(fam.breakpoints)):
             drivers += [(form_left, row, -1.0,
-                         quad._exhaust(form_left, row, 1.0, atol, rtol, budget, sign=-1.0)),
+                         quad._exhaust(1.0, atol, rtol, budget,
+                                       form_left.cuts(row, 1.0, math.inf, -1.0))),
                         quad._piece(fam, row, -1.0, 1.0, atol, rtol, budget),
                         quad._piece(fam, row, 1.0, math.inf, atol, rtol, budget)]
         return drivers
@@ -372,6 +373,52 @@ class TestLockstep:
         assert together[1].diverged
         assert together[2].converged
         assert together[2].value == pytest.approx(0.5 / math.log(2.0) ** 2, rel=1e-8)
+
+    def test_routes_share_one_call_each_per_round(self):
+        # phi(x) / (|x| |log|x||^e) for three exponents, from one body that
+        # takes log x: each row runs (0, 0.1) on route 0 and (-inf, -2) and
+        # (2, inf) on routes -1 and 1.  Each round calls the body once for
+        # route 0 (given lx) and then once for routes +-1.
+        expo = np.array([2.0, 3.0, 5.0])
+        calls = []
+
+        def log_eval(x, row=0, lx=None):
+            calls.append(lx is not None)
+            if lx is None:
+                lx = np.log(np.abs(x))
+            return np.ones_like(lx), -lx - expo[row] * np.log(np.abs(lx)) + gauss_log_pdf(x)
+
+        def counted(driver, requests):  # the driver, counting the requests it makes
+            fam, row, route, gen = driver
+            requests[route == 0.0] = 0
+
+            def counting():
+                reply = None
+                while True:
+                    try:
+                        request = gen.send(reply)
+                    except StopIteration as stop:
+                        return stop.value
+                    requests[route == 0.0] += 1
+                    reply = yield request
+            return fam, row, route, counting()
+
+        fam = Family(log_eval, ((),) * expo.size, (0.0,), True)
+        pieces = [(row, lo, hi) for row in range(expo.size)
+                  for lo, hi in ((0.0, 0.1), (-math.inf, -2.0), (2.0, math.inf))]
+        drivers = [quad._piece(fam, row, lo, hi, 1e-12, 1e-10, 100_000) for row, lo, hi in pieces]
+        assert [d[2] for d in drivers[:3]] == [0.0, -1.0, 1.0]
+        requests = [{} for _ in drivers]
+        together = quad._outcomes([counted(d, n) for d, n in zip(drivers, requests)])
+        on_u = max(n[True] for n in requests if True in n)  # rounds with a route 0 request
+        on_x = max(n[False] for n in requests if False in n)
+        both = min(on_u, on_x)
+        assert on_u > 1 and on_x > 1
+        assert calls == [True, False] * both + [True] * (on_u - both) + [False] * (on_x - both)
+        alone = [quad._outcomes([quad._piece(fam, row, lo, hi, 1e-12, 1e-10, 100_000)])[0]
+                 for row, lo, hi in pieces]
+        assert together == alone
+        assert all(v.converged for v in together)
 
 
 class TestSemiInfinite:
@@ -637,10 +684,8 @@ class TestOneRow:
         assert calls
 
     def test_one_argument_call_is_row_0(self, f31, f33):
-        # log_eval(x) equals the explicit row 0 bit for bit; the substituted
-        # forms run the bodies that take log x with lx = -u
+        # log_eval(x) equals the explicit row 0 bit for bit
         x = np.concatenate([np.linspace(-4.0, 12.0, 161), np.geomspace(1e-9, 0.9, 40)])
-        u = np.linspace(0.2, 60.0, 120)
         bodies = {"from_function": Family.from_function(lambda x: np.sin(x) / (1.0 + x * x)),
                   "bertrand": bertrand_family((6.0,))}
         for f in (f31, f33):
@@ -650,12 +695,9 @@ class TestOneRow:
         assert not bodies["from_function"].logx
         for name in list(bodies):
             bodies[f"weighted({name})"] = quad.weighted(bodies[name])
-        for name in list(bodies):
-            bodies[f"{name}.substituted"] = bodies[name].substituted
         with np.errstate(all="ignore"):
             for name, g in bodies.items():
-                points = u if name.endswith(".substituted") else x
-                for one, explicit in zip(g.log_eval(points), g.log_eval(points, 0)):
+                for one, explicit in zip(g.log_eval(x), g.log_eval(x, 0)):
                     np.testing.assert_array_equal(one, explicit, err_msg=name)
 
 

@@ -1,0 +1,137 @@
+"""List the functions of src/wienerlab that the user paths never call.
+
+    python tools/reach.py
+
+It records with sys.setprofile every function of src/wienerlab called while
+it runs, in this one interpreter:
+
+- the operations of tools/compare_outputs.py (default_ops(): the benchmark
+  workloads' op lists and the edge ops), each through wienerlab.cli.main
+  with its output in a temporary directory;
+- tests/test_acceptance.py, through pytest;
+- the demos in demos/.
+
+Then it prints each module-level function and class method of
+src/wienerlab that none of these reached, as module.qualname, one a line.
+Nested functions (closures) are not listed.  Functions that run only while
+wienerlab is imported count as reached only if the import happens after the
+profile is set, as it does when this script runs on its own.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import contextlib
+import importlib.util
+import inspect
+import io
+import os
+import runpy
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "wienerlab"
+
+
+def defined() -> set:
+    """module.qualname of every module-level function and class method under SRC."""
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        mod = path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names.add(f"{mod}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                names.update(f"{mod}.{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return names
+
+
+def reached(run) -> set:
+    """module.qualname of every function under SRC that is called while run() runs."""
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    src = str(SRC.resolve())
+    # CO_OPTIMIZED: the code of a function, not of a module or class body run on import
+    return {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes
+            if code.co_flags & inspect.CO_OPTIMIZED
+            and os.path.dirname(os.path.realpath(code.co_filename)) == src}
+
+
+def run_ops(ops) -> None:
+    """Each op through wienerlab.cli.main, its output in a temporary directory."""
+    import wienerlab.cli as cli
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i, argv in enumerate(ops):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                cli.main(list(argv) + ["--out", str(Path(tmp) / f"op{i}")])
+
+
+def run_acceptance() -> int:
+    """tests/test_acceptance.py through pytest; its exit code."""
+    import pytest
+    with contextlib.redirect_stdout(io.StringIO()):
+        return int(pytest.main(["-q", "-p", "no:cacheprovider",
+                                str(ROOT / "tests" / "test_acceptance.py")]))
+
+
+def run_demos() -> None:
+    """Each demo as __main__, in a temporary working directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        os.chdir(tmp)
+        try:
+            for demo in sorted((ROOT / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+        finally:
+            os.chdir(cwd)
+
+
+def _default_ops() -> list:
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "tools" / "compare_outputs.py")
+    compare_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(compare_outputs)
+    return compare_outputs.default_ops()
+
+
+def main(argv=None) -> int:
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
+    sys.path.insert(0, str(ROOT / "src"))
+    ops = _default_ops()
+    status = {}
+
+    def run_all():
+        run_ops(ops)
+        status["acceptance"] = run_acceptance()
+        run_demos()
+
+    seen = reached(run_all)
+    if status["acceptance"]:
+        print(f"# tests/test_acceptance.py exited {status['acceptance']}; a failed test "
+              "stops where it fails", file=sys.stderr)
+    unreached = sorted(defined() - seen)
+    for name in unreached:
+        print(name)
+    print(f"# {len(ops)} ops, the acceptance tests and the demos: "
+          f"{len(unreached)} of {len(defined())} functions not reached", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
