@@ -144,17 +144,20 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
 
     def at(x, row, lx):
         """log|g_row(x)|: the plain difference (unit eps along the shift), then
-        the row's log eps; a zero centring leaves the quotient alone."""
+        the row's log eps; f' and the centring, and psi, only on their rows."""
+        row = np.full(x.shape, row) if np.ndim(row) == 0 else row
         s, l = difference_quotient_slog(f, x, 1.0, shift[row], lx)
         l = l - log_eps[row]
-        c = centre[row]
-        if c.any():
-            ds, dl = f.slog_deriv(x, lx)
-            l = np.where(c != 0.0, slog_sub(s, l, np.sign(c) * ds, dl + log_centre[row])[1], l)
-        psi = np.isnan(expo[row])
-        if psi.any():
-            return np.where(psi, _psi_log(2.0 * l), expo[row] * l)
-        return expo[row] * l
+        cen = np.flatnonzero(centre[row])
+        if cen.size:
+            r = row[cen]
+            ds, dl = f.slog_deriv(x[cen], None if lx is None else lx[cen])
+            l[cen] = slog_sub(s[cen], l[cen], np.sign(centre[r]) * ds, dl + log_centre[r])[1]
+        out = expo[row] * l
+        psi = np.flatnonzero(np.isnan(expo[row]))
+        if psi.size:
+            out[psi] = _psi_log(2.0 * l[psi])
+        return out
 
     return _route_family(f, tuple(_scalar_cuts(f, shifts=(eps * c,)) for _, eps, c, _ in rows),
                          at)

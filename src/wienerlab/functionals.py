@@ -354,13 +354,16 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 # ---------------------------------------------------------------------------
 
 def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=None):
-    """(sign, log|.|) of the difference quotient, vectorized over x; a given
-    lx = log x goes to f.slog_value for f(x), so x may have underflowed."""
+    """(sign, log|.|) of the difference quotient, vectorized over x (and c);
+    f(x + eps c) and f(x) come from one piece dispatch, unless lx = log x is
+    given: it goes to f.slog_value for f(x), so x may have underflowed."""
     x = np.asarray(x, dtype=float)
-    s1, l1 = f.slog_value(x + eps * c)
-    s0, l0 = f.slog_value(x, lx)
+    if lx is None:
+        (s1, s0), (l1, l0) = f.slog_value(np.array([x + eps * c, x]))
+    else:
+        (s1, l1), (s0, l0) = f.slog_value(x + eps * c), f.slog_value(x, lx)
     sign, logabs = slog_sub(s1, l1, s0, l0)
-    return sign, logabs - math.log(eps)
+    return sign, logabs if eps == 1.0 else logabs - math.log(eps)
 
 
 def mc_difference_quotient(Z: CylindricalFunctional, h: CameronMartinDirection,

@@ -20,16 +20,17 @@ on route +-1 (-1 for the left half-line), x = e^-t on route 0.
 
 Every integrand is a Family; Family(body) is an integrand of one row.
 
-The drivers (_adaptive, _finite, _exhaust) are generators that hold only
-numbers in t: they yield panel requests and receive the panels' values as
-lists, made once per integrand call.  A job is a list of drivers and a join
-that turns their verdicts into results.  _lockstep moves the drivers of all
-its jobs forward together: each round, one integrand call per Family serves
-routes +-1 of every member, and one more route 0, whose nodes _evaluate maps
-to x.  So a report that puts all its quotient rows on one Family pays two
-calls a round for all of them.  An error raised by a driver's own panels
-ends that driver.  The single-verdict functions are one-row calls of
-integrate_pieces or _expectation_job.
+The drivers (_finite, _exhaust) are generators that hold only numbers in t:
+they yield panel requests and receive the panels' values as lists, made once
+per integrand call.  A segment's first panels are one request, summed by
+_first_panels; only a segment they leave short starts _refine, the
+error-heap rounds.  A job is a list of drivers and a join that turns their
+verdicts into results.  _lockstep moves the drivers of all its jobs forward
+together: each round, one integrand call per Family serves routes +-1 of
+every member, and one more route 0, whose nodes _evaluate maps to x, so the
+quotient rows of a report, on one Family, pay two calls a round in all.  An
+error raised by a driver's own panels ends that driver.  The single-verdict
+functions are one-row calls of integrate_pieces or _expectation_job.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 DEFAULT_BUDGET = 100_000
 GROWTH_RUN = 6          # consecutive growing increments certify divergence
-MAX_ROUND = 64          # panels split per round of _adaptive (bounds peak memory)
+MAX_ROUND = 64          # panels split per round of _refine (bounds peak memory)
 MAX_POINTS = 2 * MAX_ROUND * 15  # points per integrand call of _outcomes
 CALM_RUN = 3            # consecutive sub-tolerance increments allow convergence
 MAGNITUDE_LIMIT = 1e12  # partials beyond this certify divergence
@@ -264,62 +265,67 @@ class _PanelSum:
     value: float  # +inf when a panel is beyond double range
     error: float
     ok: bool      # error target met
-    evals: int    # evaluations spent; 0 when the budget cannot pay the first panels
+    evals: int    # evaluations spent
+    why: str      # the exit that fired; "" while refinement goes on
 
 
-def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()):
-    """Globally adaptive bisection that splits the worst panels in rounds.
+def _edges(a: float, b: float, cuts) -> list:
+    """The edges of a segment's first panels: a, the cuts inside (a, b), b."""
+    inside = [c for c in cuts if a < c < b]
+    return [a, *sorted(set(inside)), b] if inside else [a, b]
 
-    A generator: it yields panel requests (lo, hi), receives the panels'
-    (value, error) as lists and returns a _PanelSum.  budget is the
-    number of evaluations it may spend.  The first panels, one per piece
-    between the cuts, form one request, and end it if they meet the
-    tolerance.  Else each round pops the worst panels from an error heap
-    until their errors cover the excess of the total error over the
-    tolerance (at least one panel, at most MAX_ROUND, and no more than the
-    budget left pays for) and requests all their halves.  Panels too narrow
-    to split keep their error as stuck error.  The order of refinement is a
-    deterministic function of panel errors and insertion order, so results
-    do not depend on scheduling.  No panel is requested that the budget
-    cannot pay for.  A NaN sum ends it, and a panel beyond double range ends
-    it with value +inf.
-    """
-    edges = [a] + [c for c in sorted(set(cuts)) if a < c < b] + [b]
+
+def _first_panels(edges, values, errors, atol: float, rtol: float) -> _PanelSum:
+    """The sum of a segment's first panels (one per piece between the edges),
+    final on a panel beyond double range (value +inf), a NaN sum or a met
+    tolerance; else its why is "" and _refine goes on from it."""
     used = 15 * (len(edges) - 1)
-    if used > budget:
-        return _PanelSum(0.0, math.inf, False, 0)
-    values, errors = yield edges[:-1], edges[1:]
     if math.inf in values or -math.inf in values:
-        return _PanelSum(math.inf, math.inf, False, used)
-    total_v = 0.0
-    total_e = 0.0
+        return _PanelSum(math.inf, math.inf, False, used, "a panel beyond double range")
+    total_v = total_e = 0.0
     for v, e in zip(values, errors):
         total_v += v
         total_e += e
-    if not math.isnan(total_v) and total_e <= max(atol, rtol * abs(total_v)):
-        return _PanelSum(total_v, total_e, True, used)
+    if math.isnan(total_v):
+        return _PanelSum(total_v, total_e, False, used, "NaN sum")
+    ok = total_e <= max(atol, rtol * abs(total_v))
+    return _PanelSum(total_v, total_e, ok, used, "tolerance met" if ok else "")
+
+
+def _refine(first: _PanelSum, edges, values, errors, atol: float, rtol: float, budget: int):
+    """Globally adaptive bisection of a segment whose first panels missed.
+
+    A generator: it yields panel requests (lo, hi), receives the panels'
+    (value, error) as lists and returns a _PanelSum whose why names the exit
+    that fired.  Each round pops the worst panels from an error heap until
+    their errors cover the excess of the total error over the tolerance (at
+    least one, at most MAX_ROUND, and no more than the segment's budget has
+    left for) and requests their halves.  Panels too narrow to split keep
+    their error as stuck error.  The pop order follows panel errors and
+    insertion order, so results do not depend on scheduling.
+    """
+    total_v, total_e, used = first.value, first.error, first.evals
     # the keys (-e, seq) are unique, so the pop order is that of pushing one by one
     heap = [(-e, seq, lo, hi, v, e)
             for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values, errors))]
     heapq.heapify(heap)
     seq = len(heap)
-    del values, errors
 
     stuck_error = 0.0  # error trapped in panels too narrow to split
     stagnation = 0
     last_e = math.inf
     while True:
         if math.isnan(total_v):  # a running sum stays NaN: refining cannot mend it
-            return _PanelSum(total_v, total_e, False, used)
+            return _PanelSum(total_v, total_e, False, used, "NaN sum")
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
-            return _PanelSum(total_v, total_e, True, used)
+            return _PanelSum(total_v, total_e, True, used, "tolerance met")
         # rounding noise in log space puts a floor on the achievable error;
         # stop burning budget once refinement stops paying
         stagnation = stagnation + 1 if total_e > 0.999 * last_e else 0
         last_e = total_e
         if stagnation >= 24:
-            return _PanelSum(total_v, total_e, False, used)
+            return _PanelSum(total_v, total_e, False, used, "refinement stagnated")
         room = min(MAX_ROUND, (budget - used) // 30)
         picked = []
         cover = 0.0
@@ -328,12 +334,13 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
             if (hi - lo) <= 8.0 * _EPS * max(abs(lo), abs(hi), 1.0):
                 stuck_error += e
                 if stuck_error > tol:
-                    return _PanelSum(total_v, total_e, False, used)
+                    return _PanelSum(total_v, total_e, False, used, "stuck error over tolerance")
                 continue
             picked.append((lo, hi, v, e))
             cover += e
         if not picked:
-            return _PanelSum(total_v, total_e, False, used)
+            why = "no panel wide enough to split" if room else "refinement budget exhausted"
+            return _PanelSum(total_v, total_e, False, used, why)
         lo_ends, hi_ends = [], []
         for lo, hi, _, _ in picked:
             mid = 0.5 * (lo + hi)
@@ -342,7 +349,7 @@ def _adaptive(a: float, b: float, atol: float, rtol: float, budget: int, cuts=()
         used += 30 * len(picked)
         values, errors = yield lo_ends, hi_ends
         if math.inf in values or -math.inf in values:
-            return _PanelSum(math.inf, math.inf, False, used)
+            return _PanelSum(math.inf, math.inf, False, used, "a panel beyond double range")
         for (lo, hi, v, e), mid, v1, v2, e1, e2 in zip(picked, lo_ends[1::2], values[::2],
                                                        values[1::2], errors[::2], errors[1::2]):
             total_v += (v1 + v2) - v
@@ -458,16 +465,20 @@ def _lockstep(jobs) -> list:
 
 def _finite(a: float, b: float, atol: float, rtol: float, budget: int, cuts):
     """Driver of the finite adaptive rule over [a, b]."""
-    res = yield from _adaptive(a, b, atol, rtol, budget, cuts)
-    if not res.evals:
+    edges = _edges(a, b, cuts)
+    if 15 * (len(edges) - 1) > budget:
         return _inconclusive(0, "budget below the first panels")
+    values, errors = yield edges[:-1], edges[1:]
+    res = _first_panels(edges, values, errors, atol, rtol)
+    if not res.why:
+        res = yield from _refine(res, edges, values, errors, atol, rtol, budget)
     if math.isinf(res.value):  # a panel, or the sum of finite panels, beyond double range
         return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
     if math.isnan(res.value):
         return _inconclusive(res.evals, f"the sum on [{a:g}, {b:g}] is NaN")
     if res.ok:
         return _converged(res.value, res.error, res.evals)
-    return _inconclusive(res.evals, f"refinement budget exhausted (error {res.error:.3e})")
+    return _inconclusive(res.evals, f"{res.why} (error {res.error:.3e})")
 
 
 def integrate_adaptive(g: Family, a: float, b: float,
@@ -491,11 +502,11 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
              limit: float = math.inf):
     """Verdict engine of [a, inf): integrate successive segments, watch increments.
 
-    A generator like _adaptive; its segments [a + 2^(k-2), a + 2^(k-1)] (the
-    first is [a, a + 1]) run as _adaptive generators, each keeping the cuts
-    inside it, and it returns the verdict.  No segment reaching past limit is
-    requested (the u = -log x route without a body that takes log x stops at
-    u = 700, where x = e^-u underflows).
+    A generator like _finite; each segment [a + 2^(k-2), a + 2^(k-1)] (the
+    first is [a, a + 1]) requests its first panels, split at the cuts inside
+    it, and runs _refine only if they miss; it returns the verdict.  No
+    segment reaching past limit is requested (the u = -log x route without a
+    body that takes log x stops at u = 700, where x = e^-u underflows).
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
@@ -521,11 +532,14 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
         if edge > limit:
             return _inconclusive(used, f"{what}: cannot probe beyond exp(-700) "
                                        "without a body that takes log x")
-        tol = max(atol, rtol * abs(partial))
-        seg = yield from _adaptive(prev_edge, edge, tol / (16.0 * (k + 1) ** 2),
-                                   0.25 * rtol, budget - used, cuts)
-        if not seg.evals:
+        seg_atol = max(atol, rtol * abs(partial)) / (16.0 * (k + 1) ** 2)
+        edges = _edges(prev_edge, edge, cuts)
+        if 15 * (len(edges) - 1) > budget - used:
             break
+        values, errors = yield edges[:-1], edges[1:]
+        seg = _first_panels(edges, values, errors, seg_atol, rtol / 4)
+        if not seg.why:
+            seg = yield from _refine(seg, edges, values, errors, seg_atol, rtol / 4, budget - used)
         used += seg.evals
         inc = seg.value
         if math.isnan(inc):

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGrid, Flag,
                        Function1D, Polynomial, ScalarFunctional, TimeGrid,
@@ -11,8 +13,9 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
                        sobolev_seminorm, ssgd_test)
 from wienerlab import diagnostics, quadrature as quad
-from wienerlab.diagnostics import (LqRow, SsgdResult, _abs_pow_family, _dvp_pieces,
+from wienerlab.diagnostics import (LqRow, SsgdResult, _abs_pow_family, _dvp_pieces, _psi_log,
                                    _quotient_family, report_evidence_rows)
+from wienerlab.slog import slog_sub
 
 from wienerlab.wiener import (_BATCH, girsanov_log_weight_batch, merged_grid,
                               sample_increments, wiener_integral_batch)
@@ -307,6 +310,81 @@ class TestRoutes:
                 for row in range(len(g.breakpoints)):
                     for at_x, at_u in zip(g.log_eval(x, row), g.log_eval(np.exp(-u), row, -u)):
                         np.testing.assert_array_equal(at_x, at_u, err_msg=f"{name} row {row}")
+
+
+def where_quotient_log(f, rows, x, row, lx):
+    """log|g_row(x)| of _quotient_family(f, rows), formed as it was before the
+    index subsets: f(x + eps c) and f(x) from two slog_value calls, the log of
+    the unit eps subtracted, and f', the centring and psi computed at every
+    point and picked by np.where."""
+    shift = np.array([eps * c for _, eps, c, _ in rows])
+    log_eps = np.array([math.log(eps) for _, eps, _, _ in rows])
+    centre = np.array([c if centered else 0.0 for _, _, c, centered in rows])
+    log_centre = np.array([math.log(abs(c)) if c else 0.0 for c in centre])
+    expo = np.array([np.nan if q is None else q for q, _, _, _ in rows])
+    s1, l1 = f.slog_value(x + 1.0 * shift[row])
+    s0, l0 = f.slog_value(x, lx)
+    s, l = slog_sub(s1, l1, s0, l0)
+    l = (l - math.log(1.0)) - log_eps[row]
+    c = centre[row]
+    if c.any():
+        ds, dl = f.slog_deriv(x, lx)
+        l = np.where(c != 0.0, slog_sub(s, l, np.sign(c) * ds, dl + log_centre[row])[1], l)
+    psi = np.isnan(expo[row])
+    if psi.any():
+        return np.where(psi, _psi_log(2.0 * l), expo[row] * l)
+    return expo[row] * l
+
+
+QUOTIENT_FUNCTIONALS = {"thm31": (catalog_build("thm31", a=2.0), (-6.0, 14.0)),
+                        "thm33": (catalog_build("thm33", eta=1e-4, mu=2e-4), (-5e-4, 8e-4))}
+QUOTIENT_ROW = st.tuples(st.sampled_from([None, 1.2, 2.0, 2.5]),
+                         st.sampled_from([2.0 ** -1, 2.0 ** -5, 2.0 ** -14, 0.3]),
+                         st.sampled_from([1.0, -1.0, 0.5, -2.5]), st.booleans())
+
+
+@st.composite
+def quotient_cases(draw):
+    """(f, rows, x, row, lx): mixed rows; x on a line, on the rows' cuts (the
+    breakpoints and the shifted cuts) and, on thm33's u = -log x route, with
+    lx = log x down to x = e^-800; row one int or an int per point."""
+    name = draw(st.sampled_from(sorted(QUOTIENT_FUNCTIONALS)))
+    f, (lo, hi) = QUOTIENT_FUNCTIONALS[name]
+    rows = draw(st.lists(QUOTIENT_ROW, min_size=1, max_size=5))
+    cuts = sorted({p for row_cuts in _quotient_family(f, rows).breakpoints for p in row_cuts})
+    if name == "thm33" and draw(st.booleans()):
+        u_lo = -math.log(f.params["mu"])
+        u = draw(st.lists(st.floats(u_lo, 800.0), min_size=1, max_size=20))
+        u += [-math.log(p) for p in cuts if 0.0 < p < f.params["mu"]]
+        lx = -np.array(u)
+        x = np.exp(lx)
+    else:
+        x = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=20)) + [0.0, -0.0] + cuts
+        x, lx = np.array(x), None
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(rows) - 1))
+    else:
+        row = np.array(draw(st.lists(st.integers(0, len(rows) - 1), min_size=x.size,
+                                     max_size=x.size)))
+    return f, rows, x, row, lx
+
+
+class TestQuotientBody:
+    @settings(max_examples=300, deadline=None)
+    @given(quotient_cases())
+    def test_index_subsets_match_the_where_formulation(self, case):
+        # every bit of the body equals the np.where reference: the same NaN
+        # positions and sign bits, and the same values elsewhere
+        f, rows, x, row, lx = case
+        with np.errstate(all="ignore"):
+            want = where_quotient_log(f, rows, x, row, lx)
+            args = (x, row) if lx is None else (x, row, lx)
+            sign, got = _quotient_family(f, rows).log_eval(*args)
+        assert np.array_equal(sign, np.ones_like(x))
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(got[~nan], want[~nan])
 
 
 class TestCameronMartin:

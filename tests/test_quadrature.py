@@ -1,5 +1,8 @@
 import dataclasses
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -11,7 +14,7 @@ from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_
                        integrate_pieces, integrate_semi_infinite, integrate_singular_origin)
 from wienerlab.diagnostics import (EpsilonGrid, _abs_pow_family, _quotient_family,
                                    diffquot_pow_integrand, dvp_uniform_integrability_test)
-from wienerlab import quadrature as quad
+from wienerlab import cli, quadrature as quad
 from wienerlab.quadrature import EvaluationError, _gk_panels, gauss_log_pdf
 from wienerlab.slog import slog_of
 
@@ -187,24 +190,49 @@ def drive(gen, panel):
         return stop.value, requests
 
 
+def adaptive(a, b, atol, rtol, budget, cuts=()):
+    """The finite rule's segment as _finite runs it, as one generator: its first
+    panels, then _refine if they miss; it returns the _PanelSum."""
+    edges = quad._edges(a, b, cuts)
+    values, errors = yield edges[:-1], edges[1:]
+    res = quad._first_panels(edges, values, errors, atol, rtol)
+    if not res.why:
+        res = yield from quad._refine(res, edges, values, errors, atol, rtol, budget)
+    return res
+
+
+def error_doubling(lo, hi):
+    """Every panel keeps the error 1e-3 however narrow it gets."""
+    return hi - lo, 1e-3
+
+
 class TestAdaptiveDriver:
-    """Exits of _adaptive that no integrand of the other tests reaches, on
+    """Exits of the finite rule that no integrand of the other tests reaches, on
     panels valued by hand."""
 
     def test_stagnation_ends_refinement(self):
-        # every panel keeps the error 1e-3 however narrow it gets, so the
-        # total error doubles each round until 64 panels split per round;
+        # the total error doubles each round until 64 panels split per round;
         # after 24 rounds without a 0.1% drop the driver stops, far below budget
-        res, requests = drive(quad._adaptive(0.0, 1.0, 1e-10, 1e-8, 100_000),
-                              lambda lo, hi: (hi - lo, 1e-3))
+        res, requests = drive(adaptive(0.0, 1.0, 1e-10, 1e-8, 100_000), error_doubling)
         splits = [1, 2, 4, 8, 16, 32] + [64] * 18
         assert [len(lo) for lo, _ in requests] == [1] + [2 * n for n in splits]
         assert not res.ok and res.value == 1.0
         assert res.evals == 15 + 30 * sum(splits) < 100_000
-        verdict, _ = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 100_000, ()),
-                           lambda lo, hi: (hi - lo, 1e-3))
+        assert res.why == "refinement stagnated"
+        verdict, _ = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 100_000, ()), error_doubling)
         assert verdict.status == "inconclusive" and verdict.n_evals == res.evals
-        assert verdict.message.startswith("refinement budget exhausted")
+        assert verdict.message == f"refinement stagnated (error {res.error:.3e})"
+
+    def test_budget_ends_refinement(self):
+        # 225 evaluations pay for the first panel and 1 + 2 + 4 splits; the
+        # fourth round can split none
+        res, requests = drive(adaptive(0.0, 1.0, 1e-10, 1e-8, 225), error_doubling)
+        assert [len(lo) for lo, _ in requests] == [1, 2, 4, 8]
+        assert not res.ok and res.value == 1.0 and res.error == 8e-3
+        assert res.evals == 225 and res.why == "refinement budget exhausted"
+        verdict, _ = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 225, ()), error_doubling)
+        assert verdict.status == "inconclusive" and verdict.n_evals == 225
+        assert verdict.message == "refinement budget exhausted (error 8.000e-03)"
 
     def test_stuck_panel_keeps_its_error_and_refinement_goes_on(self):
         # the cut 1e-17 makes a first panel [0, 1e-17] too narrow to split;
@@ -213,12 +241,128 @@ class TestAdaptiveDriver:
         def panel(lo, hi):
             return hi - lo, 6e-9 if hi - lo < 1e-15 else 1e-8 * (hi - lo) ** 2
 
-        res, requests = drive(quad._adaptive(0.0, 1.0, 1e-8, 0.0, 100_000, (1e-17,)), panel)
+        res, requests = drive(adaptive(0.0, 1.0, 1e-8, 0.0, 100_000, (1e-17,)), panel)
         assert requests == [([0.0, 1e-17], [1e-17, 1.0]), ([1e-17, 0.5], [0.5, 1.0]),
                             ([1e-17, 0.25], [0.25, 0.5])]
         assert res.ok and res.evals == 15 * 6
         assert res.error == pytest.approx(6e-9 + 2.5e-9 + 2 * 6.25e-10, rel=1e-12)
         assert res.error <= 1e-8
+
+    def test_stuck_error_beyond_the_tolerance_ends_refinement(self):
+        # the first panel [0, 1e-17] cannot split and holds 2e-8 > tol = 1e-8
+        res, requests = drive(adaptive(0.0, 1.0, 1e-8, 0.0, 100_000, (1e-17,)),
+                              lambda lo, hi: (hi - lo, 2e-8 if hi - lo < 1e-15 else 0.0))
+        assert requests == [([0.0, 1e-17], [1e-17, 1.0])]
+        assert not res.ok and res.evals == 30
+        assert res.why == "stuck error over tolerance"
+
+
+def zero_panel(lo, hi):
+    return 0.0, 0.0
+
+
+class TestFirstPanelExits:
+    """Each exit at a segment's first panels, on panels valued by hand: the
+    requests and the verdict of _finite on [0, 1] and of _exhaust on [1, inf)."""
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_panel_beyond_double_range(self, value):
+        v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 1000, ()),
+                            lambda lo, hi: (value, math.inf))
+        assert requests == [([0.0], [1.0])]
+        assert (v.status, v.n_evals) == ("inconclusive", 15)
+        assert v.message == "magnitudes beyond double range on a finite interval"
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()),
+                            lambda lo, hi: (value, math.inf))
+        assert requests == [([1.0], [2.0])]
+        assert (v.status, v.n_evals, v.evidence.reason) == ("diverged", 15, "magnitude_threshold")
+        assert v.evidence.records == ((2.0, math.inf, math.inf),)
+
+    def test_nan_sum(self):
+        # a NaN value with error 0 besides a finite panel
+        def panel(lo, hi):
+            return (math.nan if lo == 0.5 or lo == 1.5 else 1.0), 0.0
+
+        v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 1000, (0.5,)), panel)
+        assert requests == [([0.0, 0.5], [0.5, 1.0])]
+        assert (v.status, v.n_evals, v.message) == ("inconclusive", 30,
+                                                    "the sum on [0, 1] is NaN")
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, (1.5,)), panel)
+        assert requests == [([1.0, 1.5], [1.5, 2.0])]
+        assert (v.status, v.n_evals, v.message) == ("inconclusive", 30,
+                                                    "[1, inf): the sum on [1, 2] is NaN")
+
+    def test_met_tolerance(self):
+        v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 1000, ()),
+                            lambda lo, hi: (hi - lo, 1e-9))
+        assert requests == [([0.0], [1.0])]
+        assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 1.0, 1e-9, 15)
+        # zero increments: a calm run, then a power-tail fit with tail 0
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()), zero_panel)
+        assert requests == [([1.0], [2.0]), ([2.0], [3.0]), ([3.0], [5.0])]
+        assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 0.0, 0.0, 45)
+        assert v.message == "power-law tail extrapolated"
+
+    def test_budget_below_the_first_panels(self):
+        # no request at all, or none for the segment whose cut needs 30 evaluations
+        v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 29, (0.5,)), zero_panel)
+        assert requests == []
+        assert (v.status, v.n_evals, v.message) == ("inconclusive", 0,
+                                                    "budget below the first panels")
+        for budget, cuts, n_requests in ((14, (), 0), (40, (2.5,), 1)):
+            v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, budget, cuts), zero_panel)
+            assert requests == [([1.0], [2.0])][:n_requests]
+            assert (v.status, v.n_evals) == ("inconclusive", 15 * n_requests)
+            assert v.message == "[1, inf): exhaustion budget ran out without a certificate"
+
+    def test_cuts_inside_a_segment(self):
+        # cuts outside the segment or repeated are dropped; each segment keeps its own
+        v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 1000, (0.5, 2.0, 0.25, 0.5)),
+                            lambda lo, hi: (hi - lo, 0.0))
+        assert requests == [([0.0, 0.25, 0.5], [0.25, 0.5, 1.0])]
+        assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 1.0, 0.0, 45)
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, (2.5, 0.5, 1.5, 4.0, 2.5)),
+                            zero_panel)
+        assert requests == [([1.0, 1.5], [1.5, 2.0]), ([2.0, 2.5], [2.5, 3.0]),
+                            ([3.0, 4.0], [4.0, 5.0])]
+        assert (v.status, v.value, v.n_evals) == ("converged", 0.0, 90)
+
+
+def perfbench_workloads():
+    """perfbench/workloads.py, the benchmark's op lists, imported by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 6178, 727),
+                                                        ("thm33-report", 6602, 693)])
+def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_path, workload,
+                                                            segments, missed):
+    # one pass of the benchmark workload at seed 41: 88% (thm31) and 90% (thm33)
+    # of the segments end at their first panels and start no _refine generator;
+    # on thm31, 4 of the 727 that miss have no budget left for a split, so
+    # their _refine returns without a request
+    counts = {"segments": 0, "missed": 0, "refined": 0}
+    first_panels, refine = quad._first_panels, quad._refine
+
+    def counting_first_panels(*args):
+        res = first_panels(*args)
+        counts["segments"] += 1
+        counts["missed"] += not res.why
+        return res
+
+    def counting_refine(*args):
+        counts["refined"] += 1
+        return refine(*args)
+
+    monkeypatch.setattr(quad, "_first_panels", counting_first_panels)
+    monkeypatch.setattr(quad, "_refine", counting_refine)
+    for op in perfbench_workloads().build(workload, 41):
+        cli.main(list(op.argv) + ["--out", str(tmp_path)])
+    assert counts == {"segments": segments, "missed": missed, "refined": missed}
 
 
 class TestLockstep:

@@ -1,0 +1,200 @@
+"""Split the time of one benchmark pass between the integrand and the rest, for
+two checkouts side by side.
+
+    python tools/replay_ab.py OLD_CHECKOUT [NEW_CHECKOUT] --workload W --seed S --reps N
+
+NEW_CHECKOUT defaults to the checkout this file belongs to.  Both checkouts'
+src/wienerlab are imported into this one interpreter, under distinct package
+names.  The operations are one pass of the benchmark workload W at seed S
+(perfbench/workloads.py of this checkout, read and not changed), each
+through the package's cli.main with its output in a temporary directory.
+
+A recording pass per checkout keeps the arguments and the result of every
+quadrature._evaluate call.  Then N times, the two checkouts in turn (the
+first one alternating), it takes the CPU time of
+
+  pass      the whole pass;
+  evaluate  the recorded _evaluate calls replayed alone: the integrand
+            bodies and the Gauss-Kronrod sums;
+  recorded  the pass with every _evaluate call answered from the record:
+            drivers, scheduler, diagnostics and emission;
+
+and prints the min, q1 and median of each, in milliseconds, the checkouts'
+lines interleaved.  It tells which layer a saving comes from.  It is not a
+benchmark: perfbench/run.py is, and the perfbench tracer sees only the
+single-verdict functions, not a report's pooled scheduler run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import os
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMES = ("pass", "evaluate", "recorded")
+
+
+def load(checkout: Path, name: str):
+    """checkout's src/wienerlab imported as the package `name`, with its cli."""
+    pkg_dir = (checkout / "src" / "wienerlab").resolve()
+    spec = importlib.util.spec_from_file_location(name, pkg_dir / "__init__.py",
+                                                  submodule_search_locations=[str(pkg_dir)])
+    if spec is None:
+        raise SystemExit(f"no wienerlab sources under {checkout / 'src'}")
+    pkg = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pkg)
+    importlib.import_module(f"{name}.cli")
+    return pkg
+
+
+def workload_ops(workload: str, seed: int) -> list:
+    """The argv lists of one pass of the benchmark workload."""
+    spec = importlib.util.spec_from_file_location("replay_ab_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [list(op.argv) for op in workloads.build(workload, seed)]
+
+
+def run_pass(pkg, ops, out: str) -> None:
+    for argv in ops:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                pkg.cli.main(argv + ["--out", out])
+            except SystemExit:
+                pass
+
+
+@contextlib.contextmanager
+def evaluate_as(pkg, fn):
+    """pkg.quadrature._evaluate replaced by fn(real_evaluate, fam, requests)."""
+    quad = pkg.quadrature
+    real = quad._evaluate
+    quad._evaluate = lambda fam, requests: fn(real, fam, requests)
+    try:
+        yield real
+    finally:
+        quad._evaluate = real
+
+
+def record(pkg, ops, out: str) -> list:
+    """(fam, requests, result or the error raised) of every _evaluate call of one pass."""
+    calls = []
+
+    def recording(real, fam, requests):
+        try:
+            result = real(fam, requests)
+        except Exception as exc:
+            calls.append((fam, requests, exc))
+            raise
+        calls.append((fam, requests, result))
+        return result
+
+    with evaluate_as(pkg, recording):
+        run_pass(pkg, ops, out)
+    return calls
+
+
+def cpu(fn) -> float:
+    start = time.process_time()
+    fn()
+    return time.process_time() - start
+
+
+def times(pkg, ops, calls, out: str) -> dict:
+    """The CPU seconds of the pass, of its _evaluate calls alone and of the
+    pass answered from calls."""
+    real = pkg.quadrature._evaluate
+
+    def evaluate():
+        for fam, requests, _ in calls:
+            try:
+                real(fam, requests)
+            except Exception:
+                pass
+
+    answers = iter(calls)
+    extra = []
+
+    def answer(_, fam, requests):
+        call = next(answers, None)
+        if call is None:
+            extra.append(requests)
+            raise RuntimeError("no recorded answer left")
+        if isinstance(call[2], Exception):
+            raise call[2]
+        return call[2]
+
+    with evaluate_as(pkg, answer):
+        recorded = cpu(lambda: run_pass(pkg, ops, out))
+    if extra or next(answers, None) is not None:
+        raise SystemExit("the pass answered from the record made other _evaluate calls")
+    return {"pass": cpu(lambda: run_pass(pkg, ops, out)), "evaluate": cpu(evaluate),
+            "recorded": recorded}
+
+
+def measure(pkgs: dict, ops, reps: int) -> dict:
+    """{label: {time: [seconds per rep]}} for each package, the packages in turn."""
+    samples = {label: {name: [] for name in TIMES} for label in pkgs}
+    with tempfile.TemporaryDirectory() as out:
+        calls = {label: record(pkg, ops, out) for label, pkg in pkgs.items()}
+        order = list(pkgs)
+        for rep in range(reps):
+            for label in order if rep % 2 == 0 else order[::-1]:
+                for name, seconds in times(pkgs[label], ops, calls[label], out).items():
+                    samples[label][name].append(seconds)
+    return samples
+
+
+def summary(samples: dict) -> list:
+    """One line per time and package: min, q1 and median in ms, and the
+    median's change against the first package."""
+    lines = []
+    for name in TIMES:
+        base = None
+        for label, by_time in samples.items():
+            ms = sorted(1e3 * s for s in by_time[name])
+            q1 = statistics.quantiles(ms, n=4, method="inclusive")[0] if len(ms) > 1 else ms[0]
+            median = statistics.median(ms)
+            line = f"{name:<9} {label:<4} min {ms[0]:9.2f}  q1 {q1:9.2f}  median {median:9.2f}"
+            if base is None:
+                base = median
+            elif base > 0.0:
+                line += f"  ({100.0 * (median / base - 1.0):+.1f}%)"
+            lines.append(line)
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old", type=Path, help="the checkout to compare against")
+    parser.add_argument("new", type=Path, nargs="?", default=ROOT,
+                        help="the checkout to check (default: this one)")
+    parser.add_argument("--workload", required=True,
+                        choices=("thm31-report", "thm33-report", "cm-check"))
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--reps", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.reps < 1:
+        parser.error("--reps must be at least 1")
+    # numpy links a multi-threaded BLAS; measure one thread, as perfbench does
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    pkgs = {"old": load(args.old, "wienerlab_old"), "new": load(args.new, "wienerlab_new")}
+    samples = measure(pkgs, workload_ops(args.workload, args.seed), args.reps)
+    print(f"{args.workload} seed {args.seed}, {args.reps} reps, CPU ms per pass")
+    for line in summary(samples):
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
