@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import re
@@ -139,7 +140,7 @@ def _config_flags(path: str) -> list:
 def _add_output(p: _Parser):
     p.add_argument("--config", help="key = value lines, read as the flags --key=value; "
                                     "flags override them")
-    p.add_argument("--out", type=Path, default=os.environ.get(ENV_OUT, "wienerlab-out"),
+    p.add_argument("--out", type=Path,  # unset, main reads $WIENERLAB_OUT as the command runs
                    help=f"output directory (default ${ENV_OUT} or ./wienerlab-out)")
     p.add_argument("--format", choices=["csv", "md", "both"], default="both")
 
@@ -160,6 +161,7 @@ _REPORTS = {
 }
 
 
+@functools.cache  # one parser per process: a parse leaves no state in it
 def build_parser() -> _Parser:
     parser = _Parser(prog="wienerlab", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -330,6 +332,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
             if getattr(given, "direction", None):  # repeatable: the command line's list wins
                 args.direction = given.direction
+        if args.out is None:
+            args.out = Path(os.environ.get(ENV_OUT, "wienerlab-out"))
         return (cmd_report if args.command in _REPORTS else cmd_cm_check)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -22,15 +22,19 @@ Every integrand is a Family; Family(body) is an integrand of one row.
 
 The drivers (_finite, _exhaust) are generators that hold only numbers in t:
 they yield panel requests and receive the panels' values as lists, made once
-per integrand call.  A segment's first panels are one request, summed by
-_first_panels; only a segment they leave short starts _refine, the
-error-heap rounds.  A job is a list of drivers and a join that turns their
-verdicts into results.  _lockstep moves the drivers of all its jobs forward
-together: each round, one integrand call per Family serves routes +-1 of
-every member, and one more route 0, whose nodes _evaluate maps to x, so the
-quotient rows of a report, on one Family, pay two calls a round in all.  An
-error raised by a driver's own panels ends that driver.  The single-verdict
-functions are one-row calls of integrate_pieces or _expectation_job.
+per integrand call.  A segment's first panels are summed by _first_panels;
+only a segment they leave short starts _refine, the error-heap rounds.  One
+_exhaust request fetches the first panels of its next AHEAD segments, so a
+segment that ends at its first panels costs no round of its own; _refine's
+budget leaves out the panels fetched ahead, so the budget caps the points
+evaluated, and n_evals counts those of the segments consumed.  A job is a
+list of drivers and a join that turns their verdicts into results.
+_lockstep moves the drivers of all its jobs forward together: each round,
+one integrand call per Family serves routes +-1 of every member, and one
+more route 0, whose nodes _evaluate maps to x, so the quotient rows of a
+report, on one Family, pay two calls a round in all.  An error raised by a
+driver's own panels is raised in that driver.  The single-verdict functions
+are one-row calls of integrate_pieces or _expectation_job.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ MAX_POINTS = 2 * MAX_ROUND * 15  # points per integrand call of _outcomes
 CALM_RUN = 3            # consecutive sub-tolerance increments allow convergence
 MAGNITUDE_LIMIT = 1e12  # partials beyond this certify divergence
 MAX_DOUBLINGS = 60
+AHEAD = 4               # segments whose first panels one _exhaust request fetches
 
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -406,8 +411,8 @@ def _outcomes(drivers) -> list:
     lists.  A panel's result does not depend on the other panels of its
     call, negation is exact, and each driver keeps its own budget,
     tolerances and cuts, so every outcome equals the one its driver reaches
-    alone.  A call that raises is repeated driver by driver, and a driver
-    whose own panels raise ends with that error.
+    alone.  A call that raises is repeated driver by driver, and the error
+    of a driver's own panels is raised inside it, and ends it unless it is caught.
     """
     outcomes = [None] * len(drivers)
     pending = {}
@@ -439,8 +444,8 @@ def _outcomes(drivers) -> list:
                 except Exception as exc:
                     if len(chunk) > 1:
                         chunks[:0] = [[item] for item in chunk]
-                    else:
-                        outcomes[chunk[0][0]] = exc
+                    else:  # the driver may catch it and go on
+                        resume(chunk[0][0], drivers[chunk[0][0]][3].throw, exc)
                     continue
                 start = 0
                 for i, (_, lo, _, _) in chunk:
@@ -502,11 +507,18 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
              limit: float = math.inf):
     """Verdict engine of [a, inf): integrate successive segments, watch increments.
 
-    A generator like _finite; each segment [a + 2^(k-2), a + 2^(k-1)] (the
-    first is [a, a + 1]) requests its first panels, split at the cuts inside
-    it, and runs _refine only if they miss; it returns the verdict.  No
-    segment reaching past limit is requested (the u = -log x route without a
-    body that takes log x stops at u = 700, where x = e^-u underflows).
+    A generator like _finite over the segments [a + 2^(k-2), a + 2^(k-1)]
+    (the first is [a, a + 1]), each split at the cuts inside it.  When it
+    has consumed what it fetched, one request fetches the first panels of
+    the next AHEAD segments (fewer where the budget or limit ends them); it
+    consumes them in order, running _refine on a segment whose first panels
+    miss, with the panels fetched ahead reserved from its budget.  So the
+    points a driver evaluates never exceed budget; n_evals counts those of
+    the segments consumed, not look-ahead panels the verdict came before.  A
+    request whose look-ahead panels raise is made again for one segment,
+    and so are the driver's later ones.  It returns the verdict.  No segment
+    reaching past limit is requested (the u = -log x route without a body
+    that takes log x stops at u = 700, where x = e^-u underflows).
 
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
@@ -527,19 +539,41 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
     growth_run = 0
     calm_run = 0
     prev_edge = a
+    ahead = AHEAD
+    fetched = []  # the edges of the segments fetched and not consumed; panels holds theirs
     for k in range(1, MAX_DOUBLINGS + 1):
         edge = a + 2.0 ** (k - 1)
-        if edge > limit:
-            return _inconclusive(used, f"{what}: cannot probe beyond exp(-700) "
-                                       "without a body that takes log x")
+        if not fetched:
+            if edge > limit:
+                return _inconclusive(used, f"{what}: cannot probe beyond exp(-700) "
+                                           "without a body that takes log x")
+            room = budget - used
+            for j in range(k, min(k + ahead, MAX_DOUBLINGS + 1)):
+                end = a + 2.0 ** (j - 1)
+                edges = _edges(fetched[-1][-1] if fetched else prev_edge, end, cuts)
+                room -= 15 * (len(edges) - 1)
+                if end > limit or room < 0:
+                    break
+                fetched.append(edges)
+            if not fetched:
+                break
+            try:
+                panels = yield ([lo for edges in fetched for lo in edges[:-1]],
+                                [hi for edges in fetched for hi in edges[1:]])
+            except EvaluationError:  # maybe beyond where the driver stops: one at a time
+                if len(fetched) == 1:
+                    raise
+                fetched, ahead = fetched[:1], 1
+                panels = yield fetched[0][:-1], fetched[0][1:]
+        edges = fetched.pop(0)
+        n = len(edges) - 1
+        values, errors = (p[:n] for p in panels)
+        panels = [p[n:] for p in panels]
         seg_atol = max(atol, rtol * abs(partial)) / (16.0 * (k + 1) ** 2)
-        edges = _edges(prev_edge, edge, cuts)
-        if 15 * (len(edges) - 1) > budget - used:
-            break
-        values, errors = yield edges[:-1], edges[1:]
         seg = _first_panels(edges, values, errors, seg_atol, rtol / 4)
-        if not seg.why:
-            seg = yield from _refine(seg, edges, values, errors, seg_atol, rtol / 4, budget - used)
+        if not seg.why:  # the panels fetched ahead are reserved from its budget
+            seg = yield from _refine(seg, edges, values, errors, seg_atol, rtol / 4,
+                                     budget - used - 15 * len(panels[0]))
         used += seg.evals
         inc = seg.value
         if math.isnan(inc):

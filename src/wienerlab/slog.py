@@ -27,24 +27,26 @@ def slog_exp(sign, logabs):
 
 
 def slog_add(s1, l1, s2, l2):
-    """(s1 e^l1) + (s2 e^l2) as a (sign, log) pair, without forming the values."""
+    """(s1 e^l1) + (s2 e^l2) as a (sign, log) pair, without forming the values;
+    an exact cancellation, or two zero terms, gives the zero (0, -inf)."""
     s1, l1, s2, l2 = (np.asarray(a, dtype=float) for a in (s1, l1, s2, l2))
-    big_is_1 = (l1 > l2) | ((l1 == l2) & (s2 == 0))
-    lb = np.where(big_is_1, l1, l2)
-    ls = np.where(big_is_1, l2, l1)
-    sb = np.where(big_is_1, s1, s2)
-    ss = np.where(big_is_1, s2, s1)
-
-    opposite = sb * ss < 0
+    lb, ls = np.maximum(l1, l2), np.minimum(l1, l2)
+    sign = np.where(l1 > l2, s1, s2)
+    opposite = s1 * s2 < 0
+    gone = opposite & (ls == lb)
     with np.errstate(invalid="ignore", divide="ignore"):
         e = np.exp(ls - lb)
-        delta = np.log1p(np.where(opposite, -e, e))  # magnitudes cancel or add
-    out_log = lb + np.where(ss == 0, 0.0, delta)
-    # exact cancellation (equal magnitude, opposite sign) or both zero
-    gone = (opposite & (ls == lb)) | ((sb == 0) & (ss == 0))
-    out_sign = np.where(gone, 0.0, np.where(sb != 0, sb, ss))
-    out_log = np.where(gone, NEG_INF, out_log)
-    return out_sign, out_log
+        log = np.where(opposite, -e, e)  # magnitudes cancel or add
+        np.add(lb, np.log1p(log, out=log), out=log)
+    if not (s1.all() and s2.all()):  # a zero term adds nothing to the other one
+        big_is_1 = (l1 > l2) | ((l1 == l2) & (s2 == 0))
+        sb, ss = np.where(big_is_1, s1, s2), np.where(big_is_1, s2, s1)
+        log = np.where(ss == 0, np.where(big_is_1, l1, l2) + 0.0, log)
+        sign = np.where(sb != 0, sb, ss)
+        gone |= (sb == 0) & (ss == 0)
+    if gone.any():
+        sign, log = np.where(gone, 0.0, sign), np.where(gone, NEG_INF, log)
+    return sign, log
 
 
 def slog_sub(s1, l1, s2, l2):

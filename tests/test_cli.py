@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wienerlab import diagnostics, quadrature as quad
+from wienerlab import cli, diagnostics, quadrature as quad
 from wienerlab.diagnostics import Flag, SsgdResult
 from wienerlab.cli import (EXIT_CONTRADICTION, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
                            _parse_direction, _parse_poly, main)
@@ -445,6 +445,24 @@ class TestDeterminism:
             assert run(["cm-check", "--n-samples", "20000", "--seed", "11",
                         "--format", "csv", "--out", str(d)], tmp_path) == EXIT_OK
         assert (d1 / "cm-check.csv").read_bytes() == (d2 / "cm-check.csv").read_bytes()
+
+
+class TestParserReuse:
+    def test_out_default_is_read_per_call(self, tmp_path, capsys):
+        # one parser serves every call of the process: each call reads
+        # $WIENERLAB_OUT as it runs, and a usage error leaves nothing behind
+        argv = ["cm-check", "--n-samples", "1000", "--format", "csv"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run(argv, a) == EXIT_OK
+        assert run(["cm-check", "--n-samples", "many", "--format", "md"], b) == EXIT_USAGE
+        assert run(["cm-check", "--format", "md", "--no-such-flag"], b) == EXIT_USAGE
+        assert not b.exists()
+        assert run(argv, b) == EXIT_OK
+        assert [p.name for p in a.iterdir()] == [p.name for p in b.iterdir()] == ["cm-check.csv"]
+        assert (a / "cm-check.csv").read_bytes() == (b / "cm-check.csv").read_bytes()
+        out = capsys.readouterr().out
+        assert f"wrote {a / 'cm-check.csv'}" in out and f"wrote {b / 'cm-check.csv'}" in out
+        assert cli.build_parser() is cli.build_parser()
 
 
 def test_console_entrypoint_runs(tmp_path):

@@ -263,7 +263,9 @@ def zero_panel(lo, hi):
 
 class TestFirstPanelExits:
     """Each exit at a segment's first panels, on panels valued by hand: the
-    requests and the verdict of _finite on [0, 1] and of _exhaust on [1, inf)."""
+    requests and the verdict of _finite on [0, 1] and of _exhaust on [1, inf).
+    One _exhaust request holds the first panels of its next AHEAD = 4 segments,
+    [1, 2], [2, 3], [3, 5] and [5, 9]; n_evals counts the segments consumed."""
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     def test_panel_beyond_double_range(self, value):
@@ -274,7 +276,7 @@ class TestFirstPanelExits:
         assert v.message == "magnitudes beyond double range on a finite interval"
         v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()),
                             lambda lo, hi: (value, math.inf))
-        assert requests == [([1.0], [2.0])]
+        assert requests == [([1.0, 2.0, 3.0, 5.0], [2.0, 3.0, 5.0, 9.0])]
         assert (v.status, v.n_evals, v.evidence.reason) == ("diverged", 15, "magnitude_threshold")
         assert v.evidence.records == ((2.0, math.inf, math.inf),)
 
@@ -288,7 +290,7 @@ class TestFirstPanelExits:
         assert (v.status, v.n_evals, v.message) == ("inconclusive", 30,
                                                     "the sum on [0, 1] is NaN")
         v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, (1.5,)), panel)
-        assert requests == [([1.0, 1.5], [1.5, 2.0])]
+        assert requests == [([1.0, 1.5, 2.0, 3.0, 5.0], [1.5, 2.0, 3.0, 5.0, 9.0])]
         assert (v.status, v.n_evals, v.message) == ("inconclusive", 30,
                                                     "[1, inf): the sum on [1, 2] is NaN")
 
@@ -299,20 +301,23 @@ class TestFirstPanelExits:
         assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 1.0, 1e-9, 15)
         # zero increments: a calm run, then a power-tail fit with tail 0
         v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()), zero_panel)
-        assert requests == [([1.0], [2.0]), ([2.0], [3.0]), ([3.0], [5.0])]
+        assert requests == [([1.0, 2.0, 3.0, 5.0], [2.0, 3.0, 5.0, 9.0])]
         assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 0.0, 0.0, 45)
         assert v.message == "power-law tail extrapolated"
 
     def test_budget_below_the_first_panels(self):
-        # no request at all, or none for the segment whose cut needs 30 evaluations
+        # no request at all, or none for the segments that do not fit the
+        # budget: the one whose cut needs 30 evaluations, or the third
         v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 29, (0.5,)), zero_panel)
         assert requests == []
         assert (v.status, v.n_evals, v.message) == ("inconclusive", 0,
                                                     "budget below the first panels")
-        for budget, cuts, n_requests in ((14, (), 0), (40, (2.5,), 1)):
+        for budget, cuts, expected, n_evals in (
+                (14, (), [], 0), (40, (2.5,), [([1.0], [2.0])], 15),
+                (50, (2.5,), [([1.0, 2.0, 2.5], [2.0, 2.5, 3.0])], 45)):
             v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, budget, cuts), zero_panel)
-            assert requests == [([1.0], [2.0])][:n_requests]
-            assert (v.status, v.n_evals) == ("inconclusive", 15 * n_requests)
+            assert requests == expected
+            assert (v.status, v.n_evals) == ("inconclusive", n_evals)
             assert v.message == "[1, inf): exhaustion budget ran out without a certificate"
 
     def test_cuts_inside_a_segment(self):
@@ -323,8 +328,8 @@ class TestFirstPanelExits:
         assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 1.0, 0.0, 45)
         v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, (2.5, 0.5, 1.5, 4.0, 2.5)),
                             zero_panel)
-        assert requests == [([1.0, 1.5], [1.5, 2.0]), ([2.0, 2.5], [2.5, 3.0]),
-                            ([3.0, 4.0], [4.0, 5.0])]
+        assert requests == [([1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 5.0],
+                             [1.5, 2.0, 2.5, 3.0, 4.0, 5.0, 9.0])]
         assert (v.status, v.value, v.n_evals) == ("converged", 0.0, 90)
 
 
@@ -337,14 +342,15 @@ def perfbench_workloads():
     return module
 
 
-@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 6178, 727),
+@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 6184, 733),
                                                         ("thm33-report", 6602, 693)])
 def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_path, workload,
                                                             segments, missed):
     # one pass of the benchmark workload at seed 41: 88% (thm31) and 90% (thm33)
     # of the segments end at their first panels and start no _refine generator;
-    # on thm31, 4 of the 727 that miss have no budget left for a split, so
-    # their _refine returns without a request
+    # on thm31, 10 of the 733 that miss have no budget left for a split (the
+    # first panels of the segments fetched ahead are reserved), so their
+    # _refine returns without a request
     counts = {"segments": 0, "missed": 0, "refined": 0}
     first_panels, refine = quad._first_panels, quad._refine
 
@@ -475,6 +481,25 @@ class TestLockstep:
         assert type(together[3]) is type(alone[3]) and str(together[3]) == str(alone[3])
         others = [i for i in range(9) if i != 3]
         assert all(together[i].converged and together[i] == alone[i] for i in others)
+
+    def test_nan_beyond_where_exhaustion_stops(self, monkeypatch):
+        # x^-2.5 on [1, inf) is certified at the end of [3, 5], and the first
+        # request also fetches [5, 9], where this body turns NaN above x = 6:
+        # the driver then fetches one segment a request and ends as the clean
+        # body does.  NaN inside [3, 5] still ends it with the error.
+        def body(nan_above):
+            def fn(x):
+                with np.errstate(invalid="ignore"):
+                    return np.where(x > nan_above, np.nan, x ** -2.5)
+            return Family.from_function(fn)
+
+        clean = integrate_semi_infinite(Family.from_function(lambda x: x ** -2.5), 1.0)
+        assert clean.converged and clean.n_evals == 45
+        calls = self.record_calls(monkeypatch)
+        assert integrate_semi_infinite(body(6.0), 1.0) == clean
+        assert calls == [(1, True), (1, False), (1, False), (1, False)]
+        with pytest.raises(EvaluationError, match=r"NaN at x=(np\.float64\()?4\.2"):
+            integrate_semi_infinite(body(4.0), 1.0)
 
     @pytest.mark.parametrize("after_rounds", [0, 1])
     def test_driver_error_outside_its_panels(self, after_rounds):
@@ -744,6 +769,37 @@ class TestBudgetCap:
             assert v.n_evals <= budget
             if budget < 15:
                 assert v.n_evals == 0
+
+    # on [1, inf): a converging power tail, a diverging exponential, and
+    # u^-6 e^(alpha u), which diverges after a long dip
+    EXHAUSTED = (Family.from_function(lambda x: x ** -2.5),
+                 Family.from_function(lambda x: np.exp(0.05 * x)),
+                 Family(lambda u, row=0: (np.ones_like(u), 1e-3 * u - 6.0 * np.log(u))))
+
+    @staticmethod
+    def counted(gen, points):
+        """The driver gen, appending the points of each request it makes to points."""
+        reply = None
+        while True:
+            try:
+                lo, hi = gen.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            points.append(15 * len(lo))
+            reply = yield lo, hi
+
+    @settings(max_examples=80, deadline=None)
+    @given(budget=st.integers(15, 3000), rtol=st.sampled_from([1e-6, 1e-10, 1e-13]),
+           cuts=st.lists(st.floats(1.0, 40.0), max_size=4))
+    def test_exhaustion_evaluates_at_most_its_budget(self, budget, rtol, cuts):
+        # the points a driver's requests evaluate, the look-ahead panels it
+        # never consumed included, stay within its budget; n_evals counts
+        # only the consumed ones
+        for fam in self.EXHAUSTED:
+            points = []
+            driver = self.counted(quad._exhaust(1.0, 1e-12, rtol, budget, cuts), points)
+            (v,) = quad._outcomes([(fam, 0, 1.0, driver)])
+            assert v.n_evals <= sum(points) <= budget
 
     def test_whole_budget_is_spent(self):
         # three pieces at 45 evaluations: one 15-point panel each

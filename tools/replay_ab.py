@@ -20,9 +20,12 @@ first one alternating), it takes the CPU time of
             drivers, scheduler, diagnostics and emission;
 
 and prints the min, q1 and median of each, in milliseconds, the checkouts'
-lines interleaved.  It tells which layer a saving comes from.  It is not a
-benchmark: perfbench/run.py is, and the perfbench tracer sees only the
-single-verdict functions, not a report's pooled scheduler run.
+lines interleaved.  Before the times it prints each checkout's integrand
+calls and points per pass, counted in its recording pass, so a change in
+the number of calls shows beside the times.  It tells which layer a saving
+comes from.  It is not a benchmark: perfbench/run.py is, and the perfbench
+tracer sees only the single-verdict functions, not a report's pooled
+scheduler run.
 """
 
 from __future__ import annotations
@@ -103,6 +106,12 @@ def record(pkg, ops, out: str) -> list:
     return calls
 
 
+def tally(calls) -> tuple:
+    """(integrand calls, points) of a recorded pass: 15 points per panel."""
+    return len(calls), sum(15 * len(request[1]) for _, requests, _ in calls
+                           for request in requests)
+
+
 def cpu(fn) -> float:
     start = time.process_time()
     fn()
@@ -141,8 +150,9 @@ def times(pkg, ops, calls, out: str) -> dict:
             "recorded": recorded}
 
 
-def measure(pkgs: dict, ops, reps: int) -> dict:
-    """{label: {time: [seconds per rep]}} for each package, the packages in turn."""
+def measure(pkgs: dict, ops, reps: int) -> tuple:
+    """{label: {time: [seconds per rep]}} for each package, the packages in
+    turn, and {label: (integrand calls, points)} of each recording pass."""
     samples = {label: {name: [] for name in TIMES} for label in pkgs}
     with tempfile.TemporaryDirectory() as out:
         calls = {label: record(pkg, ops, out) for label, pkg in pkgs.items()}
@@ -151,13 +161,23 @@ def measure(pkgs: dict, ops, reps: int) -> dict:
             for label in order if rep % 2 == 0 else order[::-1]:
                 for name, seconds in times(pkgs[label], ops, calls[label], out).items():
                     samples[label][name].append(seconds)
-    return samples
+    return samples, {label: tally(recorded) for label, recorded in calls.items()}
 
 
-def summary(samples: dict) -> list:
-    """One line per time and package: min, q1 and median in ms, and the
-    median's change against the first package."""
+def summary(samples: dict, tallies: dict) -> list:
+    """One line per package with its integrand calls and points per pass,
+    then one per time and package: min, q1 and median in ms; each with its
+    change against the first package."""
     lines = []
+    base = None
+    for label, (n_calls, points) in tallies.items():
+        line = f"{'calls':<9} {label:<4} {n_calls:6d} integrand calls {points:9d} points"
+        if base is None:
+            base = n_calls, points
+        elif min(base) > 0:
+            line += (f"  ({100.0 * (n_calls / base[0] - 1.0):+.1f}%,"
+                     f" {100.0 * (points / base[1] - 1.0):+.1f}%)")
+        lines.append(line)
     for name in TIMES:
         base = None
         for label, by_time in samples.items():
@@ -189,9 +209,9 @@ def main(argv=None) -> int:
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     pkgs = {"old": load(args.old, "wienerlab_old"), "new": load(args.new, "wienerlab_new")}
-    samples = measure(pkgs, workload_ops(args.workload, args.seed), args.reps)
-    print(f"{args.workload} seed {args.seed}, {args.reps} reps, CPU ms per pass")
-    for line in summary(samples):
+    samples, tallies = measure(pkgs, workload_ops(args.workload, args.seed), args.reps)
+    print(f"{args.workload} seed {args.seed}, {args.reps} reps, per pass")
+    for line in summary(samples, tallies):
         print(line)
     return 0
 
