@@ -338,7 +338,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # OSError: a config or --out path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

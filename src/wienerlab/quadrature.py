@@ -22,12 +22,11 @@ Every integrand is a Family; Family(body) is an integrand of one row.
 
 The drivers (_finite, _exhaust) are generators that hold only numbers in t:
 they yield panel requests and receive the panels' values as lists, made once
-per integrand call.  A segment's first panels are summed by _first_panels;
-only a segment they leave short starts _refine, the error-heap rounds.  One
-_exhaust request fetches the first panels of its next AHEAD segments, so a
-segment that ends at its first panels costs no round of its own; _refine's
-budget leaves out the panels fetched ahead, so the budget caps the points
-evaluated, and n_evals counts those of the segments consumed.  A job is a
+per integrand call.  _segment sums a segment's first panels and bisects
+while they miss.  One _exhaust request fetches the first panels of its next
+AHEAD segments, so a segment that ends at them costs no round of its own;
+the panels fetched ahead are reserved from a segment's budget, so the budget
+caps the points evaluated, and n_evals counts those consumed.  A job is a
 list of drivers and a join that turns their verdicts into results.
 _lockstep moves the drivers of all its jobs forward together: each round,
 one integrand call per Family serves routes +-1 of every member, and one
@@ -52,7 +51,7 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_RTOL = 1e-8
 DEFAULT_BUDGET = 100_000
 GROWTH_RUN = 6          # consecutive growing increments certify divergence
-MAX_ROUND = 64          # panels split per round of _refine (bounds peak memory)
+MAX_ROUND = 64          # panels split per round of _segment (bounds peak memory)
 MAX_POINTS = 2 * MAX_ROUND * 15  # points per integrand call of _outcomes
 CALM_RUN = 3            # consecutive sub-tolerance increments allow convergence
 MAGNITUDE_LIMIT = 1e12  # partials beyond this certify divergence
@@ -271,7 +270,7 @@ class _PanelSum:
     error: float
     ok: bool      # error target met
     evals: int    # evaluations spent
-    why: str      # the exit that fired; "" while refinement goes on
+    why: str      # the exit that fired
 
 
 def _edges(a: float, b: float, cuts) -> list:
@@ -280,25 +279,10 @@ def _edges(a: float, b: float, cuts) -> list:
     return [a, *sorted(set(inside)), b] if inside else [a, b]
 
 
-def _first_panels(edges, values, errors, atol: float, rtol: float) -> _PanelSum:
-    """The sum of a segment's first panels (one per piece between the edges),
-    final on a panel beyond double range (value +inf), a NaN sum or a met
-    tolerance; else its why is "" and _refine goes on from it."""
-    used = 15 * (len(edges) - 1)
-    if math.inf in values or -math.inf in values:
-        return _PanelSum(math.inf, math.inf, False, used, "a panel beyond double range")
-    total_v = total_e = 0.0
-    for v, e in zip(values, errors):
-        total_v += v
-        total_e += e
-    if math.isnan(total_v):
-        return _PanelSum(total_v, total_e, False, used, "NaN sum")
-    ok = total_e <= max(atol, rtol * abs(total_v))
-    return _PanelSum(total_v, total_e, ok, used, "tolerance met" if ok else "")
-
-
-def _refine(first: _PanelSum, edges, values, errors, atol: float, rtol: float, budget: int):
-    """Globally adaptive bisection of a segment whose first panels missed.
+def _segment(edges, values, errors, atol: float, rtol: float, budget: int):
+    """One segment, as QUADPACK's QAG takes it: the sum of its first panels
+    (one per piece between the edges, given as values and errors), then
+    globally adaptive bisection while the sum misses the tolerance.
 
     A generator: it yields panel requests (lo, hi), receives the panels'
     (value, error) as lists and returns a _PanelSum whose why names the exit
@@ -309,13 +293,14 @@ def _refine(first: _PanelSum, edges, values, errors, atol: float, rtol: float, b
     their error as stuck error.  The pop order follows panel errors and
     insertion order, so results do not depend on scheduling.
     """
-    total_v, total_e, used = first.value, first.error, first.evals
-    # the keys (-e, seq) are unique, so the pop order is that of pushing one by one
-    heap = [(-e, seq, lo, hi, v, e)
-            for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values, errors))]
-    heapq.heapify(heap)
-    seq = len(heap)
-
+    used = 15 * (len(edges) - 1)
+    if math.inf in values or -math.inf in values:
+        return _PanelSum(math.inf, math.inf, False, used, "a panel beyond double range")
+    total_v = total_e = 0.0
+    for v, e in zip(values, errors):
+        total_v += v
+        total_e += e
+    heap = None  # built once the first panels miss
     stuck_error = 0.0  # error trapped in panels too narrow to split
     stagnation = 0
     last_e = math.inf
@@ -325,6 +310,12 @@ def _refine(first: _PanelSum, edges, values, errors, atol: float, rtol: float, b
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
             return _PanelSum(total_v, total_e, True, used, "tolerance met")
+        if heap is None:
+            # the keys (-e, seq) are unique, so the pop order is that of pushing one by one
+            heap = [(-e, seq, lo, hi, v, e)
+                    for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values, errors))]
+            heapq.heapify(heap)
+            seq = len(heap)
         # rounding noise in log space puts a floor on the achievable error;
         # stop burning budget once refinement stops paying
         stagnation = stagnation + 1 if total_e > 0.999 * last_e else 0
@@ -474,9 +465,7 @@ def _finite(a: float, b: float, atol: float, rtol: float, budget: int, cuts):
     if 15 * (len(edges) - 1) > budget:
         return _inconclusive(0, "budget below the first panels")
     values, errors = yield edges[:-1], edges[1:]
-    res = _first_panels(edges, values, errors, atol, rtol)
-    if not res.why:
-        res = yield from _refine(res, edges, values, errors, atol, rtol, budget)
+    res = yield from _segment(edges, values, errors, atol, rtol, budget)
     if math.isinf(res.value):  # a panel, or the sum of finite panels, beyond double range
         return _inconclusive(res.evals, "magnitudes beyond double range on a finite interval")
     if math.isnan(res.value):
@@ -508,15 +497,13 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
     """Verdict engine of [a, inf): integrate successive segments, watch increments.
 
     A generator like _finite over the segments [a + 2^(k-2), a + 2^(k-1)]
-    (the first is [a, a + 1]), each split at the cuts inside it.  When it
-    has consumed what it fetched, one request fetches the first panels of
-    the next AHEAD segments (fewer where the budget or limit ends them); it
-    consumes them in order, running _refine on a segment whose first panels
-    miss, with the panels fetched ahead reserved from its budget.  So the
-    points a driver evaluates never exceed budget; n_evals counts those of
-    the segments consumed, not look-ahead panels the verdict came before.  A
-    request whose look-ahead panels raise is made again for one segment,
-    and so are the driver's later ones.  It returns the verdict.  No segment
+    (the first is [a, a + 1]), each split at the cuts inside it.  Once its
+    queue is empty, one request fetches the first panels of the next AHEAD
+    segments (fewer where the budget or limit ends them), and each goes
+    through _segment in order with the panels still queued reserved from
+    its budget: the points evaluated never exceed budget, and n_evals counts
+    those of the segments consumed.  A request whose look-ahead panels raise
+    is made again for one segment, and so are the later ones.  No segment
     reaching past limit is requested (the u = -log x route without a body
     that takes log x stops at u = 700, where x = e^-u underflows).
 
@@ -531,75 +518,72 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
     """
     used = 0
     what = f"[{a:g}, inf)"
-    partial = 0.0
-    quad_err = 0.0
-    records = []
-    increments = []
-    edges_seen = [a]
-    growth_run = 0
-    calm_run = 0
-    prev_edge = a
+    partial = quad_err = 0.0
+    records = []  # (edge, partial, increment) per segment consumed
+    prev = math.inf  # the last increment; inf at first: nothing grows past it, ratio 0
+    growth_run = calm_run = 0
     ahead = AHEAD
-    fetched = []  # the edges of the segments fetched and not consumed; panels holds theirs
+    queue = []  # (edges, values, errors) of the segments fetched and not consumed
     for k in range(1, MAX_DOUBLINGS + 1):
-        edge = a + 2.0 ** (k - 1)
-        if not fetched:
-            if edge > limit:
-                return _inconclusive(used, f"{what}: cannot probe beyond exp(-700) "
-                                           "without a body that takes log x")
+        if not queue:
             room = budget - used
+            fetch = []
+            start = records[-1][0] if records else a  # where the last segment consumed ends
             for j in range(k, min(k + ahead, MAX_DOUBLINGS + 1)):
                 end = a + 2.0 ** (j - 1)
-                edges = _edges(fetched[-1][-1] if fetched else prev_edge, end, cuts)
-                room -= 15 * (len(edges) - 1)
-                if end > limit or room < 0:
+                if end > limit:
                     break
-                fetched.append(edges)
-            if not fetched:
+                edges = _edges(start, end, cuts)
+                room -= 15 * (len(edges) - 1)
+                if room < 0:
+                    break
+                fetch.append(edges)
+                start = end
+            if not fetch:
+                if end > limit:
+                    return _inconclusive(used, f"{what}: cannot probe beyond exp(-700) "
+                                               "without a body that takes log x")
                 break
             try:
-                panels = yield ([lo for edges in fetched for lo in edges[:-1]],
-                                [hi for edges in fetched for hi in edges[1:]])
+                values, errors = yield ([lo for edges in fetch for lo in edges[:-1]],
+                                        [hi for edges in fetch for hi in edges[1:]])
             except EvaluationError:  # maybe beyond where the driver stops: one at a time
-                if len(fetched) == 1:
+                if len(fetch) == 1:
                     raise
-                fetched, ahead = fetched[:1], 1
-                panels = yield fetched[0][:-1], fetched[0][1:]
-        edges = fetched.pop(0)
-        n = len(edges) - 1
-        values, errors = (p[:n] for p in panels)
-        panels = [p[n:] for p in panels]
+                fetch, ahead = fetch[:1], 1
+                values, errors = yield fetch[0][:-1], fetch[0][1:]
+            i = 0
+            for edges in fetch:
+                n = i + len(edges) - 1
+                queue.append((edges, values[i:n], errors[i:n]))
+                i = n
+        edges, values, errors = queue.pop(0)
         seg_atol = max(atol, rtol * abs(partial)) / (16.0 * (k + 1) ** 2)
-        seg = _first_panels(edges, values, errors, seg_atol, rtol / 4)
-        if not seg.why:  # the panels fetched ahead are reserved from its budget
-            seg = yield from _refine(seg, edges, values, errors, seg_atol, rtol / 4,
-                                     budget - used - 15 * len(panels[0]))
+        # the panels fetched ahead are reserved from its budget
+        seg = yield from _segment(edges, values, errors, seg_atol, rtol / 4,
+                                  budget - used - 15 * sum(len(v) for _, v, _ in queue))
         used += seg.evals
         inc = seg.value
         if math.isnan(inc):
-            return _inconclusive(used, f"{what}: the sum on [{prev_edge:g}, {edge:g}] is NaN")
-        prev_edge = edge
-        edges_seen.append(edge)
+            return _inconclusive(used, f"{what}: the sum on [{edges[0]:g}, {edges[-1]:g}] is NaN")
         partial += inc
         quad_err += seg.error
-        increments.append(inc)
-        records.append((edge, partial, inc))
+        records.append((edges[-1], partial, inc))
         tol = max(atol, rtol * abs(partial))
 
         if abs(partial) > MAGNITUDE_LIMIT:
             return _diverged(records, "magnitude_threshold", used,
                              f"{what}: partial integral beyond {MAGNITUDE_LIMIT:g}")
 
-        if len(increments) >= 2 and inc > increments[-2] and inc > tol and inc > 0:
-            growth_run += 1
-        else:
-            growth_run = 0
+        growth_run = growth_run + 1 if inc > prev and inc > tol and inc > 0 else 0
         if growth_run >= GROWTH_RUN:
             return _diverged(records, "increment_growth", used,
                              f"{what}: increments grew for {GROWTH_RUN} consecutive steps")
 
         if a > 0.0 and seg.ok:
-            tail, mismatch = _fit_power_tail(edges_seen, increments)
+            last = records[-4:]
+            tail, mismatch = _fit_power_tail([a, *(r[0] for r in last)][-4:],
+                                             [r[2] for r in last])
             if math.isfinite(tail) and mismatch < FIT_MISMATCH:
                 tail_unc = tail * max(10.0 * mismatch, 1e-12)
                 if quad_err + tail_unc <= tol:
@@ -608,13 +592,13 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
 
         calm_run = calm_run + 1 if abs(inc) < tol else 0
         if calm_run >= CALM_RUN and seg.ok:
-            prev = abs(increments[-2]) if len(increments) >= 2 else 0.0
-            ratio = abs(inc) / prev if prev > 0.0 else 0.0
+            ratio = abs(inc) / abs(prev) if prev else 0.0
             if ratio < 0.95:
                 tail = abs(inc) * ratio / (1.0 - ratio)
-                if tail <= tol and quad_err + tail <= tol:
+                if quad_err + tail <= tol:  # so tail <= tol too: quad_err >= 0
                     tail_sign = math.copysign(1.0, inc) if inc != 0.0 else 1.0
                     return _converged(partial + tail_sign * tail, quad_err + tail, used)
+        prev = inc
         if budget - used < 15:
             break
     else:

@@ -215,6 +215,27 @@ class TestExitCodes:
         cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
         return argv + ["--config", str(cfg)]
 
+    @pytest.mark.parametrize("command", ["reproduce-thm31", "cm-check"])
+    def test_missing_config_file_is_a_usage_error(self, tmp_path, capsys, command):
+        # a FileNotFoundError traceback, with exit 1 (the contradiction code)
+        missing = tmp_path / "no-such.cfg"
+        assert run([command, "--config", str(missing)], tmp_path) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys, source):
+        # a FileExistsError traceback, with exit 1 (the contradiction code)
+        out = tmp_path / "taken"
+        out.write_text("kept\n", encoding="utf-8")
+        argv = self.cm_check_argv(tmp_path, "out", str(out), source)
+        assert run(argv, tmp_path) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
+        assert out.read_text(encoding="utf-8") == "kept\n"
+
     @pytest.mark.parametrize("key, value", [("direction", "nan"), ("direction", "1,inf"),
                                             ("shift", "inf"), ("poly", "nan*x1"),
                                             ("poly", "1e400*x1"), ("poly", "1e200*1e200*x1")])

@@ -1,5 +1,7 @@
 import dataclasses
+import heapq
 import importlib.util
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
@@ -191,14 +193,11 @@ def drive(gen, panel):
 
 
 def adaptive(a, b, atol, rtol, budget, cuts=()):
-    """The finite rule's segment as _finite runs it, as one generator: its first
-    panels, then _refine if they miss; it returns the _PanelSum."""
+    """The finite rule's segment as _finite runs it: its first panels, then
+    _segment; it returns the _PanelSum."""
     edges = quad._edges(a, b, cuts)
     values, errors = yield edges[:-1], edges[1:]
-    res = quad._first_panels(edges, values, errors, atol, rtol)
-    if not res.why:
-        res = yield from quad._refine(res, edges, values, errors, atol, rtol, budget)
-    return res
+    return (yield from quad._segment(edges, values, errors, atol, rtol, budget))
 
 
 def error_doubling(lo, hi):
@@ -255,6 +254,127 @@ class TestAdaptiveDriver:
         assert requests == [([0.0, 1e-17], [1e-17, 1.0])]
         assert not res.ok and res.evals == 30
         assert res.why == "stuck error over tolerance"
+
+
+def reference_first_panels(edges, values, errors, atol, rtol):
+    """_first_panels as it was before _segment took it in: the sum of a
+    segment's first panels, with why "" when they miss."""
+    used = 15 * (len(edges) - 1)
+    if math.inf in values or -math.inf in values:
+        return quad._PanelSum(math.inf, math.inf, False, used, "a panel beyond double range")
+    total_v = total_e = 0.0
+    for v, e in zip(values, errors):
+        total_v += v
+        total_e += e
+    if math.isnan(total_v):
+        return quad._PanelSum(total_v, total_e, False, used, "NaN sum")
+    ok = total_e <= max(atol, rtol * abs(total_v))
+    return quad._PanelSum(total_v, total_e, ok, used, "tolerance met" if ok else "")
+
+
+def reference_refine(first, edges, values, errors, atol, rtol, budget):
+    """_refine as it was before _segment took it in: the error-heap rounds of
+    a segment whose first panels missed."""
+    total_v, total_e, used = first.value, first.error, first.evals
+    heap = [(-e, seq, lo, hi, v, e)
+            for seq, (lo, hi, v, e) in enumerate(zip(edges, edges[1:], values, errors))]
+    heapq.heapify(heap)
+    seq = len(heap)
+    stuck_error = 0.0
+    stagnation = 0
+    last_e = math.inf
+    while True:
+        if math.isnan(total_v):
+            return quad._PanelSum(total_v, total_e, False, used, "NaN sum")
+        tol = max(atol, rtol * abs(total_v))
+        if total_e <= tol:
+            return quad._PanelSum(total_v, total_e, True, used, "tolerance met")
+        stagnation = stagnation + 1 if total_e > 0.999 * last_e else 0
+        last_e = total_e
+        if stagnation >= 24:
+            return quad._PanelSum(total_v, total_e, False, used, "refinement stagnated")
+        room = min(quad.MAX_ROUND, (budget - used) // 30)
+        picked = []
+        cover = 0.0
+        while heap and len(picked) < room and (not picked or cover < total_e - tol):
+            _, _, lo, hi, v, e = heapq.heappop(heap)
+            if (hi - lo) <= 8.0 * quad._EPS * max(abs(lo), abs(hi), 1.0):
+                stuck_error += e
+                if stuck_error > tol:
+                    return quad._PanelSum(total_v, total_e, False, used,
+                                          "stuck error over tolerance")
+                continue
+            picked.append((lo, hi, v, e))
+            cover += e
+        if not picked:
+            why = "no panel wide enough to split" if room else "refinement budget exhausted"
+            return quad._PanelSum(total_v, total_e, False, used, why)
+        lo_ends, hi_ends = [], []
+        for lo, hi, _, _ in picked:
+            mid = 0.5 * (lo + hi)
+            lo_ends += (lo, mid)
+            hi_ends += (mid, hi)
+        used += 30 * len(picked)
+        values, errors = yield lo_ends, hi_ends
+        if math.inf in values or -math.inf in values:
+            return quad._PanelSum(math.inf, math.inf, False, used, "a panel beyond double range")
+        for (lo, hi, v, e), mid, v1, v2, e1, e2 in zip(picked, lo_ends[1::2], values[::2],
+                                                       values[1::2], errors[::2], errors[1::2]):
+            total_v += (v1 + v2) - v
+            total_e += (e1 + e2) - e
+            heapq.heappush(heap, (-e1, seq, lo, mid, v1, e1))
+            heapq.heappush(heap, (-e2, seq + 1, mid, hi, v2, e2))
+            seq += 2
+
+
+def reference_adaptive(a, b, atol, rtol, budget, cuts=()):
+    """adaptive, run by the two routines that _segment replaced."""
+    edges = quad._edges(a, b, cuts)
+    values, errors = yield edges[:-1], edges[1:]
+    res = reference_first_panels(edges, values, errors, atol, rtol)
+    if not res.why:
+        res = yield from reference_refine(res, edges, values, errors, atol, rtol, budget)
+    return res
+
+
+_panel_errors = st.one_of(st.floats(1e-9, 1e-2), st.floats(1e-9, 1e-2),
+                          st.sampled_from([0.0, 1e-12, 1.0]))
+# values near the top of double range make sums that overflow to +-inf
+_special_values = st.sampled_from([1.6e308, -1.6e308, math.inf, -math.inf, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=st.lists(st.tuples(st.floats(-2.0, 2.0), _panel_errors), min_size=1, max_size=40),
+       specials=st.lists(st.tuples(st.integers(0, 39), _special_values), max_size=2),
+       a=st.sampled_from([0.0, -3.0, 1e5]),
+       width=st.sampled_from([1.0, 1e-3, 1e-14, 1e-16]),
+       cuts=st.lists(st.sampled_from([1e-17, 0.3, 0.5, 0.5 + 1e-16, 2.0]), max_size=3),
+       atol=st.sampled_from([0.0, 1e-12, 1e-6, 1e-4]),
+       rtol=st.sampled_from([0.0, 1e-8, 1e-3]),
+       extra=st.integers(0, 3000))
+# the exits no drawn stream is likely to reach: stagnation (the error grows
+# each round), and a panel beyond double range or a NaN in a refinement round
+@example([(1.0, 1e-3)], [], 0.0, 1.0, [], 1e-10, 1e-8, 40_000)
+@example([(0.5, 1e-2)] * 3, [(3, math.inf)], 0.0, 1.0, [], 1e-12, 0.0, 3000)
+@example([(0.5, 1e-2)] * 3, [(3, math.nan)], 0.0, 1.0, [], 1e-12, 0.0, 3000)
+def test_segment_matches_first_panels_then_refine(stream, specials, a, width, cuts, atol, rtol,
+                                                  extra):
+    # each panel takes the next (value, error) of the stream, cycling, so the
+    # two drivers see the same values as long as they make the same requests.
+    # Widths 1e-14 and 1e-16 and the cut 0.5 + 1e-16 make panels too narrow
+    # to split, and extra < 30 leaves a budget below one split.
+    for i, value in specials:
+        stream[i % len(stream)] = (value, stream[i % len(stream)][1])
+    cuts = [a + width * c for c in cuts]
+    budget = 15 * (len(quad._edges(a, a + width, cuts)) - 1) + extra
+    runs = []
+    for gen in (adaptive, reference_adaptive):
+        panels = itertools.cycle(stream)
+        runs.append(drive(gen(a, a + width, atol, rtol, budget, cuts),
+                          lambda lo, hi: next(panels)))
+    (res, requests), (ref, ref_requests) = runs
+    assert requests == ref_requests
+    assert repr(res) == repr(ref)  # repr: NaN sums compare equal, and -0.0 differs from 0.0
 
 
 def zero_panel(lo, hi):
@@ -347,28 +467,24 @@ def perfbench_workloads():
 def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_path, workload,
                                                             segments, missed):
     # one pass of the benchmark workload at seed 41: 88% (thm31) and 90% (thm33)
-    # of the segments end at their first panels and start no _refine generator;
-    # on thm31, 10 of the 733 that miss have no budget left for a split (the
-    # first panels of the segments fetched ahead are reserved), so their
-    # _refine returns without a request
-    counts = {"segments": 0, "missed": 0, "refined": 0}
-    first_panels, refine = quad._first_panels, quad._refine
+    # of the segments end at their first panels and never build the error heap.
+    # A segment missed them if it split a panel or ended at a rule of the heap
+    # rounds: on thm31, 10 of the 733 that miss have no budget left for a
+    # split (the first panels of the segments fetched ahead are reserved)
+    counts = {"segments": 0, "missed": 0}
+    segment = quad._segment
+    first_exits = {"tolerance met", "NaN sum", "a panel beyond double range"}
 
-    def counting_first_panels(*args):
-        res = first_panels(*args)
+    def counting_segment(edges, *args):
+        res = yield from segment(edges, *args)
         counts["segments"] += 1
-        counts["missed"] += not res.why
+        counts["missed"] += res.evals > 15 * (len(edges) - 1) or res.why not in first_exits
         return res
 
-    def counting_refine(*args):
-        counts["refined"] += 1
-        return refine(*args)
-
-    monkeypatch.setattr(quad, "_first_panels", counting_first_panels)
-    monkeypatch.setattr(quad, "_refine", counting_refine)
+    monkeypatch.setattr(quad, "_segment", counting_segment)
     for op in perfbench_workloads().build(workload, 41):
         cli.main(list(op.argv) + ["--out", str(tmp_path)])
-    assert counts == {"segments": segments, "missed": missed, "refined": missed}
+    assert counts == {"segments": segments, "missed": missed}
 
 
 class TestLockstep:

@@ -17,7 +17,8 @@ def test_two_ops_reach_their_paths_and_nothing_else():
     assert sys.getprofile() is None
     defined = reach.defined()
     assert {"cli.main", "cli.cmd_report", "cli.cmd_cm_check", "quadrature._outcomes",
-            "quadrature._evaluate", "quadrature._exhaust", "quadrature.Family.cuts",
+            "quadrature._evaluate", "quadrature._exhaust", "quadrature._segment",
+            "quadrature.Family.cuts",
             "wiener.wiener_integral_blocks"} <= seen
     # a flag and a config file that neither op uses, and a single-verdict function
     assert {"cli._parse_eps_grid", "cli._config_flags",
