@@ -35,9 +35,9 @@ import numpy as np
 
 from . import quadrature as quad
 from .counterexamples import CATALOG, catalog_build
-from .diagnostics import (EpsilonGrid, Flag, LqRow, MembershipReport, cameron_martin_check,
-                          membership_report, report_evidence_rows, report_to_markdown,
-                          rows_to_csv)
+from .diagnostics import (MIN_EFFECTIVE_SAMPLES, EpsilonGrid, Flag, LqRow, MembershipReport,
+                          cameron_martin_check, membership_report, report_evidence_rows,
+                          report_to_markdown, rows_to_csv)
 from .functionals import CylindricalFunctional, Polynomial
 from .quadrature import IntegralVerdict, Verdict
 from .wiener import CameronMartinDirection, TimeGrid, cm_norm
@@ -289,15 +289,21 @@ def cmd_cm_check(args) -> int:
 
     Z = CylindricalFunctional(directions[:poly.n_vars], poly)
     res = cameron_martin_check(Z, shift, n, args.seed)
-    # a mean or standard error that is not finite certifies nothing
+    # a mean or standard error that is not finite certifies nothing, and nor does
+    # a reweighted mean that rests on a few heavy weights: its standard error
+    # then misses most of its error
+    weighted = math.isfinite(res.ess) and res.ess >= MIN_EFFECTIVE_SAMPLES
     rows = [LqRow(quantity, None, None, IntegralVerdict(
-                Verdict.CONVERGED if math.isfinite(mean) and math.isfinite(se)
+                Verdict.CONVERGED if math.isfinite(mean) and math.isfinite(se) and ok
                 else Verdict.INCONCLUSIVE, value=mean, abs_error=se))
-            for quantity, mean, se in (("cm_lhs_shifted_mean", res.lhs, res.se_lhs),
-                                       ("cm_rhs_reweighted_mean", res.rhs, res.se_rhs))]
+            for quantity, mean, se, ok in (
+                ("cm_lhs_shifted_mean", res.lhs, res.se_lhs, True),
+                ("cm_rhs_reweighted_mean", res.rhs, res.se_rhs, weighted))]
     certified = all(r.verdict.converged for r in rows)
     outcome = ("inconclusive" if not certified else
                "consistent" if res.within_3se else "INCONSISTENT")
+    too_few = (f"effective sample size of the weights {res.ess:.4g}, "
+               f"below {MIN_EFFECTIVE_SAMPLES:g}")
     md = "\n".join([
         "# Shift-versus-reweighting check",
         "",
@@ -308,6 +314,7 @@ def cmd_cm_check(args) -> int:
         f"rhs (reweighted mean):   {res.rhs:.8g} +- {res.se_rhs:.3g} (1 se)",
         f"gap {res.gap:.3g} vs 3(se_lhs + se_rhs) = {3 * (res.se_lhs + res.se_rhs):.3g}"
         f" -> {outcome}",
+        *([] if weighted else [f"rhs certifies nothing: {too_few}"]),
         "",
     ])
     written = _emit(args, "cm-check", rows, md)
@@ -316,7 +323,8 @@ def cmd_cm_check(args) -> int:
     for path in written:
         print(f"wrote {path}")
     if not certified:
-        print("INCONCLUSIVE: a Monte Carlo mean or standard error is not finite",
+        print("INCONCLUSIVE: " + (too_few if not weighted else
+                                  "a Monte Carlo mean or standard error is not finite"),
               file=sys.stderr)
         return EXIT_INCONCLUSIVE
     return EXIT_OK if res.within_3se else EXIT_CONTRADICTION

@@ -375,6 +375,12 @@ def _dvp_result(h_T: float, psi, majorants: tuple) -> DvpResult:
 # Monte Carlo checks
 # ---------------------------------------------------------------------------
 
+# Kish's effective sample size of the weights below which the reweighted
+# mean certifies nothing.  The weights exp(W(h) - ||h||^2/2) are lognormal,
+# so n paths have an expected effective size of n exp(-||h||^2).
+MIN_EFFECTIVE_SAMPLES = 100.0
+
+
 @dataclass(frozen=True)
 class CmCheckResult:
     lhs: float
@@ -382,6 +388,7 @@ class CmCheckResult:
     se_lhs: float
     se_rhs: float
     n_samples: int
+    ess: float  # Kish's effective sample size of the weights, (sum w)^2 / sum w^2
 
     @property
     def gap(self) -> float:
@@ -399,7 +406,8 @@ def cameron_martin_check(Z: CylindricalFunctional, h: CameronMartinDirection,
     Both sides ride the same paths (common random numbers); the shift acts on
     the coordinates exactly, W(h_i)(omega + h) = W(h_i)(omega) + <h_i, h>_H.
     The paths stream through one Philox block at a time; only the two sample
-    arrays span all of them.
+    arrays span all of them.  The weights' effective sample size says how
+    many paths the reweighted mean really rests on.
     """
     if n_samples < 2:
         raise ValueError(f"the standard errors need at least 2 samples, got {n_samples}")
@@ -407,10 +415,15 @@ def cameron_martin_check(Z: CylindricalFunctional, h: CameronMartinDirection,
     shift = np.array([[cm_inner(hi, h)] for hi in Z.directions])
     half_norm2 = 0.5 * cm_inner(h, h)
     lhs_samples, rhs_samples = np.empty(n_samples), np.empty(n_samples)
+    sum_w = sum_w2 = 0.0
     for start, W in wiener_integral_blocks(Z.directions + (h,), grid, n_samples, seed):
         coords, stop = W[:-1], start + W.shape[1]
         lhs_samples[start:stop] = Z.poly((coords + shift).T)
-        rhs_samples[start:stop] = Z.poly(coords.T) * np.exp(W[-1] - half_norm2)
+        weights = np.exp(W[-1] - half_norm2)
+        rhs_samples[start:stop] = Z.poly(coords.T) * weights
+        sum_w += float(weights.sum())
+        sum_w2 += float(np.dot(weights, weights))
+        del weights  # not alive while the next block is drawn
     n = float(n_samples)
     return CmCheckResult(
         lhs=float(np.mean(lhs_samples)),
@@ -418,6 +431,7 @@ def cameron_martin_check(Z: CylindricalFunctional, h: CameronMartinDirection,
         se_lhs=float(np.std(lhs_samples, ddof=1) / math.sqrt(n)),
         se_rhs=float(np.std(rhs_samples, ddof=1) / math.sqrt(n)),
         n_samples=n_samples,
+        ess=sum_w * sum_w / sum_w2 if sum_w2 else 0.0,  # all weights 0: no path counts
     )
 
 

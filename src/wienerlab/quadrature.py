@@ -23,11 +23,13 @@ Every integrand is a Family; Family(body) is an integrand of one row.
 The drivers (_finite, _exhaust) are generators that hold only numbers in t:
 they yield panel requests and receive the panels' values as lists, made once
 per integrand call.  _segment sums a segment's first panels and bisects
-while they miss.  One _exhaust request fetches the first panels of its next
-AHEAD segments, so a segment that ends at them costs no round of its own;
-the panels fetched ahead are reserved from a segment's budget, so the budget
-caps the points evaluated, and n_evals counts those consumed.  A job is a
-list of drivers and a join that turns their verdicts into results.
+while they miss, unless an exhaustion's partial with that sum is past
+MAGNITUDE_LIMIT by more than the sum's error.  One _exhaust request fetches
+the first panels of its next AHEAD segments, so a segment that ends at them
+costs no round of its own; the panels fetched ahead are reserved from a
+segment's budget, so the budget caps the points evaluated, and n_evals
+counts those consumed.  A job is a list of drivers and a join that turns
+their verdicts into results.
 _lockstep moves the drivers of all its jobs forward together: each round,
 one integrand call per Family serves routes +-1 of every member, and one
 more route 0, whose nodes _evaluate maps to x, so the quotient rows of a
@@ -279,7 +281,8 @@ def _edges(a: float, b: float, cuts) -> list:
     return [a, *sorted(set(inside)), b] if inside else [a, b]
 
 
-def _segment(edges, values, errors, atol: float, rtol: float, budget: int):
+def _segment(edges, values, errors, atol: float, rtol: float, budget: int,
+             partial: Optional[float] = None):
     """One segment, as QUADPACK's QAG takes it: the sum of its first panels
     (one per piece between the edges, given as values and errors), then
     globally adaptive bisection while the sum misses the tolerance.
@@ -292,6 +295,11 @@ def _segment(edges, values, errors, atol: float, rtol: float, budget: int):
     left for) and requests their halves.  Panels too narrow to split keep
     their error as stuck error.  The pop order follows panel errors and
     insertion order, so results do not depend on scheduling.
+
+    partial is the running partial integral of an exhaustion (None on a
+    finite interval).  Once |partial + sum| less the sum's error is beyond
+    MAGNITUDE_LIMIT, no refinement can bring the partial back within it, so
+    the segment ends there, before the heap is built or before a later round.
     """
     used = 15 * (len(edges) - 1)
     if math.inf in values or -math.inf in values:
@@ -310,6 +318,8 @@ def _segment(edges, values, errors, atol: float, rtol: float, budget: int):
         tol = max(atol, rtol * abs(total_v))
         if total_e <= tol:
             return _PanelSum(total_v, total_e, True, used, "tolerance met")
+        if partial is not None and abs(partial + total_v) - total_e > MAGNITUDE_LIMIT:
+            return _PanelSum(total_v, total_e, False, used, "partial past the magnitude limit")
         if heap is None:
             # the keys (-e, seq) are unique, so the pop order is that of pushing one by one
             heap = [(-e, seq, lo, hi, v, e)
@@ -510,10 +520,13 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
     Diverged needs GROWTH_RUN consecutive growing increments (each above the
     running tolerance, so a distant bump cannot fake growth with negligible
     mass) or a partial beyond MAGNITUDE_LIMIT (a segment beyond double range
-    adds +inf).  A NaN increment ends Inconclusive.  Converged needs either a
-    validated power-law tail (held-out mismatch below FIT_MISMATCH; exact for
-    Bertrand scales, while a hidden exponential inflection shows up in the
-    held-out increment orders of magnitude above it) or CALM_RUN consecutive
+    adds +inf).  Each segment gets the running partial and stops refining
+    once the partial with the segment's sum is past MAGNITUDE_LIMIT by more
+    than the sum's error, where no refinement can change this verdict.  A
+    NaN increment ends Inconclusive.  Converged needs either a validated
+    power-law tail (held-out mismatch below FIT_MISMATCH; exact for Bertrand
+    scales, while a hidden exponential inflection shows up in the held-out
+    increment orders of magnitude above it) or CALM_RUN consecutive
     sub-tolerance increments with a geometric tail estimate.
     """
     used = 0
@@ -561,7 +574,8 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
         seg_atol = max(atol, rtol * abs(partial)) / (16.0 * (k + 1) ** 2)
         # the panels fetched ahead are reserved from its budget
         seg = yield from _segment(edges, values, errors, seg_atol, rtol / 4,
-                                  budget - used - 15 * sum(len(v) for _, v, _ in queue))
+                                  budget - used - 15 * sum(len(v) for _, v, _ in queue),
+                                  partial)
         used += seg.evals
         inc = seg.value
         if math.isnan(inc):

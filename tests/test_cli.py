@@ -261,6 +261,36 @@ class TestExitCodes:
         assert [r["verdict"] for r in rows] == ["inconclusive", "inconclusive"]
         assert "-> inconclusive" in (out / "cm-check.md").read_text(encoding="utf-8")
 
+    @pytest.mark.parametrize("key, value", [("shift", "5"), ("shift", "8"), ("shift", "10"),
+                                            ("direction", "1e100")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cm_check_degenerate_weights_are_inconclusive(self, tmp_path, capsys, key, value,
+                                                          source):
+        # at 1e6 paths --shift 5, 8 and 10 exited 1 with a false CONTRADICTION
+        # (rhs 9.03 +- 3.61 against lhs = E[(W + 5)^2] = 26), and --direction
+        # 1e100 wrote a converged,0.0,0.0 rhs row: a few weights carry the whole
+        # reweighted mean, or none does
+        out = tmp_path / "out"
+        argv = ["cm-check"]
+        if source == "flag":
+            argv.append(f"--{key}={value}")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert run(argv + ["--out", str(out)], tmp_path) == EXIT_INCONCLUSIVE
+        assert "effective sample size of the weights" in capsys.readouterr().err
+        with open(out / "cm-check.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        verdicts = {r["quantity"]: r["verdict"] for r in rows}
+        assert verdicts["cm_rhs_reweighted_mean"] == "inconclusive"
+        # the shifted side is a plain mean: it stays certified where it is finite
+        assert verdicts["cm_lhs_shifted_mean"] == ("converged" if key == "shift"
+                                                   else "inconclusive")
+        assert "-> inconclusive" in (out / "cm-check.md").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize("q", ["3", "0", "nan"])
     def test_residual_exponent_above_p_rejected(self, tmp_path, capsys, q):
         out = tmp_path / "out"

@@ -224,6 +224,16 @@ class TestDvp:
                 quad.integrate_singular_origin(quad.bertrand_family((r.q,)), f33.params["mu"])
                 for r in res.bertrand_rows]
 
+    def test_partial_past_the_magnitude_limit_ends_early(self):
+        # the a = 3.9, h = 0.5 row at eps = 2^-8 grows like e^(eps h x) x^(-2a);
+        # its segment [32770, 65539] refined for 99,105 of the row's 99,945
+        # evaluations, although its first panels put the partial near 8e34
+        rep = membership_report(catalog_build("thm31", a=3.9), 2.0, h_list=(0.5, 2.0))
+        row = next(r for r in rep.dvp[0.5].table
+                   if r.quantity == "dvp_above" and r.epsilon == 2.0 ** -8)
+        assert row.verdict.diverged and row.verdict.evidence.reason == "magnitude_threshold"
+        assert row.verdict.n_evals < 2_000
+
     def test_tail_growth_not_uniformly_integrable(self, f31, grid):
         res = dvp_uniform_integrability_test(f31, 1.0, grid)
         assert res.verdict == Flag.NO
@@ -515,6 +525,20 @@ class TestBlockBoundaries:
         assert [eps for eps, _ in rows] == [eps for eps, _ in ref]
         assert [p for _, p in rows] == pytest.approx([p for _, p in ref], rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("n", [2, _BATCH, _BATCH + 1])
+    def test_cm_effective_sample_size(self, n):
+        # Kish's (sum w)^2 / sum w^2 of the full-matrix weights; lognormal
+        # weights have n exp(-||h||^2) in expectation
+        Z = CylindricalFunctional(self.DIRS, self.QUADRATIC)
+        res = cameron_martin_check(Z, self.SHIFT, n, seed=21)
+        grid, incs, _, _ = full_matrix_coordinates(Z, self.SHIFT, n, seed=21)
+        w = np.exp(girsanov_log_weight_batch(self.SHIFT, grid, incs))
+        assert res.ess == pytest.approx(w.sum() ** 2 / (w * w).sum(), rel=1e-12, abs=0.0)
+        assert 1.0 <= res.ess <= n
+        if n > 2:
+            expected = n * math.exp(-cm_inner(self.SHIFT, self.SHIFT))
+            assert res.ess == pytest.approx(expected, rel=0.01)
+
     def test_memory_one_block_at_a_time(self):
         # a 6-cell merged grid at 1e6 paths: the increment matrix alone is 46 MB
         g = TimeGrid.uniform(6)
@@ -609,9 +633,10 @@ class TestMembershipReport:
                             lambda form, requests: calls.append(form) or real(form, requests))
         membership_report(catalog_build("thm31", a=6.0), 2.0, h_list=(1.0,))
         # 127 when the L^q rows, the residual rows of each q, the majorants and
-        # the psi-test pieces ran one family after another, and 95 when each
-        # exhaustion request fetched one segment
-        assert len(calls) == 61
+        # the psi-test pieces ran one family after another, 95 when each
+        # exhaustion request fetched one segment, and 61 when a segment past
+        # the magnitude limit went on refining
+        assert len(calls) == 51
 
     @pytest.mark.parametrize("kw", [{"atol": math.inf}, {"atol": math.nan}, {"rtol": -1e-8},
                                     {"deltas": (0.0,)}, {"deltas": (0.1, -0.5)},

@@ -453,6 +453,130 @@ class TestFirstPanelExits:
         assert (v.status, v.value, v.n_evals) == ("converged", 0.0, 90)
 
 
+class TestMagnitudeExit:
+    """A segment of _exhaust whose partial is past MAGNITUDE_LIMIT by more than
+    its error ends, at its first panels or after some heap rounds, and
+    _exhaust issues Diverged by the magnitude rule; a finite interval never
+    takes this exit.  Panels valued by hand, as in TestFirstPanelExits."""
+
+    @staticmethod
+    def segment(edges, partial, budget=100_000):
+        """_segment of [edges[0], edges[-1]] with its first panels requested."""
+        values, errors = yield edges[:-1], edges[1:]
+        return (yield from quad._segment(edges, values, errors, 1e-10, 1e-8, budget, partial))
+
+    def test_fires_at_the_first_panels(self):
+        res, requests = drive(self.segment([1.0, 2.0], 0.0), lambda lo, hi: (1e13, 1e12))
+        assert requests == [([1.0], [2.0])]
+        assert (res.value, res.error, res.ok, res.evals) == (1e13, 1e12, False, 15)
+        assert res.why == "partial past the magnitude limit"
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()),
+                            lambda lo, hi: (1e13, 1e12))
+        assert requests == [([1.0, 2.0, 3.0, 5.0], [2.0, 3.0, 5.0, 9.0])]
+        assert (v.status, v.n_evals, v.evidence.reason) == ("diverged", 15, "magnitude_threshold")
+        assert v.evidence.records == ((2.0, 1e13, 1e13),)
+        assert v.message == "[1, inf): partial integral beyond 1e+12"
+
+    def test_fires_after_heap_rounds(self):
+        # on [1, 2] a panel of width w is worth 2e12 w with error 2e12 w^2, so
+        # |v| - e is 0 at the first panel, exactly 1e12 (not beyond) after one
+        # round and 1.5e12 after the second
+        def panel(lo, hi):
+            return 2e12 * (hi - lo), 2e12 * (hi - lo) ** 2
+
+        res, requests = drive(self.segment([1.0, 2.0], 0.0), panel)
+        assert requests == [([1.0], [2.0]), ([1.0, 1.5], [1.5, 2.0]),
+                            ([1.0, 1.25, 1.5, 1.75], [1.25, 1.5, 1.75, 2.0])]
+        assert (res.value, res.error, res.evals) == (2e12, 5e11, 105)
+        assert res.why == "partial past the magnitude limit"
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()), panel)
+        assert len(requests) == 3 and requests[1:] == [([1.0, 1.5], [1.5, 2.0]),
+                                                       ([1.0, 1.25, 1.5, 1.75],
+                                                        [1.25, 1.5, 1.75, 2.0])]
+        assert (v.status, v.n_evals, v.evidence.records) == ("diverged", 105,
+                                                              ((2.0, 2e12, 2e12),))
+
+    def test_counts_the_running_partial(self):
+        # [1, 2] is 9e11 exactly; [2, 3] adds 2e11 with error 1e9: alone it is
+        # far below the limit, but the partial 1.1e12 less 1e9 is beyond it
+        def panel(lo, hi):
+            return (9e11, 0.0) if lo == 1.0 else (2e11, 1e9)
+
+        v, requests = drive(quad._exhaust(1.0, 1e-10, 1e-8, 1000, ()), panel)
+        assert requests == [([1.0, 2.0, 3.0, 5.0], [2.0, 3.0, 5.0, 9.0])]
+        assert (v.status, v.n_evals, v.evidence.reason) == ("diverged", 30, "magnitude_threshold")
+        assert v.evidence.records == ((2.0, 9e11, 9e11), (3.0, 1.1e12, 2e11))
+        # the same segment from partial 0 refines
+        res, requests = drive(self.segment([2.0, 3.0], 0.0, budget=45), panel)
+        assert len(requests) == 2 and res.why == "refinement budget exhausted"
+
+    @pytest.mark.parametrize("value", [1.0, 2e12, math.inf, math.nan])
+    def test_the_first_panel_exits_come_first(self, value):
+        # a met tolerance, a panel beyond double range and a NaN sum end the
+        # segment as they did before, however far the partial is past the limit
+        res, _ = drive(self.segment([1.0, 2.0], 1e13), lambda lo, hi: (value, 0.0))
+        assert res.why == {1.0: "tolerance met", 2e12: "tolerance met",
+                           math.inf: "a panel beyond double range"}.get(value, "NaN sum")
+        assert res.ok == math.isfinite(value) and res.evals == 15
+
+    @pytest.mark.parametrize("partial", [0.0, -6e12])
+    def test_does_not_fire_within_the_error(self, partial):
+        # a panel of width w is worth 3e12 w with error 2e12: |partial + v| - e
+        # is exactly 1e12 at the first panel and falls as the error grows, so
+        # the segment refines until its budget of two rounds runs out
+        res, requests = drive(self.segment([1.0, 2.0], partial, budget=105),
+                              lambda lo, hi: (3e12 * (hi - lo), 2e12))
+        assert len(requests) == 3 and res.evals == 105
+        assert res.why == "refinement budget exhausted"
+
+    def test_never_fires_on_a_finite_interval(self):
+        # a finite piece worth more than 1e12 is Converged, whether it ends at
+        # its first panel or refines, and _finite refines past the limit
+        big = integrate_adaptive(Family.from_function(lambda x: np.full_like(x, 1e13)), 0.0, 1.0)
+        assert big.converged and big.n_evals == 15
+        assert abs(big.value - 1e13) <= big.abs_error
+        v = integrate_adaptive(Family.from_function(lambda x: 1e13 * np.sqrt(x)), 0.0, 1.0)
+        assert v.converged and v.n_evals > 15
+        assert abs(v.value - 2e13 / 3.0) <= v.abs_error
+        v, requests = drive(quad._finite(0.0, 1.0, 1e-10, 1e-8, 105, ()),
+                            lambda lo, hi: (1e13 * (hi - lo), 1e12 * (hi - lo)))
+        assert len(requests) == 3
+        assert (v.status, v.n_evals) == ("inconclusive", 105)
+        assert v.message == "refinement budget exhausted (error 1.000e+12)"
+
+
+_SEGMENT = quad._segment
+
+
+def _without_partial(edges, values, errors, atol, rtol, budget, partial=None):
+    """_segment as it was before the magnitude exit: the reference driver."""
+    return _SEGMENT(edges, values, errors, atol, rtol, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["exp", "power"]),
+       rate=st.floats(1e-3, 3.0), power=st.floats(-3.0, 12.0),
+       a=st.sampled_from([0.5, 1.0, 3.0]))
+def test_magnitude_exit_keeps_the_verdict_for_less_work(kind, rate, power, a):
+    # e^(rate u) u^(-power) diverges for every rate > 0; u^power diverges for
+    # power >= -1 and converges below.  The exit may only end a segment early:
+    # the status and its reason stay, and n_evals never grows
+    if kind == "exp":
+        fam = Family(lambda u, row=0: (np.ones_like(u), rate * u - power * np.log(u)))
+    else:
+        fam = Family(lambda u, row=0: (np.ones_like(u), power * np.log(u)))
+    new = integrate_semi_infinite(fam, a, budget=20_000)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quad, "_segment", _without_partial)
+        ref = integrate_semi_infinite(fam, a, budget=20_000)
+    assert new.status == ref.status
+    assert new.n_evals <= ref.n_evals
+    if new.diverged:
+        assert new.evidence.reason == ref.evidence.reason
+    else:
+        assert new == ref
+
+
 def perfbench_workloads():
     """perfbench/workloads.py, the benchmark's op lists, imported by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"

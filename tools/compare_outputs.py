@@ -12,8 +12,10 @@ For every operation it records the exit code, standard output and standard
 error (with the output directory and the checkout's src/ masked), the bytes
 of every file written, and the fields of every verdict that a
 quadrature._lockstep call returns (status, value, abs_error, n_evals,
-message, evidence).  It prints the operations that differ and exits 1 if
-any does, 0 if all are equal.
+message, evidence).  It prints the operations that differ, with the verdict
+fields that differ, and a totals line that counts the verdicts whose
+status, value or abs_error differ; it exits 1 if any op differs, 0 if all
+are equal.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ EDGE_OPS = (
     ("diagnose", "--functional", "thm33", "--p", "2.5", "--q", "1.2"),
 )
 FIELDS = ("exit", "stdout", "stderr", "files", "verdicts")
+VERDICT_FIELDS = ("status", "value", "abs_error", "n_evals", "message", "evidence")
+CERTIFICATE = {"status", "value", "abs_error"}  # what a verdict certifies
 
 
 def default_ops() -> list:
@@ -129,8 +133,29 @@ def run_checkout(checkout: Path, ops) -> list:
     return json.loads(done.stdout)
 
 
+def verdict_changes(a: list, b: list) -> list:
+    """(index, names of the fields that differ) per differing verdict of two
+    equally long verdict lists."""
+    changes = []
+    for j, (u, v) in enumerate(zip(a, b)):
+        names = [name for name, x, y in zip(VERDICT_FIELDS, u, v)
+                 if json.dumps(x) != json.dumps(y)]
+        if names:
+            changes.append((j, names))
+    return changes
+
+
+def certificate_changes(old: list, new: list) -> int:
+    """The verdicts whose status, value or abs_error differ, over all ops
+    whose verdict lists are equally long."""
+    return sum(bool(CERTIFICATE.intersection(names))
+               for a, b in zip(old, new) if len(a["verdicts"]) == len(b["verdicts"])
+               for _, names in verdict_changes(a["verdicts"], b["verdicts"]))
+
+
 def differences(old: list, new: list) -> list:
-    """One line per op whose records differ, naming the fields that differ."""
+    """One line per op whose records differ, naming the fields that differ and,
+    for verdicts, the verdict fields."""
     lines = []
     for i, (a, b) in enumerate(zip(old, new)):
         diff = []
@@ -139,9 +164,12 @@ def differences(old: list, new: list) -> list:
                 names = sorted(set(a[key]) | set(b[key]))
                 diff += [f"file {n}" for n in names if a[key].get(n) != b[key].get(n)]
             elif key == "verdicts" and len(a[key]) == len(b[key]):
-                at = [j for j, (u, v) in enumerate(zip(a[key], b[key]))
-                      if json.dumps(u) != json.dumps(v)]
-                diff += [f"verdicts {at[:5]} of {len(at)}"] if at else []
+                changes = verdict_changes(a[key], b[key])
+                if changes:
+                    names = {name for _, ns in changes for name in ns}
+                    fields = ", ".join(n for n in VERDICT_FIELDS if n in names)
+                    diff.append(f"verdicts {[j for j, _ in changes[:5]]} of {len(changes)}"
+                                f" ({fields})")
             elif json.dumps(a[key]) != json.dumps(b[key]):
                 diff.append(key)
         if diff:
@@ -170,7 +198,9 @@ def main(argv=None) -> int:
     n_verdicts = sum(len(r["verdicts"]) for r in new)
     n_files = sum(len(r["files"]) for r in new)
     verdict = f"{len(lines)} op(s) differ" if lines else "all equal"
-    print(f"{len(ops)} ops, {n_files} files, {n_verdicts} verdicts: {verdict}")
+    print(f"{len(ops)} ops, {n_files} files, {n_verdicts} verdicts "
+          f"({certificate_changes(old, new)} with a different status, value or abs_error): "
+          f"{verdict}")
     return 1 if lines else 0
 
 
