@@ -209,7 +209,8 @@ def _at_least(flag: str, value: int, low: int) -> int:
     return value
 
 
-def _emit(args, stem: str, rows, markdown: str) -> list:
+def _emit(args, stem: str, rows, markdown: str, summary: str) -> None:
+    """Write the evidence files, then print the command's summary line and their paths."""
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
     if args.format in ("csv", "both"):
@@ -220,7 +221,9 @@ def _emit(args, stem: str, rows, markdown: str) -> list:
         p = args.out / f"{stem}.md"
         p.write_text(markdown, encoding="utf-8")
         written.append(p)
-    return written
+    print(summary)
+    for path in written:
+        print(f"wrote {path}")
 
 
 def _flags_line(report: MembershipReport) -> str:
@@ -245,28 +248,19 @@ def cmd_report(args) -> int:
     suffix = "report"
     if name is None:
         if not args.functional:
-            print("error: --functional is required", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError("--functional is required")
         name, suffix = args.functional, "diagnose"
     # only the parameters set by flag or config; the others keep their defaults
     params = {key: value for key, value in vars(args).items() if key in _catalog_params(name)}
     stray = [k for n in CATALOG for k in _catalog_params(n) if k in vars(args) and k not in params]
     if stray:  # a parameter of another catalog functional (diagnose takes them all)
         raise UsageError(f"--functional {name} takes no parameter --{stray[0]}")
-    try:
-        f = catalog_build(name, **params)
-    except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    report = membership_report(f, args.p, deltas=args.delta, h_list=args.h, grid=args.eps_grid,
-                               extra_qs=args.q, atol=args.atol, rtol=args.rtol,
+    report = membership_report(catalog_build(name, **params), args.p, deltas=args.delta,
+                               h_list=args.h, grid=args.eps_grid, extra_qs=args.q,
+                               atol=args.atol, rtol=args.rtol,
                                budget=_at_least("--budget", args.budget, 1))
-    rows = report_evidence_rows(report)
-    written = _emit(args, f"{name}-{suffix}", rows, report_to_markdown(report))
-    print(_flags_line(report))
-    for path in written:
-        print(f"wrote {path}")
+    _emit(args, f"{name}-{suffix}", report_evidence_rows(report), report_to_markdown(report),
+          _flags_line(report))
     code = _report_exit(report, expected)
     if code == EXIT_CONTRADICTION:
         print("CONTRADICTION: conclusions do not match the configured expectation",
@@ -280,9 +274,8 @@ def cmd_cm_check(args) -> int:
     poly = _parse_poly(args.poly)
     directions = args.direction or [_parse_direction("1.0")]
     if len(directions) < poly.n_vars:
-        print(f"error: polynomial uses x1..x{poly.n_vars} but only "
-              f"{len(directions)} direction(s) given", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"polynomial uses x1..x{poly.n_vars} but only "
+                         f"{len(directions)} direction(s) given")
     shift = args.shift or directions[0]
     # the standard errors need two samples
     n = _at_least("--n-samples", args.n_samples, 2)
@@ -317,11 +310,9 @@ def cmd_cm_check(args) -> int:
         *([] if weighted else [f"rhs certifies nothing: {too_few}"]),
         "",
     ])
-    written = _emit(args, "cm-check", rows, md)
-    print(f"lhs={res.lhs:.8g} (se {res.se_lhs:.3g})  rhs={res.rhs:.8g} (se {res.se_rhs:.3g})"
+    _emit(args, "cm-check", rows, md,
+          f"lhs={res.lhs:.8g} (se {res.se_lhs:.3g})  rhs={res.rhs:.8g} (se {res.se_rhs:.3g})"
           f"  within 3 SE: {res.within_3se}")
-    for path in written:
-        print(f"wrote {path}")
     if not certified:
         print("INCONCLUSIVE: " + (too_few if not weighted else
                                   "a Monte Carlo mean or standard error is not finite"),

@@ -55,30 +55,21 @@ def smooth_completion_g(x0: float, v: float, d: float) -> Function1D:
 
 
 def _mollifier_ramp(t):
-    """Smooth 0 -> 1 ramp: exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))) on (0, 1)."""
+    """Smooth 0 -> 1 ramp exp(-1/t) / (exp(-1/t) + exp(-1/(1-t))) on (0, 1), and its slope."""
     t = np.asarray(t, dtype=float)
     out = np.empty_like(t)
     out[t <= 0.0] = 0.0
     out[t >= 1.0] = 1.0
-    mid = (t > 0.0) & (t < 1.0)
-    tm = t[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    return out
-
-
-def _mollifier_ramp_deriv(t):
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
+    slope = np.zeros_like(t)
     mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
     a = np.exp(-1.0 / tm)
     b = np.exp(-1.0 / (1.0 - tm))
     da = a / tm**2
     db = -b / (1.0 - tm) ** 2
-    out[mid] = (da * b - a * db) / (a + b) ** 2
-    return out
+    out[mid] = a / (a + b)
+    slope[mid] = (da * b - a * db) / (a + b) ** 2
+    return out, slope
 
 
 def smooth_completion_G(mu: float, v: float, d: float) -> Function1D:
@@ -91,19 +82,18 @@ def smooth_completion_G(mu: float, v: float, d: float) -> Function1D:
         raise ValueError("need mu > 0")
     half = 0.5 * mu
 
-    def chi(x):
-        return _mollifier_ramp((2.0 * mu - np.asarray(x, dtype=float)) / half)
-
-    def chi_deriv(x):
-        return _mollifier_ramp_deriv((2.0 * mu - np.asarray(x, dtype=float)) / half) * (-1.0 / half)
+    def chi(x):  # the cutoff and its slope in x
+        ramp, slope = _mollifier_ramp((2.0 * mu - np.asarray(x, dtype=float)) / half)
+        return ramp, slope * (-1.0 / half)
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return (v + d * (x - mu)) * chi(x)
+        return (v + d * (x - mu)) * chi(x)[0]
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
-        return d * chi(x) + (v + d * (x - mu)) * chi_deriv(x)
+        c, dc = chi(x)
+        return d * c + (v + d * (x - mu)) * dc
 
     return Function1D(value=value, deriv=deriv)
 

@@ -416,23 +416,25 @@ def cameron_martin_check(Z: CylindricalFunctional, h: CameronMartinDirection,
     half_norm2 = 0.5 * cm_inner(h, h)
     lhs_samples, rhs_samples = np.empty(n_samples), np.empty(n_samples)
     sum_w = sum_w2 = 0.0
-    for start, W in wiener_integral_blocks(Z.directions + (h,), grid, n_samples, seed):
-        coords, stop = W[:-1], start + W.shape[1]
-        lhs_samples[start:stop] = Z.poly((coords + shift).T)
-        weights = np.exp(W[-1] - half_norm2)
-        rhs_samples[start:stop] = Z.poly(coords.T) * weights
-        sum_w += float(weights.sum())
-        sum_w2 += float(np.dot(weights, weights))
-        del weights  # not alive while the next block is drawn
     n = float(n_samples)
-    return CmCheckResult(
-        lhs=float(np.mean(lhs_samples)),
-        rhs=float(np.mean(rhs_samples)),
-        se_lhs=float(np.std(lhs_samples, ddof=1) / math.sqrt(n)),
-        se_rhs=float(np.std(rhs_samples, ddof=1) / math.sqrt(n)),
-        n_samples=n_samples,
-        ess=sum_w * sum_w / sum_w2 if sum_w2 else 0.0,  # all weights 0: no path counts
-    )
+    # a sample past double range gives a non-finite mean or se: inconclusive, no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, W in wiener_integral_blocks(Z.directions + (h,), grid, n_samples, seed):
+            coords, stop = W[:-1], start + W.shape[1]
+            lhs_samples[start:stop] = Z.poly((coords + shift).T)
+            weights = np.exp(W[-1] - half_norm2)
+            rhs_samples[start:stop] = Z.poly(coords.T) * weights
+            sum_w += float(weights.sum())
+            sum_w2 += float(np.dot(weights, weights))
+            del weights  # not alive while the next block is drawn
+        return CmCheckResult(
+            lhs=float(np.mean(lhs_samples)),
+            rhs=float(np.mean(rhs_samples)),
+            se_lhs=float(np.std(lhs_samples, ddof=1) / math.sqrt(n)),
+            se_rhs=float(np.std(rhs_samples, ddof=1) / math.sqrt(n)),
+            n_samples=n_samples,
+            ess=sum_w * sum_w / sum_w2 if sum_w2 else 0.0,  # all weights 0: no path counts
+        )
 
 
 def sgd_probability_test(Z: CylindricalFunctional, h: CameronMartinDirection,
@@ -485,20 +487,13 @@ class MembershipReport:
 
 def _verdicts_flag(verdicts) -> Flag:
     """No if any verdict Diverged, Yes if all Converged, Unknown otherwise."""
-    if any(v.diverged for v in verdicts):
-        return Flag.NO
-    if all(v.converged for v in verdicts):
-        return Flag.YES
-    return Flag.UNKNOWN
+    return _combine_flags(Flag.NO if v.diverged else Flag.YES if v.converged else Flag.UNKNOWN
+                          for v in verdicts)
 
 
-def _combine_flags(flags) -> Flag:
-    flags = list(flags)
-    if any(fl == Flag.NO for fl in flags):
-        return Flag.NO
-    if flags and all(fl == Flag.YES for fl in flags):
-        return Flag.YES
-    return Flag.UNKNOWN
+def _combine_flags(flags) -> Flag:  # No wins; Yes needs at least one flag, all Yes
+    flags = set(flags)
+    return Flag.NO if Flag.NO in flags else Flag.YES if flags == {Flag.YES} else Flag.UNKNOWN
 
 
 def membership_report(f: ScalarFunctional, p: float, deltas: Sequence[float] = (0.1, 0.5),

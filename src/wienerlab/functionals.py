@@ -130,9 +130,6 @@ class Polynomial:
             out += term
         return out[0] if point else out
 
-    def __repr__(self):
-        return f"Polynomial({self.n_vars}, {self.terms!r})"
-
 
 # ---------------------------------------------------------------------------
 # scalar functionals Z = f(W_T)

@@ -155,7 +155,8 @@ def cm_inner(h1: CameronMartinDirection, h2: CameronMartinDirection) -> float:
     """<h1, h2>_H = int_0^T hdot1(t) hdot2(t) dt, exact for piecewise densities."""
     nodes = merged_grid([h1, h2]).nodes
     widths = np.diff(nodes)
-    return float(np.sum(_density_on(nodes, h1) * _density_on(nodes, h2) * widths))
+    with np.errstate(over="ignore"):  # past double range it is inf
+        return float(np.sum(_density_on(nodes, h1) * _density_on(nodes, h2) * widths))
 
 
 def cm_norm(h: CameronMartinDirection) -> float:

@@ -253,7 +253,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         argv = self.cm_check_argv(tmp_path, "direction", "1e200", source)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(argv + ["--out", str(out)], tmp_path) == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in capsys.readouterr().err
         with open(out / "cm-check.csv", encoding="utf-8") as fh:
@@ -279,7 +279,7 @@ class TestExitCodes:
             cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
             argv += ["--config", str(cfg)]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert run(argv + ["--out", str(out)], tmp_path) == EXIT_INCONCLUSIVE
         assert "effective sample size of the weights" in capsys.readouterr().err
         with open(out / "cm-check.csv", encoding="utf-8") as fh:
@@ -290,6 +290,41 @@ class TestExitCodes:
         assert verdicts["cm_lhs_shifted_mean"] == ("converged" if key == "shift"
                                                    else "inconclusive")
         assert "-> inconclusive" in (out / "cm-check.md").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_cm_check_overflow_is_inconclusive_without_warnings(self, tmp_path, capsys, source):
+        # x1^4 overflows at 1e100 while every weight underflows to 0, so the rhs
+        # is NaN from inf * 0; numpy printed RuntimeWarnings next to the verdict
+        out = tmp_path / "out"
+        argv = ["cm-check", "--n-samples", "1000", "--out", str(out)]
+        if source == "flag":
+            argv += ["--poly", "x1^4", "--direction", "1e100"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("poly = x1^4\ndirection = 1e100\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(argv, tmp_path) == EXIT_INCONCLUSIVE
+        assert "Warning" not in capsys.readouterr().err
+        with open(out / "cm-check.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+        assert [r["verdict"] for r in rows] == ["inconclusive", "inconclusive"]
+        assert [r["value"] for r in rows] == ["inf", "nan"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose"], "--functional is required"),
+        (["cm-check", "--poly", "x1*x2"], "polynomial uses x1..x2 but only 1 direction(s) given"),
+        (["reproduce-thm31", "--a", "1.0"], "need a finite a > 3/2, got a=1.0"),
+        (["reproduce-thm33", "--eta", "2e-4", "--mu", "1e-4"],
+         "invalid (eta, mu): ordering: need 0 < eta < mu < 1/e"),
+    ])
+    def test_parameter_error_text(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)], tmp_path) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("q", ["3", "0", "nan"])
     def test_residual_exponent_above_p_rejected(self, tmp_path, capsys, q):
