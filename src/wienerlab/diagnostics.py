@@ -304,11 +304,7 @@ def _dvp_pieces(f: ScalarFunctional, eps: float, h_T: float):
     bps = sorted(f.breakpoints)
     lo_core = bps[0] if bps else 0.0
     hi_core = bps[-1] if len(bps) >= 2 else lo_core
-    if h_T > 0.0:
-        return [("below", -math.inf, lo_core),
-                ("inside", lo_core, hi_core),
-                ("above", hi_core, math.inf)]
-    gap = eps * abs(h_T)
+    gap = 0.0 if h_T > 0.0 else eps * abs(h_T)
     return [("below", -math.inf, lo_core + gap),
             ("inside", lo_core + gap, hi_core + gap),
             ("above", hi_core + gap, math.inf)]

@@ -704,7 +704,10 @@ def _fit_power_tail(u_edges, increments):
         return math.inf, math.inf
     tail = i2 / (b - 1.0)
     a2, a3 = r2 ** qq, r3 ** qq
-    predicted_prev = i2 * (r0 ** qq - 1.0) / (a2 - a3)
+    try:
+        predicted_prev = i2 * (r0 ** qq - 1.0) / (a2 - a3)
+    except OverflowError:  # r0 <= 1e-3, outside the range model guards: no trusted fit
+        return math.inf, math.inf
     mismatch = abs(predicted_prev - i0) / max(abs(i0), 1e-300)
     return tail, mismatch
 

@@ -2,21 +2,18 @@
 against themselves, then against a record with one verdict and one file changed."""
 
 import copy
-import importlib.util
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("compare_outputs",
-                                               ROOT / "tools" / "compare_outputs.py")
-compare_outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(compare_outputs)
+import compare_outputs
 
 
 def test_two_ops_match_themselves_and_a_change_shows():
     ops = [["diagnose", "--functional", "linear", "--h=1", "--delta", "0.1"],
            ["cm-check", "--n-samples", "1000"]]
-    old = compare_outputs.run_checkout(ROOT, ops)
-    new = compare_outputs.run_checkout(ROOT, ops)
+    pkg = compare_outputs.load(compare_outputs.ROOT, "wienerlab_compare")
+    lockstep = pkg.quadrature._lockstep
+    old = compare_outputs.record(pkg, ops)
+    new = compare_outputs.record(pkg, ops)
+    assert pkg.quadrature._lockstep is lockstep
     assert compare_outputs.differences(old, new) == []
     assert [r["exit"] for r in new] == [0, 0]
     assert set(new[0]["files"]) == {"linear-diagnose.csv", "linear-diagnose.md"}

@@ -1,10 +1,7 @@
 import dataclasses
 import heapq
-import importlib.util
 import itertools
 import math
-import sys
-from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from compare_outputs import workload_ops
 from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
                        integrate_pieces, integrate_semi_infinite, integrate_singular_origin)
 from wienerlab.diagnostics import (EpsilonGrid, _abs_pow_family, _quotient_family,
@@ -577,15 +575,6 @@ def test_magnitude_exit_keeps_the_verdict_for_less_work(kind, rate, power, a):
         assert new == ref
 
 
-def perfbench_workloads():
-    """perfbench/workloads.py, the benchmark's op lists, imported by path."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 6184, 726),
                                                         ("thm33-report", 6602, 693)])
 def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_path, workload,
@@ -608,8 +597,8 @@ def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_pat
         return res
 
     monkeypatch.setattr(quad, "_segment", counting_segment)
-    for op in perfbench_workloads().build(workload, 41):
-        cli.main(list(op.argv) + ["--out", str(tmp_path)])
+    for argv in workload_ops(workload, 41):
+        cli.main(argv + ["--out", str(tmp_path)])
     assert counts == {"segments": segments, "missed": missed}
 
 
@@ -883,6 +872,16 @@ class TestSemiInfinite:
         if v.converged:
             exact = mp.quad(lambda x: abs(x - 0.3) ** -0.5 * mp.exp(-x), [0, 0.3, mp.inf])
             assert abs(v.value - float(exact)) <= v.abs_error
+
+    @pytest.mark.parametrize("a", [1e-12, 1e-9])
+    def test_held_out_prediction_past_double_range_is_no_fit(self, a):
+        # from a <= 1e-9 the first edge ratio of the fitted power tail is below
+        # 1e-3, and its held-out prediction overflows: the fit is not trusted,
+        # and exhaustion goes on to a certificate
+        v = integrate_semi_infinite(Family.from_function(lambda x: np.exp(-x ** 5)), a)
+        exact = mp.gammainc(mp.mpf(1) / 5, mp.mpf(a) ** 5) / 5
+        assert v.converged
+        assert abs(v.value - float(exact)) <= v.abs_error
 
     def test_left_half_line_calm_run_keeps_its_direction(self):
         # -e^(x + |x + 3.3| / 2) on (-inf, -1]: a negative tail with a kink

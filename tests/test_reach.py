@@ -1,13 +1,8 @@
 """Smoke test of tools/reach.py: which functions two operations reach."""
 
-import importlib.util
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
-reach = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(reach)
+import reach
 
 
 def test_two_ops_reach_their_paths_and_nothing_else():

@@ -1,18 +1,12 @@
 """Smoke test of tools/replay_ab.py: one operation of this checkout, loaded
 under two package names, split into its three times."""
 
-import importlib.util
-from pathlib import Path
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("replay_ab", ROOT / "tools" / "replay_ab.py")
-replay_ab = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(replay_ab)
+import replay_ab
 
 
 def test_one_op_splits_its_pass_and_restores_evaluate():
-    pkgs = {"old": replay_ab.load(ROOT, "wienerlab_replay_old"),
-            "new": replay_ab.load(ROOT, "wienerlab_replay_new")}
+    pkgs = {"old": replay_ab.load(replay_ab.ROOT, "wienerlab_replay_old"),
+            "new": replay_ab.load(replay_ab.ROOT, "wienerlab_replay_new")}
     assert pkgs["old"].quadrature is not pkgs["new"].quadrature
     ops = [["diagnose", "--functional", "linear", "--h=1", "--delta", "0.1"]]
     samples, tallies = replay_ab.measure(pkgs, ops, reps=2)

@@ -2,11 +2,12 @@
 
     python tools/compare_outputs.py OLD_CHECKOUT [NEW_CHECKOUT]
 
-NEW_CHECKOUT defaults to the checkout this file belongs to.  Both run the
-same operations through wienerlab.cli.main, each checkout in one fresh
-interpreter that imports wienerlab from the checkout's src/.  The operations
-are the op lists of the three benchmark workloads (perfbench/workloads.py of
-this checkout, read and not changed) for the seeds in SEEDS, then EDGE_OPS.
+NEW_CHECKOUT defaults to the checkout this file belongs to.  Both checkouts'
+src/wienerlab are imported into this one interpreter under distinct package
+names (load), and each runs the same operations through its cli.main
+(run_op).  The operations are the op lists of the three benchmark workloads
+(perfbench/workloads.py of this checkout, read and not changed) for the
+seeds in SEEDS, then EDGE_OPS.
 
 For every operation it records the exit code, standard output and standard
 error (with the output directory and the checkout's src/ masked), the bytes
@@ -16,6 +17,8 @@ message, evidence).  It prints the operations that differ, with the verdict
 fields that differ, and a totals line that counts the verdicts whose
 status, value or abs_error differ; it exits 1 if any op differs, 0 if all
 are equal.
+
+The other tools import load, run_op, workload_ops and default_ops from here.
 """
 
 from __future__ import annotations
@@ -23,16 +26,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402  (perfbench/workloads.py, read and not changed)
+
 SEEDS = (41, 97, 7)
 # the default reports, and reports that reach the rarer verdicts and exits
 EDGE_OPS = (
@@ -55,13 +61,47 @@ VERDICT_FIELDS = ("status", "value", "abs_error", "n_evals", "message", "evidenc
 CERTIFICATE = {"status", "value", "abs_error"}  # what a verdict certifies
 
 
+def load(checkout: Path, name: str):
+    """checkout's src/wienerlab imported as the package `name`, with its cli."""
+    # numpy links a multi-threaded BLAS: one thread, as perfbench measures, if numpy is not in yet
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    pkg_dir = (checkout / "src" / "wienerlab").resolve()
+    if not (pkg_dir / "__init__.py").is_file():
+        raise SystemExit(f"no wienerlab sources under {checkout / 'src'}")
+    spec = importlib.util.spec_from_file_location(name, pkg_dir / "__init__.py",
+                                                  submodule_search_locations=[str(pkg_dir)])
+    pkg = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pkg)
+    importlib.import_module(f"{name}.cli")
+    return pkg
+
+
+def run_op(cli, argv, out) -> tuple:
+    """cli.main(argv + ["--out", out]) with its output captured: (exit, stdout,
+    stderr).  The exit is the code main returns, or the text of what it raised."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # catch_warnings resets the once-per-location registries, as a fresh process has them
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings():
+        try:
+            code = cli.main(list(argv) + ["--out", str(out)])
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code!r})"
+        except Exception as exc:  # recorded: the other checkout may raise it too
+            code = f"{type(exc).__name__}: {exc}"
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def workload_ops(workload: str, seed: int) -> list:
+    """The argv lists of one pass of the benchmark workload at seed."""
+    return [list(op.argv) for op in workloads.build(workload, seed)]
+
+
 def default_ops() -> list:
     """The workload op lists of every seed, then the edge ops, as argv lists."""
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-    ops = [list(op.argv) for seed in SEEDS for name in workloads.WORKLOADS
-           for op in workloads.build(name, seed)]
-    return ops + [list(op) for op in EDGE_OPS]
+    return [argv for seed in SEEDS for name in workloads.WORKLOADS
+            for argv in workload_ops(name, seed)] + [list(op) for op in EDGE_OPS]
 
 
 def _verdicts(obj):
@@ -78,59 +118,34 @@ def _verdicts(obj):
             yield from _verdicts(item)
 
 
-def record(checkout: Path, ops) -> list:
-    """Run ops in this interpreter against checkout's wienerlab; one record per op."""
-    src = (checkout / "src").resolve()
-    sys.path.insert(0, str(src))
-    import wienerlab.cli as cli
-    from wienerlab import quadrature
-    if Path(cli.__file__).resolve().parent != src / "wienerlab":
-        raise SystemExit(f"imported wienerlab from {cli.__file__}, not from {src}")
+def record(pkg, ops) -> list:
+    """Run ops through pkg.cli, a package that load imported; one record per op."""
+    src = str(Path(pkg.__file__).parents[1])
     verdicts = []
-    lockstep = quadrature._lockstep
+    lockstep = pkg.quadrature._lockstep
 
     def recording(jobs):
         results = lockstep(jobs)
         verdicts.extend(_verdicts(results))
         return results
 
-    quadrature._lockstep = recording
+    pkg.quadrature._lockstep = recording
     records = []
-    with tempfile.TemporaryDirectory() as tmp:
-        for i, argv in enumerate(ops):
-            out = Path(tmp) / f"op{i}"
-            verdicts.clear()
-            stdout, stderr = io.StringIO(), io.StringIO()
-            # catch_warnings resets the once-per-location registries, as a fresh process has them
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
-                    warnings.catch_warnings():
-                try:
-                    code = cli.main(list(argv) + ["--out", str(out)])
-                except SystemExit as exc:
-                    code = f"SystemExit({exc.code!r})"
-                except Exception as exc:  # recorded: the other checkout may raise it too
-                    code = f"{type(exc).__name__}: {exc}"
-
-            files = {str(p.relative_to(out)): p.read_bytes().decode("latin-1")
-                     for p in sorted(out.rglob("*")) if p.is_file()} if out.exists() else {}
-            stdout, stderr = (s.getvalue().replace(str(out), "<out>").replace(str(src), "<src>")
-                              for s in (stdout, stderr))
-            records.append({"argv": list(argv), "exit": code, "stdout": stdout,
-                            "stderr": stderr, "files": files, "verdicts": list(verdicts)})
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            for i, argv in enumerate(ops):
+                out = Path(tmp) / f"op{i}"
+                verdicts.clear()
+                code, stdout, stderr = run_op(pkg.cli, argv, out)
+                files = {str(p.relative_to(out)): p.read_bytes().decode("latin-1")
+                         for p in sorted(out.rglob("*")) if p.is_file()} if out.exists() else {}
+                stdout, stderr = (s.replace(str(out), "<out>").replace(src, "<src>")
+                                  for s in (stdout, stderr))
+                records.append({"argv": list(argv), "exit": code, "stdout": stdout,
+                                "stderr": stderr, "files": files, "verdicts": list(verdicts)})
+    finally:
+        pkg.quadrature._lockstep = lockstep
     return records
-
-
-def run_checkout(checkout: Path, ops) -> list:
-    """record(checkout, ops) in a fresh interpreter."""
-    env = {k: v for k, v in os.environ.items() if k not in ("WIENERLAB_OUT", "PYTHONPATH")}
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--record",
-                           str(checkout)], input=json.dumps(ops), capture_output=True,
-                          text=True, env=env, cwd=checkout, check=False)
-    if done.returncode != 0:
-        raise SystemExit(f"recording {checkout} failed:\n{done.stderr}")
-    return json.loads(done.stdout)
 
 
 def verdict_changes(a: list, b: list) -> list:
@@ -184,14 +199,10 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path, help="the checkout to compare against")
     parser.add_argument("new", type=Path, nargs="?", default=ROOT,
                         help="the checkout to check (default: this one)")
-    parser.add_argument("--record", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.record:  # the child: ops on stdin, records on stdout
-        records = record(args.old, json.load(sys.stdin))
-        json.dump(records, sys.stdout)
-        return 0
     ops = default_ops()
-    old, new = run_checkout(args.old, ops), run_checkout(args.new, ops)
+    old = record(load(args.old, "wienerlab_old"), ops)
+    new = record(load(args.new, "wienerlab_new"), ops)
     lines = differences(old, new)
     for line in lines:
         print(line)

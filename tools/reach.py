@@ -23,17 +23,16 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
-import importlib.util
 import inspect
 import io
 import os
 import runpy
 import sys
 import tempfile
-import warnings
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from compare_outputs import ROOT, default_ops, run_op
+
 SRC = ROOT / "src" / "wienerlab"
 
 
@@ -74,12 +73,9 @@ def reached(run) -> set:
 def run_ops(ops) -> None:
     """Each op through wienerlab.cli.main, its output in a temporary directory."""
     import wienerlab.cli as cli
-    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with tempfile.TemporaryDirectory() as tmp:
         for i, argv in enumerate(ops):
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                cli.main(list(argv) + ["--out", str(Path(tmp) / f"op{i}")])
+            run_op(cli, argv, Path(tmp) / f"op{i}")
 
 
 def run_acceptance() -> int:
@@ -102,18 +98,10 @@ def run_demos() -> None:
             os.chdir(cwd)
 
 
-def _default_ops() -> list:
-    spec = importlib.util.spec_from_file_location("compare_outputs",
-                                                  ROOT / "tools" / "compare_outputs.py")
-    compare_outputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(compare_outputs)
-    return compare_outputs.default_ops()
-
-
 def main(argv=None) -> int:
     argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
-    ops = _default_ops()
+    ops = default_ops()
     status = {}
 
     def run_all():

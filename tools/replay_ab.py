@@ -32,48 +32,20 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import importlib.util
-import io
-import os
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from compare_outputs import ROOT, load, run_op, workload_ops, workloads
+
 TIMES = ("pass", "evaluate", "recorded")
 
 
-def load(checkout: Path, name: str):
-    """checkout's src/wienerlab imported as the package `name`, with its cli."""
-    pkg_dir = (checkout / "src" / "wienerlab").resolve()
-    spec = importlib.util.spec_from_file_location(name, pkg_dir / "__init__.py",
-                                                  submodule_search_locations=[str(pkg_dir)])
-    if spec is None:
-        raise SystemExit(f"no wienerlab sources under {checkout / 'src'}")
-    pkg = sys.modules[name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(pkg)
-    importlib.import_module(f"{name}.cli")
-    return pkg
-
-
-def workload_ops(workload: str, seed: int) -> list:
-    """The argv lists of one pass of the benchmark workload."""
-    spec = importlib.util.spec_from_file_location("replay_ab_workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [list(op.argv) for op in workloads.build(workload, seed)]
-
-
 def run_pass(pkg, ops, out: str) -> None:
-    for argv in ops:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                pkg.cli.main(argv + ["--out", out])
-            except SystemExit:
-                pass
+    for i, argv in enumerate(ops):
+        run_op(pkg.cli, argv, Path(out) / f"op{i}")
 
 
 @contextlib.contextmanager
@@ -199,15 +171,12 @@ def main(argv=None) -> int:
     parser.add_argument("new", type=Path, nargs="?", default=ROOT,
                         help="the checkout to check (default: this one)")
     parser.add_argument("--workload", required=True,
-                        choices=("thm31-report", "thm33-report", "cm-check"))
+                        choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--reps", type=int, default=5)
     args = parser.parse_args(argv)
     if args.reps < 1:
         parser.error("--reps must be at least 1")
-    # numpy links a multi-threaded BLAS; measure one thread, as perfbench does
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
     pkgs = {"old": load(args.old, "wienerlab_old"), "new": load(args.new, "wienerlab_new")}
     samples, tallies = measure(pkgs, workload_ops(args.workload, args.seed), args.reps)
     print(f"{args.workload} seed {args.seed}, {args.reps} reps, per pass")

@@ -14,7 +14,8 @@ or missing:
 
 The corpus:
 
-* CLI reports, run in this interpreter through wienerlab.cli.main: the 20
+* CLI reports, run in this interpreter through wienerlab.cli.main
+  (compare_outputs.run_op): the 20
   thm31 reports of AS_31 x H_31, the 32 thm33 reports of the (mu, eta) grid
   with mu + eta <= e^-8, and `diagnose --functional linear` at P_LINEAR.
   Each row is scored with perfbench/checks.py (expected_verdict, and the
@@ -29,7 +30,15 @@ The corpus:
   - power-tail-fit: e^(-x^5) from a, Gamma(1/5, a^5) / 5, and x^-p from
     a >= 1e4, a^(1-p) / (p-1).  Both end in _fit_power_tail's held-out
     prediction outside the range its model guards (r0 <= 1e-3 overflows,
-    r0 >= 0.9999 cancels).
+    r0 >= 0.9999 cancels);
+  - thm31-tail: exp((q/4 - 1/2) x^2) x^(-qa) from sqrt(2a), the tail of
+    thm31's E|f|^q, as (sign, log) pairs.  It converges iff q <= 2: with
+    c = 1/2 - q/4 it is c^((qa-1)/2) Gamma((1-qa)/2, 2ac) / 2 for q < 2,
+    and (2a)^((1-2a)/2) / (2a-1) for q = 2.
+* integrate_singular_origin on bertrand_family: 1/(x |log x|^i) on
+  (0, mu), which converges iff i > 1, to |log mu|^(1-i) / (i-1).
+* gaussian_expectation with singular point 0 (singular-moment): E|W|^(-1/2)
+  = 2^(-1/4) Gamma(1/4) / sqrt(pi), and E|W|^-1, which diverges.
 
 It prints one line per family and writes the counts as JSON with --out.
 tests/test_verdict_sweep.py runs the sweep and fails if any count exceeds
@@ -39,23 +48,23 @@ the one in the newest VERDICTS_*.json at the root of the repo.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import io
 import json
 import math
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))
+from compare_outputs import ROOT, run_op
 
-import checks  # noqa: E402  (perfbench/checks.py)
-from wienerlab import Family, cli, integrate_semi_infinite  # noqa: E402
+sys.path.insert(0, str(ROOT / "src"))
+
+import checks  # noqa: E402  (perfbench/checks.py, on the path compare_outputs sets)
+from wienerlab import (Family, bertrand_family, cli, gaussian_expectation,  # noqa: E402
+                       integrate_semi_infinite, integrate_singular_origin)
 
 WRONG = ("false_converged", "false_diverged", "inconclusive", "outside_abs_error", "raised",
          "nonzero_exit")
@@ -141,12 +150,9 @@ def sweep_reports(counts: dict):
         for i, (family, argv, workload, params) in enumerate(_report_ops()):
             counts.setdefault(family, _new_counts())
             out = Path(tmp) / str(i)
-            try:
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    code = cli.main(argv + ["--out", str(out), "--format", "csv"])
-            except Exception as exc:  # noqa: BLE001  (counted and reported, not raised)
-                print(f"{family} {argv}: {exc!r}", file=sys.stderr)
+            code, _, _ = run_op(cli, argv + ["--format", "csv"], out)
+            if isinstance(code, str):  # the text of what main raised: counted and reported
+                print(f"{family} {argv}: {code}", file=sys.stderr)
                 counts[family]["raised"] += 1
                 continue
             counts[family]["nonzero_exit"] += code != 0
@@ -159,8 +165,12 @@ def sweep_reports(counts: dict):
 
 
 # ---------------------------------------------------------------------------
-# integrate_semi_infinite on closed forms
+# integrals on closed forms: (verdict call, converges, reference) per case
 # ---------------------------------------------------------------------------
+
+def _semi_infinite(fn, a: float):
+    return partial(integrate_semi_infinite, Family.from_function(fn), a)
+
 
 def _power_log_cases():
     for a in (3.0, 10.0, 100.0):
@@ -171,34 +181,63 @@ def _power_log_cases():
                     ref = k ** (r - 1) * mp.gammainc(1 - r, k * mp.log(a))
                 else:
                     ref = 1 / mp.log(a) if p == 1.0 and r == 2.0 else None
-                yield (lambda x, p=p, r=r: x ** -p * np.log(x) ** -r), a, ref is not None, ref
+                yield _semi_infinite(lambda x, p=p, r=r: x ** -p * np.log(x) ** -r, a), \
+                    ref is not None, ref
 
 
 def _revival_cases():
     for alpha in (1e-2, 1e-3, 1e-4):
-        yield (lambda u, alpha=alpha: u ** -6 * np.exp(alpha * u)), 1.0, False, None
+        yield _semi_infinite(lambda u, alpha=alpha: u ** -6 * np.exp(alpha * u), 1.0), False, None
 
 
 def _power_tail_fit_cases():
     for a in (1e-12, 1e-9, 1e-6):
-        yield (lambda x: np.exp(-x ** 5)), a, True, mp.gammainc(mp.mpf(1) / 5, mp.mpf(a) ** 5) / 5
+        yield (_semi_infinite(lambda x: np.exp(-x ** 5), a), True,
+               mp.gammainc(mp.mpf(1) / 5, mp.mpf(a) ** 5) / 5)
     for a in (1e4, 1e5, 1e8):
         for p in (1.5, 2.0, 3.0):
-            yield (lambda x, p=p: x ** -p), a, True, mp.mpf(a) ** (1 - p) / (p - 1)
+            yield _semi_infinite(lambda x, p=p: x ** -p, a), True, mp.mpf(a) ** (1 - p) / (p - 1)
+
+
+def _thm31_tail_cases():
+    for a in (1.6, 2.0, 3.25, 6.0, 7.0, 7.5, 8.0):
+        for q in (1.5, 2.0, 2.1, 2.5, 3.0):
+            fam = Family(lambda x, row=0, k=q / 4 - 0.5, e=q * a:
+                         (np.ones_like(x), k * x * x - e * np.log(x)))
+            qa, c = mp.mpf(q) * a, mp.mpf(1) / 2 - mp.mpf(q) / 4
+            if q < 2.0:
+                ref = c ** ((qa - 1) / 2) * mp.gammainc((1 - qa) / 2, 2 * a * c) / 2
+            else:
+                ref = mp.mpf(2 * a) ** ((1 - 2 * a) / 2) / (2 * a - 1) if q == 2.0 else None
+            yield partial(integrate_semi_infinite, fam, math.sqrt(2.0 * a)), q <= 2.0, ref
+
+
+def _bertrand_cases():
+    for i in (0.9, 1.0, 1.1, 2.0):
+        for mu in (math.exp(-10.0), math.exp(-2.0), 0.5):
+            ref = abs(mp.log(mu)) ** (1 - mp.mpf(i)) / (i - 1) if i > 1.0 else None
+            yield partial(integrate_singular_origin, bertrand_family((i,)), mu), i > 1.0, ref
+
+
+def _singular_moment_cases():
+    for s, ref in ((-0.5, mp.mpf(2) ** -0.25 * mp.gamma(0.25) / mp.sqrt(mp.pi)), (-1.0, None)):
+        fam = Family.from_function(lambda x, s=s: np.abs(x) ** s, singular_points=(0.0,))
+        yield partial(gaussian_expectation, fam), ref is not None, ref
 
 
 CORPUS = {"power-log": _power_log_cases, "revival": _revival_cases,
-          "power-tail-fit": _power_tail_fit_cases}
+          "power-tail-fit": _power_tail_fit_cases, "thm31-tail": _thm31_tail_cases,
+          "bertrand": _bertrand_cases, "singular-moment": _singular_moment_cases}
 
 
 def sweep_corpus(counts: dict):
     for family, cases in CORPUS.items():
         c = counts.setdefault(family, _new_counts())
-        for fn, a, converges, ref in cases():
+        for call, converges, ref in cases():
             try:
-                v = integrate_semi_infinite(Family.from_function(fn), a)
+                v = call()
             except Exception as exc:  # noqa: BLE001  (counted and reported, not raised)
-                print(f"{family} from a={a!r}: {exc!r}", file=sys.stderr)
+                print(f"{family} {call.func.__name__}{call.args[1:]}: {exc!r}", file=sys.stderr)
                 c["cases"] += 1
                 c["raised"] += 1
                 continue
