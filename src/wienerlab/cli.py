@@ -210,17 +210,22 @@ def _at_least(flag: str, value: int, low: int) -> int:
 
 
 def _emit(args, stem: str, rows, markdown: str, summary: str) -> None:
-    """Write the evidence files, then print the command's summary line and their paths."""
+    """Write the evidence files, then print the command's summary line and their paths.
+
+    The Markdown ends with the CSV's header and data rows as a table, cell for
+    cell: no CSV field holds a comma, so each comma becomes a column rule.
+    """
+    csv = rows_to_csv(rows)
+    header, *data = csv.splitlines()[1:]  # after the schema line
+    table = [header, ",".join(["---"] * (header.count(",") + 1)), *data]
+    texts = {"csv": csv, "md": markdown + "\n## Evidence rows\n\n"
+             + "".join(f"| {line.replace(',', ' | ')} |\n" for line in table)}
     args.out.mkdir(parents=True, exist_ok=True)
     written = []
-    if args.format in ("csv", "both"):
-        p = args.out / f"{stem}.csv"
-        p.write_text(rows_to_csv(rows), encoding="utf-8")
-        written.append(p)
-    if args.format in ("md", "both"):
-        p = args.out / f"{stem}.md"
-        p.write_text(markdown, encoding="utf-8")
-        written.append(p)
+    for ext, text in texts.items():
+        if args.format in (ext, "both"):
+            written.append(args.out / f"{stem}.{ext}")
+            written[-1].write_text(text, encoding="utf-8")
     print(summary)
     for path in written:
         print(f"wrote {path}")
@@ -303,8 +308,6 @@ def cmd_cm_check(args) -> int:
         f"polynomial: `{args.poly}`; shift norm: {cm_norm(shift):.6g}; "
         f"samples: {n}; seed: {args.seed}",
         "",
-        f"lhs (mean of shifted Z): {res.lhs:.8g} +- {res.se_lhs:.3g} (1 se)",
-        f"rhs (reweighted mean):   {res.rhs:.8g} +- {res.se_rhs:.3g} (1 se)",
         f"gap {res.gap:.3g} vs 3(se_lhs + se_rhs) = {3 * (res.se_lhs + res.se_rhs):.3g}"
         f" -> {outcome}",
         *([] if weighted else [f"rhs certifies nothing: {too_few}"]),

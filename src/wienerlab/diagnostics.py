@@ -212,8 +212,9 @@ def _quotient_jobs(f: ScalarFunctional, parts, grid: EpsilonGrid, atol: float, r
     A part has a row per eps of the grid capped to f's window.  With q, a row
     is E|X_eps - centered * h_T f'(W_1)|^q (quad._expectation_job), and join
     gives an LqRow per eps.  With q None, it is E[psi(|X_eps|^2)] over the
-    pieces below / inside / above the core, each with the whole budget, and
-    join gives the labelled piece verdicts per eps (none for h_T = 0).
+    pieces below / inside / above the core, which share the budget as the
+    pieces of a line do, and join gives the labelled piece verdicts per eps
+    (none for h_T = 0).
     """
     rows, spans = [], []
     for _, q, h_T, centered in parts:
@@ -234,7 +235,7 @@ def _part_job(f, fam, part, span, eps_values, atol, rtol, budget):
             LqRow(quantity, q, eps, v) for eps, v in zip(eps_values, join(verdicts)))
     plan = [[(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h_T) if lo < hi]
             for eps in eps_values] if h_T else []
-    drivers = [quad._piece(fam, row, lo, hi, atol, rtol, budget)
+    drivers = [quad._piece(fam, row, lo, hi, atol, rtol, budget // len(labelled))
                for row, labelled in zip(span, plan) for _, lo, hi in labelled]
     return drivers, lambda verdicts: [(eps, [(label, next(verdicts)) for label, _, _ in labelled])
                                       for eps, labelled in zip(eps_values, plan)]
@@ -646,26 +647,10 @@ def report_to_markdown(report: MembershipReport) -> str:
         lines.append(f"- {note}")
     if report.notes:
         lines.append("")
-    lines += ["## Seminorm integrals", "",
-              "| exponent | E|Z|^p | E|f'(W)|^p |", "|---|---|---|"]
-    for expo in sorted(report.seminorms):
-        val, der = report.seminorms[expo]
-        def cell(v):
-            return f"{v.value:.6g} (+-{v.abs_error:.1e})" if v.converged else v.status
-        lines.append(f"| {expo:g} | {cell(val)} | {cell(der)} |")
-    lines.append("")
-    for (q, h_T), res in sorted(report.ssgd.items()):
-        lines.append(f"## L^{q:g} residuals, h endpoint {h_T:g} -> {res.verdict}")
-        lines.append("")
-        lines.append("| eps | verdict | value |")
-        lines.append("|---|---|---|")
-        for r in res.table:
-            val = f"{r.value:.6g}" if r.verdict.converged else ""
-            lines.append(f"| {r.epsilon:g} | {r.verdict.status} | {val} |")
-        lines.append("")
-    for h_T, res in sorted(report.dvp.items()):
-        sup = f"{res.sup_value:.6g}" if res.sup_value is not None else "n/a"
-        lines.append(f"## Uniform integrability (psi-test), h endpoint {h_T:g} -> "
-                     f"{res.verdict} (sup {sup})")
-        lines.append("")
+    lines += ["## Limit tests", "", "| test | h endpoint | flag | sup |", "|---|---|---|---|"]
+    lines += [f"| L^{q:g} residuals | {h_T:g} | {res.verdict} | |"
+              for (q, h_T), res in sorted(report.ssgd.items())]
+    lines += [f"| psi-test | {h_T:g} | {res.verdict} | "
+              f"{'n/a' if res.sup_value is None else format(res.sup_value, '.6g')} |"
+              for h_T, res in sorted(report.dvp.items())]
     return "\n".join(lines) + "\n"

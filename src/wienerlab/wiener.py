@@ -169,9 +169,10 @@ def _rng_for(seed: int, substream: int = 0) -> np.random.Generator:
 
 
 def sample_path(grid: TimeGrid, seed: int) -> BrownianPath:
-    """One standard Brownian path: independent N(0, dt) increments, W_0 = 0."""
-    incs = _rng_for(seed).standard_normal(grid.n_cells) * np.sqrt(grid.cell_widths)
-    values = np.concatenate(([0.0], np.cumsum(incs)))
+    """One standard Brownian path, W_0 = 0: its increments are row 0 of
+    sample_increments(grid, n, seed) for every n."""
+    _, incs = next(_increment_blocks(grid, 1, seed))
+    values = np.concatenate(([0.0], np.cumsum(incs[0])))
     return BrownianPath(grid, values)
 
 

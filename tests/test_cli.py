@@ -513,6 +513,45 @@ class TestEpsGrid:
         assert not out.exists()
 
 
+def final_table(text: str) -> list:
+    """The cells of each line of the table that ends a Markdown text."""
+    lines = text.rstrip("\n").split("\n")
+    start = len(lines)
+    while start and lines[start - 1].startswith("|"):
+        start -= 1
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in lines[start:]]
+
+
+class TestMarkdownEvidence:
+    @pytest.mark.parametrize("argv, stem", [
+        (["reproduce-thm31", "--a", "3.25", "--h=1"], "thm31-report"),
+        (["reproduce-thm33"], "thm33-report"),
+        (["diagnose", "--functional", "linear"], "linear-diagnose"),
+        (["cm-check", "--n-samples", "1000"], "cm-check"),
+    ])
+    def test_table_rows_are_the_csv_rows(self, tmp_path, argv, stem):
+        # every Markdown file ends with the CSV's header and data rows, in order
+        assert run(argv + ["--out", str(tmp_path)], tmp_path) == EXIT_OK
+        csv_lines = (tmp_path / f"{stem}.csv").read_text(encoding="utf-8").splitlines()
+        table = final_table((tmp_path / f"{stem}.md").read_text(encoding="utf-8"))
+        assert table[0] == csv_lines[1].split(",")
+        assert set(table[1]) == {"---"} and len(table[1]) == len(table[0])
+        assert table[2:] == [line.split(",") for line in csv_lines[2:]]
+        assert len(table[2:]) >= 2
+
+    def test_markdown_alone_has_the_same_table(self, tmp_path):
+        argv = ["diagnose", "--functional", "linear", "--h", "1"]
+        both, md = tmp_path / "both", tmp_path / "md"
+        assert run(argv + ["--out", str(both)], tmp_path) == EXIT_OK
+        assert run(argv + ["--format", "md", "--out", str(md)], tmp_path) == EXIT_OK
+        assert [p.name for p in md.iterdir()] == ["linear-diagnose.md"]
+        assert ((md / "linear-diagnose.md").read_bytes()
+                == (both / "linear-diagnose.md").read_bytes())
+        csv_lines = (both / "linear-diagnose.csv").read_text(encoding="utf-8").splitlines()
+        table = final_table((md / "linear-diagnose.md").read_text(encoding="utf-8"))
+        assert table[2:] == [line.split(",") for line in csv_lines[2:]]
+
+
 class TestDeterminism:
     def test_same_seed_same_csv_bytes(self, tmp_path):
         d1, d2 = tmp_path / "one", tmp_path / "two"

@@ -238,6 +238,14 @@ class TestDvp:
         res = dvp_uniform_integrability_test(f31, 1.0, grid)
         assert res.verdict == Flag.NO
 
+    @pytest.mark.parametrize("budget", [300, 600, 1000])
+    def test_psi_pieces_share_the_budget(self, budget):
+        # each of the 2-3 pieces of a psi row had the whole budget, so at
+        # budget 300 a dvp_total row spent 765 evaluations
+        rep = membership_report(catalog_build("thm33"), 2.0, h_list=(1.0, -1.0), budget=budget)
+        rows = [r for res in rep.dvp.values() for r in res.table]
+        assert rows and max(r.verdict.n_evals for r in rows) <= budget
+
 
 class TestLockstep:
     """Every row of a family run in lockstep equals that row run alone."""
@@ -737,3 +745,23 @@ class TestEmission:
         assert any(q.startswith("diffquot_residual") for q in quantities)
         assert any(q.startswith("dvp_total") for q in quantities)
         assert "bertrand_majorant" in quantities
+
+    @pytest.mark.parametrize("fixture", ["f33", "f31"])
+    def test_markdown_has_a_line_per_limit_test(self, request, fixture):
+        # the residual tests and psi-tests are one line each, with their flag,
+        # and the psi-test with its sup
+        rep = membership_report(request.getfixturevalue(fixture), 2.0, deltas=(0.1,),
+                                h_list=(1.0, -1.0))
+        lines = report_to_markdown(rep).splitlines()
+        for (q, h_T), res in rep.ssgd.items():
+            assert [ln for ln in lines if ln.startswith(f"| L^{q:g} residuals | {h_T:g} |")] \
+                == [f"| L^{q:g} residuals | {h_T:g} | {res.verdict} | |"]
+        for h_T, res in rep.dvp.items():
+            sup = "n/a" if res.sup_value is None else f"{res.sup_value:.6g}"
+            assert [ln for ln in lines if ln.startswith(f"| psi-test | {h_T:g} |")] \
+                == [f"| psi-test | {h_T:g} | {res.verdict} | {sup} |"]
+        # both cases show: a finite sup, and n/a for the thm31 tail growth
+        assert {res.verdict for res in rep.dvp.values()} == (
+            {Flag.YES} if fixture == "f33" else {Flag.NO})
+        assert not [ln for ln in lines if ln.startswith("## ") and (
+            "Seminorm" in ln or "residuals" in ln or "psi-test" in ln)]

@@ -94,6 +94,14 @@ class TestSampling:
         small = sample_increments(g, 10, seed=5)
         assert np.array_equal(big[:10], small)
 
+    @pytest.mark.parametrize("n", [1, 2, _BATCH + 1])
+    def test_path_is_row_zero_of_the_increments(self, n):
+        g = TimeGrid(np.array([0.0, 0.1, 0.35, 0.5, 1.0]))
+        # the single-path API and the batch draw one Philox stream alike
+        row = sample_increments(g, n, seed=23)[0]
+        assert np.array_equal(sample_path(g, seed=23).values,
+                              np.concatenate(([0.0], np.cumsum(row))))
+
     def test_prefix_consistent_across_substreams(self):
         g = TimeGrid.uniform(3)
         big = sample_increments(g, 2 * _BATCH + 3, seed=11)

@@ -39,6 +39,12 @@ The corpus:
   (0, mu), which converges iff i > 1, to |log mu|^(1-i) / (i-1).
 * gaussian_expectation with singular point 0 (singular-moment): E|W|^(-1/2)
   = 2^(-1/4) Gamma(1/4) / sqrt(pi), and E|W|^-1, which diverges.
+* integrate_semi_infinite on random-tail: a fixed draw (seed 7) of 200
+  tails e^(kappa x^2 + beta x) x^-p (log x)^-r from 3, as (sign, log) pairs,
+  with kappa in {0} u +-[1e-3, 0.1], beta in {0} u +-[1e-4, 0.1], p in
+  [0.5, 4] and r in {0} u [-2.5, 2.5].  A tail converges iff kappa < 0, or
+  kappa = 0 and beta < 0, or kappa = beta = 0 and p > 1 (p = 1 needs r > 1).
+  Only the verdict is scored; there is no reference value.
 
 It prints one line per family and writes the counts as JSON with --out.
 tests/test_verdict_sweep.py runs the sweep and fails if any count exceeds
@@ -225,9 +231,27 @@ def _singular_moment_cases():
         yield partial(gaussian_expectation, fam), ref is not None, ref
 
 
+def _random_tail_cases():
+    """A fixed draw of 200 tails; kappa and beta are 0 or +-10^U over their ranges."""
+    rng = np.random.default_rng(7)
+
+    def rate(least: float) -> float:
+        return rng.choice((0.0, -1.0, 1.0)) * 10.0 ** rng.uniform(math.log10(least), -1.0)
+
+    for _ in range(200):
+        kappa, beta, p = rate(1e-3), rate(1e-4), rng.uniform(0.5, 4.0)
+        r = rng.choice((0.0, 1.0)) * rng.uniform(-2.5, 2.5)
+        fam = Family(lambda x, row=0, k=kappa, b=beta, p=p, r=r: (
+            np.ones_like(x), (k * x + b) * x - p * np.log(x) - r * np.log(np.log(x))))
+        converges = kappa < 0 or kappa == 0 and (
+            beta < 0 or beta == 0 and (p > 1 or p == 1 and r > 1))
+        yield partial(integrate_semi_infinite, fam, 3.0), converges, None
+
+
 CORPUS = {"power-log": _power_log_cases, "revival": _revival_cases,
           "power-tail-fit": _power_tail_fit_cases, "thm31-tail": _thm31_tail_cases,
-          "bertrand": _bertrand_cases, "singular-moment": _singular_moment_cases}
+          "bertrand": _bertrand_cases, "singular-moment": _singular_moment_cases,
+          "random-tail": _random_tail_cases}
 
 
 def sweep_corpus(counts: dict):
