@@ -116,20 +116,22 @@ class Thm31Params:
 
 
 def _thm31_right_piece(a: float) -> Function1D:
-    """f(x) = exp(x^2/4) x^-a (2 pi)^(1/4), written as (sign, log) pairs."""
+    """f(x) = exp(x^2/4) x^-a (2 pi)^(1/4), with the Gaussian rate 1/4: its
+    pairs hold r(x) = -a log x + log(2 pi)/4 and, for f'(x) = exp(x^2/4)
+    x^(-a-1) (x^2/2 - a) (2 pi)^(1/4), r'(x) = -(a+1) log x + log|x^2/2 - a|
+    + log(2 pi)/4.  The x^2/4 is never added in: against the Gaussian
+    weight the consumers form (q/4 - 1/2) x^2 for |f|^q, exactly 0 at q = 2."""
     def slog(x):
         x = np.asarray(x, dtype=float)
-        return np.ones_like(x), 0.25 * x * x - a * np.log(x) + QUARTER_LOG_2PI
+        return np.ones_like(x), QUARTER_LOG_2PI - a * np.log(x)
 
     def slog_deriv(x):
-        # f'(x) = exp(x^2/4) x^(-a-1) (x^2/2 - a) (2 pi)^(1/4)
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore"):
             return (np.sign(0.5 * x * x - a),
-                    0.25 * x * x - (a + 1.0) * np.log(x)
-                    + np.log(np.abs(0.5 * x * x - a)) + QUARTER_LOG_2PI)
+                    np.log(np.abs(0.5 * x * x - a)) - (a + 1.0) * np.log(x) + QUARTER_LOG_2PI)
 
-    return Function1D(slog=slog, slog_deriv=slog_deriv)
+    return Function1D(slog=slog, slog_deriv=slog_deriv, rate=0.25)
 
 
 def build_thm31(params: Thm31Params) -> ScalarFunctional:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import quadrature as quad
 from .functionals import (CylindricalFunctional, ScalarFunctional,
-                          difference_quotient_slog)
+                          difference_quotient_slog, rated)
 from .quadrature import Family, IntegralVerdict
 from .slog import slog_sub
 from .wiener import (CameronMartinDirection, cm_inner, merged_grid,
@@ -112,20 +112,24 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
 
 
 def _route_family(f: ScalarFunctional, breakpoints, at) -> Family:
-    """log|g_row| with the positive sign from one point function at(x, row, lx):
-    lx is None on the x route, and log x on the u = -log x route (where x = e^-u
-    may underflow), which passes it when f has its log-x forms (logx)."""
-    def log_eval(x, row=0, lx=None):
+    """g_row with the positive sign from one point function at(x, row, lx) ->
+    (r, k), log|g_row| = k x^2 + r (a gauss body): lx is None on the x route,
+    and log x on the u = -log x route (where x = e^-u may underflow), which
+    passes it when f has its log-x forms (logx)."""
+    def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
-        return np.ones_like(x), at(x, row, lx)
+        return (np.ones_like(x), *at(x, row, lx))
 
-    return Family(log_eval, breakpoints, tuple(f.singular_points), f.has_logx_forms())
+    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), True)
 
 
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
-    """|g(x)|^p as a one-row family, g = f' if deriv else f."""
-    slog = f.slog_deriv if deriv else f.slog_value
-    return _route_family(f, (_scalar_cuts(f),), lambda x, row, lx: p * slog(x, lx)[1])
+    """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k."""
+    def at(x, row, lx):
+        _, r, k = f.slog_parts(x, lx, deriv)
+        return p * r, p * k
+
+    return _route_family(f, (_scalar_cuts(f),), at)
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -134,30 +138,34 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     psi(|X_eps|^2) where q is None.
 
     The rows index the shift eps c, math.log(eps), the centring (c, or 0 when
-    not centered) and the outer map of their point's member.
+    not centered) and the outer map of their point's member.  With k the
+    Gaussian rate at x, the quotient, f' and the centring are formed relative
+    to k x^2, and a member's rate is q k (2 k for psi).
     """
     shift = np.array([eps * c for _, eps, c, _ in rows])
     log_eps = np.array([math.log(eps) for _, eps, _, _ in rows])
     centre = np.array([c if centered else 0.0 for _, _, c, centered in rows])
     log_centre = np.array([math.log(abs(c)) if c else 0.0 for c in centre])
     expo = np.array([np.nan if q is None else q for q, _, _, _ in rows])  # NaN: psi
+    lead = np.where(np.isnan(expo), 2.0, expo)  # the power of |X_eps| in the member
 
     def at(x, row, lx):
-        """log|g_row(x)|: the plain difference (unit eps along the shift), then
-        the row's log eps; f' and the centring, and psi, only on their rows."""
+        """(r, k) of g_row(x): the plain difference (unit eps along the shift),
+        then the row's log eps; f' and the centring, and psi, only on their rows."""
         row = np.full(x.shape, row) if np.ndim(row) == 0 else row
-        s, l = difference_quotient_slog(f, x, 1.0, shift[row], lx)
+        s, l, k = difference_quotient_slog(f, x, 1.0, shift[row], lx)
         l = l - log_eps[row]
         cen = np.flatnonzero(centre[row])
         if cen.size:
             r = row[cen]
-            ds, dl = f.slog_deriv(x[cen], None if lx is None else lx[cen])
+            ds, dl, _ = f.slog_parts(x[cen], None if lx is None else lx[cen], deriv=True)
             l[cen] = slog_sub(s[cen], l[cen], np.sign(centre[r]) * ds, dl + log_centre[r])[1]
         out = expo[row] * l
+        gauss = rated(k)  # else every point's quadratic part is 0
         psi = np.flatnonzero(np.isnan(expo[row]))
         if psi.size:
-            out[psi] = _psi_log(2.0 * l[psi])
-        return out
+            out[psi] = _psi_log(2.0 * l[psi], 2.0 * (k * x * x)[psi] if gauss else 0.0)
+        return out, lead.take(row) * k if gauss else 0.0
 
     return _route_family(f, tuple(_scalar_cuts(f, shifts=(eps * c,)) for _, eps, c, _ in rows),
                          at)
@@ -292,11 +300,12 @@ def _ssgd_result(q: float, h_T: float, table: tuple, atol: float) -> SsgdResult:
 # de la Vallee-Poussin uniform integrability
 # ---------------------------------------------------------------------------
 
-def _psi_log(ly):
-    """log of psi(y) = y |log y| given ly = log y (psi(0) = psi(1) = 0)."""
+def _psi_log(ly, lq=0.0):
+    """log psi(y) - lq, psi(y) = y |log y|, given ly = log y - lq: lq is the
+    quadratic part of log y, which |log y| takes whole (psi(0) = psi(1) = 0)."""
     ly = np.asarray(ly, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = ly + np.log(np.abs(ly))
+        out = ly + np.log(np.abs(ly + lq))
     return np.where(np.isneginf(ly), -np.inf, out)
 
 

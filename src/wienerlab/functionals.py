@@ -9,7 +9,9 @@ Two families cover everything the diagnostics need:
   Each piece is written in one form (closed forms, (sign, log) pairs, or
   (sign, log) pairs in log x) and the others are derived from it, so the
   Gaussian-weighted diagnostics can work far beyond double-precision
-  overflow of f itself.
+  overflow of f itself.  A piece may declare a Gaussian rate k, log|f| =
+  k x^2 + r(x): its pairs hold r, and the consumers add the quadratic parts
+  of f, of its powers and of the Gaussian weight as one term.
 """
 
 from __future__ import annotations
@@ -146,15 +148,19 @@ def _at_logx(pair_logx: Callable) -> Callable:
     return pair
 
 
-def _derive(closed, pair, pair_logx, names) -> tuple:
-    """(closed form, (sign, log) pair) from whichever of the three is given."""
+def _derive(closed, pair, pair_logx, names, rate) -> tuple:
+    """(closed form, (sign, log) pair) from whichever of the three is given;
+    a pair holds log|.| - rate x^2."""
+    if rate and pair is None:
+        raise ValueError(f"a Gaussian rate needs {names[1]}")
     if pair is None and pair_logx is not None:
         pair = _at_logx(pair_logx)
     elif pair is None and closed is not None:
         pair = lambda x: slog_of(closed(x))
     if pair is None:
         raise ValueError(f"a piece needs one of {', '.join(names)}")
-    return (closed if closed is not None else lambda x: slog_exp(*pair(x))), pair
+    return (closed if closed is not None
+            else lambda x: slog_exp(*_whole(x, *pair(x), rate))), pair
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,10 @@ class Function1D:
     value and one for the derivative; the rest are derived: log-x pairs give
     the x pairs at log(x), pairs give the closed forms through slog_exp, and
     closed forms give the pairs through slog_of.
+
+    rate is the piece's Gaussian rate k: log|f| = k x^2 + r(x) and log|f'| =
+    k x^2 + r'(x), where slog and slog_deriv give r and r' and never k x^2.
+    A piece with a rate gives both pairs.
     """
 
     value: Optional[Callable] = None
@@ -177,10 +187,11 @@ class Function1D:
     slog_deriv: Optional[Callable] = None
     slog_logx: Optional[Callable] = None
     slog_deriv_logx: Optional[Callable] = None
+    rate: float = 0.0
 
     def __post_init__(self):
         for names in (("value", "slog", "slog_logx"), ("deriv", "slog_deriv", "slog_deriv_logx")):
-            closed, pair = _derive(*(getattr(self, n) for n in names), names)
+            closed, pair = _derive(*(getattr(self, n) for n in names), names, self.rate)
             object.__setattr__(self, names[0], closed)
             object.__setattr__(self, names[1], pair)
 
@@ -210,6 +221,8 @@ class ScalarFunctional:
 
     def __post_init__(self):
         object.__setattr__(self, "_breakpoints", np.asarray(self.breakpoints, dtype=float))
+        rates = np.array([p.rate for p in self.pieces], dtype=float)
+        object.__setattr__(self, "_rates", rates if rates.any() else None)  # None: all 0
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         if list(self.breakpoints) != sorted(self.breakpoints):
@@ -227,7 +240,9 @@ class ScalarFunctional:
 
     def _dispatch(self, x, attr: str):
         """Evaluate piece attribute `attr` at x, only on the pieces x falls
-        in; the slog* attributes return (sign, log) pairs."""
+        in; the slog* attributes return (sign, r, k): their pieces' (sign, r)
+        pairs and the Gaussian rate k of each point's piece, or one 0.0 when
+        no piece has a rate."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -242,7 +257,9 @@ class ScalarFunctional:
                 for out, v in zip(outs, got if pair else (got,)):
                     out[m] = v
         outs = tuple(out[0] if scalar else out for out in outs)
-        return outs if pair else outs[0]
+        if not pair:
+            return outs[0]
+        return (*outs, 0.0 if self._rates is None else self._rates.take(idx[0] if scalar else idx))
 
     def value(self, x):
         return self._dispatch(x, "value")
@@ -250,16 +267,24 @@ class ScalarFunctional:
     def deriv(self, x):
         return self._dispatch(x, "deriv")
 
+    def slog_parts(self, x, lx=None, deriv: bool = False):
+        """(sign, r, k) of f (of f' if deriv) at x: log|.| = k x^2 + r, with k
+        the Gaussian rate of x's piece.  Given lx = log x (x in the origin
+        piece, and has_logx_forms()), that piece's log-x form is used, so x
+        may have underflowed."""
+        attr = "slog_deriv" if deriv else "slog"
+        if lx is None:
+            return self._dispatch(x, attr)
+        origin = self._origin_piece()
+        return (*getattr(origin, f"{attr}_logx")(lx), origin.rate)
+
     def slog_value(self, x, lx=None):
-        """(sign, log|f|) at x.  Given lx = log x (x in the origin piece, and
-        has_logx_forms()), that piece's log-x form is used, so x may have
-        underflowed."""
-        return self._dispatch(x, "slog") if lx is None else self._origin_piece().slog_logx(lx)
+        """(sign, log|f|) at x, or from lx as slog_parts takes it."""
+        return _whole(x, *self.slog_parts(x, lx))
 
     def slog_deriv(self, x, lx=None):
-        """(sign, log|f'|) at x, or from lx as slog_value takes it."""
-        return (self._dispatch(x, "slog_deriv") if lx is None
-                else self._origin_piece().slog_deriv_logx(lx))
+        """(sign, log|f'|) at x, or from lx as slog_parts takes it."""
+        return _whole(x, *self.slog_parts(x, lx, deriv=True))
 
     def _origin_piece(self) -> Function1D:
         idx = int(np.searchsorted(self._breakpoints, 0.0, side="right"))
@@ -290,6 +315,16 @@ class ScalarFunctional:
 
     def slog_deriv_at_logx(self, lx):
         return self.slog_deriv(None, lx)
+
+
+def rated(k) -> bool:
+    """Whether a Gaussian rate k (one number, or one per point) is nonzero anywhere."""
+    return bool(k.any()) if isinstance(k, np.ndarray) else k != 0.0
+
+
+def _whole(x, sign, r, k):
+    """(sign, log|.|) from slog_parts' (sign, r, k)."""
+    return sign, (r + k * np.square(x)) if rated(k) else r
 
 
 def linear_functional() -> ScalarFunctional:
@@ -351,16 +386,26 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 # ---------------------------------------------------------------------------
 
 def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=None):
-    """(sign, log|.|) of the difference quotient, vectorized over x (and c);
-    f(x + eps c) and f(x) come from one piece dispatch, unless lx = log x is
-    given: it goes to f.slog_value for f(x), so x may have underflowed."""
+    """(sign, l, k) of the difference quotient, vectorized over x (and c):
+    log|(f(x + eps c) - f(x)) / eps| = k x^2 + l, with k the Gaussian rate at
+    x.  f(x + eps c) and f(x) come from one piece dispatch, unless lx = log x
+    is given: it goes to f.slog_parts for f(x), so x may have underflowed.
+
+    Both logs are taken relative to k x^2 before slog_sub: the shifted point
+    xs adds (k_xs - k) xs^2 + k d (x + xs), d = xs - x, which is exactly
+    k d (2x + d) where both points share the rate; no x^2-sized log is formed.
+    """
     x = np.asarray(x, dtype=float)
+    xs = x + eps * c
     if lx is None:
-        (s1, s0), (l1, l0) = f.slog_value(np.array([x + eps * c, x]))
+        (s1, s0), (l1, l0), k = f.slog_parts(np.array([xs, x]))
+        k1, k0 = k if isinstance(k, np.ndarray) else (k, k)
     else:
-        (s1, l1), (s0, l0) = f.slog_value(x + eps * c), f.slog_value(x, lx)
+        (s1, l1, k1), (s0, l0, k0) = f.slog_parts(xs), f.slog_parts(x, lx)
+    if rated(k0) or rated(k1):  # else both terms are 0; xs - x is exact
+        l1 = l1 + (k1 - k0) * xs * xs + k0 * (xs - x) * (x + xs)
     sign, logabs = slog_sub(s1, l1, s0, l0)
-    return sign, logabs if eps == 1.0 else logabs - math.log(eps)
+    return sign, logabs if eps == 1.0 else logabs - math.log(eps), k0
 
 
 def mc_difference_quotient(Z: CylindricalFunctional, h: CameronMartinDirection,

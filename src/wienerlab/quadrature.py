@@ -18,7 +18,10 @@ at the origin substitute u = -log x, which turns the Bertrand scale
 _piece picks the route of each piece of the line from its ends: x = route * t
 on route +-1 (-1 for the left half-line), x = e^-t on route 0.
 
-Every integrand is a Family; Family(body) is an integrand of one row.
+Every integrand is a Family; Family(body) is an integrand of one row.  A
+body may give its log as k x^2 + r with a Gaussian rate k (gauss), and
+weighted then forms the quadratic parts of the integrand and of phi as one,
+so an exp(x^2/4)-scale f squared meets exp(-x^2/2) without x^2-sized logs.
 
 The drivers (_finite, _exhaust) are generators that hold only numbers in t:
 they yield panel requests and receive the panels' values as lists, made once
@@ -63,9 +66,10 @@ AHEAD = 4               # segments whose first panels one _exhaust request fetch
 LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def gauss_log_pdf(x):
+def gauss_log_pdf(x, rate=0.0):
+    """log phi(x) + rate x^2, the two quadratic parts formed as one, (rate - 1/2) x^2."""
     x = np.asarray(x, dtype=float)
-    return -0.5 * x * x - LOG_SQRT_2PI
+    return (rate - 0.5) * x * x - LOG_SQRT_2PI
 
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
@@ -112,21 +116,37 @@ class EvaluationError(ValueError):
 class Family:
     """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
 
-    log_eval(x, row=0) -> (sign, log|g_row(x)|), vectorized, where row holds
+    body(x, row=0) -> (sign, log|g_row(x)|), vectorized, where row holds
     the member index of each point (an int array shaped like x, or one int).
-    A body with logx set also takes log_eval(x, row, lx) and reads log x from
+    A body with logx set also takes body(x, row, lx) and reads log x from
     lx = log x, which lets route 0 (u = -log x) probe x far below the
-    smallest positive double (where x itself underflows to 0).
+    smallest positive double (where x itself underflows to 0).  A body
+    with gauss set returns (sign, r, k) instead, with log|g_row(x)| =
+    k x^2 + r and k the Gaussian rate of each point: log_eval adds k x^2,
+    and weighted adds (k - 1/2) x^2, which is exactly 0 where k = 1/2.
     breakpoints[i] are the breakpoints of g_i; the singular points are
     shared.  Family(body) is an integrand of one row, on every route.
     """
 
-    log_eval: Callable
+    body: Callable
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
     logx: bool = False
+    gauss: bool = False
     # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
     neglog_eval = None
+
+    def parts(self, x, row=0, *lx):
+        """(sign, r, k) with log|g_row(x)| = k x^2 + r; k = 0 unless gauss."""
+        return self.body(x, row, *lx) if self.gauss else (*self.body(x, row, *lx), 0.0)
+
+    def log_eval(self, x, row=0, *lx):
+        """(sign, log|g_row(x)|) at x (and lx = log x, if logx)."""
+        if not self.gauss:
+            return self.body(x, row, *lx)
+        x = np.asarray(x, dtype=float)
+        sign, r, k = self.body(x, row, *lx)
+        return sign, r + k * x * x
 
     @classmethod
     def from_function(cls, fn, **kw) -> "Family":
@@ -718,12 +738,14 @@ def _fit_power_tail(u_edges, increments):
 
 def weighted(fam: Family) -> Family:
     """g(x) phi(x) for every member g, with one body: log phi comes from x on
-    both routes, and a given lx goes on to fam's body."""
-    def log_eval(x, row=0, *lx):
-        sign, logabs = fam.log_eval(x, row, *lx)
-        return sign, np.asarray(logabs, dtype=float) + gauss_log_pdf(x)
+    both routes, and a given lx goes on to fam's body.  The quadratic parts
+    of log g (fam.parts) and log phi are added as one, (k - 1/2) x^2, so
+    where g's Gaussian rate k is 1/2 no x^2-sized term is formed."""
+    def body(x, row=0, *lx):
+        sign, r, k = fam.parts(x, row, *lx)
+        return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k)
 
-    return Family(log_eval, fam.breakpoints, fam.singular_points, fam.logx)
+    return Family(body, fam.breakpoints, fam.singular_points, fam.logx)
 
 
 def _combine(pieces, labels) -> IntegralVerdict:

@@ -71,6 +71,14 @@ class TestExitCodes:
         assert (tmp_path / "thm31-report.csv").exists()
         assert (tmp_path / "thm31-report.md").exists()
 
+    @pytest.mark.parametrize("a", ["1.6", "1.75"])
+    def test_thm31_slow_derivative_tail_exits_0(self, tmp_path, a):
+        # E|f'|^2 has the tail x^(2-2a), which the fused envelope certifies:
+        # in_base is Yes and the report exits 0 (it exited 2, Inconclusive)
+        assert run(["reproduce-thm31", "--a", a, "--out", str(tmp_path)], tmp_path) == EXIT_OK
+        rows = list(csv.reader((tmp_path / "thm31-report.csv").read_text().splitlines()[1:]))
+        assert [r[3] for r in rows if r[0] == "deriv_moment" and r[1] == "2.0"] == ["converged"]
+
     def test_thm31_bad_exponent(self, tmp_path):
         assert run(["reproduce-thm31", "--a", "1.0"], tmp_path) == EXIT_USAGE
 

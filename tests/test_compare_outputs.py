@@ -60,3 +60,32 @@ def test_counts_the_verdicts_whose_certificate_differs():
         "op 2 op: verdicts"]
     # op 2's lists are not equally long, so no verdict of it is paired
     assert compare_outputs.certificate_changes(old, new) == 4
+
+
+def _csv(*rows):
+    return "# schema=1\nquantity,q,epsilon,verdict,value,abs_error\n" + "".join(
+        ",".join(row) + "\n" for row in rows)
+
+
+def test_row_report_lists_verdict_changes_and_the_largest_move():
+    old = [_op([]), _op([]), _op([])]
+    old[0]["files"] = {"r.csv": _csv(("m", "2.0", "", "converged", "1.0", "1e-9"),
+                                     ("m", "2.0", "", "converged", "1.0", "1e-9"),
+                                     ("q", "2.0", "0.5", "inconclusive", "", ""),
+                                     ("p", "", "", "converged", "3.0", "2e-9")),
+                       "r.md": "a table"}
+    old[1]["files"] = {"s.csv": _csv(("m", "2.0", "", "converged", "1.0", "0.0"))}
+    old[2]["files"] = dict(old[0]["files"])
+    new = [dict(op, files=dict(op["files"])) for op in old]
+    new[0]["files"]["r.csv"] = _csv(("m", "2.0", "", "converged", "1.0", "1e-9"),
+                                    ("m", "2.0", "", "converged", "1.0000000005", "2e-9"),
+                                    ("q", "2.0", "0.5", "converged", "4.0", "1e-9"),
+                                    ("p", "", "", "converged", "3.0", "2e-9"))
+    new[1]["files"]["s.csv"] = _csv(("m", "2.0", "", "converged", "1.5", "0.0"))
+    assert compare_outputs.row_report(old, new) == [
+        "op 0 op: r.csv:q[q=2.0,eps=0.5] inconclusive -> converged;"
+        " largest |dvalue|/abs_error 0.25 (r.csv:m[q=2.0,eps=-]#1)",
+        "op 1 op: largest |dvalue|/abs_error inf (s.csv:m[q=2.0,eps=-])",
+        "rows: 1 verdict change(s); largest |dvalue|/abs_error inf"]
+    assert compare_outputs.row_report(old, old) == [
+        "rows: 0 verdict change(s); largest |dvalue|/abs_error 0"]

@@ -219,8 +219,10 @@ class TestScalarPairing:
 
 
 def difference_quotient_1d(f, x, eps, c):
-    """(f(x + eps*c) - f(x)) / eps as a float, formed in (sign, log) space."""
-    return float(slog_exp(*difference_quotient_slog(f, x, eps, c)))
+    """(f(x + eps*c) - f(x)) / eps as a float, formed in (sign, log) space,
+    with the quadratic part k x^2 of its log added back."""
+    sign, logabs, k = difference_quotient_slog(f, x, eps, c)
+    return float(slog_exp(sign, logabs + k * x * x))
 
 
 class TestDifferenceQuotient1D:

@@ -16,7 +16,11 @@ quadrature._lockstep call returns (status, value, abs_error, n_evals,
 message, evidence).  It prints the operations that differ, with the verdict
 fields that differ, and a totals line that counts the verdicts whose
 status, value or abs_error differ; it exits 1 if any op differs, 0 if all
-are equal.
+are equal.  Then, for each op whose CSV rows differ, it lists every row
+whose verdict changed (row key, old -> new), and the largest |value change|
+/ abs_error over the rows whose verdict stayed (abs_error the larger of the
+two rows'), so a change that may move values within their certified
+error shows how far each op's values moved.
 
 The other tools import load, run_op, workload_ops and default_ops from here.
 """
@@ -24,11 +28,13 @@ The other tools import load, run_op, workload_ops and default_ops from here.
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -168,6 +174,63 @@ def certificate_changes(old: list, new: list) -> int:
                for _, names in verdict_changes(a["verdicts"], b["verdicts"]))
 
 
+def csv_rows(files: dict) -> dict:
+    """{(file, quantity, q, epsilon, n): (verdict, value, abs_error)} over the
+    CSV files of a record, n counting the rows of the same key before it."""
+    rows, seen = {}, collections.Counter()
+    for name, text in sorted(files.items()):
+        if name.endswith(".csv"):
+            for line in text.splitlines()[2:]:  # after the schema and header lines
+                quantity, q, eps, status, value, abs_error = line.split(",")
+                key = name, quantity, q, eps
+                rows[(*key, seen[key])] = status, value, abs_error
+                seen[key] += 1
+    return rows
+
+
+def row_changes(a: dict, b: dict) -> tuple:
+    """([(key, old verdict, new verdict)], (largest |value change| / abs_error,
+    its key)) between two records' files; the ratio is over the rows of both
+    with the same verdict and a value, abs_error the larger of the two rows'
+    (inf for a move against a zero error, None if no row has a value)."""
+    old, new = csv_rows(a), csv_rows(b)
+    changed, worst = [], (None, None)
+    for key in old.keys() & new.keys():
+        (s0, v0, e0), (s1, v1, e1) = old[key], new[key]
+        if s0 != s1:
+            changed.append((key, s0, s1))
+        elif v0 and v1:
+            move, err = abs(float(v1) - float(v0)), max(float(e0 or 0), float(e1 or 0))
+            ratio = move / err if err else (math.inf if move else 0.0)
+            if worst[0] is None or ratio > worst[0]:
+                worst = ratio, key
+    return sorted(changed), worst
+
+
+def row_report(old: list, new: list) -> list:
+    """One line per op whose CSV rows differ: its verdict changes and its
+    largest value move over abs_error; then a totals line."""
+    lines, n_changed, top = [], 0, 0.0
+    for i, (a, b) in enumerate(zip(old, new)):
+        changed, (ratio, key) = row_changes(a["files"], b["files"])
+        if not changed and not ratio:
+            continue
+        n_changed += len(changed)
+        top = max(top, ratio or 0.0)
+        line = f"op {i} {' '.join(a['argv'])}:"
+        line += "".join(f" {_key(k)} {s0} -> {s1};" for k, s0, s1 in changed)
+        if ratio is not None:
+            line += f" largest |dvalue|/abs_error {ratio:.3g} ({_key(key)})"
+        lines.append(line)
+    lines.append(f"rows: {n_changed} verdict change(s); largest |dvalue|/abs_error {top:.3g}")
+    return lines
+
+
+def _key(key) -> str:
+    name, quantity, q, eps, n = key
+    return f"{name}:{quantity}[q={q or '-'},eps={eps or '-'}]" + (f"#{n}" if n else "")
+
+
 def differences(old: list, new: list) -> list:
     """One line per op whose records differ, naming the fields that differ and,
     for verdicts, the verdict fields."""
@@ -204,7 +267,7 @@ def main(argv=None) -> int:
     old = record(load(args.old, "wienerlab_old"), ops)
     new = record(load(args.new, "wienerlab_new"), ops)
     lines = differences(old, new)
-    for line in lines:
+    for line in lines + row_report(old, new):
         print(line)
     n_verdicts = sum(len(r["verdicts"]) for r in new)
     n_files = sum(len(r["files"]) for r in new)
