@@ -159,14 +159,15 @@ def squared_quotient_floor_integrand(a: float, eps: float) -> Family:
         raise ValueError("eps must be positive")
     s = 0.5 * eps
 
-    def log_eval(x, row=0):
+    def body(x, row=0):
         x = np.asarray(x, dtype=float)
         xs = x + s
         with np.errstate(divide="ignore"):
             log_psi = -(a + 1.0) * np.log(xs) + np.log(np.abs(0.5 * xs * xs - a))
-        return np.ones_like(x), 0.5 * s * s + s * x + 2.0 * log_psi + 0.5 * math.log(2 * math.pi)
+        return (np.ones_like(x), 0.5 * s * s + s * x + 2.0 * log_psi + 0.5 * math.log(2 * math.pi),
+                0.0)
 
-    return Family(log_eval)
+    return Family(body)
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import quadrature as quad
-from .functionals import (CylindricalFunctional, ScalarFunctional,
-                          difference_quotient_slog, rated)
+from .functionals import CylindricalFunctional, ScalarFunctional, difference_quotient_slog
 from .quadrature import Family, IntegralVerdict
 from .slog import slog_sub
 from .wiener import (CameronMartinDirection, cm_inner, merged_grid,
@@ -113,14 +112,14 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
 
 def _route_family(f: ScalarFunctional, breakpoints, at) -> Family:
     """g_row with the positive sign from one point function at(x, row, lx) ->
-    (r, k), log|g_row| = k x^2 + r (a gauss body): lx is None on the x route,
-    and log x on the u = -log x route (where x = e^-u may underflow), which
-    passes it when f has its log-x forms (logx)."""
+    (r, k), log|g_row| = k x^2 + r: lx is None on the x route, and log x on
+    the u = -log x route (where x = e^-u may underflow), which passes it
+    when f has its log-x forms (logx)."""
     def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
         return (np.ones_like(x), *at(x, row, lx))
 
-    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), True)
+    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms())
 
 
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
@@ -161,11 +160,10 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
             ds, dl, _ = f.slog_parts(x[cen], None if lx is None else lx[cen], deriv=True)
             l[cen] = slog_sub(s[cen], l[cen], np.sign(centre[r]) * ds, dl + log_centre[r])[1]
         out = expo[row] * l
-        gauss = rated(k)  # else every point's quadratic part is 0
         psi = np.flatnonzero(np.isnan(expo[row]))
         if psi.size:
-            out[psi] = _psi_log(2.0 * l[psi], 2.0 * (k * x * x)[psi] if gauss else 0.0)
-        return out, lead.take(row) * k if gauss else 0.0
+            out[psi] = _psi_log(2.0 * l[psi], 2.0 * (k * x * x)[psi])
+        return out, lead.take(row) * k
 
     return _route_family(f, tuple(_scalar_cuts(f, shifts=(eps * c,)) for _, eps, c, _ in rows),
                          at)
@@ -300,7 +298,7 @@ def _ssgd_result(q: float, h_T: float, table: tuple, atol: float) -> SsgdResult:
 # de la Vallee-Poussin uniform integrability
 # ---------------------------------------------------------------------------
 
-def _psi_log(ly, lq=0.0):
+def _psi_log(ly, lq):
     """log psi(y) - lq, psi(y) = y |log y|, given ly = log y - lq: lq is the
     quadratic part of log y, which |log y| takes whole (psi(0) = psi(1) = 0)."""
     ly = np.asarray(ly, dtype=float)

@@ -9,9 +9,10 @@ Two families cover everything the diagnostics need:
   Each piece is written in one form (closed forms, (sign, log) pairs, or
   (sign, log) pairs in log x) and the others are derived from it, so the
   Gaussian-weighted diagnostics can work far beyond double-precision
-  overflow of f itself.  A piece may declare a Gaussian rate k, log|f| =
-  k x^2 + r(x): its pairs hold r, and the consumers add the quadratic parts
-  of f, of its powers and of the Gaussian weight as one term.
+  overflow of f itself.  A piece declares a Gaussian rate k (0 unless
+  given), log|f| = k x^2 + r(x): its pairs hold r, every slog_parts call
+  hands out (sign, r, k) with k per point, and the consumers add the
+  quadratic parts of f, of its powers and of the Gaussian weight as one term.
 """
 
 from __future__ import annotations
@@ -221,8 +222,7 @@ class ScalarFunctional:
 
     def __post_init__(self):
         object.__setattr__(self, "_breakpoints", np.asarray(self.breakpoints, dtype=float))
-        rates = np.array([p.rate for p in self.pieces], dtype=float)
-        object.__setattr__(self, "_rates", rates if rates.any() else None)  # None: all 0
+        object.__setattr__(self, "_rates", np.array([p.rate for p in self.pieces], dtype=float))
         if len(self.pieces) != len(self.breakpoints) + 1:
             raise ValueError("need exactly one more piece than breakpoints")
         if list(self.breakpoints) != sorted(self.breakpoints):
@@ -241,8 +241,7 @@ class ScalarFunctional:
     def _dispatch(self, x, attr: str):
         """Evaluate piece attribute `attr` at x, only on the pieces x falls
         in; the slog* attributes return (sign, r, k): their pieces' (sign, r)
-        pairs and the Gaussian rate k of each point's piece, or one 0.0 when
-        no piece has a rate."""
+        pairs and the Gaussian rate k of each point's piece."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
@@ -259,7 +258,7 @@ class ScalarFunctional:
         outs = tuple(out[0] if scalar else out for out in outs)
         if not pair:
             return outs[0]
-        return (*outs, 0.0 if self._rates is None else self._rates.take(idx[0] if scalar else idx))
+        return (*outs, self._rates.take(idx[0] if scalar else idx))
 
     def value(self, x):
         return self._dispatch(x, "value")
@@ -311,20 +310,17 @@ class ScalarFunctional:
         return self.slog_deriv(x)[0]
 
     def slog_value_at_logx(self, lx):
-        return self.slog_value(None, lx)
+        return self.slog_value(np.exp(lx), lx)
 
     def slog_deriv_at_logx(self, lx):
-        return self.slog_deriv(None, lx)
-
-
-def rated(k) -> bool:
-    """Whether a Gaussian rate k (one number, or one per point) is nonzero anywhere."""
-    return bool(k.any()) if isinstance(k, np.ndarray) else k != 0.0
+        return self.slog_deriv(np.exp(lx), lx)
 
 
 def _whole(x, sign, r, k):
-    """(sign, log|.|) from slog_parts' (sign, r, k)."""
-    return sign, (r + k * np.square(x)) if rated(k) else r
+    """(sign, log|.|) from slog_parts' (sign, r, k); (k x) x, not k x^2,
+    so a rate of 0 gives r + 0 where x^2 overflows."""
+    x = np.asarray(x, dtype=float)
+    return sign, r + k * x * x
 
 
 def linear_functional() -> ScalarFunctional:
@@ -398,12 +394,10 @@ def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=No
     x = np.asarray(x, dtype=float)
     xs = x + eps * c
     if lx is None:
-        (s1, s0), (l1, l0), k = f.slog_parts(np.array([xs, x]))
-        k1, k0 = k if isinstance(k, np.ndarray) else (k, k)
+        (s1, s0), (l1, l0), (k1, k0) = f.slog_parts(np.array([xs, x]))
     else:
         (s1, l1, k1), (s0, l0, k0) = f.slog_parts(xs), f.slog_parts(x, lx)
-    if rated(k0) or rated(k1):  # else both terms are 0; xs - x is exact
-        l1 = l1 + (k1 - k0) * xs * xs + k0 * (xs - x) * (x + xs)
+    l1 = l1 + (k1 - k0) * xs * xs + k0 * (xs - x) * (x + xs)
     sign, logabs = slog_sub(s1, l1, s0, l0)
     return sign, logabs if eps == 1.0 else logabs - math.log(eps), k0
 

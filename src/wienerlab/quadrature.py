@@ -18,10 +18,10 @@ at the origin substitute u = -log x, which turns the Bertrand scale
 _piece picks the route of each piece of the line from its ends: x = route * t
 on route +-1 (-1 for the left half-line), x = e^-t on route 0.
 
-Every integrand is a Family; Family(body) is an integrand of one row.  A
-body may give its log as k x^2 + r with a Gaussian rate k (gauss), and
-weighted then forms the quadratic parts of the integrand and of phi as one,
-so an exp(x^2/4)-scale f squared meets exp(-x^2/2) without x^2-sized logs.
+Every integrand is a Family; Family(body) is an integrand of one row.  Every
+body gives its log as k x^2 + r with a Gaussian rate k (0 for most), and
+weighted forms the quadratic parts of the integrand and of phi as one, so an
+exp(x^2/4)-scale f squared meets exp(-x^2/2) without x^2-sized logs.
 
 The drivers (_finite, _exhaust) are generators that hold only numbers in t:
 they yield panel requests and receive the panels' values as lists, made once
@@ -116,34 +116,26 @@ class EvaluationError(ValueError):
 class Family:
     """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
 
-    body(x, row=0) -> (sign, log|g_row(x)|), vectorized, where row holds
-    the member index of each point (an int array shaped like x, or one int).
-    A body with logx set also takes body(x, row, lx) and reads log x from
-    lx = log x, which lets route 0 (u = -log x) probe x far below the
-    smallest positive double (where x itself underflows to 0).  A body
-    with gauss set returns (sign, r, k) instead, with log|g_row(x)| =
-    k x^2 + r and k the Gaussian rate of each point: log_eval adds k x^2,
-    and weighted adds (k - 1/2) x^2, which is exactly 0 where k = 1/2.
-    breakpoints[i] are the breakpoints of g_i; the singular points are
-    shared.  Family(body) is an integrand of one row, on every route.
+    body(x, row=0) -> (sign, r, k), vectorized, with log|g_row(x)| =
+    k x^2 + r and k the Gaussian rate (one number, or one per point); row
+    holds the member index of each point (an int array shaped like x, or
+    one int).  A body with logx set also takes body(x, row, lx) and reads
+    log x from lx = log x, which lets route 0 (u = -log x) probe x far below
+    the smallest positive double (where x itself underflows to 0).
+    log_eval adds k x^2, and weighted adds (k - 1/2) x^2, which is exactly 0
+    where k = 1/2.  breakpoints[i] are the breakpoints of g_i; the singular
+    points are shared.  Family(body) is an integrand of one row, on every route.
     """
 
     body: Callable
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
     logx: bool = False
-    gauss: bool = False
     # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
     neglog_eval = None
 
-    def parts(self, x, row=0, *lx):
-        """(sign, r, k) with log|g_row(x)| = k x^2 + r; k = 0 unless gauss."""
-        return self.body(x, row, *lx) if self.gauss else (*self.body(x, row, *lx), 0.0)
-
     def log_eval(self, x, row=0, *lx):
         """(sign, log|g_row(x)|) at x (and lx = log x, if logx)."""
-        if not self.gauss:
-            return self.body(x, row, *lx)
         x = np.asarray(x, dtype=float)
         sign, r, k = self.body(x, row, *lx)
         return sign, r + k * x * x
@@ -151,9 +143,9 @@ class Family:
     @classmethod
     def from_function(cls, fn, **kw) -> "Family":
         """The one-row family of an ordinary value-returning function."""
-        def log_eval(x, row=0):
-            return slog_of(fn(np.asarray(x, dtype=float)))
-        return cls(log_eval, **kw)
+        def body(x, row=0):
+            return (*slog_of(fn(np.asarray(x, dtype=float))), 0.0)
+        return cls(body, **kw)
 
     def cuts(self, row: int, a: float, b: float, route: float = 1.0) -> list:
         """Member row's cuts inside (a, b) in the variable t of a route: on
@@ -183,13 +175,13 @@ def bertrand_family(exponents) -> Family:
     its body takes log x (logx), so at lx = -u it is exactly u - e*log(u)."""
     exponents = np.array(exponents, dtype=float)
 
-    def log_eval(x, row=0, lx=None):
+    def body(x, row=0, lx=None):
         if lx is None:
             with np.errstate(divide="ignore"):
                 lx = np.log(np.asarray(x, dtype=float))
-        return np.ones_like(lx), -lx - exponents[row] * np.log(np.abs(lx))
+        return np.ones_like(lx), -lx - exponents[row] * np.log(np.abs(lx)), 0.0
 
-    return Family(log_eval, ((),) * exponents.size, (0.0,), True)
+    return Family(body, ((),) * exponents.size, (0.0,), True)
 
 
 class Verdict:
@@ -739,11 +731,12 @@ def _fit_power_tail(u_edges, increments):
 def weighted(fam: Family) -> Family:
     """g(x) phi(x) for every member g, with one body: log phi comes from x on
     both routes, and a given lx goes on to fam's body.  The quadratic parts
-    of log g (fam.parts) and log phi are added as one, (k - 1/2) x^2, so
-    where g's Gaussian rate k is 1/2 no x^2-sized term is formed."""
+    of log g and log phi are added as one, (k - 1/2) x^2, into the r of a
+    body of rate 0, so where g's Gaussian rate k is 1/2 no x^2-sized term is
+    formed."""
     def body(x, row=0, *lx):
-        sign, r, k = fam.parts(x, row, *lx)
-        return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k)
+        sign, r, k = fam.body(x, row, *lx)
+        return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k), 0.0
 
     return Family(body, fam.breakpoints, fam.singular_points, fam.logx)
 

@@ -364,7 +364,8 @@ def where_quotient_log(f, rows, x, row, lx):
 
 
 QUOTIENT_FUNCTIONALS = {"thm31": (catalog_build("thm31", a=2.0), (-6.0, 14.0)),
-                        "thm33": (catalog_build("thm33", eta=1e-4, mu=2e-4), (-5e-4, 8e-4))}
+                        "thm33": (catalog_build("thm33", eta=1e-4, mu=2e-4), (-5e-4, 8e-4)),
+                        "linear": (catalog_build("linear"), (-6.0, 14.0))}
 QUOTIENT_ROW = st.tuples(st.sampled_from([None, 1.2, 2.0, 2.5]),
                          st.sampled_from([2.0 ** -1, 2.0 ** -5, 2.0 ** -14, 0.3]),
                          st.sampled_from([1.0, -1.0, 0.5, -2.5]), st.booleans())
@@ -412,6 +413,45 @@ class TestQuotientBody:
         np.testing.assert_array_equal(np.isnan(got), nan)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
         np.testing.assert_array_equal(got[~nan], want[~nan])
+
+
+def where_abs_pow_log(f, p, deriv, x, lx, weighted):
+    """log|g|^p of _abs_pow_family(f, p, deriv), and of its weighted form, from
+    one slog_parts call, each quadratic part formed here: p r + (p k) x^2, or
+    p r + ((p k - 1/2) x^2 - log sqrt(2 pi)) with the Gaussian weight."""
+    _, r, k = f.slog_parts(x, lx, deriv)
+    if weighted:
+        return p * r + ((p * k - 0.5) * x * x - quad.LOG_SQRT_2PI)
+    return p * r + p * k * x * x
+
+
+class TestAbsPowBody:
+    """Every bit of the |f|^p and |f'|^p bodies, unweighted and weighted, equals
+    the reference; thm33 also on the u = -log x route, with lx = log x."""
+
+    X = {"thm31": np.concatenate([np.linspace(-6.0, 14.0, 81), [2.0, 1e3, 1e6]]),
+         "thm33": np.concatenate([np.linspace(-5e-4, 8e-4, 81), [0.0, -0.0, 1e-4, 2e-4]]),
+         "linear": np.concatenate([np.linspace(-6.0, 14.0, 81), [0.0, -0.0, 1e6]])}
+
+    @pytest.mark.parametrize("name", ["thm31", "thm33", "linear"])
+    @pytest.mark.parametrize("deriv", [False, True])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_bits_match_the_reference(self, name, deriv, weighted):
+        f = QUOTIENT_FUNCTIONALS[name][0]
+        cases = [(self.X[name], None)]
+        if name == "thm33":
+            u = np.concatenate([np.linspace(-math.log(f.params["mu"]), 800.0, 60),
+                                [-math.log(1e-4)]])
+            cases.append((np.exp(-u), -u))
+        for p in (1.5, 2.0, 2.1):
+            fam = _abs_pow_family(f, p, deriv)
+            fam = quad.weighted(fam) if weighted else fam
+            for x, lx in cases:
+                with np.errstate(all="ignore"):
+                    want = where_abs_pow_log(f, p, deriv, x, lx, weighted)
+                    sign, got = fam.log_eval(x, 0) if lx is None else fam.log_eval(x, 0, lx)
+                np.testing.assert_array_equal(sign, np.ones_like(x))
+                np.testing.assert_array_equal(got, want, err_msg=f"p={p}")
 
 
 def mp_phi(x):

@@ -195,6 +195,34 @@ class TestDerivedForms:
             Function1D(value=np.zeros_like)
 
 
+class TestLogxViewsWithARate:
+    """The log-x views of an origin piece with a Gaussian rate give the x views
+    at x = e^lx: log|f| = x^2 / 10 + 3x, log|f'| = log|f| + log(x / 5 + 3)."""
+
+    @staticmethod
+    def _piece():
+        def slog(x):
+            x = np.asarray(x, dtype=float)
+            return np.ones_like(x), 3.0 * x
+
+        def slog_deriv(x):
+            x = np.asarray(x, dtype=float)
+            return np.ones_like(x), 3.0 * x + np.log(0.2 * x + 3.0)
+
+        return Function1D(slog=slog, slog_deriv=slog_deriv, rate=0.1,
+                          slog_logx=lambda lx: slog(np.exp(lx)),
+                          slog_deriv_logx=lambda lx: slog_deriv(np.exp(lx)))
+
+    def test_views_equal_the_x_views(self):
+        f = ScalarFunctional(name="rated", breakpoints=(), pieces=(self._piece(),))
+        assert f.has_logx_forms()
+        for lx in (np.log([0.5]), np.linspace(-700.0, 2.0, 50)):
+            for at_logx, at_x in ((f.slog_value_at_logx, f.slog_value),
+                                  (f.slog_deriv_at_logx, f.slog_deriv)):
+                for got, want in zip(at_logx(lx), at_x(np.exp(lx))):
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestScalarPairing:
     def test_linear(self):
         c = CameronMartinDirection.constant(2.5)

@@ -114,7 +114,7 @@ class TestAdaptive:
         def log_eval(x, row=0):
             with np.errstate(divide="ignore", under="ignore"):
                 spike = 800.0 * np.exp(-((x - 0.05) / 0.002) ** 2)
-                return np.sign(np.sin(20.0 * x)), np.log(np.abs(np.sin(20.0 * x))) + spike
+                return np.sign(np.sin(20.0 * x)), np.log(np.abs(np.sin(20.0 * x))) + spike, 0.0
 
         rounds = []
         real = quad._gk_panels
@@ -138,7 +138,7 @@ class TestAdaptive:
 
         def log_eval(x, row=0):
             calls.append(x.size)
-            return slog_of(np.sin(50.0 * x))
+            return (*slog_of(np.sin(50.0 * x)), 0.0)
 
         v = integrate_adaptive(Family(log_eval), 0.0, 10.0, atol=1e-12, rtol=1e-12)
         assert v.converged
@@ -560,9 +560,9 @@ def test_magnitude_exit_keeps_the_verdict_for_less_work(kind, rate, power, a):
     # power >= -1 and converges below.  The exit may only end a segment early:
     # the status and its reason stay, and n_evals never grows
     if kind == "exp":
-        fam = Family(lambda u, row=0: (np.ones_like(u), rate * u - power * np.log(u)))
+        fam = Family(lambda u, row=0: (np.ones_like(u), rate * u - power * np.log(u), 0.0))
     else:
-        fam = Family(lambda u, row=0: (np.ones_like(u), power * np.log(u)))
+        fam = Family(lambda u, row=0: (np.ones_like(u), power * np.log(u), 0.0))
     new = integrate_semi_infinite(fam, a, budget=20_000)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quad, "_segment", _without_partial)
@@ -629,7 +629,8 @@ class TestLockstep:
 
         def log_eval(x, row):
             with np.errstate(invalid="ignore"):
-                return slog_of(np.where((row == 1) & (x > 0.7), np.nan, np.sin(freq[row] * x)))
+                return (*slog_of(np.where((row == 1) & (x > 0.7), np.nan, np.sin(freq[row] * x))),
+                        0.0)
 
         fam = Family(log_eval, ((), (), ()))
         calls = self.record_calls(monkeypatch)
@@ -671,7 +672,7 @@ class TestLockstep:
 
         def log_eval(x, row):
             sign, logabs = slog_of(np.where(x < -2.0, np.cos(x), x - shift[row]))
-            return sign, logabs + gauss_log_pdf(x - shift[row])
+            return sign, logabs + gauss_log_pdf(x - shift[row]), 0.0
 
         fam = Family(log_eval, ((-2.0,),) * shift.size)
         assert quad._piece(fam, 1, -math.inf, -1.0, 1e-11, 1e-9, 100_000)[:3] == (fam, 1, -1.0)
@@ -699,8 +700,8 @@ class TestLockstep:
         # (-inf, -1) reaches; every other piece ends as it does alone
         def log_eval(x, row):
             with np.errstate(invalid="ignore"):
-                return slog_of(np.where((row == 1) & (x < -1.5), np.nan,
-                                        np.exp(-0.5 * x * x) * np.sin(3.0 * x + row)))
+                return (*slog_of(np.where((row == 1) & (x < -1.5), np.nan,
+                                          np.exp(-0.5 * x * x) * np.sin(3.0 * x + row))), 0.0)
 
         fam = Family(log_eval, ((), (), ()))
         calls = self.record_calls(monkeypatch)
@@ -761,7 +762,7 @@ class TestLockstep:
 
         def log_eval(x, row):
             lx = np.log(x)
-            return np.ones_like(x), -lx - expo[row] * np.log(np.abs(lx))
+            return np.ones_like(x), -lx - expo[row] * np.log(np.abs(lx)), 0.0
 
         fam = Family(log_eval, ((), (), ()), singular_points=(0.0,))
         pieces = [(0, 0.0, 1e-300), (1, 0.0, 0.5), (2, 0.0, 0.5)]
@@ -786,7 +787,7 @@ class TestLockstep:
             calls.append(lx is not None)
             if lx is None:
                 lx = np.log(np.abs(x))
-            return np.ones_like(lx), -lx - expo[row] * np.log(np.abs(lx)) + gauss_log_pdf(x)
+            return np.ones_like(lx), -lx - expo[row] * np.log(np.abs(lx)) + gauss_log_pdf(x), 0.0
 
         def counted(driver, requests):  # the driver, counting the requests it makes
             fam, row, route, gen = driver
@@ -845,7 +846,7 @@ class TestSemiInfinite:
 
         def weighted(x, row=0):
             s, l = q.log_eval(x)
-            return s, np.asarray(l) + gauss_log_pdf(x)
+            return s, np.asarray(l) + gauss_log_pdf(x), 0.0
 
         g = Family(weighted)
         v = integrate_semi_infinite(g, math.sqrt(4.0), atol=1e-10, rtol=1e-8)
@@ -855,7 +856,7 @@ class TestSemiInfinite:
         # e^(2000 (x - 1.5)) is negligible on [0, 1] and beyond double range
         # on [1, 2]: that segment adds +inf, past the magnitude limit
         v = integrate_semi_infinite(
-            Family(lambda x, row=0: (np.ones_like(x), 2000.0 * (x - 1.5))), 0.0)
+            Family(lambda x, row=0: (np.ones_like(x), 2000.0 * (x - 1.5), 0.0)), 0.0)
         assert v.diverged
         assert v.evidence.reason == "magnitude_threshold"
         assert v.evidence.records[-1] == (2.0, math.inf, math.inf)
@@ -890,8 +891,8 @@ class TestSemiInfinite:
         # its mirror image on [1, inf) and the verdict recorded before the
         # cuts were computed once per driver.
         def kinked(m):  # m = 1: the left piece; m = -1: its mirror image
-            return Family(lambda x, row=0: (-np.ones_like(x), m * x + 0.5 * np.abs(x + m * 3.3)),
-                          ((-m * 3.3, -m * 0.5),))
+            return Family(lambda x, row=0: (-np.ones_like(x), m * x + 0.5 * np.abs(x + m * 3.3),
+                                            0.0), ((-m * 3.3, -m * 0.5),))
 
         left, right = (integrate_pieces(kinked(m), [piece])[0]
                        for m, piece in ((1.0, (0, -math.inf, -1.0)), (-1.0, (0, 1.0, math.inf))))
@@ -922,8 +923,8 @@ class TestSingularOrigin:
             # the weight from log x where the u = -log x route gives it
             s, l = g.log_eval(x, row, lx)
             if lx is None:
-                return s, np.asarray(l) + gauss_log_pdf(x)
-            return s, np.asarray(l) - 0.5 * np.exp(2.0 * lx) - 0.5 * math.log(2 * math.pi)
+                return s, np.asarray(l) + gauss_log_pdf(x), 0.0
+            return s, np.asarray(l) - 0.5 * np.exp(2.0 * lx) - 0.5 * math.log(2 * math.pi), 0.0
 
         gi = Family(weighted, singular_points=(0.0,), logx=True)
         v = integrate_singular_origin(gi, 2e-4)
@@ -960,7 +961,7 @@ class TestSingularOrigin:
 
 class TestIntegratePiece:
     def test_routes_by_ends(self):
-        phi = Family(lambda x, row=0: (np.ones_like(x), gauss_log_pdf(x)))
+        phi = Family(lambda x, row=0: (np.ones_like(x), gauss_log_pdf(x), 0.0))
         left, right, finite = integrate_pieces(
             phi, [(0, -math.inf, 0.0), (0, 0.0, math.inf), (0, -1.0, 1.0)],
             atol=1e-12, rtol=1e-10)
@@ -1015,7 +1016,7 @@ class TestBudgetCap:
     # u^-6 e^(alpha u), which diverges after a long dip
     EXHAUSTED = (Family.from_function(lambda x: x ** -2.5),
                  Family.from_function(lambda x: np.exp(0.05 * x)),
-                 Family(lambda u, row=0: (np.ones_like(u), 1e-3 * u - 6.0 * np.log(u))))
+                 Family(lambda u, row=0: (np.ones_like(u), 1e-3 * u - 6.0 * np.log(u), 0.0)))
 
     @staticmethod
     def counted(gen, points):
@@ -1072,7 +1073,7 @@ class TestGaussianExpectation:
 
     def test_overflow_on_finite_piece_is_inconclusive(self):
         # magnitudes beyond double range on a bounded piece certify nothing
-        g = Family(lambda x, row=0: (np.ones_like(x), 1000.0 + 0 * x))
+        g = Family(lambda x, row=0: (np.ones_like(x), 1000.0 + 0 * x, 0.0))
         assert integrate_adaptive(g, -1.0, 1.0).status == "inconclusive"
 
     def test_node_on_a_pole_is_not_divergence(self):
@@ -1115,7 +1116,7 @@ class TestOneRow:
 
         def log_eval(x, row=0):
             calls.append(x.size)
-            return np.ones_like(x), -2.0 * np.log1p(np.abs(x))
+            return np.ones_like(x), -2.0 * np.log1p(np.abs(x)), 0.0
 
         for rows in ((), ((), ()), ((0.5,), (0.5,), ())):
             with pytest.raises(ValueError, match="one-row family"):

@@ -20,3 +20,14 @@ def test_two_ops_reach_their_paths_and_nothing_else():
             "quadrature.integrate_semi_infinite"} <= defined - seen
     # every function reached, closures and comprehensions aside, is one that defined() lists
     assert {name for name in seen if "<" not in name} <= defined
+
+
+def test_perfbench_pins_are_tagged():
+    pins = reach.pinned()
+    lines = reach.listing(["functionals.ScalarFunctional.log_abs", "slog.slog_abs_pow",
+                           "quadrature.IntegralVerdict.__repr__"], pins)
+    assert lines == [f"functionals.ScalarFunctional.log_abs  {reach.TAG}",
+                     f"slog.slog_abs_pow  {reach.TAG}", "quadrature.IntegralVerdict.__repr__"]
+    # what perfbench/run.py imports from a wienerlab module
+    assert "diagnostics.diffquot_pow_integrand" in pins
+    assert pins <= reach.defined()

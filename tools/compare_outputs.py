@@ -61,6 +61,8 @@ EDGE_OPS = (
     ("reproduce-thm33", "--eta", "7.719e-05", "--mu", "0.0001955", "--h=1.01,-0.978"),
     ("reproduce-thm33", "--budget", "50"),
     ("diagnose", "--functional", "thm33", "--p", "2.5", "--q", "1.2"),
+    ("diagnose", "--functional", "linear", "--eps-grid", "2..5", "--h=1"),
+    ("reproduce-thm31", "--h=1,x"),  # a usage error: exit 64 through _Parser.error
 )
 FIELDS = ("exit", "stdout", "stderr", "files", "verdicts")
 VERDICT_FIELDS = ("status", "value", "abs_error", "n_evals", "message", "evidence")

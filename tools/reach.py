@@ -12,8 +12,11 @@ it runs, in this one interpreter:
 - the demos in demos/.
 
 Then it prints each module-level function and class method of
-src/wienerlab that none of these reached, as module.qualname, one a line.
-Nested functions (closures) are not listed.  Functions that run only while
+src/wienerlab that none of these reached, as module.qualname, one a line,
+tagged "[perfbench]" where perfbench/ names it (pinned): the tracer wraps
+it (tracer.FUNCTIONS, tracer.METHODS) or perfbench/run.py imports it.  A
+tagged function can go only with a change to the benchmark.  Nested
+functions (closures) are not listed.  Functions that run only while
 wienerlab is imported count as reached only if the import happens after the
 profile is set, as it does when this script runs on its own.
 """
@@ -34,6 +37,7 @@ from pathlib import Path
 from compare_outputs import ROOT, default_ops, run_op
 
 SRC = ROOT / "src" / "wienerlab"
+TAG = "[perfbench]"
 
 
 def defined() -> set:
@@ -48,6 +52,25 @@ def defined() -> set:
                 names.update(f"{mod}.{node.name}.{item.name}" for item in node.body
                              if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
     return names
+
+
+def pinned() -> set:
+    """module.qualname of what perfbench/ names, read from its files: the
+    functions and methods its tracer wraps, and the names perfbench/run.py
+    imports from a wienerlab module."""
+    import tracer  # perfbench/tracer.py, on the path compare_outputs sets
+    names = {f"{mod}.{attr}" for mod, attr, _ in tracer.FUNCTIONS}
+    names |= {f"{mod}.{cls}.{meth}" for mod, cls, meth, _ in tracer.METHODS}
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    names |= {f"{node.module.split('.', 1)[1]}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("wienerlab.")
+              for alias in node.names}
+    return names
+
+
+def listing(unreached, pins) -> list:
+    """One line per unreached name, tagged where pins holds it."""
+    return [f"{name}  {TAG}" if name in pins else name for name in unreached]
 
 
 def reached(run) -> set:
@@ -114,10 +137,12 @@ def main(argv=None) -> int:
         print(f"# tests/test_acceptance.py exited {status['acceptance']}; a failed test "
               "stops where it fails", file=sys.stderr)
     unreached = sorted(defined() - seen)
-    for name in unreached:
-        print(name)
+    pins = pinned()
+    for line in listing(unreached, pins):
+        print(line)
     print(f"# {len(ops)} ops, the acceptance tests and the demos: "
-          f"{len(unreached)} of {len(defined())} functions not reached", file=sys.stderr)
+          f"{len(unreached)} of {len(defined())} functions not reached, "
+          f"{len(pins.intersection(unreached))} of them {TAG}", file=sys.stderr)
     return 0
 
 

@@ -47,8 +47,9 @@ The corpus:
   Only the verdict is scored; there is no reference value.
 
 It prints one line per family and writes the counts as JSON with --out.
-tests/test_verdict_sweep.py runs the sweep and fails if any count exceeds
-the one in the newest VERDICTS_*.json at the root of the repo.
+tests/test_verdict_sweep.py runs the sweep and fails on what regressions
+finds against the newest VERDICTS_*.json at the root of the repo: a count
+above its record, or a recorded family missing or with other cases.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def _thm31_tail_cases():
     for a in (1.6, 2.0, 3.25, 6.0, 7.0, 7.5, 8.0):
         for q in (1.5, 2.0, 2.1, 2.5, 3.0):
             fam = Family(lambda x, row=0, k=q / 4 - 0.5, e=q * a:
-                         (np.ones_like(x), k * x * x - e * np.log(x)))
+                         (np.ones_like(x), k * x * x - e * np.log(x), 0.0))
             qa, c = mp.mpf(q) * a, mp.mpf(1) / 2 - mp.mpf(q) / 4
             if q < 2.0:
                 ref = c ** ((qa - 1) / 2) * mp.gammainc((1 - qa) / 2, 2 * a * c) / 2
@@ -242,7 +243,7 @@ def _random_tail_cases():
         kappa, beta, p = rate(1e-3), rate(1e-4), rng.uniform(0.5, 4.0)
         r = rng.choice((0.0, 1.0)) * rng.uniform(-2.5, 2.5)
         fam = Family(lambda x, row=0, k=kappa, b=beta, p=p, r=r: (
-            np.ones_like(x), (k * x + b) * x - p * np.log(x) - r * np.log(np.log(x))))
+            np.ones_like(x), (k * x + b) * x - p * np.log(x) - r * np.log(np.log(x)), 0.0))
         converges = kappa < 0 or kappa == 0 and (
             beta < 0 or beta == 0 and (p > 1 or p == 1 and r > 1))
         yield partial(integrate_semi_infinite, fam, 3.0), converges, None
@@ -274,6 +275,21 @@ def sweep() -> dict:
     sweep_reports(counts)
     sweep_corpus(counts)
     return counts
+
+
+def regressions(counts: dict, recorded: dict) -> list:
+    """What counts ({family: {"cases": n, ...}}, as sweep gives them) loses
+    against recorded (the "families" of a VERDICTS_*.json), one line each:
+    a recorded family that is missing or has another number of cases, and a
+    count of WRONG above its record (0 for a family not recorded).  A
+    family cannot lower its counts by losing cases."""
+    lost = [f"{family}: missing" for family in recorded if family not in counts]
+    lost += [f"{family}.cases: {c['cases']} != {recorded[family]['cases']}"
+             for family, c in counts.items()
+             if family in recorded and c["cases"] != recorded[family]["cases"]]
+    return lost + [f"{family}.{key}: {c[key]} > {recorded.get(family, {}).get(key, 0)}"
+                   for family, c in counts.items() for key in WRONG
+                   if c[key] > recorded.get(family, {}).get(key, 0)]
 
 
 def main(argv=None) -> int:
