@@ -77,23 +77,28 @@ def smooth_completion_G(mu: float, v: float, d: float) -> Function1D:
 
     G(x) = (v + d (x - mu)) chi(x), with chi a mollifier cutoff equal to 1 on
     (0, 1.5 mu] and 0 on [2 mu, inf); support is contained in (0, 2 mu].
+    The linear factor is taken at min(x, 2 mu), which changes nothing below
+    2 mu and keeps G and G' exactly 0 above it where d x would overflow.
     """
     if mu <= 0.0:
         raise ValueError("need mu > 0")
     half = 0.5 * mu
 
     def chi(x):  # the cutoff and its slope in x
-        ramp, slope = _mollifier_ramp((2.0 * mu - np.asarray(x, dtype=float)) / half)
+        ramp, slope = _mollifier_ramp((2.0 * mu - x) / half)
         return ramp, slope * (-1.0 / half)
+
+    def linear(x):
+        return v + d * (np.minimum(x, 2.0 * mu) - mu)
 
     def value(x):
         x = np.asarray(x, dtype=float)
-        return (v + d * (x - mu)) * chi(x)[0]
+        return linear(x) * chi(x)[0]
 
     def deriv(x):
         x = np.asarray(x, dtype=float)
         c, dc = chi(x)
-        return d * c + (v + d * (x - mu)) * dc
+        return d * c + linear(x) * dc
 
     return Function1D(value=value, deriv=deriv)
 
@@ -234,7 +239,10 @@ def _thm33_core_piece() -> Function1D:
 
 def build_thm33(params: Thm33Params) -> ScalarFunctional:
     """Origin-cusp functional: order-2 seminorms finite, every higher order
-    divergent, with uniformly integrable squared quotients on the eta window."""
+    divergent, with uniformly integrable squared quotients on the eta window.
+
+    It declares its support (0, 2 mu): f is 0 on the closed negative axis,
+    and the completion G's mollifier ramp is exactly 0 on [2 mu, inf)."""
     mu = params.mu
     core = _thm33_core_piece()
     v = float(core.value(mu))
@@ -245,7 +253,8 @@ def build_thm33(params: Thm33Params) -> ScalarFunctional:
                             non_differentiable=frozenset({0.0}),
                             singular_points=frozenset({0.0}),
                             window=params.eta,
-                            params={"eta": params.eta, "mu": mu})
+                            params={"eta": params.eta, "mu": mu},
+                            support=(0.0, 2.0 * mu))
 
 
 # ---------------------------------------------------------------------------

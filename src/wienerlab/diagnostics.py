@@ -110,25 +110,27 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _route_family(f: ScalarFunctional, breakpoints, at) -> Family:
+def _route_family(f: ScalarFunctional, breakpoints, support, at) -> Family:
     """g_row with the positive sign from one point function at(x, row, lx) ->
     (r, k), log|g_row| = k x^2 + r: lx is None on the x route, and log x on
     the u = -log x route (where x = e^-u may underflow), which passes it
-    when f has its log-x forms (logx)."""
+    when f has its log-x forms (logx).  support[row] is where g_row may be
+    non-zero, from f's declared support."""
     def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
         return (np.ones_like(x), *at(x, row, lx))
 
-    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms())
+    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), support)
 
 
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
-    """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k."""
+    """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k;
+    its support is f's."""
     def at(x, row, lx):
         _, r, k = f.slog_parts(x, lx, deriv)
         return p * r, p * k
 
-    return _route_family(f, (_scalar_cuts(f),), at)
+    return _route_family(f, (_scalar_cuts(f),), (f.support,), at)
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -139,9 +141,12 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     The rows index the shift eps c, math.log(eps), the centring (c, or 0 when
     not centered) and the outer map of their point's member.  With k the
     Gaussian rate at x, the quotient, f' and the centring are formed relative
-    to k x^2, and a member's rate is q k (2 k for psi).
+    to k x^2, and a member's rate is q k (2 k for psi).  With f's support
+    (lo, hi) and s = eps c, a member is 0 outside [min(lo, lo - s),
+    max(hi, hi - s)]: f(x + s), f(x) and f'(x) are 0 there, and psi(0) = 0.
     """
-    shift = np.array([eps * c for _, eps, c, _ in rows])
+    shifts = [eps * c for _, eps, c, _ in rows]
+    shift = np.array(shifts)
     log_eps = np.array([math.log(eps) for _, eps, _, _ in rows])
     centre = np.array([c if centered else 0.0 for _, _, c, centered in rows])
     log_centre = np.array([math.log(abs(c)) if c else 0.0 for c in centre])
@@ -165,8 +170,9 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
             out[psi] = _psi_log(2.0 * l[psi], 2.0 * (k * x * x)[psi])
         return out, lead.take(row) * k
 
-    return _route_family(f, tuple(_scalar_cuts(f, shifts=(eps * c,)) for _, eps, c, _ in rows),
-                         at)
+    lo, hi = f.support
+    return _route_family(f, tuple(_scalar_cuts(f, shifts=(s,)) for s in shifts),
+                         tuple((min(lo, lo - s), max(hi, hi - s)) for s in shifts), at)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,

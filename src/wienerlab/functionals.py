@@ -138,22 +138,34 @@ class Polynomial:
 # scalar functionals Z = f(W_T)
 # ---------------------------------------------------------------------------
 
-def _at_logx(pair_logx: Callable) -> Callable:
-    """x -> pair_logx(log x), with (0, -inf) where log x = -inf."""
-    def pair(x):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lx = np.log(np.asarray(x, dtype=float))
-            sign, logabs = pair_logx(lx)
+def _zero_at_origin(pair_logx: Callable) -> Callable:
+    """pair_logx with (0, -inf) where log x = -inf: x = 0, on either form."""
+    def pair(lx):
         zero = np.isneginf(lx)
+        if not zero.any():
+            return pair_logx(lx)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sign, logabs = pair_logx(lx)
         return np.where(zero, 0.0, sign), np.where(zero, -np.inf, logabs)
     return pair
 
 
+def _at_logx(pair_logx: Callable) -> Callable:
+    """x -> pair_logx(log x)."""
+    def pair(x):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lx = np.log(np.asarray(x, dtype=float))
+        return pair_logx(lx)
+    return pair
+
+
 def _derive(closed, pair, pair_logx, names, rate) -> tuple:
-    """(closed form, (sign, log) pair) from whichever of the three is given;
-    a pair holds log|.| - rate x^2."""
+    """(closed form, (sign, log) pair, log-x pair) from whichever of the three
+    is given; a pair holds log|.| - rate x^2."""
     if rate and pair is None:
         raise ValueError(f"a Gaussian rate needs {names[1]}")
+    if pair_logx is not None:
+        pair_logx = _zero_at_origin(pair_logx)
     if pair is None and pair_logx is not None:
         pair = _at_logx(pair_logx)
     elif pair is None and closed is not None:
@@ -161,7 +173,7 @@ def _derive(closed, pair, pair_logx, names, rate) -> tuple:
     if pair is None:
         raise ValueError(f"a piece needs one of {', '.join(names)}")
     return (closed if closed is not None
-            else lambda x: slog_exp(*_whole(x, *pair(x), rate))), pair
+            else lambda x: slog_exp(*_whole(x, *pair(x), rate))), pair, pair_logx
 
 
 @dataclass(frozen=True)
@@ -175,7 +187,8 @@ class Function1D:
     positive double (the origin-singular diagnostics).  Give one form for the
     value and one for the derivative; the rest are derived: log-x pairs give
     the x pairs at log(x), pairs give the closed forms through slog_exp, and
-    closed forms give the pairs through slog_of.
+    closed forms give the pairs through slog_of.  A log-x pair gives (0, -inf)
+    at log x = -inf, so both forms read f(0) = 0 there.
 
     rate is the piece's Gaussian rate k: log|f| = k x^2 + r(x) and log|f'| =
     k x^2 + r'(x), where slog and slog_deriv give r and r' and never k x^2.
@@ -192,9 +205,9 @@ class Function1D:
 
     def __post_init__(self):
         for names in (("value", "slog", "slog_logx"), ("deriv", "slog_deriv", "slog_deriv_logx")):
-            closed, pair = _derive(*(getattr(self, n) for n in names), names, self.rate)
-            object.__setattr__(self, names[0], closed)
-            object.__setattr__(self, names[1], pair)
+            for name, form in zip(names, _derive(*(getattr(self, n) for n in names), names,
+                                                 self.rate)):
+                object.__setattr__(self, name, form)
 
 
 def zero_piece() -> Function1D:
@@ -210,6 +223,11 @@ class ScalarFunctional:
     every interior breakpoint is checked for C^1 gluing (value and derivative
     agree from both sides within GLUE_TOL) unless it is listed in
     non_differentiable.
+
+    support = (lo, hi) declares that f and f' are exactly 0 outside (lo, hi);
+    the quadrature then skips the integration pieces on which a row built
+    from f is 0.  The default is the whole line.  At construction f and f'
+    must be exactly 0 at the probe points of _outside_probes, or it raises.
     """
 
     name: str
@@ -219,6 +237,7 @@ class ScalarFunctional:
     singular_points: frozenset = frozenset()
     window: Optional[float] = None  # epsilon cap for limit diagnostics, if any
     params: dict = field(default_factory=dict)
+    support: tuple = (-math.inf, math.inf)
 
     def __post_init__(self):
         object.__setattr__(self, "_breakpoints", np.asarray(self.breakpoints, dtype=float))
@@ -237,6 +256,18 @@ class ScalarFunctional:
             dd = abs(float(left.deriv(b)) - float(right.deriv(b)))
             if not dd <= GLUE_TOL:
                 raise ValueError(f"{self.name}: derivative jump {dd:.3e} at breakpoint {b}")
+        lo, hi = self.support
+        if not lo < hi:
+            raise ValueError(f"{self.name}: the support needs lo < hi, got {self.support}")
+        if math.isinf(lo) and math.isinf(hi):
+            return  # the whole line: nothing lies outside
+        probes = _outside_probes(lo, hi)
+        for name in ("value", "deriv"):
+            with np.errstate(all="ignore"):  # a NaN or an overflow is not 0 either
+                bad = probes[getattr(self, name)(probes) != 0.0]
+            if bad.size:
+                raise ValueError(f"{self.name}: {name} is not 0 at x = {float(bad[0])!r}, "
+                                 f"outside the declared support {self.support}")
 
     def _dispatch(self, x, attr: str):
         """Evaluate piece attribute `attr` at x, only on the pieces x falls
@@ -314,6 +345,16 @@ class ScalarFunctional:
 
     def slog_deriv_at_logx(self, lx):
         return self.slog_deriv(np.exp(lx), lx)
+
+
+def _outside_probes(lo: float, hi: float) -> np.ndarray:
+    """Points outside (lo, hi): each finite end, the next double beyond it,
+    and the end moved out by max(|end|, 1) times 2^j for j = -60, -56, ..., 60
+    (past the farthest point an exhaustion evaluates) and times 1e300."""
+    steps = np.append(2.0 ** np.arange(-60, 61, 4), 1e300)
+    return np.array([x for end, out in ((lo, -1.0), (hi, 1.0)) if math.isfinite(end)
+                     for x in (end, np.nextafter(end, out * math.inf),
+                               *(end + out * max(abs(end), 1.0) * steps))])
 
 
 def _whole(x, sign, r, k):

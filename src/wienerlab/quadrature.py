@@ -124,15 +124,24 @@ class Family:
     the smallest positive double (where x itself underflows to 0).
     log_eval adds k x^2, and weighted adds (k - 1/2) x^2, which is exactly 0
     where k = 1/2.  breakpoints[i] are the breakpoints of g_i; the singular
-    points are shared.  Family(body) is an integrand of one row, on every route.
+    points are shared.  support[i] = (lo, hi) declares g_i exactly 0 outside
+    (lo, hi), and _piece answers a piece wholly outside it without evaluating;
+    None declares nothing.  Family(body) is an integrand of one row, on every
+    route.
     """
 
     body: Callable
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
     logx: bool = False
+    support: Optional[tuple] = None
     # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
     neglog_eval = None
+
+    def __post_init__(self):
+        if self.support is not None and len(self.support) != len(self.breakpoints):
+            raise ValueError(f"need a support per row: {len(self.support)} for "
+                             f"{len(self.breakpoints)} rows")
 
     def log_eval(self, x, row=0, *lx):
         """(sign, log|g_row(x)|) at x (and lx = log x, if logx)."""
@@ -738,7 +747,7 @@ def weighted(fam: Family) -> Family:
         sign, r, k = fam.body(x, row, *lx)
         return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k), 0.0
 
-    return Family(body, fam.breakpoints, fam.singular_points, fam.logx)
+    return replace(fam, body=body)
 
 
 def _combine(pieces, labels) -> IntegralVerdict:
@@ -755,16 +764,29 @@ def _combine(pieces, labels) -> IntegralVerdict:
     return _converged(sum(v.value for v in pieces), sum(v.abs_error for v in pieces), n_evals)
 
 
+def _zero(message: str):
+    """Driver of a piece on which the row is exactly 0: Converged 0 +- 0 with
+    no evaluation, and no request."""
+    return _converged(0.0, 0.0, 0, message)
+    yield  # a generator, as every driver is
+
+
 def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float,
            budget: int):
     """Driver (fam, row, route, generator) of one piece (lo, hi) of the line,
     routed by its ends, with its cuts in t.
 
-    An infinite end goes to semi-infinite exhaustion (the left end on route
-    -1), (0, hi) with hi < 1 and a declared singularity at 0 to exhaustion
-    on route 0, up to t = 700 unless the body takes log x, and anything else
-    to the finite adaptive rule.
+    A piece wholly outside the row's declared support ends Converged 0 +- 0
+    without a request.  An infinite end goes to semi-infinite exhaustion (the
+    left end on route -1), (0, hi) with hi < 1 and a declared singularity at
+    0 to exhaustion on route 0, up to t = 700 unless the body takes log x,
+    and anything else to the finite adaptive rule.
     """
+    if fam.support is not None:
+        s_lo, s_hi = fam.support[row]
+        if hi <= s_lo or lo >= s_hi:
+            return fam, row, 1.0, _zero(f"({lo:g}, {hi:g}) lies outside the support "
+                                        f"({s_lo:g}, {s_hi:g}), where the integrand is 0")
     if lo == -math.inf:
         route, a = -1.0, -hi
     elif hi == math.inf:

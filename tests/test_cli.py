@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import compare_outputs
 from wienerlab import cli, diagnostics, quadrature as quad
 from wienerlab.diagnostics import Flag, SsgdResult
 from wienerlab.cli import (EXIT_CONTRADICTION, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE,
@@ -578,6 +581,68 @@ class TestDeterminism:
             assert run(["cm-check", "--n-samples", "20000", "--seed", "11",
                         "--format", "csv", "--out", str(d)], tmp_path) == EXIT_OK
         assert (d1 / "cm-check.csv").read_bytes() == (d2 / "cm-check.csv").read_bytes()
+
+
+class TestDeclaredSupport:
+    """thm33 declares its support (0, 2 mu); a report built from a copy that
+    declares the whole line runs every piece.  Both write the same bytes; every
+    piece that runs in both ends the same in every field, and the skipped ones
+    end Converged 0 +- 0 with n_evals 0."""
+
+    @staticmethod
+    def report(argv, out, monkeypatch, whole_line):
+        """Exit code, files, piece outcomes and _lockstep verdicts of one report."""
+        build = cli.catalog_build
+        if whole_line:
+            monkeypatch.setattr(cli, "catalog_build", lambda name, **params: dataclasses.replace(
+                build(name, **params), support=(-math.inf, math.inf)))
+        pieces, verdicts = [], []
+        outcomes, lockstep = quad._outcomes, quad._lockstep
+
+        def recording(real, seen, split):
+            def call(arg):
+                got = real(arg)
+                seen.extend(split(got))
+                return got
+            return call
+
+        monkeypatch.setattr(quad, "_outcomes", recording(outcomes, pieces, list))
+        monkeypatch.setattr(quad, "_lockstep",
+                            recording(lockstep, verdicts, compare_outputs._verdicts))
+        code = run(argv + ["--out", str(out)], out)
+        monkeypatch.undo()
+        return code, {p.name: p.read_bytes() for p in sorted(out.iterdir())}, pieces, verdicts
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce-thm33"],
+        ["reproduce-thm33", "--h=0.3,-2.5", "--atol", "1e-12"],
+        ["reproduce-thm33", "--budget", "50"],
+        ["diagnose", "--functional", "thm33", "--p", "2.5", "--q", "1.2"],
+    ])
+    def test_reports_equal_the_whole_line_run(self, tmp_path, monkeypatch, argv):
+        code, files, pieces, verdicts = self.report(argv, tmp_path / "declared", monkeypatch,
+                                                    False)
+        ref_code, ref_files, ref_pieces, ref_verdicts = self.report(
+            argv, tmp_path / "whole", monkeypatch, True)
+        assert code == ref_code and len(files) == 2 and files == ref_files
+        assert len(pieces) == len(ref_pieces) and len(verdicts) == len(ref_verdicts)
+        skipped = 0
+        for v, ref in zip(pieces, ref_pieces):
+            if "outside the support" not in v.message:
+                assert v == ref
+                continue
+            skipped += 1
+            assert (v.status, v.value, v.abs_error, v.n_evals) == ("converged", 0.0, 0.0, 0)
+            # run, the piece certifies its exact 0, or runs out of budget first
+            assert ((ref.status, ref.value, ref.abs_error) == ("converged", 0.0, 0.0)
+                    or ref.status == "inconclusive")
+        assert skipped >= 12  # the two outer pieces of each of the six seminorm lines, at least
+        for (status, value, err, n_evals, message, evidence), ref in zip(verdicts, ref_verdicts):
+            assert [status, value, err, evidence] == [ref[0], ref[1], ref[2], ref[5]]
+            assert n_evals <= ref[3]
+            # an Inconclusive line names its first failing piece, which may now be a later one
+            assert (message == ref[4] or "outside the support" in message
+                    or status == "inconclusive")
 
 
 class TestParserReuse:

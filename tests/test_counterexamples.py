@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -169,6 +170,51 @@ class TestCompletions:
     def test_right_completion_needs_positive_mu(self):
         with pytest.raises(ValueError):
             smooth_completion_G(0.0, 1.0, 1.0)
+
+
+class TestThm33Support:
+    """thm33 declares its support (0, 2 mu): f, f' and their pairs are exactly
+    0 outside it, at the default (eta, mu) and at the two edges of the
+    parameter range (mu + eta = e^-8, and both near the smallest double)."""
+
+    PAIRS = [(1e-4, 2e-4), (1e-4, math.exp(-8.0) - 1e-4), (1e-300, 2e-300)]
+
+    @staticmethod
+    def outside(mu):
+        top = 2.0 * mu
+        right = np.concatenate([[top, top * (1.0 + 2.0 ** -52), np.nextafter(top, 1.0), 1.0, 1e300],
+                                top * (1.0 + np.logspace(-15.0, 0.0, 301)),
+                                np.linspace(top, 1.0, 1001), np.logspace(0.0, 300.0, 301)])
+        left = -np.concatenate([[1e-300, 1.0, 5e-324], np.logspace(-300.0, 300.0, 1201)])
+        return np.concatenate([right, left, [0.0, -0.0]])
+
+    @pytest.mark.parametrize("eta, mu", PAIRS)
+    def test_zero_outside_the_support(self, eta, mu):
+        f = build_thm33(Thm33Params(eta=eta, mu=mu))
+        assert f.support == (0.0, 2.0 * mu)
+        xs = self.outside(mu)
+        with np.errstate(over="ignore"):  # (2 mu - x) / (mu / 2) passes the largest double
+            assert np.all(f.value(xs) == 0.0) and np.all(f.deriv(xs) == 0.0)
+            for deriv in (False, True):
+                sign, r, _ = f.slog_parts(xs, deriv=deriv)
+                assert np.all(sign == 0.0) and np.all(r == -np.inf)
+        # the log-x form rules the origin piece [0, mu): 0 is the one point of
+        # it outside the support, at log x = -inf
+        for deriv in (False, True):
+            sign, r, _ = f.slog_parts(np.zeros(2), np.full(2, -np.inf), deriv)
+            assert np.all(sign == 0.0) and np.all(r == -np.inf)
+
+    @pytest.mark.parametrize("eta, mu", PAIRS)
+    @pytest.mark.parametrize("shrink", ["right", "left"])
+    def test_a_support_that_cuts_off_f_is_refused(self, eta, mu, shrink):
+        f = build_thm33(Thm33Params(eta=eta, mu=mu))
+        support = (0.0, mu) if shrink == "right" else (0.5 * mu, 2.0 * mu)
+        with pytest.raises(ValueError, match="outside the declared support"):
+            dataclasses.replace(f, support=support)
+
+    def test_an_empty_support_is_refused(self, f33):
+        with pytest.raises(ValueError, match="lo < hi"):
+            dataclasses.replace(f33, support=(1.0, 1.0))
 
 
 def test_catalog_names():

@@ -1,6 +1,7 @@
 """Smoke test of tools/replay_ab.py: one operation of this checkout, loaded
 under two package names, split into its three times."""
 
+import pytest
 import replay_ab
 
 
@@ -13,8 +14,8 @@ def test_one_op_splits_its_pass_and_restores_evaluate():
     for label, pkg in pkgs.items():
         assert pkg.quadrature._evaluate.__name__ == "_evaluate"
         assert {name: len(s) for name, s in samples[label].items()} == {
-            "pass": 2, "evaluate": 2, "recorded": 2}
-        assert min(samples[label]["pass"]) > 0.0
+            "pass": 2, "evaluate": 2, "recorded": 2, "kernel": 2}
+        assert min(samples[label]["pass"]) > 0.0 and min(samples[label]["kernel"]) > 0.0
     # the same sources make the same calls; each call evaluates whole panels
     assert tallies["old"] == tallies["new"]
     n_calls, points = tallies["new"]
@@ -26,3 +27,24 @@ def test_one_op_splits_its_pass_and_restores_evaluate():
     assert [line.split()[:3] for line in lines[2:]] == [
         [name, label, "min"] for name in replay_ab.TIMES for label in ("old", "new")]
     assert all(line.endswith("%)") for line in lines[3::2])
+
+
+def test_each_time_is_scaled_by_the_kernel_runs_around_it(monkeypatch):
+    # fn i takes 0.1 s; the kernel runs before fn 0, between the fns and after
+    # the last: each time is scaled by 2 REFERENCE_S / (before + after)
+    kernels = iter([0.03, 0.06, 0.015, 0.03])
+    monkeypatch.setattr(replay_ab.calibrate, "kernel_s",
+                        lambda kind: next(kernels) if kind == "interp" else 1 / 0)
+    monkeypatch.setattr(replay_ab, "cpu", lambda fn: (fn(), 0.1)[1])
+    ran = []
+    got = replay_ab.calibrated({name: lambda name=name: ran.append(name)
+                                for name in ("recorded", "pass", "evaluate")})
+    ref = 2.0 * replay_ab.calibrate.REFERENCE_S["interp"]
+    assert ran == ["recorded", "pass", "evaluate"]
+    assert got == pytest.approx({"recorded": 0.1 * ref / 0.09, "pass": 0.1 * ref / 0.075,
+                                 "evaluate": 0.1 * ref / 0.045, "kernel": 0.03}, rel=1e-15)
+    # a machine twice as slow doubles both the time and the kernel: the scaled time stays
+    kernels = iter([0.06, 0.12])
+    monkeypatch.setattr(replay_ab, "cpu", lambda fn: 0.2)
+    assert replay_ab.calibrated({"pass": None}) == pytest.approx(
+        {"pass": 0.1 * ref / 0.09, "kernel": 0.09}, rel=1e-15)

@@ -19,8 +19,15 @@ first one alternating), it takes the CPU time of
   recorded  the pass with every _evaluate call answered from the record:
             drivers, scheduler, diagnostics and emission;
 
-and prints the min, q1 and median of each, in milliseconds, the checkouts'
-lines interleaved.  Before the times it prints each checkout's integrand
+each scaled to the reference speed of the "interp" kernel of
+perfbench/calibrate.py (read and not changed), run right before and right
+after it, as perfbench/run.py scales an operation: the time times
+2 REFERENCE_S / (kernel before + kernel after).  On a shared machine the
+speed of the same code drifts between runs; the scaling takes out what the
+kernel sees of it.  It prints the min, q1 and median of each, in
+milliseconds, the checkouts' lines interleaved, and the same of the kernel
+runs themselves (kernel, unscaled), which should not differ between the
+checkouts.  Before the times it prints each checkout's integrand
 calls and points per pass, counted in its recording pass, so a change in
 the number of calls shows beside the times.  It tells which layer a saving
 comes from.  It is not a benchmark: perfbench/run.py is, and the perfbench
@@ -40,7 +47,10 @@ from pathlib import Path
 
 from compare_outputs import ROOT, load, run_op, workload_ops, workloads
 
-TIMES = ("pass", "evaluate", "recorded")
+import calibrate  # perfbench/calibrate.py, on the path compare_outputs sets
+
+TIMES = ("pass", "evaluate", "recorded", "kernel")
+KERNEL = "interp"  # the calibrate.py kernel of the report workloads
 
 
 def run_pass(pkg, ops, out: str) -> None:
@@ -90,9 +100,24 @@ def cpu(fn) -> float:
     return time.process_time() - start
 
 
+def calibrated(fns: dict) -> dict:
+    """The CPU seconds of each fn, run in order, scaled to the reference speed
+    of KERNEL by the kernel runs right before and right after it, and under
+    "kernel" the median CPU seconds of those kernel runs."""
+    kernels = [calibrate.kernel_s(KERNEL)]
+    seconds = {}
+    for name, fn in fns.items():
+        seconds[name] = cpu(fn)
+        kernels.append(calibrate.kernel_s(KERNEL))
+    ref = 2.0 * calibrate.REFERENCE_S[KERNEL]
+    scaled = {name: s * ref / (before + after)
+              for (name, s), before, after in zip(seconds.items(), kernels, kernels[1:])}
+    return {**scaled, "kernel": statistics.median(kernels)}
+
+
 def times(pkg, ops, calls, out: str) -> dict:
-    """The CPU seconds of the pass, of its _evaluate calls alone and of the
-    pass answered from calls."""
+    """The scaled CPU seconds of the pass answered from calls, of the pass and
+    of its _evaluate calls alone, and the kernel's seconds (calibrated)."""
     real = pkg.quadrature._evaluate
 
     def evaluate():
@@ -114,12 +139,14 @@ def times(pkg, ops, calls, out: str) -> dict:
             raise call[2]
         return call[2]
 
-    with evaluate_as(pkg, answer):
-        recorded = cpu(lambda: run_pass(pkg, ops, out))
-    if extra or next(answers, None) is not None:
-        raise SystemExit("the pass answered from the record made other _evaluate calls")
-    return {"pass": cpu(lambda: run_pass(pkg, ops, out)), "evaluate": cpu(evaluate),
-            "recorded": recorded}
+    def recorded():
+        with evaluate_as(pkg, answer):
+            run_pass(pkg, ops, out)
+        if extra or next(answers, None) is not None:
+            raise SystemExit("the pass answered from the record made other _evaluate calls")
+
+    return calibrated({"recorded": recorded, "pass": lambda: run_pass(pkg, ops, out),
+                       "evaluate": evaluate})
 
 
 def measure(pkgs: dict, ops, reps: int) -> tuple:
