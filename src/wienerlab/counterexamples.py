@@ -125,7 +125,8 @@ def _thm31_right_piece(a: float) -> Function1D:
     pairs hold r(x) = -a log x + log(2 pi)/4 and, for f'(x) = exp(x^2/4)
     x^(-a-1) (x^2/2 - a) (2 pi)^(1/4), r'(x) = -(a+1) log x + log|x^2/2 - a|
     + log(2 pi)/4.  The x^2/4 is never added in: against the Gaussian
-    weight the consumers form (q/4 - 1/2) x^2 for |f|^q, exactly 0 at q = 2."""
+    weight the consumers form (q/4 - 1/2) x^2 for |f|^q, exactly 0 at q = 2.
+    It declares its tail (1/4, a): log|f| = x^2/4 - a log x + O(1)."""
     def slog(x):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x), QUARTER_LOG_2PI - a * np.log(x)
@@ -136,12 +137,13 @@ def _thm31_right_piece(a: float) -> Function1D:
             return (np.sign(0.5 * x * x - a),
                     np.log(np.abs(0.5 * x * x - a)) - (a + 1.0) * np.log(x) + QUARTER_LOG_2PI)
 
-    return Function1D(slog=slog, slog_deriv=slog_deriv, rate=0.25)
+    return Function1D(slog=slog, slog_deriv=slog_deriv, rate=0.25, tail=(0.25, a))
 
 
 def build_thm31(params: Thm31Params) -> ScalarFunctional:
     """Gaussian-tail growth functional: finite order-2 seminorms, divergent
-    squared difference quotients."""
+    squared difference quotients.  Its right piece declares the tail (1/4, a),
+    from which the rows that diverge at +inf are decided without evaluating."""
     a = params.a
     x0 = params.breakpoint
     right = _thm31_right_piece(a)

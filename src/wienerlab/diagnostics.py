@@ -110,27 +110,40 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _route_family(f: ScalarFunctional, breakpoints, support, at) -> Family:
+def _route_family(f: ScalarFunctional, breakpoints, support, growth, at) -> Family:
     """g_row with the positive sign from one point function at(x, row, lx) ->
     (r, k), log|g_row| = k x^2 + r: lx is None on the x route, and log x on
     the u = -log x route (where x = e^-u may underflow), which passes it
     when f has its log-x forms (logx).  support[row] is where g_row may be
-    non-zero, from f's declared support."""
+    non-zero, from f's declared support, and growth[row] its growth
+    (kappa, beta) as x -> +inf, from f's declared tail."""
     def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
         return (np.ones_like(x), *at(x, row, lx))
 
-    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), support)
+    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), support,
+                  growth)
+
+
+def _tail_rate(f: ScalarFunctional) -> float:
+    """kappa of f's declared tail (kappa, p), or 0 if f declares none.  Rows
+    derive a growth only from kappa > 0: below it no row outgrows the
+    Gaussian weight, and f' follows f's tail only for kappa > 0."""
+    return max(f.tail[0], 0.0) if f.tail else 0.0
 
 
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
     """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k;
-    its support is f's."""
+    its support is f's.  With f's tail (kappa, p_f), kappa > 0, log|f| and
+    log|f'| are kappa x^2 + O(log x), so the row declares the growth
+    (p kappa, 0)."""
     def at(x, row, lx):
         _, r, k = f.slog_parts(x, lx, deriv)
         return p * r, p * k
 
-    return _route_family(f, (_scalar_cuts(f),), (f.support,), at)
+    kappa = _tail_rate(f)
+    return _route_family(f, (_scalar_cuts(f),), (f.support,),
+                         ((p * kappa, 0.0),) if kappa else None, at)
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -144,6 +157,16 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     to k x^2, and a member's rate is q k (2 k for psi).  With f's support
     (lo, hi) and s = eps c, a member is 0 outside [min(lo, lo - s),
     max(hi, hi - s)]: f(x + s), f(x) and f'(x) are 0 there, and psi(0) = 0.
+
+    With f's tail (kappa, p), kappa > 0, a row with s != 0 declares the
+    growth (lead kappa, 2 lead kappa max(s, 0)), lead = q (2 for psi); a row
+    with s = 0 is 0.  Why: every row is >= 0.  For s > 0, |f(x + s)| exceeds
+    |f(x)| and |f'(x)| by a factor of about e^(2 kappa s x), so |X_eps| and
+    the centred residual are >= |f(x + s)| / (2 eps) eventually, and
+    log|f(x + s)| = kappa x^2 + 2 kappa s x + O(log x); for s < 0 the f(x) or
+    f' term dominates, with kappa x^2 + O(log x).  psi(y) = y |log y| >= y
+    once y >= e, and log|log y| = O(log x).  The q-th power multiplies
+    (kappa, beta) by q.
     """
     shifts = [eps * c for _, eps, c, _ in rows]
     shift = np.array(shifts)
@@ -155,14 +178,14 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
 
     def at(x, row, lx):
         """(r, k) of g_row(x): the plain difference (unit eps along the shift),
-        then the row's log eps; f' and the centring, and psi, only on their rows."""
+        then the row's log eps; f' (placed with the difference) and the
+        centring, and psi, only on their rows."""
         row = np.full(x.shape, row) if np.ndim(row) == 0 else row
-        s, l, k = difference_quotient_slog(f, x, 1.0, shift[row], lx)
-        l = l - log_eps[row]
         cen = np.flatnonzero(centre[row])
+        s, l, k, (ds, dl) = difference_quotient_slog(f, x, 1.0, shift[row], lx, cen)
+        l = l - log_eps[row]
         if cen.size:
             r = row[cen]
-            ds, dl, _ = f.slog_parts(x[cen], None if lx is None else lx[cen], deriv=True)
             l[cen] = slog_sub(s[cen], l[cen], np.sign(centre[r]) * ds, dl + log_centre[r])[1]
         out = expo[row] * l
         psi = np.flatnonzero(np.isnan(expo[row]))
@@ -171,8 +194,11 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
         return out, lead.take(row) * k
 
     lo, hi = f.support
+    kappa = _tail_rate(f)
+    growth = tuple((lead_i * kappa, 2.0 * lead_i * kappa * max(s, 0.0)) if s else None
+                   for lead_i, s in zip(lead.tolist(), shifts)) if kappa else None
     return _route_family(f, tuple(_scalar_cuts(f, shifts=(s,)) for s in shifts),
-                         tuple((min(lo, lo - s), max(hi, hi - s)) for s in shifts), at)
+                         tuple((min(lo, lo - s), max(hi, hi - s)) for s in shifts), growth, at)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,

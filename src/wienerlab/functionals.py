@@ -193,6 +193,11 @@ class Function1D:
     rate is the piece's Gaussian rate k: log|f| = k x^2 + r(x) and log|f'| =
     k x^2 + r'(x), where slog and slog_deriv give r and r' and never k x^2.
     A piece with a rate gives both pairs.
+
+    tail = (kappa, p), on the piece that reaches +inf, declares log|f| =
+    kappa x^2 - p log x + O(1) as x -> +inf; with kappa > 0 that also gives
+    log|f'| = kappa x^2 - (p - 1) log x + O(1).  The rows built from f derive
+    their growth from it (diagnostics), and ScalarFunctional checks it.
     """
 
     value: Optional[Callable] = None
@@ -202,6 +207,7 @@ class Function1D:
     slog_logx: Optional[Callable] = None
     slog_deriv_logx: Optional[Callable] = None
     rate: float = 0.0
+    tail: Optional[tuple] = None
 
     def __post_init__(self):
         for names in (("value", "slog", "slog_logx"), ("deriv", "slog_deriv", "slog_deriv_logx")):
@@ -228,6 +234,14 @@ class ScalarFunctional:
     the quadrature then skips the integration pieces on which a row built
     from f is 0.  The default is the whole line.  At construction f and f'
     must be exactly 0 at the probe points of _outside_probes, or it raises.
+
+    tail is the (kappa, p) that the last piece declares (Function1D.tail), or
+    None; no other piece may declare one.  At construction, at x_b 2^j for
+    j = 1, ..., 60 (x_b the last breakpoint, at least 1), r(x) + p log x and,
+    with kappa > 0, r'(x) + (p - 1) log x must be finite and spread by less
+    than log 2, where r = log|f| - kappa x^2 and r' = log|f'| - kappa x^2;
+    otherwise it raises.  This refuses a hidden e^(beta x) or a wrong kappa
+    or p.
     """
 
     name: str
@@ -256,6 +270,7 @@ class ScalarFunctional:
             dd = abs(float(left.deriv(b)) - float(right.deriv(b)))
             if not dd <= GLUE_TOL:
                 raise ValueError(f"{self.name}: derivative jump {dd:.3e} at breakpoint {b}")
+        self._check_tail()
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"{self.name}: the support needs lo < hi, got {self.support}")
@@ -269,15 +284,41 @@ class ScalarFunctional:
                 raise ValueError(f"{self.name}: {name} is not 0 at x = {float(bad[0])!r}, "
                                  f"outside the declared support {self.support}")
 
-    def _dispatch(self, x, attr: str):
+    @property
+    def tail(self) -> Optional[tuple]:
+        return self.pieces[-1].tail
+
+    def _check_tail(self):
+        """The construction check of the declared tail (class docstring)."""
+        if any(piece.tail is not None for piece in self.pieces[:-1]):
+            raise ValueError(f"{self.name}: only the piece reaching +inf may declare a tail")
+        if self.tail is None:
+            return
+        piece, (kappa, p) = self.pieces[-1], self.tail
+        x_b = max(self.breakpoints[-1], 1.0) if self.breakpoints else 1.0
+        x = x_b * 2.0 ** np.arange(1, 61)
+        checks = [("f", piece.slog, p)] + ([("f'", piece.slog_deriv, p - 1.0)] if kappa > 0 else [])
+        for name, pair, power in checks:
+            with np.errstate(all="ignore"):
+                rest = pair(x)[1] + (piece.rate - kappa) * x * x + power * np.log(x)
+            if not (np.isfinite(rest).all() and rest.max() - rest.min() < math.log(2.0)):
+                raise ValueError(f"{self.name}: log|{name}| does not follow the declared tail "
+                                 f"(kappa, p) = {self.tail} past x = {x_b:g}")
+
+    def _place(self, x):
+        """The index of the piece each point of x falls in."""
+        return np.searchsorted(self._breakpoints, x, side="right")
+
+    def _dispatch(self, x, attr: str, idx=None):
         """Evaluate piece attribute `attr` at x, only on the pieces x falls
-        in; the slog* attributes return (sign, r, k): their pieces' (sign, r)
-        pairs and the Gaussian rate k of each point's piece."""
+        in (idx = _place(x), if the caller has it); the slog* attributes
+        return (sign, r, k): their pieces' (sign, r) pairs and the Gaussian
+        rate k of each point's piece."""
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = np.atleast_1d(x)
         pair = attr.startswith("slog")
-        idx = np.searchsorted(self._breakpoints, x, side="right")
+        idx = self._place(x) if idx is None else idx
         first, last = (int(idx.min()), int(idx.max())) if x.size else (0, -1)
         outs = (np.empty_like(x), np.empty_like(x)) if pair else (np.empty_like(x),)
         for i in range(first, last + 1):
@@ -317,8 +358,7 @@ class ScalarFunctional:
         return _whole(x, *self.slog_parts(x, lx, deriv=True))
 
     def _origin_piece(self) -> Function1D:
-        idx = int(np.searchsorted(self._breakpoints, 0.0, side="right"))
-        return self.pieces[idx]
+        return self.pieces[int(self._place(0.0))]
 
     def has_logx_forms(self) -> bool:
         """Whether slog_value and slog_deriv take lx: the origin piece has both log-x forms."""
@@ -422,11 +462,15 @@ def pairing_with_h(Z, h: CameronMartinDirection, omega: BrownianPath) -> float:
 # difference quotients
 # ---------------------------------------------------------------------------
 
-def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=None):
+def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=None,
+                             deriv_at=None):
     """(sign, l, k) of the difference quotient, vectorized over x (and c):
     log|(f(x + eps c) - f(x)) / eps| = k x^2 + l, with k the Gaussian rate at
-    x.  f(x + eps c) and f(x) come from one piece dispatch, unless lx = log x
-    is given: it goes to f.slog_parts for f(x), so x may have underflowed.
+    x.  Given deriv_at (an index array into x), also the (sign, r) of f' at
+    x[deriv_at], as a fourth item.  f(x + eps c), f(x) and f'(x[deriv_at])
+    are placed on their pieces by one searchsorted, unless lx = log x is
+    given: f(x) and f' then come from f.slog_parts with lx, so x may have
+    underflowed.
 
     Both logs are taken relative to k x^2 before slog_sub: the shifted point
     xs adds (k_xs - k) xs^2 + k d (x + xs), d = xs - x, which is exactly
@@ -434,13 +478,20 @@ def difference_quotient_slog(f: ScalarFunctional, x, eps: float, c: float, lx=No
     """
     x = np.asarray(x, dtype=float)
     xs = x + eps * c
+    deriv = ()
     if lx is None:
-        (s1, s0), (l1, l0), (k1, k0) = f.slog_parts(np.array([xs, x]))
+        both = np.array([xs, x])
+        idx = f._place(both)
+        (s1, s0), (l1, l0), (k1, k0) = f._dispatch(both, "slog", idx)
+        if deriv_at is not None:
+            deriv = (f._dispatch(x[deriv_at], "slog_deriv", idx[1][deriv_at])[:2],)
     else:
         (s1, l1, k1), (s0, l0, k0) = f.slog_parts(xs), f.slog_parts(x, lx)
+        if deriv_at is not None:
+            deriv = (f.slog_parts(x[deriv_at], lx[deriv_at], deriv=True)[:2],)
     l1 = l1 + (k1 - k0) * xs * xs + k0 * (xs - x) * (x + xs)
     sign, logabs = slog_sub(s1, l1, s0, l0)
-    return sign, logabs if eps == 1.0 else logabs - math.log(eps), k0
+    return (sign, logabs if eps == 1.0 else logabs - math.log(eps), k0, *deriv)
 
 
 def mc_difference_quotient(Z: CylindricalFunctional, h: CameronMartinDirection,

@@ -7,8 +7,9 @@ evaluated in (sign, log) form and rescaled by the panel's largest
 log-magnitude before the Gauss-Kronrod sums are formed.
 
 A verdict is Converged (certified value and error), Diverged (a recorded run
-of monotonically growing increments over domain exhaustion, or a partial
-beyond the magnitude threshold), or Inconclusive (budget ran out with neither
+of monotonically growing increments over domain exhaustion, a partial beyond
+the magnitude threshold, or a declared growth that the comparison test says
+is not integrable), or Inconclusive (budget ran out with neither
 certificate).  Divergence is a verdict, not an exception: "the integral is
 infinite" is rendered as certified unbounded growth at desk scale.
 
@@ -125,9 +126,13 @@ class Family:
     log_eval adds k x^2, and weighted adds (k - 1/2) x^2, which is exactly 0
     where k = 1/2.  breakpoints[i] are the breakpoints of g_i; the singular
     points are shared.  support[i] = (lo, hi) declares g_i exactly 0 outside
-    (lo, hi), and _piece answers a piece wholly outside it without evaluating;
-    None declares nothing.  Family(body) is an integrand of one row, on every
-    route.
+    (lo, hi), and _piece answers a piece wholly outside it without evaluating.
+    growth[i] = (kappa, beta) declares g_i > 0 with log g_i(x) = kappa x^2 +
+    beta x + O(log x) as x -> +inf; _piece answers a piece (lo, +inf) of a
+    row with (kappa, beta) > (0, 0) (lexicographically) Diverged without
+    evaluating, since e^(kappa x^2 + beta x - C log x) is not integrable
+    there.  For either, None (for the family or a row) declares nothing.
+    Family(body) is an integrand of one row, on every route.
     """
 
     body: Callable
@@ -135,13 +140,16 @@ class Family:
     singular_points: tuple = ()
     logx: bool = False
     support: Optional[tuple] = None
+    growth: Optional[tuple] = None
     # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
     neglog_eval = None
 
     def __post_init__(self):
-        if self.support is not None and len(self.support) != len(self.breakpoints):
-            raise ValueError(f"need a support per row: {len(self.support)} for "
-                             f"{len(self.breakpoints)} rows")
+        for name in ("support", "growth"):
+            per_row = getattr(self, name)
+            if per_row is not None and len(per_row) != len(self.breakpoints):
+                raise ValueError(f"need a {name} per row: {len(per_row)} for "
+                                 f"{len(self.breakpoints)} rows")
 
     def log_eval(self, x, row=0, *lx):
         """(sign, log|g_row(x)|) at x (and lx = log x, if logx)."""
@@ -204,7 +212,7 @@ class GrowthEvidence:
     """(boundary, partial integral, increment) per exhaustion step."""
 
     records: tuple
-    reason: str  # "increment_growth" or "magnitude_threshold"
+    reason: str  # "increment_growth", "magnitude_threshold" or "declared_growth"
 
 
 @dataclass(frozen=True)
@@ -625,7 +633,8 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
                     return _converged(partial + tail, quad_err + tail_unc, used,
                                       "power-law tail extrapolated")
 
-        calm_run = calm_run + 1 if abs(inc) < tol else 0
+        # an exact 0 is calm also at tol = 0 (atol = 0 while the partial is 0)
+        calm_run = calm_run + 1 if abs(inc) < tol or inc == 0.0 else 0
         if calm_run >= CALM_RUN and seg.ok:
             ratio = abs(inc) / abs(prev) if prev else 0.0
             if ratio < 0.95:
@@ -742,12 +751,13 @@ def weighted(fam: Family) -> Family:
     both routes, and a given lx goes on to fam's body.  The quadratic parts
     of log g and log phi are added as one, (k - 1/2) x^2, into the r of a
     body of rate 0, so where g's Gaussian rate k is 1/2 no x^2-sized term is
-    formed."""
+    formed.  A declared growth (kappa, beta) becomes (kappa - 1/2, beta)."""
     def body(x, row=0, *lx):
         sign, r, k = fam.body(x, row, *lx)
         return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k), 0.0
 
-    return replace(fam, body=body)
+    growth = fam.growth and tuple(g and (g[0] - 0.5, g[1]) for g in fam.growth)
+    return replace(fam, body=body, growth=growth)
 
 
 def _combine(pieces, labels) -> IntegralVerdict:
@@ -764,10 +774,10 @@ def _combine(pieces, labels) -> IntegralVerdict:
     return _converged(sum(v.value for v in pieces), sum(v.abs_error for v in pieces), n_evals)
 
 
-def _zero(message: str):
-    """Driver of a piece on which the row is exactly 0: Converged 0 +- 0 with
-    no evaluation, and no request."""
-    return _converged(0.0, 0.0, 0, message)
+def _answered(verdict: IntegralVerdict):
+    """Driver of a piece decided by a declaration: it ends with verdict, with
+    no evaluation and no request."""
+    return verdict
     yield  # a generator, as every driver is
 
 
@@ -776,17 +786,26 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     """Driver (fam, row, route, generator) of one piece (lo, hi) of the line,
     routed by its ends, with its cuts in t.
 
-    A piece wholly outside the row's declared support ends Converged 0 +- 0
-    without a request.  An infinite end goes to semi-infinite exhaustion (the
-    left end on route -1), (0, hi) with hi < 1 and a declared singularity at
-    0 to exhaustion on route 0, up to t = 700 unless the body takes log x,
-    and anything else to the finite adaptive rule.
+    A piece wholly outside the row's declared support ends Converged 0 +- 0,
+    and a piece (lo, +inf) of a row whose declared growth (kappa, beta) is
+    above (0, 0) ends Diverged by the comparison test (reason
+    "declared_growth"), each without a request.  An infinite end goes to
+    semi-infinite exhaustion (the left end on route -1), (0, hi) with hi < 1
+    and a declared singularity at 0 to exhaustion on route 0, up to t = 700
+    unless the body takes log x, and anything else to the finite adaptive
+    rule.
     """
     if fam.support is not None:
         s_lo, s_hi = fam.support[row]
         if hi <= s_lo or lo >= s_hi:
-            return fam, row, 1.0, _zero(f"({lo:g}, {hi:g}) lies outside the support "
-                                        f"({s_lo:g}, {s_hi:g}), where the integrand is 0")
+            return fam, row, 1.0, _answered(_converged(
+                0.0, 0.0, 0, f"({lo:g}, {hi:g}) lies outside the support ({s_lo:g}, {s_hi:g}), "
+                "where the integrand is 0"))
+    growth = fam.growth and fam.growth[row]
+    if hi == math.inf and growth and growth > (0.0, 0.0):
+        return fam, row, 1.0, _answered(_diverged(
+            (), "declared_growth", 0, f"[{lo:g}, inf): the declared growth (kappa, beta) = "
+            f"({growth[0]:g}, {growth[1]:g}) is not integrable"))
     if lo == -math.inf:
         route, a = -1.0, -hi
     elif hi == math.inf:

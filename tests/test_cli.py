@@ -645,6 +645,55 @@ class TestDeclaredSupport:
                     or status == "inconclusive")
 
 
+class TestDeclaredTail:
+    """thm31 declares its tail (1/4, a).  These reports exited 1, with
+    divergent rows certified Converged; against a copy that declares no tail,
+    every CSV row that changes goes to Diverged, and only rows whose tail
+    diverges change."""
+
+    @staticmethod
+    def rows(path):
+        """{(quantity, q, epsilon): (verdict, value, abs_error)} of a report CSV."""
+        lines = path.read_text(encoding="utf-8").splitlines()[2:]
+        return {tuple(line.split(",")[:3]): tuple(line.split(",")[3:]) for line in lines}
+
+    @staticmethod
+    def diverges(quantity, q):
+        """The rows of a thm31 report whose tail diverges (perfbench/checks.py's
+        expected_verdict): moments past q = 2, and the squared h > 0 rows."""
+        name, _, h = quantity.rstrip("]").partition("[h=")
+        if name in ("abs_moment", "deriv_moment"):
+            return float(q) > 2.0
+        return name in ("diffquot_residual", "dvp_above") and float(h) > 0 and float(q) == 2.0
+
+    @pytest.mark.parametrize("argv", [["--a", "7"], ["--a", "7.5"], ["--a", "8"],
+                                      ["--a", "6", "--h=0.5,-0.5"]])
+    def test_reports_exit_0(self, tmp_path, monkeypatch, argv):
+        argv = ["reproduce-thm31", *argv, "--format", "csv", "--out"]
+        assert run(argv + [str(tmp_path / "declared")], tmp_path) == EXIT_OK
+        build = cli.catalog_build
+
+        def undeclared(name, **params):
+            f = build(name, **params)
+            return dataclasses.replace(f, pieces=(
+                *f.pieces[:-1], dataclasses.replace(f.pieces[-1], tail=None)))
+
+        monkeypatch.setattr(cli, "catalog_build", undeclared)
+        assert run(argv + [str(tmp_path / "undeclared")], tmp_path) == EXIT_CONTRADICTION
+        new, old = (self.rows(tmp_path / side / "thm31-report.csv")
+                    for side in ("declared", "undeclared"))
+        assert set(new) <= set(old)
+        changed = [key for key in old if new.get(key) != old[key]]
+        assert changed
+        for key in changed:
+            quantity, q, _ = key
+            if key not in new:  # a dvp_total row, which only an all-Converged eps has
+                assert quantity.startswith("dvp_total[") and old[key][0] == "converged"
+                continue
+            assert new[key] == ("diverged", "", "") and old[key][0] != "diverged"
+            assert self.diverges(quantity, q), key
+
+
 class TestParserReuse:
     def test_out_default_is_read_per_call(self, tmp_path, capsys):
         # one parser serves every call of the process: each call reads

@@ -1,10 +1,12 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGrid, Flag,
@@ -12,7 +14,7 @@ from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGri
                        cameron_martin_check, catalog_build, cm_inner,
                        dvp_uniform_integrability_test, lq_diffquot_norm, membership_report,
                        report_to_csv, report_to_markdown, rows_to_csv, sgd_probability_test,
-                       sobolev_seminorm, ssgd_test)
+                       smooth_completion_g, sobolev_seminorm, ssgd_test)
 from wienerlab import diagnostics, quadrature as quad
 from wienerlab.diagnostics import (LqRow, SsgdResult, _abs_pow_family, _dvp_pieces, _psi_log,
                                    _quotient_family, report_evidence_rows)
@@ -228,12 +230,21 @@ class TestDvp:
     def test_partial_past_the_magnitude_limit_ends_early(self):
         # the a = 3.9, h = 0.5 row at eps = 2^-8 grows like e^(eps h x) x^(-2a);
         # its segment [32770, 65539] refined for 99,105 of the row's 99,945
-        # evaluations, although its first panels put the partial near 8e34
-        rep = membership_report(catalog_build("thm31", a=3.9), 2.0, h_list=(0.5, 2.0))
+        # evaluations, although its first panels put the partial near 8e34.
+        # The report decides this piece by its declared growth, so it runs
+        # here on an undeclared copy of its family, with the report's budget
+        f, eps, h = catalog_build("thm31", a=3.9), 2.0 ** -8, 0.5
+        pieces = [(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h) if lo < hi]
+        (_, lo, hi), = [piece for piece in pieces if piece[0] == "above"]
+        fam = psi_family(f, (eps,), h)
+        (v,) = quad.integrate_pieces(dataclasses.replace(fam, growth=None), [(0, lo, hi)],
+                                     budget=quad.DEFAULT_BUDGET // len(pieces))
+        assert v.diverged and v.evidence.reason == "magnitude_threshold"
+        assert v.n_evals < 2_000
+        rep = membership_report(f, 2.0, h_list=(0.5, 2.0))
         row = next(r for r in rep.dvp[0.5].table
-                   if r.quantity == "dvp_above" and r.epsilon == 2.0 ** -8)
-        assert row.verdict.diverged and row.verdict.evidence.reason == "magnitude_threshold"
-        assert row.verdict.n_evals < 2_000
+                   if r.quantity == "dvp_above" and r.epsilon == eps)
+        assert row.verdict.diverged and row.verdict.evidence.reason == "declared_growth"
 
     def test_tail_growth_not_uniformly_integrable(self, f31, grid):
         res = dvp_uniform_integrability_test(f31, 1.0, grid)
@@ -264,7 +275,9 @@ class TestLockstep:
         return calls
 
     # integrand calls of the rows in lockstep, and of the rows one by one
-    RESIDUAL_CALLS = {("thm31", 0.98): (4, 18), ("thm31", -0.98): (6, 28),
+    # (4, 18) for thm31 at 0.98 before every row's right piece was decided by
+    # its declared growth
+    RESIDUAL_CALLS = {("thm31", 0.98): (1, 8), ("thm31", -0.98): (6, 28),
                       ("thm33", 1.0): (7, 54)}
 
     @pytest.mark.parametrize("name, params, h", [
@@ -612,6 +625,117 @@ class TestFusedEnvelopeVerdicts:
                 assert abs(verdict.value - (left + right[k])) <= verdict.abs_error
 
 
+def tail_functional(kappa, p, declared=None, hidden=(0.0, 0.0)):
+    """f(x) = e^(kappa x^2 + b x + c x^2) x^-p on [x_b, inf), (b, c) = hidden,
+    with the Gaussian rate kappa, glued C^1 to a bounded completion below
+    x_b; its right piece declares the tail `declared`, (kappa, p) by default.
+    x_b = max(3, sqrt(p / kappa)) puts the construction check's probes (from
+    2 x_b on) where 2 kappa x^2 dominates p in f'."""
+    b, c = hidden
+    x_b = max(3.0, math.sqrt(p / kappa)) if kappa > 0.0 else 3.0
+
+    def slog(x):
+        x = np.asarray(x, dtype=float)
+        return np.ones_like(x), (b + c * x) * x - p * np.log(x)
+
+    def slog_deriv(x):  # f' = f (2 (kappa + c) x + b - p / x)
+        x = np.asarray(x, dtype=float)
+        inner = (2.0 * (kappa + c) * x + b) * x - p
+        with np.errstate(divide="ignore"):
+            return np.sign(inner), np.log(np.abs(inner)) + slog(x)[1] - np.log(x)
+
+    right = Function1D(slog=slog, slog_deriv=slog_deriv, rate=kappa,
+                       tail=(kappa, p) if declared is None else declared)
+    left = smooth_completion_g(x_b, float(right.value(x_b)), float(right.deriv(x_b)))
+    return ScalarFunctional(name="tail", breakpoints=(x_b,), pieces=(left, right))
+
+
+def weighted_tail_diverges(kappa, q, s):
+    """Whether (order q, shift s) of a tail e^(kappa x^2) x^-p, kappa > 0,
+    diverges at +inf against phi, from its dominant exponent alone: the
+    larger of |f(x + s)| and |f(x)| (or f'), to the q, times e^(-x^2/2), is
+    e^((q kappa - 1/2) x^2 + 2 q kappa max(s, 0) x) up to powers of x.  None
+    where the powers decide."""
+    rate, slope = q * kappa - 0.5, 2.0 * q * kappa * max(s, 0.0)
+    if rate != 0.0:
+        return rate > 0.0
+    return True if slope > 0.0 else None
+
+
+class TestDeclaredTail:
+    """thm31's right piece and synthetic pieces declare (kappa, p); the rows
+    built from them derive their growth, and _piece decides the divergent
+    tails without evaluating."""
+
+    @pytest.mark.parametrize("a", [1.6, 2.0, 3.9, 8.0, 50.0])
+    def test_thm31_declares_its_tail(self, a):
+        f = catalog_build("thm31", a=a)
+        assert f.tail == (0.25, a)
+        assert quad.weighted(_abs_pow_family(f, 2.5, True)).growth == ((0.125, 0.0),)
+        fam = quad.weighted(_quotient_family(f, [(2.0, 0.5, 1.0, True), (1.5, 0.5, -1.0, False),
+                                                 (None, 0.25, 2.0, False), (2.0, 0.5, 0.0, True)]))
+        assert fam.growth == ((0.0, 0.5), (-0.125, 0.0), (0.0, 0.5), None)
+
+    def test_undeclared_functionals_declare_no_growth(self, f33, flin):
+        for f in (f33, flin, tail_functional(0.0, 2.0), tail_functional(-0.2, 1.0)):
+            assert _abs_pow_family(f, 3.0, False).growth is None
+            assert _quotient_family(f, [(2.0, 0.5, 1.0, True)]).growth is None
+
+    @pytest.mark.parametrize("kappa", [0.25, 1e-3, 0.0, -0.3])
+    def test_construction_refuses_a_wrong_declaration(self, kappa):
+        assert tail_functional(kappa, 2.0).tail == (kappa, 2.0)
+        hidden = {"e^x": dict(hidden=(1.0, 0.0)), "e^(x^2/8)": dict(hidden=(0.0, 0.125)),
+                  "p + 1": dict(declared=(kappa, 3.0)), "p - 1": dict(declared=(kappa, 1.0))}
+        for name, kw in hidden.items():
+            with pytest.raises(ValueError, match="does not follow the declared tail"):
+                tail_functional(kappa, 2.0, **kw)
+
+    def test_only_the_last_piece_declares_a_tail(self):
+        piece = Function1D(value=np.ones_like, deriv=np.zeros_like, tail=(0.0, 0.0))
+        with pytest.raises(ValueError, match="only the piece reaching"):
+            ScalarFunctional(name="two", breakpoints=(0.0,), pieces=(piece, piece))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kappa=st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(0.1, 0.5),
+                           st.floats(-0.5, -1e-3)),
+           p=st.floats(0.5, 4.0),
+           rows=st.lists(st.tuples(st.one_of(st.none(), st.floats(1.0, 3.0)),  # None: psi
+                                   st.sampled_from([0.5, 2.0 ** -3, 2.0 ** -7]),
+                                   st.sampled_from([1.0, -1.0, 0.5, -2.5, 0.0]),
+                                   st.booleans()), min_size=1, max_size=4),
+           powers=st.lists(st.tuples(st.floats(1.0, 3.0), st.booleans()), max_size=2))
+    @example(kappa=0.25, p=3.0, rows=[(2.0, 0.5, 1.0, True), (2.0, 0.5, -1.0, True),
+                                      (None, 2.0 ** -7, 1.0, False), (2.0, 0.5, 0.0, False)],
+             powers=[(2.0, False), (2.5, True)])
+    def test_the_skip_fires_only_on_divergent_tails_and_changes_nothing_else(self, kappa, p,
+                                                                          rows, powers):
+        # every piece of every row's line against phi, declared and undeclared
+        f = tail_functional(kappa, p)
+        rows = [(q, eps, c, centered and q is not None) for q, eps, c, centered in rows]
+        cases = [(_quotient_family(f, rows), [(q or 2.0, eps * c) for q, eps, c, _ in rows])]
+        cases += [(_abs_pow_family(f, q, deriv), [(q, None)]) for q, deriv in powers]
+        for fam, laws in cases:
+            fam = quad.weighted(fam)
+            pieces = [(row, lo, hi) for row in range(len(laws))
+                      for lo, hi in itertools.pairwise(
+                          [-math.inf, *sorted({*fam.breakpoints[row], 0.0}), math.inf])]
+            new = quad.integrate_pieces(fam, pieces, budget=2000)
+            old = quad.integrate_pieces(dataclasses.replace(fam, growth=None), pieces,
+                                        budget=2000)
+            for (row, lo, hi), v, ref in zip(pieces, new, old):
+                fired = v.diverged and v.evidence.reason == "declared_growth"
+                q, s = laws[row]
+                decided = kappa > 0.0 and hi == math.inf and s != 0.0
+                assert fired == (decided and weighted_tail_diverges(kappa, q, s or 0.0) is True)
+                if not fired:
+                    assert v == ref
+                    continue
+                assert v.n_evals == 0 and v.evidence.records == ()
+                # the body itself grows without bound far out
+                far = fam.log_eval(np.array([2.0 ** 29, 2.0 ** 30]), row)[1]
+                assert 100.0 < far[0] < far[1]
+
+
 class TestCameronMartin:
     def test_squared_integral_both_sides_near_2(self):
         Z = CylindricalFunctional([UNIT], Polynomial.variable(0, 1) ** 2)
@@ -845,9 +969,10 @@ class TestMembershipReport:
         membership_report(catalog_build("thm31", a=6.0), 2.0, h_list=(1.0,))
         # 127 when the L^q rows, the residual rows of each q, the majorants and
         # the psi-test pieces ran one family after another, 95 when each
-        # exhaustion request fetched one segment, and 61 when a segment past
-        # the magnitude limit went on refining
-        assert len(calls) == 51
+        # exhaustion request fetched one segment, 61 when a segment past the
+        # magnitude limit went on refining, and 51 when the right pieces of
+        # the divergent rows (declared growth) ran their exhaustion
+        assert len(calls) == 19
 
     @pytest.mark.parametrize("kw", [{"atol": math.inf}, {"atol": math.nan}, {"rtol": -1e-8},
                                     {"deltas": (0.0,)}, {"deltas": (0.1, -0.5)},

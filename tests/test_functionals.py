@@ -309,6 +309,28 @@ class TestDifferenceQuotient1D:
         assert math.isfinite(got)
         assert got == pytest.approx(oracle, rel=1e-8)
 
+    @pytest.mark.parametrize("name, lo, hi", [("f31", -2.0, 9.0), ("f33", -1e-4, 5e-4),
+                                              ("flin", -2.0, 2.0)])
+    def test_deriv_at_is_placed_with_the_quotient(self, request, monkeypatch, name, lo, hi):
+        # one searchsorted places f(x + eps c), f(x) and f'(x[deriv_at]); the
+        # bits are those of the quotient and of f' computed apart
+        f = request.getfixturevalue(name)
+        x = np.concatenate([np.linspace(lo, hi, 60), f.breakpoints])
+        at = np.arange(0, x.size, 3)
+        searches = []
+        real = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *a, **kw: searches.append(1) or real(*a, **kw))
+        with np.errstate(all="ignore"):
+            sign, l, k, (ds, dl) = difference_quotient_slog(f, x, 0.25, 0.5 * (hi - lo), None, at)
+        monkeypatch.undo()
+        assert len(searches) == 1
+        with np.errstate(all="ignore"):
+            want = (*difference_quotient_slog(f, x, 0.25, 0.5 * (hi - lo)),
+                    *f.slog_parts(x[at], deriv=True)[:2])
+        for got, ref in zip((sign, l, k, ds, dl), want):
+            assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
     def test_rejects_nonpositive_eps(self, flin):
         with pytest.raises(ValueError):
             difference_quotient_1d(flin, 0.0, 0.0, 1.0)

@@ -575,18 +575,20 @@ def test_magnitude_exit_keeps_the_verdict_for_less_work(kind, rate, power, a):
         assert new == ref
 
 
-@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 6207, 708),
+@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 4700, 339),
                                                         ("thm33-report", 4946, 693)])
 def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_path, workload,
                                                             segments, missed):
-    # one pass of the benchmark workload at seed 41: 89% (thm31) and 86% (thm33)
+    # one pass of the benchmark workload at seed 41: 93% (thm31) and 86% (thm33)
     # of the segments end at their first panels and never build the error heap.
     # The thm33 pieces outside its support run no segment (1,656 fewer, each
-    # of them one that ended at its first panels).
+    # of them one that ended at its first panels), and neither do the thm31
+    # right pieces that their declared growth decides (6,207 segments before,
+    # 708 of them misses, and 7 that ended at the magnitude exit at their
+    # first panels).
     # A segment missed them if it split a panel or ended at a rule of the heap
-    # rounds; on thm31 each of the 708 that miss ends by its tolerance or the
-    # magnitude exit, none for want of budget.  The 7 that end at the
-    # magnitude exit at their first panels build no heap
+    # rounds; on thm31 each of the 339 that miss ends by its tolerance, none
+    # for want of budget
     counts = {"segments": 0, "missed": 0}
     segment = quad._segment
     first_exits = {"tolerance met", "NaN sum", "a panel beyond double range",
@@ -1062,6 +1064,91 @@ class TestDeclaredSupport:
     def test_one_support_per_row(self):
         with pytest.raises(ValueError, match="a support per row"):
             Family(lambda x, row=0: None, ((), ()), support=((0.0, 1.0),))
+
+
+def growth_family(rows, declared=True):
+    """e^(kappa x^2 + beta x) / (1 + x^2), one row per (kappa, beta) of rows,
+    with a breakpoint at 1; it declares each row's (kappa, beta) as its growth
+    or not."""
+    kappa, beta = (np.array(v, dtype=float) for v in zip(*rows))
+
+    def body(x, row=0):
+        x = np.asarray(x, dtype=float)
+        return np.ones_like(x), beta[row] * x - np.log1p(x * x), kappa[row]
+
+    return Family(body, ((1.0,),) * len(rows), growth=tuple(rows) if declared else None)
+
+
+class TestDeclaredGrowth:
+    """A piece (lo, +inf) of a row whose declared growth (kappa, beta) is above
+    (0, 0) ends Diverged without evaluating; every other piece runs as it does
+    undeclared."""
+
+    def test_a_growing_tail_ends_diverged_without_a_request(self, monkeypatch):
+        calls = []
+        real = quad._evaluate
+        monkeypatch.setattr(quad, "_evaluate",
+                            lambda fam, requests: calls.append(requests) or real(fam, requests))
+        fam = growth_family([(0.1, 0.0), (0.0, 0.5), (0.2, -3.0)])
+        verdicts = integrate_pieces(fam, [(0, 1.0, math.inf), (1, -2.0, math.inf),
+                                          (2, 1e3, math.inf)], budget=0)
+        assert calls == []
+        for v in verdicts:
+            assert v.diverged and v.n_evals == 0
+            assert v.evidence == quad.GrowthEvidence((), "declared_growth")
+        assert verdicts[1].message == ("[-2, inf): the declared growth (kappa, beta) = (0, 0.5) "
+                                       "is not integrable")
+
+    @pytest.mark.parametrize("growth", [(0.0, 0.0), (0.0, -0.5), (-0.1, 4.0), (-1e-3, 0.0), None])
+    def test_a_tail_at_or_below_zero_growth_runs_as_undeclared(self, growth):
+        rows = [(0.0, 0.0) if growth is None else growth, (0.3, 0.0)]
+        fam = growth_family(rows)
+        fam = dataclasses.replace(fam, growth=(growth, fam.growth[1]))
+        pieces = [(0, 1.0, math.inf), (0, -math.inf, 1.0), (1, -math.inf, 0.0), (1, 0.0, 1.0)]
+        new = integrate_pieces(fam, pieces, budget=3000)
+        assert new == integrate_pieces(growth_family(rows, False), pieces, budget=3000)
+        assert all(v.n_evals > 0 for v in new)
+
+    def test_gaussian_expectation_skips_only_the_right_tail(self):
+        # e^(x^2/2 + x/4) (1 + x^2)^-1 against phi: (kappa, beta) = (0, 1/4) after weighting
+        fam = growth_family([(0.5, 0.25)])
+        v = gaussian_expectation(fam)
+        assert v.diverged and v.evidence.reason == "declared_growth"
+        assert v.message.startswith("piece (1, inf): [1, inf): the declared growth "
+                                    "(kappa, beta) = (0, 0.25)")
+        left = integrate_pieces(quad.weighted(fam), [(0, -math.inf, 0.0), (0, 0.0, 1.0)])
+        assert left == integrate_pieces(quad.weighted(growth_family([(0.5, 0.25)], False)),
+                                        [(0, -math.inf, 0.0), (0, 0.0, 1.0)])
+        assert v.n_evals == sum(p.n_evals for p in left) > 0
+
+    def test_weighted_lowers_kappa_by_one_half(self):
+        fam = quad.weighted(growth_family([(0.25, 0.5), (0.6, -1.0)]))
+        assert fam.growth == ((-0.25, 0.5), (0.09999999999999998, -1.0))
+        assert quad.weighted(dataclasses.replace(fam, growth=(None, (1.0, 0.0)))).growth == (
+            None, (0.5, 0.0))
+        assert quad.weighted(Family.from_function(np.cos)).growth is None
+
+    def test_one_growth_per_row(self):
+        with pytest.raises(ValueError, match="a growth per row"):
+            Family(lambda x, row=0: None, ((), ()), growth=((0.0, 1.0),))
+
+
+class TestCalmAtZeroTolerance:
+    """At atol = 0 an exact-zero increment counts as calm: tol = rtol |partial|
+    is 0 while the partial is 0."""
+
+    def test_half_line_indicator(self):
+        # P(W > 0) = 1/2: the piece (-inf, 0) is exactly 0, and ran 60
+        # segments into Inconclusive
+        v = gaussian_expectation(Family.from_function(lambda x: np.where(x > 0, 1.0, 0.0)),
+                                 atol=0.0)
+        assert v.converged and abs(v.value - 0.5) <= v.abs_error
+
+    def test_exact_zero_left_half_line(self):
+        (v,) = integrate_pieces(quad.weighted(Family.from_function(np.zeros_like)),
+                                [(0, -math.inf, 0.0)], atol=0.0)
+        assert v.converged and (v.value, v.abs_error) == (0.0, 0.0)
+        assert v.n_evals == 3 * 15  # CALM_RUN segments of one panel
 
 
 class TestBudgetCap:

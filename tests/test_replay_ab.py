@@ -25,8 +25,21 @@ def test_one_op_splits_its_pass_and_restores_evaluate():
                          + ("  (+0.0%, +0.0%)" if label == "new" else "")
                          for label in ("old", "new")]
     assert [line.split()[:3] for line in lines[2:]] == [
-        [name, label, "min"] for name in replay_ab.TIMES for label in ("old", "new")]
+        [name, label, "q1"] for name in replay_ab.TIMES for label in ("old", "new")]
     assert all(line.endswith("%)") for line in lines[3::2])
+
+
+def test_summary_prints_the_quartiles_and_median():
+    # five passes of 1..5 ms and 2..10 ms: q1, median and q3 by the inclusive
+    # method, and the change of the median; no minimum
+    samples = {label: {name: [scale * k / 1e3 for k in (3, 1, 5, 2, 4)]
+                       for name in replay_ab.TIMES}
+               for label, scale in (("old", 1.0), ("new", 2.0))}
+    lines = replay_ab.summary(samples, {"old": (10, 150), "new": (5, 75)})
+    assert lines[1].endswith("(-50.0%, -50.0%)")
+    assert lines[2] == "pass      old  q1      2.00  median      3.00  q3      4.00"
+    assert lines[3] == "pass      new  q1      4.00  median      6.00  q3      8.00  (+100.0%)"
+    assert all("min" not in line for line in lines)
 
 
 def test_each_time_is_scaled_by_the_kernel_runs_around_it(monkeypatch):

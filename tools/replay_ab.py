@@ -24,7 +24,7 @@ perfbench/calibrate.py (read and not changed), run right before and right
 after it, as perfbench/run.py scales an operation: the time times
 2 REFERENCE_S / (kernel before + kernel after).  On a shared machine the
 speed of the same code drifts between runs; the scaling takes out what the
-kernel sees of it.  It prints the min, q1 and median of each, in
+kernel sees of it.  It prints the q1, median and q3 of each, in
 milliseconds, the checkouts' lines interleaved, and the same of the kernel
 runs themselves (kernel, unscaled), which should not differ between the
 checkouts.  Before the times it prints each checkout's integrand
@@ -165,8 +165,9 @@ def measure(pkgs: dict, ops, reps: int) -> tuple:
 
 def summary(samples: dict, tallies: dict) -> list:
     """One line per package with its integrand calls and points per pass,
-    then one per time and package: min, q1 and median in ms; each with its
-    change against the first package."""
+    then one per time and package: q1, median and q3 in ms (not the minimum,
+    which one disturbed kernel run deflates); each with the change of its
+    median against the first package."""
     lines = []
     base = None
     for label, (n_calls, points) in tallies.items():
@@ -180,10 +181,10 @@ def summary(samples: dict, tallies: dict) -> list:
     for name in TIMES:
         base = None
         for label, by_time in samples.items():
-            ms = sorted(1e3 * s for s in by_time[name])
-            q1 = statistics.quantiles(ms, n=4, method="inclusive")[0] if len(ms) > 1 else ms[0]
-            median = statistics.median(ms)
-            line = f"{name:<9} {label:<4} min {ms[0]:9.2f}  q1 {q1:9.2f}  median {median:9.2f}"
+            ms = [1e3 * s for s in by_time[name]]
+            q1, median, q3 = (statistics.quantiles(ms, n=4, method="inclusive") if len(ms) > 1
+                              else ms * 3)
+            line = f"{name:<9} {label:<4} q1 {q1:9.2f}  median {median:9.2f}  q3 {q3:9.2f}"
             if base is None:
                 base = median
             elif base > 0.0:
