@@ -236,11 +236,13 @@ class ScalarFunctional:
     must be exactly 0 at the probe points of _outside_probes, or it raises.
 
     tail is the (kappa, p) that the last piece declares (Function1D.tail), or
-    None; no other piece may declare one.  At construction, at x_b 2^j for
-    j = 1, ..., 60 (x_b the last breakpoint, at least 1), r(x) + p log x and,
-    with kappa > 0, r'(x) + (p - 1) log x must be finite and spread by less
-    than log 2, where r = log|f| - kappa x^2 and r' = log|f'| - kappa x^2;
-    otherwise it raises.  This refuses a hidden e^(beta x) or a wrong kappa
+    None; no other piece may declare one.  At construction, r(x) + p log x,
+    r = log|f| - kappa x^2, must be finite and spread by less than log 2 over
+    x_b 2^j, j = 1, ..., 60 (x_b the last breakpoint, at least 1).  With
+    kappa > 0 so must r'(x) + (p - 1) log x, r' = log|f'| - kappa x^2, over
+    x_d 2^j, x_d = max(x_b, sqrt(|p| / kappa)): f' = f (2 kappa x - p / x)
+    takes its form 2 kappa x f only where 2 kappa x^2 dominates |p|.
+    Otherwise it raises.  This refuses a hidden e^(beta x) or a wrong kappa
     or p.
     """
 
@@ -296,9 +298,12 @@ class ScalarFunctional:
             return
         piece, (kappa, p) = self.pieces[-1], self.tail
         x_b = max(self.breakpoints[-1], 1.0) if self.breakpoints else 1.0
-        x = x_b * 2.0 ** np.arange(1, 61)
-        checks = [("f", piece.slog, p)] + ([("f'", piece.slog_deriv, p - 1.0)] if kappa > 0 else [])
-        for name, pair, power in checks:
+        doublings = 2.0 ** np.arange(1, 61)
+        checks = [("f", piece.slog, p, x_b)]
+        if kappa > 0:  # f' from x_d on, where 2 kappa x^2 dominates |p|
+            checks.append(("f'", piece.slog_deriv, p - 1.0, max(x_b, math.sqrt(abs(p) / kappa))))
+        for name, pair, power, start in checks:
+            x = start * doublings
             with np.errstate(all="ignore"):
                 rest = pair(x)[1] + (piece.rate - kappa) * x * x + power * np.log(x)
             if not (np.isfinite(rest).all() and rest.max() - rest.min() < math.log(2.0)):

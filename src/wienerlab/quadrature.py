@@ -17,7 +17,10 @@ Semi-infinite domains are exhausted along R_k = a + 2^k; integrals singular
 at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
 _piece picks the route of each piece of the line from its ends: x = route * t
-on route +-1 (-1 for the left half-line), x = e^-t on route 0.
+on route +-1 (-1 for the left half-line), x = e^-t on route 0.  A piece
+that a declaration decides (_declared: outside the support, or a declared
+growth at +inf) is answered without evaluating, and a line whose last piece
+is so Diverged runs none of its other pieces (_split).
 
 Every integrand is a Family; Family(body) is an integrand of one row.  Every
 body gives its log as k x^2 + r with a Gaussian rate k (0 for most), and
@@ -566,6 +569,7 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
     growth_run = calm_run = 0
     ahead = AHEAD
     queue = []  # (edges, values, errors) of the segments fetched and not consumed
+    queued = 0  # the points of their panels
     for k in range(1, MAX_DOUBLINGS + 1):
         if not queue:
             room = budget - used
@@ -599,12 +603,13 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
                 n = i + len(edges) - 1
                 queue.append((edges, values[i:n], errors[i:n]))
                 i = n
+            queued = 15 * i
         edges, values, errors = queue.pop(0)
+        queued -= 15 * len(values)
         seg_atol = max(atol, rtol * abs(partial)) / (16.0 * (k + 1) ** 2)
         # the panels fetched ahead are reserved from its budget
         seg = yield from _segment(edges, values, errors, seg_atol, rtol / 4,
-                                  budget - used - 15 * sum(len(v) for _, v, _ in queue),
-                                  partial)
+                                  budget - used - queued, partial)
         used += seg.evals
         inc = seg.value
         if math.isnan(inc):
@@ -623,10 +628,10 @@ def _exhaust(a: float, atol: float, rtol: float, budget: int, cuts,
             return _diverged(records, "increment_growth", used,
                              f"{what}: increments grew for {GROWTH_RUN} consecutive steps")
 
-        if a > 0.0 and seg.ok:
-            last = records[-4:]
-            tail, mismatch = _fit_power_tail([a, *(r[0] for r in last)][-4:],
-                                             [r[2] for r in last])
+        last = [r[2] for r in records[-3:]]
+        # only three increments all > 0, or all exactly 0, can fit a finite tail
+        if a > 0.0 and seg.ok and len(last) == 3 and (min(last) > 0.0 or not any(last)):
+            tail, mismatch = _fit_power_tail([a, *(r[0] for r in records[-4:])][-4:], last)
             if math.isfinite(tail) and mismatch < FIT_MISMATCH:
                 tail_unc = tail * max(10.0 * mismatch, 1e-12)
                 if quad_err + tail_unc <= tol:
@@ -760,18 +765,43 @@ def weighted(fam: Family) -> Family:
     return replace(fam, body=body, growth=growth)
 
 
-def _combine(pieces, labels) -> IntegralVerdict:
-    if len(pieces) == 1:
-        return pieces[0]
-    n_evals = sum(v.n_evals for v in pieces)
-    for v, lab in zip(pieces, labels):
+def _combine(verdicts, labels) -> IntegralVerdict:
+    """The verdict of a line from the verdicts of the pieces that ran and
+    their labels, or labels None for a line of one piece, which is its
+    verdict.  The first Diverged piece makes the line Diverged, else the
+    first one not Converged makes it Inconclusive, each named in the
+    message; all Converged sum their values and errors.  n_evals sums those
+    of the pieces that ran."""
+    if labels is None:
+        return verdicts[0]
+    n_evals = sum(v.n_evals for v in verdicts)
+    for v, lab in zip(verdicts, labels):
         if v.diverged:
             return IntegralVerdict(Verdict.DIVERGED, evidence=v.evidence, n_evals=n_evals,
                                    message=f"piece {lab}: {v.message}")
-    for v, lab in zip(pieces, labels):
+    for v, lab in zip(verdicts, labels):
         if not v.converged:
             return _inconclusive(n_evals, f"piece {lab}: {v.message}")
-    return _converged(sum(v.value for v in pieces), sum(v.abs_error for v in pieces), n_evals)
+    return _converged(sum(v.value for v in verdicts), sum(v.abs_error for v in verdicts),
+                      n_evals)
+
+
+def _declared(fam: Family, row: int, lo: float, hi: float) -> Optional[IntegralVerdict]:
+    """The verdict that fam's declarations give the piece (lo, hi) of row, or
+    None: Converged 0 +- 0 wholly outside the row's support, and Diverged by
+    the comparison test (reason "declared_growth", no records) for (lo, +inf)
+    of a row whose declared growth (kappa, beta) is above (0, 0).  Either
+    costs no evaluation (n_evals 0)."""
+    if fam.support is not None:
+        s_lo, s_hi = fam.support[row]
+        if hi <= s_lo or lo >= s_hi:
+            return _converged(0.0, 0.0, 0, f"({lo:g}, {hi:g}) lies outside the support "
+                                           f"({s_lo:g}, {s_hi:g}), where the integrand is 0")
+    growth = fam.growth and fam.growth[row]
+    if hi == math.inf and growth and growth > (0.0, 0.0):
+        return _diverged((), "declared_growth", 0, f"[{lo:g}, inf): the declared growth "
+                         f"(kappa, beta) = ({growth[0]:g}, {growth[1]:g}) is not integrable")
+    return None
 
 
 def _answered(verdict: IntegralVerdict):
@@ -786,26 +816,15 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     """Driver (fam, row, route, generator) of one piece (lo, hi) of the line,
     routed by its ends, with its cuts in t.
 
-    A piece wholly outside the row's declared support ends Converged 0 +- 0,
-    and a piece (lo, +inf) of a row whose declared growth (kappa, beta) is
-    above (0, 0) ends Diverged by the comparison test (reason
-    "declared_growth"), each without a request.  An infinite end goes to
-    semi-infinite exhaustion (the left end on route -1), (0, hi) with hi < 1
-    and a declared singularity at 0 to exhaustion on route 0, up to t = 700
-    unless the body takes log x, and anything else to the finite adaptive
-    rule.
+    A piece that fam's declarations decide (_declared) ends with that
+    verdict, without a request.  An infinite end goes to semi-infinite
+    exhaustion (the left end on route -1), (0, hi) with hi < 1 and a
+    declared singularity at 0 to exhaustion on route 0, up to t = 700 unless
+    the body takes log x, and anything else to the finite adaptive rule.
     """
-    if fam.support is not None:
-        s_lo, s_hi = fam.support[row]
-        if hi <= s_lo or lo >= s_hi:
-            return fam, row, 1.0, _answered(_converged(
-                0.0, 0.0, 0, f"({lo:g}, {hi:g}) lies outside the support ({s_lo:g}, {s_hi:g}), "
-                "where the integrand is 0"))
-    growth = fam.growth and fam.growth[row]
-    if hi == math.inf and growth and growth > (0.0, 0.0):
-        return fam, row, 1.0, _answered(_diverged(
-            (), "declared_growth", 0, f"[{lo:g}, inf): the declared growth (kappa, beta) = "
-            f"({growth[0]:g}, {growth[1]:g}) is not integrable"))
+    verdict = _declared(fam, row, lo, hi)
+    if verdict is not None:
+        return fam, row, 1.0, _answered(verdict)
     if lo == -math.inf:
         route, a = -1.0, -hi
     elif hi == math.inf:
@@ -828,15 +847,25 @@ def integrate_pieces(fam: Family, pieces, atol: float = DEFAULT_ATOL,
 
 def _split(fam: Family, lines, atol: float, rtol: float, budget: int):
     """The job of the lines [(row, edges), ...]: the pieces between the edges,
-    each with atol and budget divided by their number, _combine-d per line."""
-    drivers = []
+    each with atol and budget divided by their number, _combine-d per line.
+
+    A line whose last piece (lo, +inf) its row's declared growth makes
+    Diverged (_declared) is Diverged by that piece whatever the others give,
+    so only that piece's answered driver runs.  The line's verdict is then
+    the one _combine gives with every piece run, in status, value, abs_error,
+    evidence and message, with n_evals 0; where an earlier piece would also
+    be Diverged, it names the declared piece instead of the first one.
+    """
+    drivers, runs = [], []
     for row, edges in lines:
         pieces = list(zip(edges, edges[1:]))
+        last = _declared(fam, row, *pieces[-1])
+        run = pieces[-1:] if last is not None and last.diverged else pieces
         share = budget // len(pieces)
-        drivers += [_piece(fam, row, a, b, atol / len(pieces), rtol, share) for a, b in pieces]
+        drivers += [_piece(fam, row, a, b, atol / len(pieces), rtol, share) for a, b in run]
+        runs.append((len(run), [f"({a:g}, {b:g})" for a, b in run] if len(pieces) > 1 else None))
     return drivers, lambda verdicts: [
-        _combine([next(verdicts) for _ in edges[1:]],
-                 [f"({a:g}, {b:g})" for a, b in zip(edges, edges[1:])]) for _, edges in lines]
+        _combine([next(verdicts) for _ in range(n)], labels) for n, labels in runs]
 
 
 def _expectation_job(fam: Family, rows, atol: float, rtol: float, budget: int):
@@ -844,7 +873,8 @@ def _expectation_job(fam: Family, rows, atol: float, rtol: float, budget: int):
     Gaussian weight (weighted).  Each row's line is split at its breakpoints
     (plus 0), and each piece gets budget // (number of pieces).  Any Diverged
     piece makes the expectation Diverged; all pieces Converged sum their
-    values and errors; anything else is Inconclusive."""
+    values and errors; anything else is Inconclusive.  n_evals counts the
+    evaluations of the pieces that ran (_split)."""
     lines = [(row, [-math.inf, *sorted({float(b) for b in (*fam.breakpoints[row], 0.0)}),
                     math.inf]) for row in rows]
     return _split(fam, lines, atol, rtol, budget)

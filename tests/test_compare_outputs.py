@@ -26,6 +26,14 @@ def test_two_ops_match_themselves_and_a_change_shows():
         "op 0 diagnose --functional linear --h=1 --delta 0.1: verdicts [3] of 1 (n_evals)",
         "op 1 cm-check --n-samples 1000: file cm-check.csv"]
     assert compare_outputs.certificate_changes(old, changed) == 0
+    assert compare_outputs.n_evals_only(old, old) == (
+        "0 op(s) differ only in n_evals, which sum to 0 -> 0 there")
+    # op 1 differs in a file, so only op 0 counts
+    total = sum(v[3] for v in new[0]["verdicts"])
+    assert compare_outputs.n_evals_only(old, changed) == (
+        f"1 op(s) differ only in n_evals, which sum to {total} -> {total + 1} there")
+    changed[0]["files"]["linear-diagnose.md"] += "\n"
+    assert compare_outputs.n_evals_only(old, changed).startswith("0 op(s)")
 
 
 def _verdict(status="diverged", value=None, abs_error=None, n_evals=100, evidence=None):
@@ -45,6 +53,8 @@ def test_names_the_verdict_fields_that_differ():
     assert compare_outputs.differences(old, new) == [
         "op 0 op: verdicts [2, 3, 4, 5] of 4 (n_evals, evidence)"]
     assert compare_outputs.certificate_changes(old, new) == 0
+    # the evidence differs too
+    assert compare_outputs.n_evals_only(old, new).startswith("0 op(s)")
 
 
 def test_counts_the_verdicts_whose_certificate_differs():

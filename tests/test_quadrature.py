@@ -575,19 +575,20 @@ def test_magnitude_exit_keeps_the_verdict_for_less_work(kind, rate, power, a):
         assert new == ref
 
 
-@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 4700, 339),
+@pytest.mark.parametrize("workload, segments, missed", [("thm31-report", 4148, 321),
                                                         ("thm33-report", 4946, 693)])
 def test_refinement_starts_only_where_the_first_panels_miss(monkeypatch, tmp_path, workload,
                                                             segments, missed):
-    # one pass of the benchmark workload at seed 41: 93% (thm31) and 86% (thm33)
+    # one pass of the benchmark workload at seed 41: 92% (thm31) and 86% (thm33)
     # of the segments end at their first panels and never build the error heap.
     # The thm33 pieces outside its support run no segment (1,656 fewer, each
     # of them one that ended at its first panels), and neither do the thm31
     # right pieces that their declared growth decides (6,207 segments before,
     # 708 of them misses, and 7 that ended at the magnitude exit at their
-    # first panels).
+    # first panels), nor the other pieces of those lines (4,700 segments
+    # before, 339 of them misses).
     # A segment missed them if it split a panel or ended at a rule of the heap
-    # rounds; on thm31 each of the 339 that miss ends by its tolerance, none
+    # rounds; on thm31 each of the 321 that miss ends by its tolerance, none
     # for want of budget
     counts = {"segments": 0, "missed": 0}
     segment = quad._segment
@@ -1082,7 +1083,7 @@ def growth_family(rows, declared=True):
 class TestDeclaredGrowth:
     """A piece (lo, +inf) of a row whose declared growth (kappa, beta) is above
     (0, 0) ends Diverged without evaluating; every other piece runs as it does
-    undeclared."""
+    undeclared, and a line (_split) that such a piece ends runs no piece."""
 
     def test_a_growing_tail_ends_diverged_without_a_request(self, monkeypatch):
         calls = []
@@ -1109,17 +1110,77 @@ class TestDeclaredGrowth:
         assert new == integrate_pieces(growth_family(rows, False), pieces, budget=3000)
         assert all(v.n_evals > 0 for v in new)
 
-    def test_gaussian_expectation_skips_only_the_right_tail(self):
-        # e^(x^2/2 + x/4) (1 + x^2)^-1 against phi: (kappa, beta) = (0, 1/4) after weighting
+    def test_gaussian_expectation_runs_no_piece_of_a_declared_line(self, monkeypatch):
+        # e^(x^2/2 + x/4) (1 + x^2)^-1 against phi: (kappa, beta) = (0, 1/4) after
+        # weighting, so the right tail decides the line and no piece is requested
         fam = growth_family([(0.5, 0.25)])
+        calls = []
+        real = quad._evaluate
+        monkeypatch.setattr(quad, "_evaluate",
+                            lambda form, requests: calls.append(requests) or real(form, requests))
         v = gaussian_expectation(fam)
-        assert v.diverged and v.evidence.reason == "declared_growth"
-        assert v.message.startswith("piece (1, inf): [1, inf): the declared growth "
-                                    "(kappa, beta) = (0, 0.25)")
-        left = integrate_pieces(quad.weighted(fam), [(0, -math.inf, 0.0), (0, 0.0, 1.0)])
-        assert left == integrate_pieces(quad.weighted(growth_family([(0.5, 0.25)], False)),
-                                        [(0, -math.inf, 0.0), (0, 0.0, 1.0)])
-        assert v.n_evals == sum(p.n_evals for p in left) > 0
+        assert calls == [] and v.n_evals == 0
+        assert v.diverged and v.evidence == quad.GrowthEvidence((), "declared_growth")
+        assert v.message == ("piece (1, inf): [1, inf): the declared growth (kappa, beta) = "
+                             "(0, 0.25) is not integrable")
+        # the verdict of every piece run alone, combined: the same but for n_evals
+        monkeypatch.setattr(quad, "_evaluate", real)
+        pieces = [(-math.inf, 0.0), (0.0, 1.0), (1.0, math.inf)]
+        alone = [integrate_pieces(quad.weighted(fam), [(0, lo, hi)], quad.DEFAULT_ATOL / 3,
+                                  budget=quad.DEFAULT_BUDGET // 3)[0] for lo, hi in pieces]
+        assert [p.status for p in alone] == ["converged", "converged", "diverged"]
+        assert alone[0].n_evals > 0 and alone[1].n_evals > 0
+        ref = quad._combine(alone, [f"({lo:g}, {hi:g})" for lo, hi in pieces])
+        assert dataclasses.replace(v, n_evals=ref.n_evals) == ref
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+                                   st.floats(-1.0, 1.0), st.booleans(),
+                                   st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3),
+                                   st.sampled_from([math.inf, math.inf, 4.0])),
+                         min_size=1, max_size=4))
+    @example(rows=[(0.75, 0.5, True, [0.0], math.inf), (0.5, -0.5, True, [0.0], math.inf),
+                   (0.5, 0.5, True, [-1.0, 0.0, 2.0], math.inf), (0.5, 0.5, True, [], 4.0),
+                   (0.5, 0.5, True, [], math.inf)])
+    def test_a_declared_line_equals_its_pieces_combined(self, rows):
+        # one line per row of e^(kappa x^2 + beta x) / (1 + x^2) against phi, cut
+        # at random points, ending at +inf or 4, its growth declared or not.  A
+        # line whose last piece is declared Diverged runs nothing and names that
+        # piece; every other line equals its pieces run alone and combined
+        kappa, beta = (np.array(v) for v in zip(*((k, b) for k, b, _, _, _ in rows)))
+        requested = set()
+
+        def body(x, row=0):
+            requested.update(np.unique(row).tolist())
+            return np.ones_like(x), beta[row] * x - np.log1p(x * x), kappa[row]
+
+        fam = quad.weighted(Family(body, ((),) * len(rows),
+                                   growth=tuple((k, b) if declared else None
+                                                for k, b, declared, _, _ in rows)))
+        lines = [(row, [-math.inf, *sorted({c for c in cuts if c < end}), end])
+                 for row, (_, _, _, cuts, end) in enumerate(rows)]
+        atol, budget = 1e-8, 3000
+        verdicts = quad._lockstep([quad._split(fam, lines, atol, quad.DEFAULT_RTOL, budget)])[0]
+        ran = set(requested)
+        for (row, edges), v in zip(lines, verdicts):
+            pieces = list(zip(edges, edges[1:]))
+            labels = [f"({lo:g}, {hi:g})" for lo, hi in pieces] if len(pieces) > 1 else None
+            alone = [integrate_pieces(fam, [(row, lo, hi)], atol / len(pieces),
+                                      budget=budget // len(pieces))[0] for lo, hi in pieces]
+            k, b, declared, _, end = rows[row]
+            skipped = declared and end == math.inf and (k - 0.5, b) > (0.0, 0.0)
+            assert (v.n_evals == 0) == skipped
+            assert (row in ran) == (not skipped)
+            if not skipped:
+                assert v == quad._combine(alone, labels)
+                continue
+            # the declared piece is cited, also where an earlier piece diverges
+            ref = quad._combine(alone[-1:] + alone[:-1], labels and labels[-1:] + labels[:-1])
+            assert dataclasses.replace(v, n_evals=ref.n_evals) == ref
+            assert v.evidence == quad.GrowthEvidence((), "declared_growth")
+            if not any(p.diverged for p in alone[:-1]):
+                assert dataclasses.replace(v, n_evals=0) == dataclasses.replace(
+                    quad._combine(alone, labels), n_evals=0)
 
     def test_weighted_lowers_kappa_by_one_half(self):
         fam = quad.weighted(growth_family([(0.25, 0.5), (0.6, -1.0)]))
@@ -1194,12 +1255,21 @@ class TestBudgetCap:
     def test_exhaustion_evaluates_at_most_its_budget(self, budget, rtol, cuts):
         # the points a driver's requests evaluate, the look-ahead panels it
         # never consumed included, stay within its budget; n_evals counts
-        # only the consumed ones
-        for fam in self.EXHAUSTED:
-            points = []
-            driver = self.counted(quad._exhaust(1.0, 1e-12, rtol, budget, cuts), points)
-            (v,) = quad._outcomes([(fam, 0, 1.0, driver)])
-            assert v.n_evals <= sum(points) <= budget
+        # only the consumed ones.  Each segment gets what the points
+        # requested so far leave of the budget, its own first panels given back
+        segment = quad._segment
+
+        def checked(edges, values, errors, atol, rtol, seg_budget, partial=None):
+            assert seg_budget == budget - sum(points) + 15 * (len(edges) - 1)
+            return (yield from segment(edges, values, errors, atol, rtol, seg_budget, partial))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(quad, "_segment", checked)
+            for fam in self.EXHAUSTED:
+                points = []
+                driver = self.counted(quad._exhaust(1.0, 1e-12, rtol, budget, cuts), points)
+                (v,) = quad._outcomes([(fam, 0, 1.0, driver)])
+                assert v.n_evals <= sum(points) <= budget
 
     def test_whole_budget_is_spent(self):
         # three pieces at 45 evaluations: one 15-point panel each

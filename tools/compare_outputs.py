@@ -20,7 +20,9 @@ are equal.  Then, for each op whose CSV rows differ, it lists every row
 whose verdict changed (row key, old -> new), and the largest |value change|
 / abs_error over the rows whose verdict stayed (abs_error the larger of the
 two rows'), so a change that may move values within their certified
-error shows how far each op's values moved.
+error shows how far each op's values moved.  Its last line counts the ops
+whose only difference is the n_evals of their verdicts, with the sum of
+those n_evals old -> new, so a change that only saves work reads as such.
 
 The other tools import load, run_op, workload_ops and default_ops from here.
 """
@@ -233,6 +235,22 @@ def _key(key) -> str:
     return f"{name}:{quantity}[q={q or '-'},eps={eps or '-'}]" + (f"#{n}" if n else "")
 
 
+def n_evals_only(old: list, new: list) -> str:
+    """The line that counts the ops whose only difference is the n_evals of
+    their verdicts, and sums those n_evals old -> new."""
+    n_ops = old_sum = new_sum = 0
+    for a, b in zip(old, new):
+        if any(a[key] != b[key] for key in ("exit", "stdout", "stderr", "files")) or \
+                len(a["verdicts"]) != len(b["verdicts"]):
+            continue
+        changes = verdict_changes(a["verdicts"], b["verdicts"])
+        if changes and all(names == ["n_evals"] for _, names in changes):
+            n_ops += 1
+            old_sum += sum(v[3] for v in a["verdicts"])
+            new_sum += sum(v[3] for v in b["verdicts"])
+    return f"{n_ops} op(s) differ only in n_evals, which sum to {old_sum} -> {new_sum} there"
+
+
 def differences(old: list, new: list) -> list:
     """One line per op whose records differ, naming the fields that differ and,
     for verdicts, the verdict fields."""
@@ -277,6 +295,7 @@ def main(argv=None) -> int:
     print(f"{len(ops)} ops, {n_files} files, {n_verdicts} verdicts "
           f"({certificate_changes(old, new)} with a different status, value or abs_error): "
           f"{verdict}")
+    print(n_evals_only(old, new))
     return 1 if lines else 0
 
 
