@@ -226,6 +226,9 @@ def _thm33_core_piece() -> Function1D:
 
     F'(x) = 1/(2 sqrt(x) log(x)^3) - 3/(sqrt(x) log(x)^4)
           = (log x - 6) / (2 sqrt(x) log(x)^4).
+
+    It declares its origin (1/2, 3): log|F| = log(x)/2 - 3 log|log x|, and
+    log|F'| = -log(x)/2 - 3 log|log x| + O(1).
     """
     def slog_logx(lx):
         lx = np.asarray(lx, dtype=float)
@@ -236,7 +239,7 @@ def _thm33_core_piece() -> Function1D:
         return (np.sign(lx - 6.0),
                 np.log(np.abs(lx - 6.0)) - math.log(2.0) - 0.5 * lx - 4.0 * np.log(np.abs(lx)))
 
-    return Function1D(slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx)
+    return Function1D(slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx, origin=(0.5, 3.0))
 
 
 def build_thm33(params: Thm33Params) -> ScalarFunctional:
@@ -244,7 +247,9 @@ def build_thm33(params: Thm33Params) -> ScalarFunctional:
     divergent, with uniformly integrable squared quotients on the eta window.
 
     It declares its support (0, 2 mu): f is 0 on the closed negative axis,
-    and the completion G's mollifier ramp is exactly 0 on [2 mu, inf)."""
+    and the completion G's mollifier ramp is exactly 0 on [2 mu, inf).  Its
+    core declares the origin (1/2, 3), from which the rows that diverge at 0
+    are decided without evaluating."""
     mu = params.mu
     core = _thm33_core_piece()
     v = float(core.value(mu))

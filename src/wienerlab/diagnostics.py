@@ -110,19 +110,20 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _route_family(f: ScalarFunctional, breakpoints, support, growth, at) -> Family:
+def _route_family(f: ScalarFunctional, breakpoints, support, growth, origin, at) -> Family:
     """g_row with the positive sign from one point function at(x, row, lx) ->
     (r, k), log|g_row| = k x^2 + r: lx is None on the x route, and log x on
     the u = -log x route (where x = e^-u may underflow), which passes it
     when f has its log-x forms (logx).  support[row] is where g_row may be
-    non-zero, from f's declared support, and growth[row] its growth
-    (kappa, beta) as x -> +inf, from f's declared tail."""
+    non-zero, from f's declared support, growth[row] its growth (kappa,
+    beta) as x -> +inf, from f's declared tail, and origin[row] its power
+    (sigma, lam) as x -> 0+, from f's declared origin."""
     def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
         return (np.ones_like(x), *at(x, row, lx))
 
     return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), support,
-                  growth)
+                  growth, origin)
 
 
 def _tail_rate(f: ScalarFunctional) -> float:
@@ -132,18 +133,30 @@ def _tail_rate(f: ScalarFunctional) -> float:
     return max(f.tail[0], 0.0) if f.tail else 0.0
 
 
+def _origin_power(f: ScalarFunctional, p: float, deriv: bool) -> Optional[tuple]:
+    """(sigma, lam) of |f|^p (|f'|^p if deriv) as x -> 0+, from f's declared
+    origin (alpha, lam_f): (p alpha, p lam_f), or (p (alpha - 1), p lam_f)
+    for f', which follows the origin only for alpha != 0; else None."""
+    if f.origin is None or (deriv and not f.origin[0]):
+        return None
+    alpha, lam = f.origin
+    return p * (alpha - 1.0 if deriv else alpha), p * lam
+
+
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
     """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k;
     its support is f's.  With f's tail (kappa, p_f), kappa > 0, log|f| and
     log|f'| are kappa x^2 + O(log x), so the row declares the growth
-    (p kappa, 0)."""
+    (p kappa, 0); with f's origin, the row declares its power at 0
+    (_origin_power)."""
     def at(x, row, lx):
         _, r, k = f.slog_parts(x, lx, deriv)
         return p * r, p * k
 
     kappa = _tail_rate(f)
+    origin = _origin_power(f, p, deriv)
     return _route_family(f, (_scalar_cuts(f),), (f.support,),
-                         ((p * kappa, 0.0),) if kappa else None, at)
+                         ((p * kappa, 0.0),) if kappa else None, origin and (origin,), at)
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -167,6 +180,12 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     f' term dominates, with kappa x^2 + O(log x).  psi(y) = y |log y| >= y
     once y >= e, and log|log y| = O(log x).  The q-th power multiplies
     (kappa, beta) by q.
+
+    With f's origin (alpha, lam), alpha != 0 and alpha < 1, a centred
+    residual row of order q with c != 0 declares the power at 0 of |f'|^q,
+    (q (alpha - 1), q lam): X_eps = O(1) + O(x^alpha) as x -> 0+, which
+    c f'(x) ~ x^(alpha - 1) outgrows.  The uncentred and psi rows declare
+    none (bounded near 0 for alpha >= 0).
     """
     shifts = [eps * c for _, eps, c, _ in rows]
     shift = np.array(shifts)
@@ -197,8 +216,11 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     kappa = _tail_rate(f)
     growth = tuple((lead_i * kappa, 2.0 * lead_i * kappa * max(s, 0.0)) if s else None
                    for lead_i, s in zip(lead.tolist(), shifts)) if kappa else None
+    origin = tuple(_origin_power(f, q, True) if q is not None and c and centered else None
+                   for q, _, c, centered in rows) if f.origin and f.origin[0] < 1.0 else None
     return _route_family(f, tuple(_scalar_cuts(f, shifts=(s,)) for s in shifts),
-                         tuple((min(lo, lo - s), max(hi, hi - s)) for s in shifts), growth, at)
+                         tuple((min(lo, lo - s), max(hi, hi - s)) for s in shifts), growth,
+                         origin, at)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,

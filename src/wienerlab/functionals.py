@@ -196,8 +196,13 @@ class Function1D:
 
     tail = (kappa, p), on the piece that reaches +inf, declares log|f| =
     kappa x^2 - p log x + O(1) as x -> +inf; with kappa > 0 that also gives
-    log|f'| = kappa x^2 - (p - 1) log x + O(1).  The rows built from f derive
-    their growth from it (diagnostics), and ScalarFunctional checks it.
+    log|f'| = kappa x^2 - (p - 1) log x + O(1).  origin = (alpha, lam), on
+    the piece that holds (0, b], declares log|f| = alpha log x - lam
+    log|log x| + O(1) as x -> 0+; with alpha != 0 that also gives log|f'| =
+    (alpha - 1) log x - lam log|log x| + O(1).  It needs the log-x forms,
+    on which ScalarFunctional checks it far below the smallest double.  The
+    rows built from f derive their growth at +inf and their power at 0 from
+    these (diagnostics), and ScalarFunctional checks both.
     """
 
     value: Optional[Callable] = None
@@ -208,8 +213,11 @@ class Function1D:
     slog_deriv_logx: Optional[Callable] = None
     rate: float = 0.0
     tail: Optional[tuple] = None
+    origin: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.origin is not None and (self.slog_logx is None or self.slog_deriv_logx is None):
+            raise ValueError("an origin declaration needs slog_logx and slog_deriv_logx")
         for names in (("value", "slog", "slog_logx"), ("deriv", "slog_deriv", "slog_deriv_logx")):
             for name, form in zip(names, _derive(*(getattr(self, n) for n in names), names,
                                                  self.rate)):
@@ -242,8 +250,17 @@ class ScalarFunctional:
     kappa > 0 so must r'(x) + (p - 1) log x, r' = log|f'| - kappa x^2, over
     x_d 2^j, x_d = max(x_b, sqrt(|p| / kappa)): f' = f (2 kappa x - p / x)
     takes its form 2 kappa x f only where 2 kappa x^2 dominates |p|.
-    Otherwise it raises.  This refuses a hidden e^(beta x) or a wrong kappa
-    or p.
+    This refuses a hidden e^(beta x) or a wrong kappa or p.
+
+    origin is the (alpha, lam) that the piece holding (0, b] declares
+    (Function1D.origin), or None; no other piece may declare one.  At
+    construction, on that piece's log-x forms at u = -log x = u_b 2^j, j =
+    1, ..., 40 (u_b = max(-log b, 1)), log|f| - alpha log x + lam log u must
+    be finite and spread by less than log 2, and with alpha != 0 so must
+    log|f'| - (alpha - 1) log x + lam log u from u_d = max(u_b, 2 |lam /
+    alpha|) on: f' = f (alpha - lam / log x) / x takes its form alpha f / x
+    only where alpha u dominates lam.  This refuses a wrong alpha, or a lam
+    off by 1.  Either check that fails raises; one loop runs both.
     """
 
     name: str
@@ -272,7 +289,7 @@ class ScalarFunctional:
             dd = abs(float(left.deriv(b)) - float(right.deriv(b)))
             if not dd <= GLUE_TOL:
                 raise ValueError(f"{self.name}: derivative jump {dd:.3e} at breakpoint {b}")
-        self._check_tail()
+        self._check_declarations()
         lo, hi = self.support
         if not lo < hi:
             raise ValueError(f"{self.name}: the support needs lo < hi, got {self.support}")
@@ -290,25 +307,49 @@ class ScalarFunctional:
     def tail(self) -> Optional[tuple]:
         return self.pieces[-1].tail
 
-    def _check_tail(self):
-        """The construction check of the declared tail (class docstring)."""
+    @property
+    def origin(self) -> Optional[tuple]:
+        return self._origin_piece().origin
+
+    def _check_declarations(self):
+        """The construction checks of the declared tail and origin (class docstring)."""
         if any(piece.tail is not None for piece in self.pieces[:-1]):
             raise ValueError(f"{self.name}: only the piece reaching +inf may declare a tail")
-        if self.tail is None:
-            return
-        piece, (kappa, p) = self.pieces[-1], self.tail
-        x_b = max(self.breakpoints[-1], 1.0) if self.breakpoints else 1.0
-        doublings = 2.0 ** np.arange(1, 61)
-        checks = [("f", piece.slog, p, x_b)]
-        if kappa > 0:  # f' from x_d on, where 2 kappa x^2 dominates |p|
-            checks.append(("f'", piece.slog_deriv, p - 1.0, max(x_b, math.sqrt(abs(p) / kappa))))
-        for name, pair, power, start in checks:
-            x = start * doublings
-            with np.errstate(all="ignore"):
-                rest = pair(x)[1] + (piece.rate - kappa) * x * x + power * np.log(x)
-            if not (np.isfinite(rest).all() and rest.max() - rest.min() < math.log(2.0)):
-                raise ValueError(f"{self.name}: log|{name}| does not follow the declared tail "
-                                 f"(kappa, p) = {self.tail} past x = {x_b:g}")
+        at = int(self._place(0.0))
+        if any(piece.origin is not None for i, piece in enumerate(self.pieces) if i != at):
+            raise ValueError(f"{self.name}: only the piece holding (0, b] may declare an origin")
+        with np.errstate(all="ignore"):
+            for name, what, rest in self._declared_forms():
+                if not (np.isfinite(rest).all() and rest.max() - rest.min() < math.log(2.0)):
+                    raise ValueError(f"{self.name}: log|{name}| does not follow {what}")
+
+    def _declared_forms(self):
+        """(f or f', the declaration, log|.| less its declared form at the
+        probes) for each check of _check_declarations."""
+        if self.tail is not None:
+            piece, (kappa, p) = self.pieces[-1], self.tail
+            x_b = max(self.breakpoints[-1], 1.0) if self.breakpoints else 1.0
+            what = f"the declared tail (kappa, p) = {self.tail} past x = {x_b:g}"
+            checks = [("f", piece.slog, p, x_b)]
+            if kappa > 0:  # f' from x_d on, where 2 kappa x^2 dominates |p|
+                checks.append(("f'", piece.slog_deriv, p - 1.0,
+                               max(x_b, math.sqrt(abs(p) / kappa))))
+            for name, pair, power, start in checks:
+                x = start * 2.0 ** np.arange(1, 61)
+                yield name, what, pair(x)[1] + (piece.rate - kappa) * x * x + power * np.log(x)
+        if self.origin is not None:
+            piece, (alpha, lam) = self._origin_piece(), self.origin
+            b = min((b for b in self.breakpoints if b > 0.0), default=math.inf)  # the piece's end
+            u_b = max(-math.log(b), 1.0)
+            what = f"the declared origin (alpha, lam) = {self.origin} below x = e^-{u_b:g}"
+            checks = [("f", piece.slog_logx, alpha, u_b)]
+            if alpha:  # f' from u_d on, where alpha u dominates lam
+                checks.append(("f'", piece.slog_deriv_logx, alpha - 1.0,
+                               max(u_b, 2.0 * abs(lam / alpha))))
+            for name, pair, power, start in checks:
+                u = start * 2.0 ** np.arange(1, 41)  # past 2^40, alpha u hides lam log u
+                x = np.exp(-u)
+                yield name, what, pair(-u)[1] + piece.rate * x * x + power * u + lam * np.log(u)
 
     def _place(self, x):
         """The index of the piece each point of x falls in."""

@@ -18,9 +18,9 @@ at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
 _piece picks the route of each piece of the line from its ends: x = route * t
 on route +-1 (-1 for the left half-line), x = e^-t on route 0.  A piece
-that a declaration decides (_declared: outside the support, or a declared
-growth at +inf) is answered without evaluating, and a line whose last piece
-is so Diverged runs none of its other pieces (_split).
+that a declaration decides (_declared: outside the support, a declared
+growth at +inf, or a declared power at 0) is answered without evaluating,
+and a line with a piece so Diverged runs none of its other pieces (_split).
 
 Every integrand is a Family; Family(body) is an integrand of one row.  Every
 body gives its log as k x^2 + r with a Gaussian rate k (0 for most), and
@@ -134,8 +134,13 @@ class Family:
     beta x + O(log x) as x -> +inf; _piece answers a piece (lo, +inf) of a
     row with (kappa, beta) > (0, 0) (lexicographically) Diverged without
     evaluating, since e^(kappa x^2 + beta x - C log x) is not integrable
-    there.  For either, None (for the family or a row) declares nothing.
-    Family(body) is an integrand of one row, on every route.
+    there.  origin[i] = (sigma, lam) declares g_i > 0 with log g_i(x) =
+    sigma log x - lam log|log x| + O(1) as x -> 0+; _piece answers a piece
+    (0, hi) of a row with (sigma, lam) <= (-1, 1) (lexicographically: sigma
+    < -1, or sigma = -1 and lam <= 1) Diverged without evaluating, since
+    x^sigma |log x|^-lam is not integrable at 0 there.  For each, None (for
+    the family or a row) declares nothing.  Family(body) is an integrand of
+    one row, on every route.
     """
 
     body: Callable
@@ -144,14 +149,15 @@ class Family:
     logx: bool = False
     support: Optional[tuple] = None
     growth: Optional[tuple] = None
+    origin: Optional[tuple] = None
     # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
     neglog_eval = None
 
     def __post_init__(self):
-        for name in ("support", "growth"):
+        for name in ("support", "growth", "origin"):
             per_row = getattr(self, name)
             if per_row is not None and len(per_row) != len(self.breakpoints):
-                raise ValueError(f"need a {name} per row: {len(per_row)} for "
+                raise ValueError(f"need one {name} per row: {len(per_row)} for "
                                  f"{len(self.breakpoints)} rows")
 
     def log_eval(self, x, row=0, *lx):
@@ -756,7 +762,8 @@ def weighted(fam: Family) -> Family:
     both routes, and a given lx goes on to fam's body.  The quadratic parts
     of log g and log phi are added as one, (k - 1/2) x^2, into the r of a
     body of rate 0, so where g's Gaussian rate k is 1/2 no x^2-sized term is
-    formed.  A declared growth (kappa, beta) becomes (kappa - 1/2, beta)."""
+    formed.  A declared growth (kappa, beta) becomes (kappa - 1/2, beta); a
+    declared support or origin power stays, as phi is positive and bounded."""
     def body(x, row=0, *lx):
         sign, r, k = fam.body(x, row, *lx)
         return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k), 0.0
@@ -790,8 +797,10 @@ def _declared(fam: Family, row: int, lo: float, hi: float) -> Optional[IntegralV
     """The verdict that fam's declarations give the piece (lo, hi) of row, or
     None: Converged 0 +- 0 wholly outside the row's support, and Diverged by
     the comparison test (reason "declared_growth", no records) for (lo, +inf)
-    of a row whose declared growth (kappa, beta) is above (0, 0).  Either
-    costs no evaluation (n_evals 0)."""
+    of a row whose declared growth (kappa, beta) is above (0, 0), and for
+    (0, hi) of a row whose declared origin power (sigma, lam) is at or below
+    (-1, 1) (de Bruijn, Asymptotic Methods in Analysis, 1958).  Each costs
+    no evaluation (n_evals 0)."""
     if fam.support is not None:
         s_lo, s_hi = fam.support[row]
         if hi <= s_lo or lo >= s_hi:
@@ -801,6 +810,10 @@ def _declared(fam: Family, row: int, lo: float, hi: float) -> Optional[IntegralV
     if hi == math.inf and growth and growth > (0.0, 0.0):
         return _diverged((), "declared_growth", 0, f"[{lo:g}, inf): the declared growth "
                          f"(kappa, beta) = ({growth[0]:g}, {growth[1]:g}) is not integrable")
+    origin = fam.origin and fam.origin[row]
+    if lo == 0.0 and origin and origin <= (-1.0, 1.0):
+        return _diverged((), "declared_growth", 0, f"(0, {hi:g}): the declared origin power "
+                         f"(sigma, lam) = ({origin[0]:g}, {origin[1]:g}) is not integrable")
     return None
 
 
@@ -817,14 +830,18 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     routed by its ends, with its cuts in t.
 
     A piece that fam's declarations decide (_declared) ends with that
-    verdict, without a request.  An infinite end goes to semi-infinite
-    exhaustion (the left end on route -1), (0, hi) with hi < 1 and a
-    declared singularity at 0 to exhaustion on route 0, up to t = 700 unless
-    the body takes log x, and anything else to the finite adaptive rule.
+    verdict, without a request.  Any other piece (-inf, +inf) raises
+    ValueError, as no route covers it: cut the line, at 0 for instance.  An
+    infinite end goes to semi-infinite exhaustion (the left end on route
+    -1), (0, hi) with hi < 1 and a declared singularity at 0 to exhaustion
+    on route 0, up to t = 700 unless the body takes log x, and anything else
+    to the finite adaptive rule.
     """
     verdict = _declared(fam, row, lo, hi)
     if verdict is not None:
         return fam, row, 1.0, _answered(verdict)
+    if lo == -math.inf and hi == math.inf:
+        raise ValueError(f"the piece ({lo:g}, {hi:g}) is the whole line: cut it, at 0 for instance")
     if lo == -math.inf:
         route, a = -1.0, -hi
     elif hi == math.inf:
@@ -849,18 +866,20 @@ def _split(fam: Family, lines, atol: float, rtol: float, budget: int):
     """The job of the lines [(row, edges), ...]: the pieces between the edges,
     each with atol and budget divided by their number, _combine-d per line.
 
-    A line whose last piece (lo, +inf) its row's declared growth makes
-    Diverged (_declared) is Diverged by that piece whatever the others give,
-    so only that piece's answered driver runs.  The line's verdict is then
-    the one _combine gives with every piece run, in status, value, abs_error,
-    evidence and message, with n_evals 0; where an earlier piece would also
-    be Diverged, it names the declared piece instead of the first one.
+    A line with any piece that its row's declarations make Diverged
+    (_declared: a growth at +inf or a power at 0) is Diverged by that piece
+    whatever the others give, so only the answered driver of the first such
+    piece runs.  The line's verdict is then the one _combine gives with
+    every piece run, in status, value, abs_error, evidence and message, with
+    n_evals 0; where an earlier piece would also be Diverged, it names the
+    declared piece instead of the first one.
     """
     drivers, runs = [], []
     for row, edges in lines:
         pieces = list(zip(edges, edges[1:]))
-        last = _declared(fam, row, *pieces[-1])
-        run = pieces[-1:] if last is not None and last.diverged else pieces
+        declared = [(a, b) for a, b in pieces
+                    if (v := _declared(fam, row, a, b)) is not None and v.diverged]
+        run = declared[:1] or pieces
         share = budget // len(pieces)
         drivers += [_piece(fam, row, a, b, atol / len(pieces), rtol, share) for a, b in run]
         runs.append((len(run), [f"({a:g}, {b:g})" for a, b in run] if len(pieces) > 1 else None))

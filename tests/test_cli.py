@@ -392,14 +392,15 @@ class TestExitCodes:
 
 class TestCallCounts:
     @pytest.mark.parametrize("command, most", [("reproduce-thm31", 33),
-                                               ("reproduce-thm33", 89),
+                                               ("reproduce-thm33", 58),
                                                ("diagnose --functional linear", 33)])
     def test_default_report(self, tmp_path, monkeypatch, command, most):
         # the eps rows of a report share each round's integrand call, and a
         # reflected piece shares the call of its family; one row after another
         # took 1,360 (thm31) and 2,126 (thm33) calls, one call per route 315,
-        # 312 and 180 (linear).  They take 30, 81 and 30 now (thm31 38 while
-        # the lines that a declared growth decides ran their other pieces);
+        # 312 and 180 (linear).  They take 30, 53 and 30 now (thm31 38 while
+        # the lines that a declared growth decides ran their other pieces,
+        # thm33 81 while the lines that its declared origin decides ran);
         # each cap is 10% above
         calls = []
         real = quad._gk_panels
@@ -694,6 +695,32 @@ class TestDeclaredTail:
                 continue
             assert new[key] == ("diverged", "", "") and old[key][0] != "diverged"
             assert self.diverges(quantity, q), key
+
+
+class TestDeclaredOrigin:
+    """thm33 declares its origin (1/2, 3).  At --budget 50 the exhaustion of
+    E|f'|^2.1 and E|f'|^2.5 runs out before it certifies their divergence at
+    0; against a copy that declares no origin, these two rows go from
+    Inconclusive to Diverged, and no other row changes."""
+
+    def test_budget_50_certifies_the_divergent_moments(self, tmp_path, monkeypatch):
+        argv = ["reproduce-thm33", "--budget", "50", "--format", "csv", "--out"]
+        code = run(argv + [str(tmp_path / "declared")], tmp_path)
+        build = cli.catalog_build
+
+        def undeclared(name, **params):
+            f = build(name, **params)
+            return dataclasses.replace(f, pieces=tuple(
+                dataclasses.replace(piece, origin=None) for piece in f.pieces))
+
+        monkeypatch.setattr(cli, "catalog_build", undeclared)
+        assert run(argv + [str(tmp_path / "undeclared")], tmp_path) == code
+        new, old = (TestDeclaredTail.rows(tmp_path / side / "thm33-report.csv")
+                    for side in ("declared", "undeclared"))
+        assert set(new) == set(old)
+        changed = {key: (old[key][0], new[key]) for key in old if new[key] != old[key]}
+        assert changed == {("deriv_moment", repr(q), ""): ("inconclusive", ("diverged", "", ""))
+                           for q in (2.1, 2.5)}
 
 
 class TestParserReuse:

@@ -217,6 +217,60 @@ class TestThm33Support:
             dataclasses.replace(f33, support=(1.0, 1.0))
 
 
+class TestThm33Origin:
+    """thm33's core declares its origin (1/2, 3): log|f| = log(x)/2 - 3
+    log|log x| and log|f'| = -log(x)/2 - 3 log|log x| + O(1) as x -> 0+.
+    Construction checks it on the log-x forms and refuses a wrong one."""
+
+    @staticmethod
+    def build(core, mu=2e-4, completion=None):
+        """thm33 at mu from a core piece (and a completion, G by default)."""
+        if completion is None:
+            completion = smooth_completion_G(mu, float(core.value(mu)), float(core.deriv(mu)))
+        return ScalarFunctional(name="thm33", breakpoints=(0.0, mu),
+                                pieces=(zero_piece(), core, completion),
+                                non_differentiable=frozenset({0.0}))
+
+    @pytest.mark.parametrize("eta, mu", TestThm33Support.PAIRS)
+    def test_thm33_declares_its_origin(self, eta, mu):
+        f = build_thm33(Thm33Params(eta=eta, mu=mu))
+        assert f.origin == (0.5, 3.0) and f.tail is None
+        for name in ("thm31", "linear"):
+            assert catalog_build(name).origin is None
+
+    @pytest.mark.parametrize("origin", [(0.4, 3.0), (0.5, 2.0), (0.6, 3.0), (0.5, 4.0),
+                                        (0.0, 3.0), (-0.5, 3.0)])
+    def test_a_wrong_origin_is_refused(self, f33, origin):
+        core = dataclasses.replace(f33.pieces[1], origin=origin)
+        with pytest.raises(ValueError, match="does not follow the declared origin"):
+            self.build(core)
+
+    def test_a_wrong_power_of_f_prime_is_refused(self, f33):
+        # f declares its origin truly, but f' carries an extra |log x|^-1
+        core = f33.pieces[1]
+        wrong = Function1D(slog_logx=core.slog_logx, origin=core.origin,
+                           slog_deriv_logx=lambda lx: (core.slog_deriv_logx(lx)[0],
+                                                       core.slog_deriv_logx(lx)[1]
+                                                       - np.log(np.abs(lx))))
+        with pytest.raises(ValueError, match="log\\|f'\\| does not follow the declared origin"):
+            self.build(wrong)
+
+    def test_only_the_piece_holding_the_origin_declares_one(self, f33):
+        # the declared core on [1e-5, inf) does not hold (0, b]
+        core = f33.pieces[1]
+        with pytest.raises(ValueError, match="only the piece holding"):
+            ScalarFunctional(name="late", breakpoints=(1e-5,),
+                             pieces=(dataclasses.replace(core, origin=None), core))
+        with pytest.raises(ValueError, match="only the piece holding"):
+            self.build(dataclasses.replace(core, origin=None), completion=Function1D(
+                slog_logx=core.slog_logx, slog_deriv_logx=core.slog_deriv_logx,
+                origin=core.origin))
+
+    def test_an_origin_needs_the_log_x_forms(self):
+        with pytest.raises(ValueError, match="needs slog_logx and slog_deriv_logx"):
+            Function1D(value=np.sqrt, deriv=lambda x: 0.5 / np.sqrt(x), origin=(0.5, 0.0))
+
+
 def test_catalog_names():
     assert catalog_build("linear").name == "linear"
     assert catalog_build("thm31", a=3.0).params["a"] == 3.0

@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 
+import compare_outputs
 import mpmath as mp
 import numpy as np
 import pytest
@@ -736,6 +737,69 @@ class TestDeclaredTail:
                 # the body itself grows without bound far out
                 far = fam.log_eval(np.array([2.0 ** 29, 2.0 ** 30]), row)[1]
                 assert 100.0 < far[0] < far[1]
+
+
+def thm33_params():
+    """(eta, mu) of thm33 at the catalog defaults and at the benchmark's thm33
+    slots (their seed-41 values)."""
+    ops = compare_outputs.workloads.build("thm33-report", 41)
+    return [(1e-4, 2e-4)] + [(op.params["eta"], op.params["mu"]) for op in ops]
+
+
+class TestDeclaredOrigin:
+    """thm33 declares its origin (1/2, 3); the rows built from it derive their
+    power (sigma, lam) at 0, and _piece decides the lines that diverge there
+    without evaluating."""
+
+    def test_rows_derive_their_power_at_zero(self, f33):
+        assert quad.weighted(_abs_pow_family(f33, 2.5, True)).origin == ((-1.25, 7.5),)
+        assert _abs_pow_family(f33, 2.0, True).origin == ((-1.0, 6.0),)
+        assert _abs_pow_family(f33, 3.0, False).origin == ((1.5, 9.0),)
+        fam = _quotient_family(f33, [(2.5, 0.5, 1.0, True), (3.0, 0.25, -1.0, True),
+                                     (2.5, 0.5, 1.0, False), (None, 0.5, 1.0, False),
+                                     (2.5, 0.5, 0.0, True)])
+        assert fam.origin == ((-1.25, 7.5), (-1.5, 9.0), None, None, None)
+
+    def test_undeclared_functionals_declare_no_power(self, f31, flin):
+        for f in (f31, flin):
+            assert _abs_pow_family(f, 3.0, True).origin is None
+            assert _quotient_family(f, [(3.0, 0.5, 1.0, True)]).origin is None
+
+    @staticmethod
+    def lines(fam):
+        """Every row's Gaussian expectation of fam, in one lockstep run."""
+        rows = range(len(fam.breakpoints))
+        return quad._lockstep([quad._expectation_job(quad.weighted(fam), rows, quad.DEFAULT_ATOL,
+                                                     quad.DEFAULT_RTOL, quad.DEFAULT_BUDGET)])[0]
+
+    @pytest.mark.parametrize("eta, mu", thm33_params())
+    def test_divergent_rows_are_decided_and_diverge_undeclared(self, grid, eta, mu):
+        # E|f'|^q for q > 2 and the centred residual at q = 2.5 diverge at 0;
+        # declared they cost nothing, undeclared the exhaustion finds it too
+        f = catalog_build("thm33", eta=eta, mu=mu)
+        eps_values = grid.capped(f.window).values
+        residual = [(2.5, eps, h, True) for eps in eps_values[::7] for h in (1.0, -1.0)]
+        for fam in [_abs_pow_family(f, q, True) for q in (2.05, 2.1, 2.5, 3.0)] + [
+                _quotient_family(f, residual)]:
+            assert all(sigma < -1.0 for sigma, _ in fam.origin)
+            for v in self.lines(fam):
+                assert v.diverged and v.n_evals == 0
+                assert v.evidence == quad.GrowthEvidence((), "declared_growth")
+                assert v.message.startswith("piece (0, ")
+            for v in self.lines(dataclasses.replace(fam, origin=None)):
+                assert v.diverged and v.n_evals > 0
+
+    @pytest.mark.parametrize("eta, mu", thm33_params())
+    def test_the_order_2_rows_are_not_decided(self, grid, eta, mu):
+        # q = 2 is sigma = -1 with lam = 6 > 1: integrable, so it runs as undeclared
+        f = catalog_build("thm33", eta=eta, mu=mu)
+        eps_values = grid.capped(f.window).values
+        for fam in (_abs_pow_family(f, 2.0, True),
+                    _quotient_family(f, [(2.0, eps, h, True) for eps in eps_values[::7]
+                                         for h in (1.0, -1.0)])):
+            assert set(fam.origin) == {(-1.0, 6.0)}
+            new, old = self.lines(fam), self.lines(dataclasses.replace(fam, origin=None))
+            assert new == old and all(v.converged and v.n_evals > 0 for v in new)
 
 
 class TestCameronMartin:

@@ -24,9 +24,12 @@ def test_one_op_splits_its_pass_and_restores_evaluate():
     assert lines[:2] == [f"calls     {label:<4} {n_calls:6d} integrand calls {points:9d} points"
                          + ("  (+0.0%, +0.0%)" if label == "new" else "")
                          for label in ("old", "new")]
+    # per time: the old and new lines, then the paired line
     assert [line.split()[:3] for line in lines[2:]] == [
-        [name, label, "q1"] for name in replay_ab.TIMES for label in ("old", "new")]
-    assert all(line.endswith("%)") for line in lines[3::2])
+        fields for name in replay_ab.TIMES
+        for fields in ([name, "old", "q1"], [name, "new", "q1"], [name, "new/old", "paired"])]
+    assert all(line.endswith("%)") for line in lines[3::3])
+    assert all(line.endswith(" of 2 reps") for line in lines[4::3])
 
 
 def test_summary_prints_the_quartiles_and_median():
@@ -39,7 +42,19 @@ def test_summary_prints_the_quartiles_and_median():
     assert lines[1].endswith("(-50.0%, -50.0%)")
     assert lines[2] == "pass      old  q1      2.00  median      3.00  q3      4.00"
     assert lines[3] == "pass      new  q1      4.00  median      6.00  q3      8.00  (+100.0%)"
+    assert lines[4] == "pass      new/old paired median 2.000 (+100.0%), new faster in 0 of 5 reps"
     assert all("min" not in line for line in lines)
+
+
+def test_the_paired_line_compares_within_each_rep():
+    # the machine slows down over the reps, and new is 10% faster in 4 reps of
+    # 5: the medians overlap, the pairs show it
+    old = [10.0, 12.0, 14.0, 16.0, 18.0]
+    new = [9.0, 10.8, 12.6, 14.4, 19.8]
+    samples = {"old": {name: [t / 1e3 for t in old] for name in replay_ab.TIMES},
+               "new": {name: [t / 1e3 for t in new] for name in replay_ab.TIMES}}
+    lines = replay_ab.summary(samples, {"old": (1, 15), "new": (1, 15)})
+    assert lines[4] == "pass      new/old paired median 0.900 (-10.0%), new faster in 4 of 5 reps"
 
 
 def test_each_time_is_scaled_by_the_kernel_runs_around_it(monkeypatch):

@@ -65,6 +65,9 @@ EDGE_OPS = (
     ("diagnose", "--functional", "thm33", "--p", "2.5", "--q", "1.2"),
     ("diagnose", "--functional", "linear", "--eps-grid", "2..5", "--h=1"),
     ("reproduce-thm31", "--h=1,x"),  # a usage error: exit 64 through _Parser.error
+    # residual rows on both sides of the declared origin's boundary: q = 2
+    # (sigma = -1, lam = 6) runs, q = 3 (sigma = -1.5) is decided
+    ("diagnose", "--functional", "thm33", "--p", "3"),
 )
 FIELDS = ("exit", "stdout", "stderr", "files", "verdicts")
 VERDICT_FIELDS = ("status", "value", "abs_error", "n_evals", "message", "evidence")

@@ -27,7 +27,11 @@ speed of the same code drifts between runs; the scaling takes out what the
 kernel sees of it.  It prints the q1, median and q3 of each, in
 milliseconds, the checkouts' lines interleaved, and the same of the kernel
 runs themselves (kernel, unscaled), which should not differ between the
-checkouts.  Before the times it prints each checkout's integrand
+checkouts.  Each rep runs both checkouts back to back, so after each time
+a paired line gives the median over the reps of new / old within a rep,
+and in how many reps new was faster: the speed of the machine drifts
+between reps more than within one, so the pairs resolve a smaller change
+than the medians do.  Before the times it prints each checkout's integrand
 calls and points per pass, counted in its recording pass, so a change in
 the number of calls shows beside the times.  It tells which layer a saving
 comes from.  It is not a benchmark: perfbench/run.py is, and the perfbench
@@ -167,7 +171,9 @@ def summary(samples: dict, tallies: dict) -> list:
     """One line per package with its integrand calls and points per pass,
     then one per time and package: q1, median and q3 in ms (not the minimum,
     which one disturbed kernel run deflates); each with the change of its
-    median against the first package."""
+    median against the first package.  After each time's lines, one paired
+    line per other package: the median over the reps of its time over the
+    first package's in the same rep, and the reps in which it was faster."""
     lines = []
     base = None
     for label, (n_calls, points) in tallies.items():
@@ -190,6 +196,13 @@ def summary(samples: dict, tallies: dict) -> list:
             elif base > 0.0:
                 line += f"  ({100.0 * (median / base - 1.0):+.1f}%)"
             lines.append(line)
+        first, *others = samples
+        for label in others:
+            pairs = list(zip(samples[first][name], samples[label][name]))
+            ratio = statistics.median(new / old for old, new in pairs)
+            lines.append(f"{name:<9} {label}/{first} paired median {ratio:.3f}"
+                         f" ({100.0 * (ratio - 1.0):+.1f}%), {label} faster in"
+                         f" {sum(new < old for old, new in pairs)} of {len(pairs)} reps")
     return lines
 
 
