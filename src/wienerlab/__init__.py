@@ -19,7 +19,7 @@ from .diagnostics import (CmCheckResult, DvpResult, EpsilonGrid, Flag, LqRow, Me
 from .functionals import (CylindricalFunctional, Function1D, Polynomial, ScalarFunctional,
                           eval_cylindrical, linear_functional, mc_difference_quotient,
                           pairing_with_h)
-from .quadrature import (Family, IntegralVerdict, Verdict, bertrand_family,
+from .quadrature import (Ends, Family, IntegralVerdict, Verdict, bertrand_family,
                          gaussian_expectation, integrate_adaptive, integrate_pieces,
                          integrate_semi_infinite, integrate_singular_origin)
 from .wiener import (BrownianPath, CameronMartinDirection, TimeGrid, cm_inner, cm_norm,

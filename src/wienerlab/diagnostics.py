@@ -110,53 +110,40 @@ def _scalar_cuts(f: ScalarFunctional, shifts=()) -> tuple:
     return tuple(sorted({b - s for b in (*f.breakpoints, *shoulders) for s in (0.0, *shifts)}))
 
 
-def _route_family(f: ScalarFunctional, breakpoints, support, growth, origin, at) -> Family:
+def _route_family(f: ScalarFunctional, breakpoints, ends, at) -> Family:
     """g_row with the positive sign from one point function at(x, row, lx) ->
     (r, k), log|g_row| = k x^2 + r: lx is None on the x route, and log x on
     the u = -log x route (where x = e^-u may underflow), which passes it
-    when f has its log-x forms (logx).  support[row] is where g_row may be
-    non-zero, from f's declared support, growth[row] its growth (kappa,
-    beta) as x -> +inf, from f's declared tail, and origin[row] its power
-    (sigma, lam) as x -> 0+, from f's declared origin."""
+    when f has its log-x forms (logx).  ends[row] are g_row's quad.Ends,
+    composed from f's (_ends)."""
     def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
         return (np.ones_like(x), *at(x, row, lx))
 
-    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), support,
-                  growth, origin)
+    return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), ends)
 
 
-def _tail_rate(f: ScalarFunctional) -> float:
-    """kappa of f's declared tail (kappa, p), or 0 if f declares none.  Rows
-    derive a growth only from kappa > 0: below it no row outgrows the
-    Gaussian weight, and f' follows f's tail only for kappa > 0."""
-    return max(f.tail[0], 0.0) if f.tail else 0.0
-
-
-def _origin_power(f: ScalarFunctional, p: float, deriv: bool) -> Optional[tuple]:
-    """(sigma, lam) of |f|^p (|f'|^p if deriv) as x -> 0+, from f's declared
-    origin (alpha, lam_f): (p alpha, p lam_f), or (p (alpha - 1), p lam_f)
-    for f', which follows the origin only for alpha != 0; else None."""
-    if f.origin is None or (deriv and not f.origin[0]):
-        return None
-    alpha, lam = f.origin
-    return p * (alpha - 1.0 if deriv else alpha), p * lam
+def _ends(f: ScalarFunctional, deriv: bool) -> quad.Ends:
+    """The quad.Ends of |f| (|f'| if deriv) from f's declarations: its support;
+    (kappa, 0) at +inf from its tail (kappa, p) with kappa > 0, as log|f| and
+    log|f'| are kappa x^2 + O(log x) there (below it no row outgrows the
+    Gaussian weight, and f' follows f's tail only for kappa > 0); and its
+    origin (alpha, lam) at 0, or (alpha - 1, lam) for f', which follows it
+    only for alpha != 0."""
+    kappa, origin = f.tail[0] if f.tail else 0.0, f.origin
+    if deriv and origin:
+        origin = (origin[0] - 1.0, origin[1]) if origin[0] else None
+    return quad.Ends(f.support, (kappa, 0.0) if kappa > 0.0 else None, origin)
 
 
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
     """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k;
-    its support is f's.  With f's tail (kappa, p_f), kappa > 0, log|f| and
-    log|f'| are kappa x^2 + O(log x), so the row declares the growth
-    (p kappa, 0); with f's origin, the row declares its power at 0
-    (_origin_power)."""
+    its ends are _ends(f, deriv).pow(p)."""
     def at(x, row, lx):
         _, r, k = f.slog_parts(x, lx, deriv)
         return p * r, p * k
 
-    kappa = _tail_rate(f)
-    origin = _origin_power(f, p, deriv)
-    return _route_family(f, (_scalar_cuts(f),), (f.support,),
-                         ((p * kappa, 0.0),) if kappa else None, origin and (origin,), at)
+    return _route_family(f, (_scalar_cuts(f),), (_ends(f, deriv).pow(p),), at)
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -167,25 +154,17 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     The rows index the shift eps c, math.log(eps), the centring (c, or 0 when
     not centered) and the outer map of their point's member.  With k the
     Gaussian rate at x, the quotient, f' and the centring are formed relative
-    to k x^2, and a member's rate is q k (2 k for psi).  With f's support
-    (lo, hi) and s = eps c, a member is 0 outside [min(lo, lo - s),
-    max(hi, hi - s)]: f(x + s), f(x) and f'(x) are 0 there, and psi(0) = 0.
+    to k x^2, and a member's rate is q k (2 k for psi).
 
-    With f's tail (kappa, p), kappa > 0, a row with s != 0 declares the
-    growth (lead kappa, 2 lead kappa max(s, 0)), lead = q (2 for psi); a row
-    with s = 0 is 0.  Why: every row is >= 0.  For s > 0, |f(x + s)| exceeds
-    |f(x)| and |f'(x)| by a factor of about e^(2 kappa s x), so |X_eps| and
-    the centred residual are >= |f(x + s)| / (2 eps) eventually, and
-    log|f(x + s)| = kappa x^2 + 2 kappa s x + O(log x); for s < 0 the f(x) or
-    f' term dominates, with kappa x^2 + O(log x).  psi(y) = y |log y| >= y
-    once y >= e, and log|log y| = O(log x).  The q-th power multiplies
-    (kappa, beta) by q.
-
-    With f's origin (alpha, lam), alpha != 0 and alpha < 1, a centred
-    residual row of order q with c != 0 declares the power at 0 of |f'|^q,
-    (q (alpha - 1), q lam): X_eps = O(1) + O(x^alpha) as x -> 0+, which
-    c f'(x) ~ x^(alpha - 1) outgrows.  The uncentred and psi rows declare
-    none (bounded near 0 for alpha >= 0).
+    A member's ends are _ends(f, False).shift(s), s = eps c, raised to its
+    lead power q (2 for psi: psi(y) = y |log y| >= y once y >= e, and
+    log|log y| = O(log x)).  shift's growth holds with f' too: for s > 0,
+    |f(x + s)| outgrows |f(x)| and |f'(x)| by about e^(2 kappa s x), so the
+    residual is >= |f(x + s)| / (2 eps) eventually; for s < 0 the f(x) or f'
+    term dominates, with kappa x^2 + O(log x).  With f's origin (alpha, lam),
+    alpha != 0 and alpha < 1, a centred residual row with c != 0 declares
+    the origin of f' (_ends(f, True)): X_eps = O(1) + O(x^alpha) as x -> 0+,
+    which c f'(x) ~ x^(alpha - 1) outgrows; the other rows declare none.
     """
     shifts = [eps * c for _, eps, c, _ in rows]
     shift = np.array(shifts)
@@ -212,15 +191,15 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
             out[psi] = _psi_log(2.0 * l[psi], 2.0 * (k * x * x)[psi])
         return out, lead.take(row) * k
 
-    lo, hi = f.support
-    kappa = _tail_rate(f)
-    growth = tuple((lead_i * kappa, 2.0 * lead_i * kappa * max(s, 0.0)) if s else None
-                   for lead_i, s in zip(lead.tolist(), shifts)) if kappa else None
-    origin = tuple(_origin_power(f, q, True) if q is not None and c and centered else None
-                   for q, _, c, centered in rows) if f.origin and f.origin[0] < 1.0 else None
-    return _route_family(f, tuple(_scalar_cuts(f, shifts=(s,)) for s in shifts),
-                         tuple((min(lo, lo - s), max(hi, hi - s)) for s in shifts), growth,
-                         origin, at)
+    plain = _ends(f, False)
+    residual = _ends(f, True).origin if f.origin and f.origin[0] < 1.0 else None
+    ends = []
+    for (q, _, c, centered), s, lead_i in zip(rows, shifts, lead.tolist()):
+        row_ends = plain.shift(s)
+        if residual and q is not None and c and centered:
+            row_ends = quad.Ends(row_ends.support, row_ends.right, residual)
+        ends.append(row_ends.pow(lead_i))
+    return _route_family(f, tuple(_scalar_cuts(f, shifts=(s,)) for s in shifts), tuple(ends), at)
 
 
 def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,

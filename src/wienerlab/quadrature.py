@@ -18,9 +18,8 @@ at the origin substitute u = -log x, which turns the Bertrand scale
 1/(x |log x|^i) into u^(-i) and makes origin exhaustion geometric as well.
 _piece picks the route of each piece of the line from its ends: x = route * t
 on route +-1 (-1 for the left half-line), x = e^-t on route 0.  A piece
-that a declaration decides (_declared: outside the support, a declared
-growth at +inf, or a declared power at 0) is answered without evaluating,
-and a line with a piece so Diverged runs none of its other pieces (_split).
+that its row's Ends decide (_declared) is answered without evaluating, and
+a line with a piece so Diverged runs none of its other pieces (_split).
 
 Every integrand is a Family; Family(body) is an integrand of one row.  Every
 body gives its log as k x^2 + r with a Gaussian rate k (0 for most), and
@@ -116,6 +115,49 @@ class EvaluationError(ValueError):
     """The integrand produced NaN inside its domain."""
 
 
+@dataclass(frozen=True, slots=True)
+class Ends:
+    """What a row g of a Family declares about its ends, a part None declaring
+    nothing; _declared answers the pieces they decide without evaluating
+    (de Bruijn, Asymptotic Methods in Analysis, 1958).  support = (lo, hi):
+    g = 0 outside (lo, hi), so a piece wholly outside is Converged 0 +- 0.
+    right = (kappa, beta): g > 0, log g(x) = kappa x^2 + beta x + O(log x) as
+    x -> +inf, so a piece (lo, +inf) with (kappa, beta) > (0, 0)
+    (lexicographically) is Diverged, as e^(kappa x^2 + beta x - C log x) is
+    not integrable there.  origin = (sigma, lam): g > 0, log g(x) = sigma
+    log x - lam log|log x| + O(1) as x -> 0+, so a piece (0, hi) with
+    (sigma, lam) <= (-1, 1) is Diverged, as x^sigma |log x|^-lam is not
+    integrable at 0 there.  The rows built from g compose the transforms.
+    """
+
+    support: Optional[tuple] = None
+    right: Optional[tuple] = None
+    origin: Optional[tuple] = None
+
+    def pow(self, q: float) -> "Ends":
+        """The ends of g^q, q > 0: log g^q = q log g scales every exponent."""
+        right, origin = self.right, self.origin
+        return Ends(self.support, right and (q * right[0], q * right[1]),
+                    origin and (q * origin[0], q * origin[1]))
+
+    def weighted(self) -> "Ends":
+        """The ends of g phi: log phi = -x^2/2 + O(1) takes 1/2 from kappa, and
+        phi, positive and bounded, keeps the support and the origin."""
+        return Ends(self.support, self.right and (self.right[0] - 0.5, self.right[1]), self.origin)
+
+    def shift(self, s: float) -> "Ends":
+        """The ends of a row >= 0 formed from g(x + s) and g(x), such as
+        |g(x + s) - g(x)|: it is 0 where both are, outside [min(lo, lo - s),
+        max(hi, hi - s)].  At +inf the larger term dominates, for s > 0
+        g(x + s), with log kappa x^2 + (beta + 2 kappa s) x + O(log x)
+        (kappa > 0), else g(x): beta gains 2 kappa max(s, 0).  At s = 0 the
+        row may be 0, so it declares nothing at +inf; near 0 its terms need
+        not follow g's power, so it declares nothing there."""
+        support, right = self.support, self.right
+        return Ends(support and (min(support[0], support[0] - s), max(support[1], support[1] - s)),
+                    (right[0], right[1] + 2.0 * right[0] * max(s, 0.0)) if right and s else None)
+
+
 @dataclass(frozen=True, eq=False)
 class Family:
     """Integrands g_0, ..., g_{n-1} with one body, evaluated in one call.
@@ -128,37 +170,23 @@ class Family:
     the smallest positive double (where x itself underflows to 0).
     log_eval adds k x^2, and weighted adds (k - 1/2) x^2, which is exactly 0
     where k = 1/2.  breakpoints[i] are the breakpoints of g_i; the singular
-    points are shared.  support[i] = (lo, hi) declares g_i exactly 0 outside
-    (lo, hi), and _piece answers a piece wholly outside it without evaluating.
-    growth[i] = (kappa, beta) declares g_i > 0 with log g_i(x) = kappa x^2 +
-    beta x + O(log x) as x -> +inf; _piece answers a piece (lo, +inf) of a
-    row with (kappa, beta) > (0, 0) (lexicographically) Diverged without
-    evaluating, since e^(kappa x^2 + beta x - C log x) is not integrable
-    there.  origin[i] = (sigma, lam) declares g_i > 0 with log g_i(x) =
-    sigma log x - lam log|log x| + O(1) as x -> 0+; _piece answers a piece
-    (0, hi) of a row with (sigma, lam) <= (-1, 1) (lexicographically: sigma
-    < -1, or sigma = -1 and lam <= 1) Diverged without evaluating, since
-    x^sigma |log x|^-lam is not integrable at 0 there.  For each, None (for
-    the family or a row) declares nothing.  Family(body) is an integrand of
-    one row, on every route.
+    points are shared.  ends[i] is what g_i declares about its ends (Ends),
+    and None (for the family or a row) declares nothing.  Family(body) is
+    an integrand of one row, on every route.
     """
 
     body: Callable
     breakpoints: tuple = ((),)
     singular_points: tuple = ()
     logx: bool = False
-    support: Optional[tuple] = None
-    growth: Optional[tuple] = None
-    origin: Optional[tuple] = None
+    ends: Optional[tuple] = None
     # not a field: the benchmark tracer (perfbench/tracer.py) reads it from every family
     neglog_eval = None
 
     def __post_init__(self):
-        for name in ("support", "growth", "origin"):
-            per_row = getattr(self, name)
-            if per_row is not None and len(per_row) != len(self.breakpoints):
-                raise ValueError(f"need one {name} per row: {len(per_row)} for "
-                                 f"{len(self.breakpoints)} rows")
+        if self.ends is not None and len(self.ends) != len(self.breakpoints):
+            raise ValueError(f"need one Ends per row: {len(self.ends)} for "
+                             f"{len(self.breakpoints)} rows")
 
     def log_eval(self, x, row=0, *lx):
         """(sign, log|g_row(x)|) at x (and lx = log x, if logx)."""
@@ -762,14 +790,12 @@ def weighted(fam: Family) -> Family:
     both routes, and a given lx goes on to fam's body.  The quadratic parts
     of log g and log phi are added as one, (k - 1/2) x^2, into the r of a
     body of rate 0, so where g's Gaussian rate k is 1/2 no x^2-sized term is
-    formed.  A declared growth (kappa, beta) becomes (kappa - 1/2, beta); a
-    declared support or origin power stays, as phi is positive and bounded."""
+    formed.  Each row's Ends become Ends.weighted()."""
     def body(x, row=0, *lx):
         sign, r, k = fam.body(x, row, *lx)
         return sign, np.asarray(r, dtype=float) + gauss_log_pdf(x, k), 0.0
 
-    growth = fam.growth and tuple(g and (g[0] - 0.5, g[1]) for g in fam.growth)
-    return replace(fam, body=body, growth=growth)
+    return replace(fam, body=body, ends=fam.ends and tuple(e and e.weighted() for e in fam.ends))
 
 
 def _combine(verdicts, labels) -> IntegralVerdict:
@@ -794,23 +820,17 @@ def _combine(verdicts, labels) -> IntegralVerdict:
 
 
 def _declared(fam: Family, row: int, lo: float, hi: float) -> Optional[IntegralVerdict]:
-    """The verdict that fam's declarations give the piece (lo, hi) of row, or
-    None: Converged 0 +- 0 wholly outside the row's support, and Diverged by
-    the comparison test (reason "declared_growth", no records) for (lo, +inf)
-    of a row whose declared growth (kappa, beta) is above (0, 0), and for
-    (0, hi) of a row whose declared origin power (sigma, lam) is at or below
-    (-1, 1) (de Bruijn, Asymptotic Methods in Analysis, 1958).  Each costs
-    no evaluation (n_evals 0)."""
-    if fam.support is not None:
-        s_lo, s_hi = fam.support[row]
-        if hi <= s_lo or lo >= s_hi:
-            return _converged(0.0, 0.0, 0, f"({lo:g}, {hi:g}) lies outside the support "
-                                           f"({s_lo:g}, {s_hi:g}), where the integrand is 0")
-    growth = fam.growth and fam.growth[row]
-    if hi == math.inf and growth and growth > (0.0, 0.0):
+    """The verdict that the row's Ends give the piece (lo, hi), or None;
+    Diverged has reason "declared_growth" and no records, and none costs an
+    evaluation (n_evals 0)."""
+    ends = fam.ends and fam.ends[row] or Ends()
+    support, right, origin = ends.support, ends.right, ends.origin
+    if support and (hi <= support[0] or lo >= support[1]):
+        return _converged(0.0, 0.0, 0, f"({lo:g}, {hi:g}) lies outside the support "
+                          f"({support[0]:g}, {support[1]:g}), where the integrand is 0")
+    if hi == math.inf and right and right > (0.0, 0.0):
         return _diverged((), "declared_growth", 0, f"[{lo:g}, inf): the declared growth "
-                         f"(kappa, beta) = ({growth[0]:g}, {growth[1]:g}) is not integrable")
-    origin = fam.origin and fam.origin[row]
+                         f"(kappa, beta) = ({right[0]:g}, {right[1]:g}) is not integrable")
     if lo == 0.0 and origin and origin <= (-1.0, 1.0):
         return _diverged((), "declared_growth", 0, f"(0, {hi:g}): the declared origin power "
                          f"(sigma, lam) = ({origin[0]:g}, {origin[1]:g}) is not integrable")
@@ -829,7 +849,7 @@ def _piece(fam: Family, row: int, lo: float, hi: float, atol: float, rtol: float
     """Driver (fam, row, route, generator) of one piece (lo, hi) of the line,
     routed by its ends, with its cuts in t.
 
-    A piece that fam's declarations decide (_declared) ends with that
+    A piece that its row's Ends decide (_declared) ends with that
     verdict, without a request.  Any other piece (-inf, +inf) raises
     ValueError, as no route covers it: cut the line, at 0 for instance.  An
     infinite end goes to semi-infinite exhaustion (the left end on route
@@ -866,13 +886,12 @@ def _split(fam: Family, lines, atol: float, rtol: float, budget: int):
     """The job of the lines [(row, edges), ...]: the pieces between the edges,
     each with atol and budget divided by their number, _combine-d per line.
 
-    A line with any piece that its row's declarations make Diverged
-    (_declared: a growth at +inf or a power at 0) is Diverged by that piece
-    whatever the others give, so only the answered driver of the first such
-    piece runs.  The line's verdict is then the one _combine gives with
-    every piece run, in status, value, abs_error, evidence and message, with
-    n_evals 0; where an earlier piece would also be Diverged, it names the
-    declared piece instead of the first one.
+    A line with any piece that its row's Ends make Diverged (_declared) is
+    Diverged by that piece whatever the others give, so only the answered
+    driver of the first such piece runs.  The line's verdict is then the one
+    _combine gives with every piece run, in status, value, abs_error,
+    evidence and message, with n_evals 0; where an earlier piece would also
+    be Diverged, it names the declared piece instead of the first one.
     """
     drivers, runs = [], []
     for row, edges in lines:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from wienerlab import EpsilonGrid, catalog_build, linear_functional
@@ -21,3 +23,15 @@ def flin():
 @pytest.fixture(scope="session")
 def grid():
     return EpsilonGrid.default()
+
+
+def parts(fam, part):
+    """The part ("support", "right" or "origin") of each row's Ends of fam."""
+    return tuple(ends and getattr(ends, part) for ends in fam.ends)
+
+
+def without(fam, part):
+    """fam with the part ("support", "right" or "origin") of each row's Ends
+    undeclared, and the other two parts kept."""
+    return dataclasses.replace(fam, ends=tuple(ends and dataclasses.replace(ends, **{part: None})
+                                               for ends in fam.ends))

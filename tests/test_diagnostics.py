@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import parts, without
 from wienerlab import (CameronMartinDirection, CylindricalFunctional, EpsilonGrid, Flag,
                        Function1D, Polynomial, ScalarFunctional, TimeGrid,
                        cameron_martin_check, catalog_build, cm_inner,
@@ -238,7 +238,7 @@ class TestDvp:
         pieces = [(label, lo, hi) for label, lo, hi in _dvp_pieces(f, eps, h) if lo < hi]
         (_, lo, hi), = [piece for piece in pieces if piece[0] == "above"]
         fam = psi_family(f, (eps,), h)
-        (v,) = quad.integrate_pieces(dataclasses.replace(fam, growth=None), [(0, lo, hi)],
+        (v,) = quad.integrate_pieces(without(fam, "right"), [(0, lo, hi)],
                                      budget=quad.DEFAULT_BUDGET // len(pieces))
         assert v.diverged and v.evidence.reason == "magnitude_threshold"
         assert v.n_evals < 2_000
@@ -674,15 +674,15 @@ class TestDeclaredTail:
     def test_thm31_declares_its_tail(self, a):
         f = catalog_build("thm31", a=a)
         assert f.tail == (0.25, a)
-        assert quad.weighted(_abs_pow_family(f, 2.5, True)).growth == ((0.125, 0.0),)
+        assert parts(quad.weighted(_abs_pow_family(f, 2.5, True)), "right") == ((0.125, 0.0),)
         fam = quad.weighted(_quotient_family(f, [(2.0, 0.5, 1.0, True), (1.5, 0.5, -1.0, False),
                                                  (None, 0.25, 2.0, False), (2.0, 0.5, 0.0, True)]))
-        assert fam.growth == ((0.0, 0.5), (-0.125, 0.0), (0.0, 0.5), None)
+        assert parts(fam, "right") == ((0.0, 0.5), (-0.125, 0.0), (0.0, 0.5), None)
 
     def test_undeclared_functionals_declare_no_growth(self, f33, flin):
         for f in (f33, flin, tail_functional(0.0, 2.0), tail_functional(-0.2, 1.0)):
-            assert _abs_pow_family(f, 3.0, False).growth is None
-            assert _quotient_family(f, [(2.0, 0.5, 1.0, True)]).growth is None
+            assert parts(_abs_pow_family(f, 3.0, False), "right") == (None,)
+            assert parts(_quotient_family(f, [(2.0, 0.5, 1.0, True)]), "right") == (None,)
 
     @pytest.mark.parametrize("kappa", [0.25, 1e-3, 0.0, -0.3])
     def test_construction_refuses_a_wrong_declaration(self, kappa):
@@ -723,8 +723,7 @@ class TestDeclaredTail:
                       for lo, hi in itertools.pairwise(
                           [-math.inf, *sorted({*fam.breakpoints[row], 0.0}), math.inf])]
             new = quad.integrate_pieces(fam, pieces, budget=2000)
-            old = quad.integrate_pieces(dataclasses.replace(fam, growth=None), pieces,
-                                        budget=2000)
+            old = quad.integrate_pieces(without(fam, "right"), pieces, budget=2000)
             for (row, lo, hi), v, ref in zip(pieces, new, old):
                 fired = v.diverged and v.evidence.reason == "declared_growth"
                 q, s = laws[row]
@@ -752,18 +751,18 @@ class TestDeclaredOrigin:
     without evaluating."""
 
     def test_rows_derive_their_power_at_zero(self, f33):
-        assert quad.weighted(_abs_pow_family(f33, 2.5, True)).origin == ((-1.25, 7.5),)
-        assert _abs_pow_family(f33, 2.0, True).origin == ((-1.0, 6.0),)
-        assert _abs_pow_family(f33, 3.0, False).origin == ((1.5, 9.0),)
+        assert parts(quad.weighted(_abs_pow_family(f33, 2.5, True)), "origin") == ((-1.25, 7.5),)
+        assert parts(_abs_pow_family(f33, 2.0, True), "origin") == ((-1.0, 6.0),)
+        assert parts(_abs_pow_family(f33, 3.0, False), "origin") == ((1.5, 9.0),)
         fam = _quotient_family(f33, [(2.5, 0.5, 1.0, True), (3.0, 0.25, -1.0, True),
                                      (2.5, 0.5, 1.0, False), (None, 0.5, 1.0, False),
                                      (2.5, 0.5, 0.0, True)])
-        assert fam.origin == ((-1.25, 7.5), (-1.5, 9.0), None, None, None)
+        assert parts(fam, "origin") == ((-1.25, 7.5), (-1.5, 9.0), None, None, None)
 
     def test_undeclared_functionals_declare_no_power(self, f31, flin):
         for f in (f31, flin):
-            assert _abs_pow_family(f, 3.0, True).origin is None
-            assert _quotient_family(f, [(3.0, 0.5, 1.0, True)]).origin is None
+            assert parts(_abs_pow_family(f, 3.0, True), "origin") == (None,)
+            assert parts(_quotient_family(f, [(3.0, 0.5, 1.0, True)]), "origin") == (None,)
 
     @staticmethod
     def lines(fam):
@@ -781,12 +780,12 @@ class TestDeclaredOrigin:
         residual = [(2.5, eps, h, True) for eps in eps_values[::7] for h in (1.0, -1.0)]
         for fam in [_abs_pow_family(f, q, True) for q in (2.05, 2.1, 2.5, 3.0)] + [
                 _quotient_family(f, residual)]:
-            assert all(sigma < -1.0 for sigma, _ in fam.origin)
+            assert all(sigma < -1.0 for sigma, _ in parts(fam, "origin"))
             for v in self.lines(fam):
                 assert v.diverged and v.n_evals == 0
                 assert v.evidence == quad.GrowthEvidence((), "declared_growth")
                 assert v.message.startswith("piece (0, ")
-            for v in self.lines(dataclasses.replace(fam, origin=None)):
+            for v in self.lines(without(fam, "origin")):
                 assert v.diverged and v.n_evals > 0
 
     @pytest.mark.parametrize("eta, mu", thm33_params())
@@ -797,9 +796,71 @@ class TestDeclaredOrigin:
         for fam in (_abs_pow_family(f, 2.0, True),
                     _quotient_family(f, [(2.0, eps, h, True) for eps in eps_values[::7]
                                          for h in (1.0, -1.0)])):
-            assert set(fam.origin) == {(-1.0, 6.0)}
-            new, old = self.lines(fam), self.lines(dataclasses.replace(fam, origin=None))
+            assert set(parts(fam, "origin")) == {(-1.0, 6.0)}
+            new, old = self.lines(fam), self.lines(without(fam, "origin"))
             assert new == old and all(v.converged and v.n_evals > 0 for v in new)
+
+
+def derived_families(f, eps_values):
+    """Every kind of derived row of f, weighted: the L^q quotient, centred
+    residual and psi rows at shifts of both signs and 0, and |f|^p, |f'|^p."""
+    rows = [(q, eps, c, centered) for q, centered in ((2.0, False), (2.5, True), (2.0, True),
+                                                      (None, False))
+            for eps in eps_values for c in (1.0, -2.0, 0.0)]
+    fams = [_quotient_family(f, rows)] + [_abs_pow_family(f, p, deriv) for p in (2.0, 2.5)
+                                          for deriv in (False, True)]
+    return [quad.weighted(fam) for fam in fams], [eps * c for _, eps, c, _ in rows]
+
+
+class TestRowEnds:
+    """Each derived row's Ends agree with its weighted body far out: outside
+    the support it is 0; at +inf (log g - kappa x^2 - beta x) / log x settles,
+    as log g = kappa x^2 + beta x + O(log x), changing by less than 0.1 a
+    doubling over the last eight up to x = 2^26; at 0 log g - sigma log x +
+    lam log u, u = -log x, spreads by less than log 2 at u = 2^j, j = 6...40."""
+
+    @staticmethod
+    def check(fam):
+        """The parts that each row of fam declares, checked on its body."""
+        checked = []
+        for row, ends in enumerate(fam.ends):
+            for end in ends.support:
+                if math.isfinite(end):
+                    step = (ends.support[1] - ends.support[0]) * np.array([1e-9, 1e-3, 0.5, 4.0])
+                    outside = end + (step if end == ends.support[1] else -step)
+                    assert np.all(fam.log_eval(outside, row)[1] == -np.inf)
+                    checked.append("support")
+            if ends.right is not None:
+                kappa, beta = ends.right
+                x = 2.0 ** np.arange(4, 27)
+                ratio = (fam.log_eval(x, row)[1] - kappa * x * x - beta * x) / np.log(x)
+                assert np.all(np.isfinite(ratio)) and np.abs(np.diff(ratio[-9:])).max() < 0.1
+                checked.append("right")
+            if ends.origin is not None:
+                sigma, lam = ends.origin
+                u = 2.0 ** np.arange(6, 41)
+                with np.errstate(under="ignore"):
+                    log_g = fam.log_eval(np.exp(-u), row, -u)[1]
+                rest = log_g + sigma * u + lam * np.log(u)
+                assert np.all(np.isfinite(rest)) and rest.max() - rest.min() < math.log(2.0)
+                checked.append("origin")
+        return checked
+
+    @pytest.mark.parametrize("a", [1.6, 2.0, 3.9, 8.0])
+    def test_thm31(self, a):
+        fams, shifts = derived_families(catalog_build("thm31", a=a), (0.5, 2.0 ** -5))
+        assert [e.right is None for e in fams[0].ends] == [s == 0.0 for s in shifts]
+        # the 16 quotient rows with s != 0 and |f|^p, |f'|^p declare their right end only
+        assert [part for fam in fams for part in self.check(fam)] == ["right"] * (16 + 4)
+
+    @pytest.mark.parametrize("eta, mu", thm33_params())
+    def test_thm33(self, eta, mu):
+        fams, _ = derived_families(catalog_build("thm33", eta=eta, mu=mu), (eta / 2, eta / 64))
+        checked = [part for fam in fams for part in self.check(fam)]
+        # every row has two finite support ends; the 8 centred residual rows
+        # with c != 0, |f|^p and |f'|^p declare an origin
+        assert checked.count("support") == 2 * (24 + 4) and checked.count("right") == 0
+        assert checked.count("origin") == 8 + 4
 
 
 class TestCameronMartin:

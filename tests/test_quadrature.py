@@ -10,12 +10,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compare_outputs import workload_ops
+from conftest import without
 from wienerlab import (Family, bertrand_family, gaussian_expectation, integrate_adaptive,
                        integrate_pieces, integrate_semi_infinite, integrate_singular_origin)
 from wienerlab.diagnostics import (EpsilonGrid, _abs_pow_family, _quotient_family,
                                    diffquot_pow_integrand, dvp_uniform_integrability_test)
 from wienerlab import cli, quadrature as quad
-from wienerlab.quadrature import EvaluationError, _gk_panels, gauss_log_pdf
+from wienerlab.quadrature import Ends, EvaluationError, _gk_panels, gauss_log_pdf
 from wienerlab.slog import slog_of
 
 
@@ -1002,17 +1003,19 @@ class TestIntegratePiece:
 
 def bump_family(lo, hi, declared):
     """(1 - t^2)^3 on (lo, hi), t the position in it from -1 to 1, and exactly
-    0 outside: a one-row family that declares (lo, hi) as its support or not."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    0 outside: a one-row family that declares (lo, hi) as its support or not.
+    1 - t^2 is formed as (x - lo)(hi - x) / half^2, which stays positive
+    inside (lo, hi) where t = (x - mid) / half may round past -1."""
+    half = 0.5 * (hi - lo)
 
     def body(x, row=0):
         x = np.asarray(x, dtype=float)
-        t = (x - mid) / half
         with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where((x > lo) & (x < hi), 3.0 * np.log1p(-t * t), -np.inf)
+            r = np.where((x > lo) & (x < hi), 3.0 * np.log((x - lo) * (hi - x) / half ** 2),
+                         -np.inf)
         return np.ones_like(x), r, 0.0
 
-    return Family(body, ((lo, hi),), support=((lo, hi),) if declared else None)
+    return Family(body, ((lo, hi),), ends=(Ends(support=(lo, hi)),) if declared else None)
 
 
 class TestDeclaredSupport:
@@ -1030,6 +1033,8 @@ class TestDeclaredSupport:
            at_ends=st.booleans(),
            atol=st.sampled_from([1e-12, 1e-10, 1e-7]), rtol=st.sampled_from([1e-10, 1e-6]),
            budget=st.sampled_from([3000, 100_000]))
+    @example(lo=-9.2138e-17, width=1.5, extra=[0.0], at_ends=True, atol=1e-12, rtol=1e-10,
+             budget=100_000)
     def test_declaring_the_support_changes_nothing_but_evaluations(self, lo, width, extra,
                                                                    at_ends, atol, rtol, budget):
         # the pieces of integrate_pieces end at the support's ends, or may straddle them
@@ -1053,7 +1058,7 @@ class TestDeclaredSupport:
         monkeypatch.setattr(quad, "_evaluate",
                             lambda fam, requests: calls.append(requests) or real(fam, requests))
         fam = quad.weighted(bump_family(0.5, 1.5, True))
-        assert fam.support == ((0.5, 1.5),)  # weighted keeps it
+        assert fam.ends == (Ends(support=(0.5, 1.5)),)  # weighted keeps it
         left, right, far = integrate_pieces(fam, [(0, -math.inf, 0.5), (0, 1.5, math.inf),
                                                   (0, 2.0, 3.0)])
         assert calls == []
@@ -1064,9 +1069,12 @@ class TestDeclaredSupport:
         (inside,) = integrate_pieces(fam, [(0, 0.0, 1.0)])
         assert len(calls) == 1 and inside.converged and inside.value > 0.0
 
-    def test_one_support_per_row(self):
-        with pytest.raises(ValueError, match="one support per row"):
-            Family(lambda x, row=0: None, ((), ()), support=((0.0, 1.0),))
+
+@pytest.mark.parametrize("part", ["support", "right", "origin"])
+def test_one_ends_per_row(part):
+    value = {"support": (0.0, 1.0), "right": (0.0, 1.0), "origin": (-1.0, 0.0)}[part]
+    with pytest.raises(ValueError, match="one Ends per row"):
+        Family(lambda x, row=0: None, ((), ()), ends=(Ends(**{part: value}),))
 
 
 def growth_family(rows, declared=True):
@@ -1079,7 +1087,8 @@ def growth_family(rows, declared=True):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x), beta[row] * x - np.log1p(x * x), kappa[row]
 
-    return Family(body, ((1.0,),) * len(rows), growth=tuple(rows) if declared else None)
+    return Family(body, ((1.0,),) * len(rows),
+                  ends=tuple(Ends(right=row) for row in rows) if declared else None)
 
 
 class TestDeclaredGrowth:
@@ -1106,7 +1115,7 @@ class TestDeclaredGrowth:
     def test_a_tail_at_or_below_zero_growth_runs_as_undeclared(self, growth):
         rows = [(0.0, 0.0) if growth is None else growth, (0.3, 0.0)]
         fam = growth_family(rows)
-        fam = dataclasses.replace(fam, growth=(growth, fam.growth[1]))
+        fam = dataclasses.replace(fam, ends=(growth and Ends(right=growth), fam.ends[1]))
         pieces = [(0, 1.0, math.inf), (0, -math.inf, 1.0), (1, -math.inf, 0.0), (1, 0.0, 1.0)]
         new = integrate_pieces(fam, pieces, budget=3000)
         assert new == integrate_pieces(growth_family(rows, False), pieces, budget=3000)
@@ -1157,8 +1166,8 @@ class TestDeclaredGrowth:
             return np.ones_like(x), beta[row] * x - np.log1p(x * x), kappa[row]
 
         fam = quad.weighted(Family(body, ((),) * len(rows),
-                                   growth=tuple((k, b) if declared else None
-                                                for k, b, declared, _, _ in rows)))
+                                   ends=tuple(Ends(right=(k, b)) if declared else None
+                                              for k, b, declared, _, _ in rows)))
         lines = [(row, [-math.inf, *sorted({c for c in cuts if c < end}), end])
                  for row, (_, _, _, cuts, end) in enumerate(rows)]
         atol, budget = 1e-8, 3000
@@ -1186,14 +1195,21 @@ class TestDeclaredGrowth:
 
     def test_weighted_lowers_kappa_by_one_half(self):
         fam = quad.weighted(growth_family([(0.25, 0.5), (0.6, -1.0)]))
-        assert fam.growth == ((-0.25, 0.5), (0.09999999999999998, -1.0))
-        assert quad.weighted(dataclasses.replace(fam, growth=(None, (1.0, 0.0)))).growth == (
-            None, (0.5, 0.0))
-        assert quad.weighted(Family.from_function(np.cos)).growth is None
-
-    def test_one_growth_per_row(self):
-        with pytest.raises(ValueError, match="one growth per row"):
-            Family(lambda x, row=0: None, ((), ()), growth=((0.0, 1.0),))
+        assert fam.ends == (Ends(right=(-0.25, 0.5)), Ends(right=(0.09999999999999998, -1.0)))
+        fam = dataclasses.replace(fam, ends=(None, Ends(right=(1.0, 0.0))))
+        assert quad.weighted(fam).ends == (None, Ends(right=(0.5, 0.0)))
+        assert quad.weighted(Family.from_function(np.cos)).ends is None
+        # the other transforms: pow scales every exponent; shift(s) widens the
+        # support by s and adds 2 kappa max(s, 0) to beta, declaring nothing
+        # at 0 and, for s = 0, nothing at +inf
+        ends = Ends((0.0, 2.0), (0.25, 0.5), (-0.5, 3.0))
+        assert ends.weighted() == Ends((0.0, 2.0), (-0.25, 0.5), (-0.5, 3.0))
+        assert ends.pow(2.5) == Ends((0.0, 2.0), (0.625, 1.25), (-1.25, 7.5))
+        assert ends.shift(0.5) == Ends((-0.5, 2.0), (0.25, 0.75), None)
+        assert ends.shift(-0.5) == Ends((0.0, 2.5), (0.25, 0.5), None)
+        assert ends.shift(0.0) == Ends((0.0, 2.0), None, None)
+        assert ends.shift(-0.5).pow(2.0).weighted() == Ends((0.0, 2.5), (0.0, 1.0), None)
+        assert Ends().pow(2.0) == Ends().weighted() == Ends().shift(1.0) == Ends()
 
 
 def origin_family(sigma, lam, declared=True):
@@ -1206,7 +1222,8 @@ def origin_family(sigma, lam, declared=True):
                 lx = np.log(np.asarray(x, dtype=float))
         return np.ones_like(lx), sigma * lx - lam * np.log(np.abs(lx)), 0.0
 
-    return Family(body, ((),), (0.0,), True, origin=((sigma, lam),) if declared else None)
+    return Family(body, ((),), (0.0,), True,
+                  ends=(Ends(origin=(sigma, lam)),) if declared else None)
 
 
 class TestDeclaredOrigin:
@@ -1244,15 +1261,14 @@ class TestDeclaredOrigin:
         monkeypatch.setattr(quad, "_evaluate",
                             lambda fam, requests: calls.append(requests) or real(fam, requests))
         fam = quad.weighted(origin_family(-1.5, 9.0))
-        assert fam.origin == ((-1.5, 9.0),)  # weighted keeps it
+        assert fam.ends == (Ends(origin=(-1.5, 9.0)),)  # weighted keeps it
         (v,) = integrate_pieces(fam, [(0, 0.0, 2e-4)], budget=0)
         assert calls == [] and v.n_evals == 0 and v.diverged
         assert v.message == ("(0, 0.0002): the declared origin power (sigma, lam) = (-1.5, 9) "
                              "is not integrable")
         # the declaration speaks of 0+ only: other pieces run as undeclared
         pieces = [(0, 1e-3, 0.5), (0, 0.5, 0.9)]
-        assert integrate_pieces(fam, pieces) == integrate_pieces(
-            dataclasses.replace(fam, origin=None), pieces)
+        assert integrate_pieces(fam, pieces) == integrate_pieces(without(fam, "origin"), pieces)
         assert len(calls) > 0
 
     def test_a_line_with_a_declared_piece_runs_no_piece(self, monkeypatch):
@@ -1267,7 +1283,7 @@ class TestDeclaredOrigin:
                 r = -1.25 * lx - 2.0 * np.log(np.abs(lx))
             return np.ones_like(x), np.where(lx < -math.log(2.0), r, -np.inf), 0.0
 
-        fam = Family(body, ((0.5,),), (0.0,), True, origin=((-1.25, 2.0),))
+        fam = Family(body, ((0.5,),), (0.0,), True, ends=(Ends(origin=(-1.25, 2.0)),))
         calls = []
         real = quad._evaluate
         monkeypatch.setattr(quad, "_evaluate",
@@ -1279,16 +1295,12 @@ class TestDeclaredOrigin:
                              "= (-1.25, 2) is not integrable")
         monkeypatch.setattr(quad, "_evaluate", real)
         pieces = [(-math.inf, 0.0), (0.0, 0.5), (0.5, math.inf)]
-        undeclared = quad.weighted(dataclasses.replace(fam, origin=None))
+        undeclared = quad.weighted(without(fam, "origin"))
         alone = [integrate_pieces(undeclared, [(0, lo, hi)], quad.DEFAULT_ATOL / 3,
                                   budget=quad.DEFAULT_BUDGET // 3)[0] for lo, hi in pieces]
         assert [p.status for p in alone] == ["converged", "diverged", "converged"]
         ref = quad._combine(alone, [f"({lo:g}, {hi:g})" for lo, hi in pieces])
         assert (v.status, v.value, v.abs_error) == (ref.status, ref.value, ref.abs_error)
-
-    def test_one_origin_per_row(self):
-        with pytest.raises(ValueError, match="one origin per row"):
-            Family(lambda x, row=0: None, ((), ()), origin=((-1.0, 0.0),))
 
 
 def test_a_whole_line_piece_is_refused_before_evaluating(monkeypatch):
@@ -1302,7 +1314,7 @@ def test_a_whole_line_piece_is_refused_before_evaluating(monkeypatch):
         integrate_pieces(fam, [(0, -math.inf, math.inf)])
     assert calls == []
     # a declaration that decides it still answers it
-    fam = dataclasses.replace(fam, growth=((1.0, 0.0),))
+    fam = dataclasses.replace(fam, ends=(Ends(right=(1.0, 0.0)),))
     (v,) = integrate_pieces(fam, [(0, -math.inf, math.inf)])
     assert v.diverged and v.n_evals == 0 and calls == []
 
