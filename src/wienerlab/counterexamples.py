@@ -125,8 +125,7 @@ def _thm31_right_piece(a: float) -> Function1D:
     pairs hold r(x) = -a log x + log(2 pi)/4 and, for f'(x) = exp(x^2/4)
     x^(-a-1) (x^2/2 - a) (2 pi)^(1/4), r'(x) = -(a+1) log x + log|x^2/2 - a|
     + log(2 pi)/4.  The x^2/4 is never added in: against the Gaussian
-    weight the consumers form (q/4 - 1/2) x^2 for |f|^q, exactly 0 at q = 2.
-    It declares its tail (1/4, a): log|f| = x^2/4 - a log x + O(1)."""
+    weight the consumers form (q/4 - 1/2) x^2 for |f|^q, exactly 0 at q = 2."""
     def slog(x):
         x = np.asarray(x, dtype=float)
         return np.ones_like(x), QUARTER_LOG_2PI - a * np.log(x)
@@ -137,13 +136,14 @@ def _thm31_right_piece(a: float) -> Function1D:
             return (np.sign(0.5 * x * x - a),
                     np.log(np.abs(0.5 * x * x - a)) - (a + 1.0) * np.log(x) + QUARTER_LOG_2PI)
 
-    return Function1D(slog=slog, slog_deriv=slog_deriv, rate=0.25, tail=(0.25, a))
+    return Function1D(slog=slog, slog_deriv=slog_deriv, rate=0.25)
 
 
 def build_thm31(params: Thm31Params) -> ScalarFunctional:
     """Gaussian-tail growth functional: finite order-2 seminorms, divergent
-    squared difference quotients.  Its right piece declares the tail (1/4, a),
-    from which the rows that diverge at +inf are decided without evaluating."""
+    squared difference quotients.  It declares the tail (1/4, a), log|f| =
+    x^2/4 - a log x + O(1), from which the rows that diverge at +inf are
+    decided without evaluating."""
     a = params.a
     x0 = params.breakpoint
     right = _thm31_right_piece(a)
@@ -151,7 +151,7 @@ def build_thm31(params: Thm31Params) -> ScalarFunctional:
     d = float(right.deriv(x0))
     left = smooth_completion_g(x0, v, d)
     return ScalarFunctional(name="thm31", breakpoints=(x0,), pieces=(left, right),
-                            params={"a": a})
+                            params={"a": a}, tail=(0.25, a))
 
 
 def squared_quotient_floor_integrand(a: float, eps: float) -> Family:
@@ -226,9 +226,6 @@ def _thm33_core_piece() -> Function1D:
 
     F'(x) = 1/(2 sqrt(x) log(x)^3) - 3/(sqrt(x) log(x)^4)
           = (log x - 6) / (2 sqrt(x) log(x)^4).
-
-    It declares its origin (1/2, 3): log|F| = log(x)/2 - 3 log|log x|, and
-    log|F'| = -log(x)/2 - 3 log|log x| + O(1).
     """
     def slog_logx(lx):
         lx = np.asarray(lx, dtype=float)
@@ -239,7 +236,7 @@ def _thm33_core_piece() -> Function1D:
         return (np.sign(lx - 6.0),
                 np.log(np.abs(lx - 6.0)) - math.log(2.0) - 0.5 * lx - 4.0 * np.log(np.abs(lx)))
 
-    return Function1D(slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx, origin=(0.5, 3.0))
+    return Function1D(slog_logx=slog_logx, slog_deriv_logx=slog_deriv_logx)
 
 
 def build_thm33(params: Thm33Params) -> ScalarFunctional:
@@ -247,9 +244,10 @@ def build_thm33(params: Thm33Params) -> ScalarFunctional:
     divergent, with uniformly integrable squared quotients on the eta window.
 
     It declares its support (0, 2 mu): f is 0 on the closed negative axis,
-    and the completion G's mollifier ramp is exactly 0 on [2 mu, inf).  Its
-    core declares the origin (1/2, 3), from which the rows that diverge at 0
-    are decided without evaluating."""
+    and the completion G's mollifier ramp is exactly 0 on [2 mu, inf).  It
+    declares the origin (1/2, 3) of its core F: log|F| = log(x)/2 - 3
+    log|log x|, from which the rows that diverge at 0 are decided without
+    evaluating."""
     mu = params.mu
     core = _thm33_core_piece()
     v = float(core.value(mu))
@@ -261,7 +259,7 @@ def build_thm33(params: Thm33Params) -> ScalarFunctional:
                             singular_points=frozenset({0.0}),
                             window=params.eta,
                             params={"eta": params.eta, "mu": mu},
-                            support=(0.0, 2.0 * mu))
+                            support=(0.0, 2.0 * mu), origin=(0.5, 3.0))
 
 
 # ---------------------------------------------------------------------------

@@ -115,7 +115,7 @@ def _route_family(f: ScalarFunctional, breakpoints, ends, at) -> Family:
     (r, k), log|g_row| = k x^2 + r: lx is None on the x route, and log x on
     the u = -log x route (where x = e^-u may underflow), which passes it
     when f has its log-x forms (logx).  ends[row] are g_row's quad.Ends,
-    composed from f's (_ends)."""
+    composed from f's (f.ends)."""
     def body(x, row=0, lx=None):
         x = np.asarray(x, dtype=float)
         return (np.ones_like(x), *at(x, row, lx))
@@ -123,27 +123,14 @@ def _route_family(f: ScalarFunctional, breakpoints, ends, at) -> Family:
     return Family(body, breakpoints, tuple(f.singular_points), f.has_logx_forms(), ends)
 
 
-def _ends(f: ScalarFunctional, deriv: bool) -> quad.Ends:
-    """The quad.Ends of |f| (|f'| if deriv) from f's declarations: its support;
-    (kappa, 0) at +inf from its tail (kappa, p) with kappa > 0, as log|f| and
-    log|f'| are kappa x^2 + O(log x) there (below it no row outgrows the
-    Gaussian weight, and f' follows f's tail only for kappa > 0); and its
-    origin (alpha, lam) at 0, or (alpha - 1, lam) for f', which follows it
-    only for alpha != 0."""
-    kappa, origin = f.tail[0] if f.tail else 0.0, f.origin
-    if deriv and origin:
-        origin = (origin[0] - 1.0, origin[1]) if origin[0] else None
-    return quad.Ends(f.support, (kappa, 0.0) if kappa > 0.0 else None, origin)
-
-
 def _abs_pow_family(f: ScalarFunctional, p: float, deriv: bool) -> Family:
     """|g(x)|^p as a one-row family, g = f' if deriv else f: p r and the rate p k;
-    its ends are _ends(f, deriv).pow(p)."""
+    its ends are f.ends(deriv).pow(p)."""
     def at(x, row, lx):
         _, r, k = f.slog_parts(x, lx, deriv)
         return p * r, p * k
 
-    return _route_family(f, (_scalar_cuts(f),), (_ends(f, deriv).pow(p),), at)
+    return _route_family(f, (_scalar_cuts(f),), (f.ends(deriv).pow(p),), at)
 
 
 def _quotient_family(f: ScalarFunctional, rows) -> Family:
@@ -156,14 +143,14 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
     Gaussian rate at x, the quotient, f' and the centring are formed relative
     to k x^2, and a member's rate is q k (2 k for psi).
 
-    A member's ends are _ends(f, False).shift(s), s = eps c, raised to its
-    lead power q (2 for psi: psi(y) = y |log y| >= y once y >= e, and
-    log|log y| = O(log x)).  shift's growth holds with f' too: for s > 0,
+    A member's ends are f.ends().shift(s), s = eps c, raised to its lead
+    power q (2 for psi: psi(y) = y |log y| >= y once y >= e, and log|log y|
+    = O(log x)).  shift's growth holds with f' too: for s > 0,
     |f(x + s)| outgrows |f(x)| and |f'(x)| by about e^(2 kappa s x), so the
     residual is >= |f(x + s)| / (2 eps) eventually; for s < 0 the f(x) or f'
     term dominates, with kappa x^2 + O(log x).  With f's origin (alpha, lam),
     alpha != 0 and alpha < 1, a centred residual row with c != 0 declares
-    the origin of f' (_ends(f, True)): X_eps = O(1) + O(x^alpha) as x -> 0+,
+    the origin of f' (f.ends(True)): X_eps = O(1) + O(x^alpha) as x -> 0+,
     which c f'(x) ~ x^(alpha - 1) outgrows; the other rows declare none.
     """
     shifts = [eps * c for _, eps, c, _ in rows]
@@ -191,8 +178,8 @@ def _quotient_family(f: ScalarFunctional, rows) -> Family:
             out[psi] = _psi_log(2.0 * l[psi], 2.0 * (k * x * x)[psi])
         return out, lead.take(row) * k
 
-    plain = _ends(f, False)
-    residual = _ends(f, True).origin if f.origin and f.origin[0] < 1.0 else None
+    plain = f.ends()
+    residual = f.ends(True).origin if f.origin and f.origin[0] < 1.0 else None
     ends = []
     for (q, _, c, centered), s, lead_i in zip(rows, shifts, lead.tolist()):
         row_ends = plain.shift(s)
@@ -206,8 +193,7 @@ def diffquot_pow_integrand(f: ScalarFunctional, q: float, eps: float, c: float,
                            centered: bool) -> Family:
     """|(f(x+eps c) - f(x))/eps - centered * c f'(x)|^q as a one-row family.
 
-    Nothing in the package calls it; the benchmark (perfbench/run.py) times
-    its log_eval by this name.
+    The benchmark (perfbench/run.py) also times its log_eval by this name.
     """
     return _quotient_family(f, [(q, eps, c, centered)])
 
@@ -239,7 +225,7 @@ def lq_diffquot_norm(f: ScalarFunctional, q: float, eps: float, c: float, *,
         raise ValueError("eps must be positive")
     if q <= 0.0:
         raise ValueError("need q > 0")
-    return quad.gaussian_expectation(_quotient_family(f, [(q, eps, c, centered)]),
+    return quad.gaussian_expectation(diffquot_pow_integrand(f, q, eps, c, centered),
                                      atol=atol, rtol=rtol, budget=budget)
 
 

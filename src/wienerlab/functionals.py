@@ -23,6 +23,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .quadrature import Ends
 from .slog import slog_exp, slog_of, slog_sub
 from .wiener import BrownianPath, CameronMartinDirection, cm_inner, shift_path, wiener_integral
 
@@ -52,10 +53,12 @@ class Polynomial:
     def __init__(self, n_vars: int, terms: Optional[dict] = None):
         self.n_vars = int(n_vars)
         self.terms: dict[tuple, float] = {}
-        for expo, c in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
+        for given, c in (terms or {}).items():
+            expo = tuple(int(e) for e in given)
             if len(expo) != self.n_vars:
                 raise ValueError("exponent tuple length must equal n_vars")
+            if expo != tuple(given) or min(expo, default=0) < 0:
+                raise ValueError(f"exponents must be nonnegative integers, got {given}")
             if c != 0.0:
                 self.terms[expo] = self.terms.get(expo, 0.0) + float(c)
         self.terms = {e: c for e, c in self.terms.items() if c != 0.0}
@@ -95,8 +98,8 @@ class Polynomial:
         return self + (other * -1.0 if isinstance(other, Polynomial) else -float(other))
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("only nonnegative integer powers")
+        if k < 0 or k != int(k):
+            raise ValueError(f"only nonnegative integer powers, got {k}")
         out = Polynomial.const(1.0, self.n_vars)
         for _ in range(int(k)):
             out = out * self
@@ -192,17 +195,8 @@ class Function1D:
 
     rate is the piece's Gaussian rate k: log|f| = k x^2 + r(x) and log|f'| =
     k x^2 + r'(x), where slog and slog_deriv give r and r' and never k x^2.
-    A piece with a rate gives both pairs.
-
-    tail = (kappa, p), on the piece that reaches +inf, declares log|f| =
-    kappa x^2 - p log x + O(1) as x -> +inf; with kappa > 0 that also gives
-    log|f'| = kappa x^2 - (p - 1) log x + O(1).  origin = (alpha, lam), on
-    the piece that holds (0, b], declares log|f| = alpha log x - lam
-    log|log x| + O(1) as x -> 0+; with alpha != 0 that also gives log|f'| =
-    (alpha - 1) log x - lam log|log x| + O(1).  It needs the log-x forms,
-    on which ScalarFunctional checks it far below the smallest double.  The
-    rows built from f derive their growth at +inf and their power at 0 from
-    these (diagnostics), and ScalarFunctional checks both.
+    A piece with a rate gives both pairs.  What f does at its ends is
+    declared on ScalarFunctional.
     """
 
     value: Optional[Callable] = None
@@ -212,12 +206,8 @@ class Function1D:
     slog_logx: Optional[Callable] = None
     slog_deriv_logx: Optional[Callable] = None
     rate: float = 0.0
-    tail: Optional[tuple] = None
-    origin: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.origin is not None and (self.slog_logx is None or self.slog_deriv_logx is None):
-            raise ValueError("an origin declaration needs slog_logx and slog_deriv_logx")
         for names in (("value", "slog", "slog_logx"), ("deriv", "slog_deriv", "slog_deriv_logx")):
             for name, form in zip(names, _derive(*(getattr(self, n) for n in names), names,
                                                  self.rate)):
@@ -243,24 +233,29 @@ class ScalarFunctional:
     from f is 0.  The default is the whole line.  At construction f and f'
     must be exactly 0 at the probe points of _outside_probes, or it raises.
 
-    tail is the (kappa, p) that the last piece declares (Function1D.tail), or
-    None; no other piece may declare one.  At construction, r(x) + p log x,
-    r = log|f| - kappa x^2, must be finite and spread by less than log 2 over
-    x_b 2^j, j = 1, ..., 60 (x_b the last breakpoint, at least 1).  With
-    kappa > 0 so must r'(x) + (p - 1) log x, r' = log|f'| - kappa x^2, over
-    x_d 2^j, x_d = max(x_b, sqrt(|p| / kappa)): f' = f (2 kappa x - p / x)
-    takes its form 2 kappa x f only where 2 kappa x^2 dominates |p|.
-    This refuses a hidden e^(beta x) or a wrong kappa or p.
+    tail = (kappa, p) declares log|f| = kappa x^2 - p log x + O(1) as x ->
+    +inf, and with kappa > 0 log|f'| = kappa x^2 - (p - 1) log x + O(1).  At
+    construction, on the last piece, r(x) + p log x, r = log|f| - kappa x^2,
+    must be finite and spread by less than log 2 over x_b 2^j, j = 1, ...,
+    60 (x_b the last breakpoint, at least 1).  With kappa > 0 so must r'(x)
+    + (p - 1) log x, r' = log|f'| - kappa x^2, over x_d 2^j, x_d = max(x_b,
+    sqrt(|p| / kappa)): f' = f (2 kappa x - p / x) takes its form 2 kappa x
+    f only where 2 kappa x^2 dominates |p|.  This refuses a hidden
+    e^(beta x) or a wrong kappa or p.
 
-    origin is the (alpha, lam) that the piece holding (0, b] declares
-    (Function1D.origin), or None; no other piece may declare one.  At
-    construction, on that piece's log-x forms at u = -log x = u_b 2^j, j =
-    1, ..., 40 (u_b = max(-log b, 1)), log|f| - alpha log x + lam log u must
-    be finite and spread by less than log 2, and with alpha != 0 so must
-    log|f'| - (alpha - 1) log x + lam log u from u_d = max(u_b, 2 |lam /
-    alpha|) on: f' = f (alpha - lam / log x) / x takes its form alpha f / x
-    only where alpha u dominates lam.  This refuses a wrong alpha, or a lam
-    off by 1.  Either check that fails raises; one loop runs both.
+    origin = (alpha, lam) declares log|f| = alpha log x - lam log|log x| +
+    O(1) as x -> 0+, and with alpha != 0 log|f'| = (alpha - 1) log x - lam
+    log|log x| + O(1).  It needs the log-x forms of the piece holding (0, b],
+    on which construction checks it at u = -log x = u_b 2^j, j = 1, ..., 40
+    (u_b = max(-log b, 1)): log|f| - alpha log x + lam log u must be finite
+    and spread by less than log 2, and with alpha != 0 so must log|f'| -
+    (alpha - 1) log x + lam log u from u_d = max(u_b, 2 |lam / alpha|) on:
+    f' = f (alpha - lam / log x) / x takes its form alpha f / x only where
+    alpha u dominates lam.  This refuses a wrong alpha, or a lam off by 1.
+    Either check that fails raises; one loop runs both.
+
+    ends() gives the three declarations as the quad.Ends of |f| or |f'|, from
+    which the rows built from f compose theirs (diagnostics).
     """
 
     name: str
@@ -271,6 +266,8 @@ class ScalarFunctional:
     window: Optional[float] = None  # epsilon cap for limit diagnostics, if any
     params: dict = field(default_factory=dict)
     support: tuple = (-math.inf, math.inf)
+    tail: Optional[tuple] = None
+    origin: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "_breakpoints", np.asarray(self.breakpoints, dtype=float))
@@ -303,21 +300,21 @@ class ScalarFunctional:
                 raise ValueError(f"{self.name}: {name} is not 0 at x = {float(bad[0])!r}, "
                                  f"outside the declared support {self.support}")
 
-    @property
-    def tail(self) -> Optional[tuple]:
-        return self.pieces[-1].tail
-
-    @property
-    def origin(self) -> Optional[tuple]:
-        return self._origin_piece().origin
+    def ends(self, deriv: bool = False) -> Ends:
+        """The Ends of |f| (|f'| if deriv): the support; (kappa, 0) at +inf
+        from a tail with kappa > 0, as log|f| and log|f'| are kappa x^2 +
+        O(log x) there (below it no row outgrows the Gaussian weight); and
+        the origin (alpha, lam), or (alpha - 1, lam) for f' with alpha != 0."""
+        kappa, origin = self.tail[0] if self.tail else 0.0, self.origin
+        if deriv and origin:
+            origin = (origin[0] - 1.0, origin[1]) if origin[0] else None
+        return Ends(self.support, (kappa, 0.0) if kappa > 0.0 else None, origin)
 
     def _check_declarations(self):
         """The construction checks of the declared tail and origin (class docstring)."""
-        if any(piece.tail is not None for piece in self.pieces[:-1]):
-            raise ValueError(f"{self.name}: only the piece reaching +inf may declare a tail")
-        at = int(self._place(0.0))
-        if any(piece.origin is not None for i, piece in enumerate(self.pieces) if i != at):
-            raise ValueError(f"{self.name}: only the piece holding (0, b] may declare an origin")
+        if self.origin is not None and not self.has_logx_forms():
+            raise ValueError(f"{self.name}: an origin declaration needs slog_logx and "
+                             f"slog_deriv_logx on the piece holding (0, b]")
         with np.errstate(all="ignore"):
             for name, what, rest in self._declared_forms():
                 if not (np.isfinite(rest).all() and rest.max() - rest.min() < math.log(2.0)):

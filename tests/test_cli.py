@@ -677,9 +677,7 @@ class TestDeclaredTail:
         build = cli.catalog_build
 
         def undeclared(name, **params):
-            f = build(name, **params)
-            return dataclasses.replace(f, pieces=(
-                *f.pieces[:-1], dataclasses.replace(f.pieces[-1], tail=None)))
+            return dataclasses.replace(build(name, **params), tail=None)
 
         monkeypatch.setattr(cli, "catalog_build", undeclared)
         assert run(argv + [str(tmp_path / "undeclared")], tmp_path) == EXIT_CONTRADICTION
@@ -709,9 +707,7 @@ class TestDeclaredOrigin:
         build = cli.catalog_build
 
         def undeclared(name, **params):
-            f = build(name, **params)
-            return dataclasses.replace(f, pieces=tuple(
-                dataclasses.replace(piece, origin=None) for piece in f.pieces))
+            return dataclasses.replace(build(name, **params), origin=None)
 
         monkeypatch.setattr(cli, "catalog_build", undeclared)
         assert run(argv + [str(tmp_path / "undeclared")], tmp_path) == code

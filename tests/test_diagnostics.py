@@ -632,8 +632,7 @@ class TestFusedEnvelopeVerdicts:
 def tail_functional(kappa, p, declared=None, hidden=(0.0, 0.0)):
     """f(x) = e^(kappa x^2 + b x + c x^2) x^-p on [x_b, inf), (b, c) = hidden,
     with the Gaussian rate kappa, glued C^1 to a bounded completion below
-    x_b = 3; its right piece declares the tail `declared`, (kappa, p) by
-    default."""
+    x_b = 3; it declares the tail `declared`, (kappa, p) by default."""
     b, c = hidden
     x_b = 3.0
 
@@ -647,10 +646,10 @@ def tail_functional(kappa, p, declared=None, hidden=(0.0, 0.0)):
         with np.errstate(divide="ignore"):
             return np.sign(inner), np.log(np.abs(inner)) + slog(x)[1] - np.log(x)
 
-    right = Function1D(slog=slog, slog_deriv=slog_deriv, rate=kappa,
-                       tail=(kappa, p) if declared is None else declared)
+    right = Function1D(slog=slog, slog_deriv=slog_deriv, rate=kappa)
     left = smooth_completion_g(x_b, float(right.value(x_b)), float(right.deriv(x_b)))
-    return ScalarFunctional(name="tail", breakpoints=(x_b,), pieces=(left, right))
+    return ScalarFunctional(name="tail", breakpoints=(x_b,), pieces=(left, right),
+                            tail=(kappa, p) if declared is None else declared)
 
 
 def weighted_tail_diverges(kappa, q, s):
@@ -692,11 +691,6 @@ class TestDeclaredTail:
         for name, kw in hidden.items():
             with pytest.raises(ValueError, match="does not follow the declared tail"):
                 tail_functional(kappa, 2.0, **kw)
-
-    def test_only_the_last_piece_declares_a_tail(self):
-        piece = Function1D(value=np.ones_like, deriv=np.zeros_like, tail=(0.0, 0.0))
-        with pytest.raises(ValueError, match="only the piece reaching"):
-            ScalarFunctional(name="two", breakpoints=(0.0,), pieces=(piece, piece))
 
     @settings(max_examples=40, deadline=None)
     @given(kappa=st.one_of(st.just(0.0), st.floats(1e-3, 0.5), st.floats(0.1, 0.5),

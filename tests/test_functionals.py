@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
-from wienerlab import (CameronMartinDirection, CylindricalFunctional, Function1D,
+from wienerlab import (CameronMartinDirection, CylindricalFunctional, Ends, Function1D,
                        Polynomial, ScalarFunctional, TimeGrid, cm_inner,
                        eval_cylindrical, linear_functional, mc_difference_quotient,
                        pairing_with_h, sample_path)
@@ -68,6 +68,15 @@ class TestPolynomial:
         p = (Polynomial.variable(0, 2) ** 2) * Polynomial.variable(1, 2)
         pts = np.array([[1.0, 2.0], [3.0, -1.0]])
         assert np.allclose(p(pts), [2.0, -9.0])
+
+    @pytest.mark.parametrize("make", [lambda: Polynomial.variable(0, 1) ** 2.5,
+                                      lambda: Polynomial.variable(0, 1) ** -1,
+                                      lambda: Polynomial(1, {(1.5,): 1.0}),
+                                      lambda: Polynomial(1, {(-1,): 1.0})],
+                             ids=["power 2.5", "power -1", "exponent 1.5", "exponent -1"])
+    def test_non_integer_or_negative_exponents_are_refused(self, make):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            make()
 
 
 class TestIntegerPowers:
@@ -482,3 +491,12 @@ class TestGluing:
             # absolute floor: near the compact-support edge the derivative is
             # ~1e-8 while the cutoff varies faster than any sane FD step
             assert np.all(np.abs(fd - dv) <= 1e-5 * np.abs(dv) + 1e-8)
+
+
+class TestDeclaredEnds:
+    def test_ends_of_f_and_f_prime(self, flin, f31, f33):
+        whole = (-math.inf, math.inf)
+        assert flin.ends() == flin.ends(True) == Ends(whole)
+        assert f31.ends() == f31.ends(True) == Ends(whole, (0.25, 0.0))
+        assert f33.ends() == Ends((0.0, 4e-4), None, (0.5, 3.0))
+        assert f33.ends(True) == Ends((0.0, 4e-4), None, (-0.5, 3.0))
